@@ -58,7 +58,11 @@ pub enum DomainState {
     /// Sealed: resource configuration frozen per the [`SealPolicy`],
     /// measurement taken, domain runnable.
     Sealed,
-    /// Killed: all capabilities revoked; the id is retired.
+    /// Killed. The engine never stores a dead domain: `kill` revokes its
+    /// capabilities, removes its record, and retires its id, so lookups
+    /// of a killed id find nothing. The state remains so that a record
+    /// rewritten through the corruption hooks can still be marked dead
+    /// and caught by the auditor.
     Dead,
 }
 

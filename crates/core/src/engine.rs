@@ -16,7 +16,7 @@
 //! | [`split`](CapEngine::split) | capability owner | two carved capabilities over the halves |
 //! | [`revoke`](CapEngine::revoke) | granter or lineage ancestor owner | cascading revocation + clean-up effects |
 //! | [`seal`](CapEngine::seal) | manager or self | freezes config, takes measurement |
-//! | [`kill`](CapEngine::kill) | manager | revokes everything, retires the domain |
+//! | [`kill`](CapEngine::kill) | manager | revokes everything, removes the domain, retires its id |
 //! | [`can_enter`](CapEngine::can_enter) | transition-cap owner | validated entry point for the monitor to switch to |
 // Approved panic paths: every `expect(` in this module is budgeted,
 // with a reviewed reason, in crates/verify/allowlist.toml.
@@ -303,6 +303,18 @@ impl CapEngine {
         &self.revoked
     }
 
+    /// Retained heap footprint of the engine's five slab stores (domains,
+    /// capabilities, both stamp tables, the owner index), summed from
+    /// [`Store::storage_bytes`]: the measured, not estimated, part of
+    /// [`storage_bytes`](Self::storage_bytes).
+    pub fn store_bytes(&self) -> usize {
+        self.domains.storage_bytes()
+            + self.caps.storage_bytes()
+            + self.created_at.storage_bytes()
+            + self.sealed_at.storage_bytes()
+            + self.by_owner.storage_bytes()
+    }
+
     /// Retained heap footprint of the engine's storage layer: the slab
     /// stores, the interval index, the unit-resource index, the effects
     /// buffer, and the revoked-lineage table. Capacity-based, so it
@@ -320,11 +332,7 @@ impl CapEngine {
         let res_bytes = (self.res_index.len() * 24 + res_entries * 8) * 3 / 2;
         let owner_entries: usize = self.by_owner.values().map(|s| s.len()).sum();
         let owner_bytes = owner_entries * 8 * 3 / 2;
-        self.domains.storage_bytes()
-            + self.caps.storage_bytes()
-            + self.created_at.storage_bytes()
-            + self.sealed_at.storage_bytes()
-            + self.by_owner.storage_bytes()
+        self.store_bytes()
             + self.mem_index.storage_bytes()
             + self.effects.capacity() * std::mem::size_of::<Effect>()
             + self.revoked.storage_bytes()
@@ -558,8 +566,9 @@ impl CapEngine {
     }
 
     /// Kills `domain`: cascading-revokes every capability it owns (and
-    /// therefore everything it shared onward), emits clean-up effects, and
-    /// retires the id. Only the manager may kill a domain.
+    /// therefore everything it shared onward), emits clean-up effects,
+    /// removes the domain's records, and retires the id. Only the manager
+    /// may kill a domain.
     pub fn kill(&mut self, actor: DomainId, domain: DomainId) -> Result<(), CapError> {
         let dom = self
             .domains
@@ -614,8 +623,12 @@ impl CapEngine {
                 self.revoke_subtree(cap);
             }
         }
-        let dom = self.domains.get_mut(domain.0).expect("checked above");
-        dom.state = DomainState::Dead;
+        // Reclaim the dead domain's records. Its id stays retired: the
+        // allocator never re-issues ids, and every path answers
+        // `NoSuchDomain` for an absent id.
+        self.domains.remove(domain.0);
+        self.sealed_at.remove(domain.0);
+        self.by_owner.remove(domain.0);
         self.effects.push(Effect::DomainKilled { domain });
         self.tick();
         self.trace.emit_engine(EventKind::CapOp {

@@ -108,10 +108,13 @@ fn mutex_lock<T>(l: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One published `(generation, snapshot)` slot in the epoch ring.
 type SnapSlot = RwLock<(u64, Arc<CapEngine>)>;
 
-/// The epoch-based read side shared by [`SharedEngine`] and the
+/// The epoch-based read side used by [`SharedEngine`] and the
 /// concurrent monitor: a ring of published `(generation, snapshot)`
 /// slots, per-reader epoch pins, and a retired list reclaimed after
-/// grace. See the module docs for the lifecycle.
+/// grace. See the module docs for the lifecycle. `SharedEngine`
+/// publishes on every mutation; the concurrent monitor serves from its
+/// live engine and publishes only when its `snapshot` finds the head
+/// older than the live generation.
 pub struct EpochReadSide {
     /// Published snapshot slots; `head` indexes the newest.
     snaps: Box<[SnapSlot]>,
@@ -202,10 +205,12 @@ impl EpochReadSide {
         self.current_with_gen().1
     }
 
-    /// Publishes a new snapshot. Must be called from the committing
-    /// mutator (while it still holds the engine write lock) so
-    /// publications are totally ordered; the caller stores `live_gen`
-    /// with Release *after* this returns.
+    /// Publishes a new snapshot. The caller must hold the engine write
+    /// lock so publications are totally ordered: [`SharedEngine`]
+    /// publishes from the committing mutator and stores `live_gen` with
+    /// Release *after* this returns; the concurrent monitor publishes
+    /// from its `snapshot`, under the same lock, a copy of a generation
+    /// it has already recorded.
     pub fn publish(&self, gen: u64, snap: Arc<CapEngine>) {
         let epoch_now = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let old_head = self.head.load(Ordering::Acquire);
@@ -355,9 +360,9 @@ pub struct SharedEngine {
     seq: AtomicU64,
 }
 
-/// Reader pin slots a standalone [`SharedEngine`] offers. Callers that
-/// know their core count (the concurrent monitor) size their own
-/// [`EpochReadSide`] instead.
+/// Reader pin slots a standalone [`SharedEngine`] offers. The
+/// concurrent monitor, which knows its core count, sizes its own
+/// [`EpochReadSide`] with one pin slot per core instead.
 const DEFAULT_READERS: usize = 64;
 
 impl SharedEngine {

@@ -12,16 +12,20 @@
 //! - a **generation tag** per slot, bumped on every free, so a stale
 //!   [`SlotRef`] from before a reuse can never alias the new occupant
 //!   (the ABA defense — see [`Store::resolve`]);
-//! - a **sparse direct-mapped index** from the raw external id to the
-//!   packed `(slot, generation)` ref, making insert/lookup/free `O(1)`.
+//! - a **two-level sparse index** from the raw external id to the
+//!   packed `(slot, generation)` ref: a page directory indexed by
+//!   `id / INDEX_PAGE` pointing at [`INDEX_PAGE`]-entry pages, making
+//!   insert/lookup/free `O(1)`.
 //!
 //! External ids are untouched: they come from the engine's shared
 //! monotonic [`IdAllocator`](crate::ids::IdAllocator) and are never
-//! reused, so the sparse index grows 8 bytes per id ever issued — the
-//! deliberate trade for `O(1)` everything (the scale bench records the
-//! resulting bytes-per-domain figure). Iteration walks the sparse index
-//! in ascending id order, so every `*_scan` differential twin and every
-//! auditor walk observes exactly the order the `BTreeMap`s used to give.
+//! reused. Each index page counts its live entries and is freed when the
+//! last one is removed, so index memory follows the live ids: a page
+//! costs 4 KiB while any of its 512 ids is live, and the directory costs
+//! 8 bytes per 512 ids ever issued. Iteration walks the directory and its
+//! pages in ascending id order, so every `*_scan` differential twin and
+//! every auditor walk observes exactly the order the `BTreeMap`s used to
+//! give.
 //!
 //! Equality is **logical**: two stores are `==` when they hold the same
 //! `(id, value)` pairs, whatever their slot layouts — replay checks
@@ -37,6 +41,27 @@ use crate::ids::{CapId, DomainId};
 
 /// Sentinel for "this id has no live slot" in the sparse index.
 const EMPTY: u64 = u64::MAX;
+
+/// Ids per sparse-index page: 512 packed refs, 4 KiB.
+pub const INDEX_PAGE: usize = 512;
+
+/// One sparse-index page: the packed refs of [`INDEX_PAGE`] consecutive
+/// ids plus how many of them are live, so the page can be freed the
+/// moment its last id is removed.
+#[derive(Clone, Debug)]
+struct IndexPage {
+    live: usize,
+    refs: [u64; INDEX_PAGE],
+}
+
+impl IndexPage {
+    fn empty() -> Box<Self> {
+        Box::new(IndexPage {
+            live: 0,
+            refs: [EMPTY; INDEX_PAGE],
+        })
+    }
+}
 
 /// One arena slot: the current occupant (if any) and the slot's
 /// generation, bumped every time the slot is freed.
@@ -64,8 +89,10 @@ pub struct Store<T> {
     slots: Vec<Slot<T>>,
     /// Freed slot indices awaiting reuse (LIFO).
     free: Vec<u32>,
-    /// Raw id → packed `(gen << 32) | slot`, [`EMPTY`] when absent.
-    index: Vec<u64>,
+    /// Page directory: entry `p` holds the packed `(gen << 32) | slot`
+    /// refs of ids `p * INDEX_PAGE ..`, [`EMPTY`] when absent, and is
+    /// `None` while none of those ids is live.
+    pages: Vec<Option<Box<IndexPage>>>,
     /// Live entries.
     len: usize,
 }
@@ -75,7 +102,7 @@ impl<T> Default for Store<T> {
         Store {
             slots: Vec::new(),
             free: Vec::new(),
-            index: Vec::new(),
+            pages: Vec::new(),
             len: 0,
         }
     }
@@ -105,9 +132,17 @@ impl<T> Store<T> {
         (packed as u32, (packed >> 32) as u32)
     }
 
+    /// `(page, offset)` of `id` in the sparse index; `None` only for
+    /// ids past the address space (never on a 64-bit host).
+    fn locate(id: u64) -> Option<(usize, usize)> {
+        let page = usize::try_from(id / INDEX_PAGE as u64).ok()?;
+        Some((page, (id % INDEX_PAGE as u64) as usize))
+    }
+
     /// The packed sparse-index entry for `id`, if live.
     fn entry(&self, id: u64) -> Option<(u32, u32)> {
-        let packed = *self.index.get(usize::try_from(id).ok()?)?;
+        let (page, off) = Self::locate(id)?;
+        let packed = *self.pages.get(page)?.as_ref()?.refs.get(off)?;
         if packed == EMPTY {
             None
         } else {
@@ -116,17 +151,32 @@ impl<T> Store<T> {
     }
 
     /// Inserts `val` under `id`, returning the previous value if the id
-    /// was already live (BTreeMap `insert` semantics).
+    /// was already live (BTreeMap `insert` semantics). An id the index
+    /// cannot address (past the address space) is refused by handing
+    /// `val` back.
     pub fn insert(&mut self, id: u64, val: T) -> Option<T> {
         if let Some((slot, _gen)) = self.entry(id) {
             if let Some(s) = self.slots.get_mut(slot as usize) {
                 return s.val.replace(val);
             }
         }
+        let Some((p, off)) = Self::locate(id) else {
+            return Some(val);
+        };
+        if p >= self.pages.len() {
+            self.pages.resize_with(p.saturating_add(1), || None);
+        }
+        let Some(page) = self.pages.get_mut(p) else {
+            return Some(val);
+        };
+        let page = page.get_or_insert_with(IndexPage::empty);
+        let Some(cell) = page.refs.get_mut(off) else {
+            return Some(val);
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                if let Some(cell) = self.slots.get_mut(s as usize) {
-                    cell.val = Some(val);
+                if let Some(freed) = self.slots.get_mut(s as usize) {
+                    freed.val = Some(val);
                 }
                 s
             }
@@ -137,28 +187,35 @@ impl<T> Store<T> {
             }
         };
         let gen = self.slots.get(slot as usize).map_or(0, |s| s.gen);
-        let idx = usize::try_from(id).unwrap_or(usize::MAX);
-        if idx >= self.index.len() {
-            self.index.resize(idx.saturating_add(1), EMPTY);
+        if *cell == EMPTY {
+            page.live += 1;
+            self.len += 1;
         }
-        if let Some(cell) = self.index.get_mut(idx) {
-            *cell = Self::pack(slot, gen);
-        }
-        self.len += 1;
+        *cell = Self::pack(slot, gen);
         None
     }
 
     /// Removes `id`, returning its value. The slot's generation is
     /// bumped and the slot goes back on the freelist, so any
-    /// outstanding [`SlotRef`] to it is invalidated before reuse.
+    /// outstanding [`SlotRef`] to it is invalidated before reuse. The
+    /// id's index page is freed when this was its last live id.
     pub fn remove(&mut self, id: u64) -> Option<T> {
-        let (slot, _gen) = self.entry(id)?;
+        let (p, off) = Self::locate(id)?;
+        let dir_entry = self.pages.get_mut(p)?;
+        let page = dir_entry.as_mut()?;
+        let cell = page.refs.get_mut(off)?;
+        if *cell == EMPTY {
+            return None;
+        }
+        let (slot, _gen) = Self::unpack(*cell);
         let val = self.slots.get_mut(slot as usize).and_then(|s| {
             s.gen = s.gen.wrapping_add(1);
             s.val.take()
         })?;
-        if let Some(cell) = self.index.get_mut(usize::try_from(id).ok()?) {
-            *cell = EMPTY;
+        *cell = EMPTY;
+        page.live -= 1;
+        if page.live == 0 {
+            *dir_entry = None;
         }
         self.free.push(slot);
         self.len -= 1;
@@ -203,23 +260,30 @@ impl<T> Store<T> {
 
     /// Iterates live `(id, value)` pairs in ascending id order — the
     /// exact order the engine's former `BTreeMap`s iterated in, so
-    /// differential twins and audits see unchanged sequences. `O(max
-    /// id ever inserted)` per full walk, `O(1)` per live entry once the
-    /// id space is dense.
+    /// differential twins and audits see unchanged sequences. A full
+    /// walk visits every directory entry and every entry of each live
+    /// page: `O(ids ever issued / INDEX_PAGE + live pages · INDEX_PAGE)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         // `zip` with an explicit id counter (not `.enumerate()`): the
         // static certifier's call-graph extractor resolves bare method
         // names workspace-wide, and `enumerate` is an engine hypercall.
-        (0u64..).zip(self.index.iter()).filter_map(move |(id, &packed)| {
-            if packed == EMPTY {
-                return None;
-            }
-            let (slot, _gen) = Self::unpack(packed);
-            self.slots
-                .get(slot as usize)
-                .and_then(|s| s.val.as_ref())
-                .map(|v| (id, v))
-        })
+        (0u64..)
+            .zip(self.pages.iter())
+            .filter_map(|(p, page)| page.as_deref().map(|page| (p, page)))
+            .flat_map(move |(p, page)| {
+                (p * INDEX_PAGE as u64..)
+                    .zip(page.refs.iter())
+                    .filter_map(move |(id, &packed)| {
+                        if packed == EMPTY {
+                            return None;
+                        }
+                        let (slot, _gen) = Self::unpack(packed);
+                        self.slots
+                            .get(slot as usize)
+                            .and_then(|s| s.val.as_ref())
+                            .map(|v| (id, v))
+                    })
+            })
     }
 
     /// Iterates live values in ascending id order.
@@ -237,14 +301,22 @@ impl<T> Store<T> {
         self.slots.len()
     }
 
+    /// Sparse-index pages currently allocated (each holds at least one
+    /// live id).
+    pub fn index_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
     /// Heap bytes held by the store's arrays (capacity-based, so this
     /// is retained footprint, not instantaneous live bytes). Counts the
-    /// slot arena, the freelist, and the sparse id index; `T`'s own
-    /// heap allocations (e.g. a `Vec` inside) are not visible here.
+    /// slot arena, the freelist, the page directory, and the allocated
+    /// index pages; `T`'s own heap allocations (e.g. a `Vec` inside)
+    /// are not visible here.
     pub fn storage_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<T>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.index.capacity() * std::mem::size_of::<u64>()
+            + self.pages.capacity() * std::mem::size_of::<Option<Box<IndexPage>>>()
+            + self.index_pages() * std::mem::size_of::<IndexPage>()
     }
 }
 
@@ -440,6 +512,27 @@ mod tests {
         assert_eq!(a, b);
         b.insert(3, 30);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn index_pages_follow_live_ids() {
+        let mut s: Store<u64> = Store::new();
+        let page = INDEX_PAGE as u64;
+        // Ids on three pages; the middle page holds a single id.
+        for id in [1, page - 1, page + 7, 2 * page] {
+            s.insert(id, id);
+        }
+        assert_eq!(s.index_pages(), 3);
+        let with_middle = s.storage_bytes();
+        assert_eq!(s.remove(page + 7), Some(page + 7));
+        assert_eq!(s.index_pages(), 2, "emptied page is freed");
+        assert!(s.storage_bytes() < with_middle);
+        assert_eq!(s.get(page + 7), None);
+        // Refilling the freed page allocates it again.
+        s.insert(page + 8, 8);
+        assert_eq!(s.index_pages(), 3);
+        let ids: Vec<u64> = s.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![1, page - 1, page + 8, 2 * page]);
     }
 
     #[test]

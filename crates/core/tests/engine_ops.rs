@@ -184,9 +184,43 @@ fn kill_revokes_everything_cascading() {
     assert_sound(&e);
     // b's derived share died with a's capability.
     assert_eq!(e.refcount_mem(MemRegion::new(0, 0x2000)), 1);
-    assert!(!e.domain(a).unwrap().is_alive());
-    // Dead domains refuse operations.
-    assert!(matches!(e.create_domain(a), Err(CapError::NoSuchDomain(_))));
+    // The killed domain's record is reclaimed, and every operation aimed
+    // at its id is refused as if the id had never been issued.
+    assert!(e.domain(a).is_none());
+    assert!(e.domains().all(|d| d.id != a));
+    let window = Some(MemRegion::new(0x4000, 0x5000));
+    let gone = Err(CapError::NoSuchDomain(a));
+    assert_eq!(e.kill(os, a), gone);
+    assert_eq!(e.seal(os, a, SealPolicy::strict()).map(|_| ()), gone);
+    assert_eq!(e.set_entry(os, a, 0x4000), gone);
+    assert_eq!(
+        tyche_core::attest::DomainReport::build(&e, a).map(|_| ()),
+        gone
+    );
+    assert_eq!(
+        e.share(os, ram, a, window, Rights::RW, RevocationPolicy::NONE)
+            .map(|_| ()),
+        gone
+    );
+    assert_eq!(
+        e.make_transition(os, a, RevocationPolicy::NONE).map(|_| ()),
+        gone
+    );
+    assert_eq!(e.create_domain(a).map(|_| ()), gone);
+    assert_eq!(e.enumerate(a).map(|_| ()), gone);
+    // The same calls aimed at the live sibling still go through.
+    assert!(e.domain(b).is_some_and(|d| d.is_alive()));
+    e.share(os, ram, b, window, Rights::RW, RevocationPolicy::NONE)
+        .unwrap();
+    e.make_transition(os, b, RevocationPolicy::NONE).unwrap();
+    e.set_entry(os, b, 0x4000).unwrap();
+    e.seal(os, b, SealPolicy::strict()).unwrap();
+    tyche_core::attest::DomainReport::build(&e, b).unwrap();
+    e.kill(os, b).unwrap();
+    // Retired ids are never re-issued.
+    let (c, _) = e.create_domain(os).unwrap();
+    assert!(c.0 > a.0 && c.0 > b.0);
+    assert_sound(&e);
 }
 
 #[test]

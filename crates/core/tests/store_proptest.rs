@@ -13,12 +13,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tyche_core::audit::audit;
 use tyche_core::engine::EFFECTS_RETAIN;
 use tyche_core::interval::IntervalTree;
 use tyche_core::prelude::*;
-use tyche_core::store::Store;
+use tyche_core::store::{Store, INDEX_PAGE};
 
 /// Domains per property case. Large enough that slot reuse, lineage
 /// compaction, and the interval tree's rebalancing all happen in bulk;
@@ -197,6 +197,70 @@ proptest! {
                 "stale handle resolved after slot reuse"
             );
         }
+    }
+
+    /// The paged sparse index against a `BTreeMap` model. Ids cluster at
+    /// the edges of four adjacent index pages, and the run alternates
+    /// fill-biased and drain-biased blocks, so pages fill, empty, are
+    /// freed, and are refilled. Every insert/remove/get result and the
+    /// id-ordered iteration match the model, exactly the pages holding a
+    /// live id stay allocated, and freeing a page lowers
+    /// `storage_bytes`.
+    #[test]
+    fn paged_index_agrees_with_map_model(
+        seed in any::<u64>(),
+        steps in 4_000usize..6_000
+    ) {
+        let page = INDEX_PAGE as u64;
+        let mut store: Store<u64> = Store::default();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut rng = Rng::new(seed);
+        let (mut released, mut refilled) = (0u32, 0u32);
+        let mut freed_pages: BTreeSet<u64> = BTreeSet::new();
+        for step in 0..steps as u64 {
+            // Four ids at each end of a page, so every id on the page is
+            // removed often enough for the page to empty.
+            let p = rng.below(4);
+            let edge = rng.below(4);
+            let id = if rng.below(2) == 0 {
+                p * page + edge
+            } else {
+                p * page + page - 1 - edge
+            };
+            let filling = (step / 256) % 2 == 0;
+            let insert_odds = if filling { 3 } else { 1 };
+            match rng.below(5) {
+                r if r < insert_odds => {
+                    let pages_before = store.index_pages();
+                    prop_assert_eq!(store.insert(id, step), model.insert(id, step));
+                    if store.index_pages() > pages_before && freed_pages.remove(&p) {
+                        refilled += 1;
+                    }
+                }
+                4 => prop_assert_eq!(store.get(id), model.get(&id)),
+                _ => {
+                    let (pages_before, bytes_before) =
+                        (store.index_pages(), store.storage_bytes());
+                    prop_assert_eq!(store.remove(id), model.remove(&id));
+                    if store.index_pages() < pages_before {
+                        released += 1;
+                        freed_pages.insert(p);
+                        prop_assert!(
+                            store.storage_bytes() < bytes_before,
+                            "releasing page {} kept {} bytes",
+                            p,
+                            bytes_before
+                        );
+                    }
+                }
+            }
+            let live_pages: BTreeSet<u64> = model.keys().map(|id| id / page).collect();
+            prop_assert_eq!(store.index_pages(), live_pages.len());
+            prop_assert_eq!(store.len(), model.len());
+        }
+        prop_assert!(store.iter().eq(model.iter().map(|(&k, v)| (k, v))));
+        prop_assert!(released > 0, "no page was ever released");
+        prop_assert!(refilled > 0, "no released page was ever refilled");
     }
 
     /// The interval tree against a `BTreeMap` model: insert/remove/

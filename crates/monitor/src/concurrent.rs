@@ -3,23 +3,37 @@
 //! [`ConcurrentMonitor`] lets one worker thread per modeled core issue
 //! hypercalls against a shared monitor. Three serving tiers:
 //!
-//! - **Read-only calls** (`Enumerate`) run against a published snapshot
-//!   from the epoch read side ([`EpochReadSide`]): every committed
-//!   mutation publishes a fresh `Arc<CapEngine>` clone, so a read is one
-//!   Acquire head load plus an uncontended slot read — no snapshot-cache
-//!   mutex, no shard lock. Readers pin their core's epoch slot for the
-//!   duration, which keeps the snapshot they hold off the reclamation
-//!   path (retire-after-grace; see `tyche_core::shared`).
+//! - **Read-only calls** (`Enumerate`) run on the live engine under the
+//!   read side of the inner monitor's `RwLock`: no shard lock, and no
+//!   copy of the engine. Read-only calls on different cores proceed
+//!   together; they wait only while a mutation holds the write side.
 //! - **Fast transitions** (`Enter` through a `NONE`-policy transition
 //!   capability, and the matching `Return`) touch only per-core state:
-//!   validation runs on the snapshot, the VMFUNC switch is charged to
-//!   the core's own clock, and no shared lock is taken. This is the
-//!   paper's "fast (100 cycles) transitions" path, now per-core.
-//! - **Mutations** (everything else) take the *shard locks* of every
-//!   involved domain — in ascending shard order, the same global rule
-//!   as [`tyche_core::shared::SharedEngine`], so cross-domain grants and
-//!   revokes are deadlock-free — and then the inner monitor lock for
-//!   the actual state change.
+//!   a validated entry is cached per core and keyed on the engine
+//!   generation, a cache miss validates on the live engine under the
+//!   read side, the VMFUNC switch is charged to the core's own clock,
+//!   and a cache hit takes no shared lock at all. This is the paper's
+//!   "fast (100 cycles) transitions" path, now per-core.
+//! - **Mutations** (everything else) compute the involved domains on
+//!   the live engine under a read guard they drop again, take the
+//!   *shard locks* of every involved domain — in ascending shard order,
+//!   the same global rule as [`tyche_core::shared::SharedEngine`], so
+//!   cross-domain grants and revokes are deadlock-free — and then the
+//!   inner monitor's write lock for the actual state change. A
+//!   committed mutation only records the new engine generation.
+//!
+//! ## Publication
+//!
+//! No serving tier copies the engine. [`ConcurrentMonitor::snapshot`] is
+//! the only publisher to the epoch read side ([`EpochReadSide`]): when
+//! the newest published copy is older than the live generation it
+//! clones the engine once, under the inner write lock so publications
+//! stay serialized, and publishes the copy. Pins and retire-after-grace
+//! reclamation (see `tyche_core::shared`) work on these lazily published
+//! copies as before, so a caller holding a snapshot across mutations
+//! keeps a stable view. Host cost per mutation is therefore independent
+//! of the population; a snapshot costs one clone per generation asked
+//! for.
 //!
 //! ## Simulated-time contention model
 //!
@@ -49,10 +63,11 @@
 //! the IPI + remote-flush cost through [`Machine::shootdown`] — one IPI
 //! per (core, batch) however many pending invalidations coalesced into
 //! it, replacing the single-stream `sync_effects` model. Until a core's
-//! shootdown is delivered, its fast path may still validate against the
-//! pre-revocation snapshot — the same TOCTOU grace window real
+//! shootdown is delivered, a remote core may keep running the domain
+//! that lost access — the same TOCTOU grace window real
 //! shootdown-based revocation has between the capability update and the
-//! remote TLB flush.
+//! remote TLB flush. Its fast-path cache does not extend the window: the
+//! mutation bumped the generation, so the next `Enter` revalidates.
 //!
 //! Queue-vs-drain responsibilities: `serve` (the single-call mutating
 //! tier) only *queues* invalidations — it never drains its own batch, so
@@ -153,7 +168,7 @@ pub struct SmpStats {
     pub mutations: AtomicU64,
     /// Fast (per-core, no-lock) transitions, one per one-way switch.
     pub fast_transitions: AtomicU64,
-    /// Read-only calls served from a snapshot.
+    /// Read-only calls served by the read tier.
     pub snapshot_reads: AtomicU64,
     /// Domain invalidations queued for shootdown (pre-coalescing).
     pub shootdowns_requested: AtomicU64,
@@ -196,8 +211,8 @@ pub struct ConcurrentMonitor {
     pending: Vec<Mutex<BTreeSet<DomainId>>>,
     /// Engine generation after the most recent committed mutation.
     live_gen: AtomicU64,
-    /// Epoch read side: published snapshots, one reader pin slot per
-    /// core, retire-after-grace reclamation.
+    /// Epoch read side: snapshots published lazily by `snapshot`, one
+    /// reader pin slot per core, retire-after-grace reclamation.
     reads: EpochReadSide,
     /// Per-core submission rings of pending mutating calls.
     rings: Vec<Mutex<Vec<MonitorCall>>>,
@@ -382,14 +397,26 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// A point-in-time engine snapshot: the newest published clone from
-    /// the epoch read side. One Acquire head load plus an uncontended
-    /// slot read — no snapshot-cache mutex, no shard lock, no inner
-    /// lock. Every committed mutation publishes before it releases the
-    /// inner lock, so the head can lag a mutation only within the same
-    /// window a real remote core has before its shootdown lands.
+    /// A point-in-time engine snapshot. When the newest published copy
+    /// is at the live generation it is returned as is: one Acquire load
+    /// plus an uncontended slot read. Otherwise this clones the engine
+    /// once and publishes the copy to the epoch read side. Publication
+    /// runs under the inner write lock, so publications stay serialized
+    /// and the copy is of a committed state. No serving tier calls this.
     pub fn snapshot(&self) -> Arc<CapEngine> {
-        self.reads.current()
+        let (gen, snap) = self.reads.current_with_gen();
+        if gen == self.live_gen.load(Ordering::Acquire) {
+            return snap;
+        }
+        let inner = write_lock(&self.inner);
+        let gen = inner.engine.generation();
+        let (head_gen, head) = self.reads.current_with_gen();
+        if head_gen == gen {
+            return head;
+        }
+        let snap = Arc::new(inner.engine.clone());
+        self.reads.publish(gen, Arc::clone(&snap));
+        snap
     }
 
     /// Serves one hypercall issued by the domain running on `core`.
@@ -406,9 +433,9 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// Read tier: enumerate on a published snapshot, pinned for the
-    /// duration. Charges the trap cost to the calling core's clock;
-    /// takes no shared lock at all.
+    /// Read tier: enumerate on the live engine under the inner lock's
+    /// read side. Charges the trap cost to the calling core's clock;
+    /// takes no shard lock and never copies the engine.
     fn serve_enumerate(&self, core: usize) -> Result<CallResult, Status> {
         SmpStats::bump(&self.stats.snapshot_reads);
         let start = self.clocks.now(core);
@@ -417,14 +444,16 @@ impl ConcurrentMonitor {
         let leaf = MonitorCall::Enumerate.encode().0;
         self.trace
             .emit(core as u32, EventKind::HyperEnter { leaf, actor: actor.0 });
-        // Pin this core's epoch slot before loading the head: everything
-        // published-then-displaced from here on stays on the retired
-        // list until the pin drops, so the borrowed view cannot be
-        // reclaimed mid-read however long enumeration takes.
-        let _pin = self.reads.pin(core);
-        let (gen, snap) = self.reads.current_with_gen();
-        self.trace.emit(core as u32, EventKind::SnapRead { gen });
-        let res = snap.enumerate(actor).map_err(crate::monitor::cap_status);
+        let res = {
+            let inner = read_lock(&self.inner);
+            self.trace.emit(
+                core as u32,
+                EventKind::SnapRead {
+                    gen: inner.engine.generation(),
+                },
+            );
+            inner.engine.enumerate(actor).map_err(crate::monitor::cap_status)
+        };
         let code = match &res {
             Ok(_) => 0,
             Err(s) => *s as u64,
@@ -439,9 +468,10 @@ impl ConcurrentMonitor {
         self.cores.get(core).ok_or(Status::InvalidArg)
     }
 
-    /// Fast-or-mediated enter. The fast path validates on the snapshot
-    /// and touches only this core's state; flush-policy transitions and
-    /// non-x86 architectures fall back to the mediated (mutating) tier.
+    /// Fast-or-mediated enter. A cache hit touches only this core's
+    /// state; a miss validates on the live engine under the inner lock's
+    /// read side. Flush-policy transitions and non-x86 architectures fall
+    /// back to the mediated (mutating) tier.
     fn serve_enter(&self, core: usize, cap: CapId) -> Result<CallResult, Status> {
         if self.arch == Arch::X86 {
             let mut state = mutex_lock(self.core_state(core)?);
@@ -466,8 +496,17 @@ impl ConcurrentMonitor {
                     Some(v)
                 }
                 None => {
-                    let snap = self.snapshot();
-                    match snap.can_enter(actor, cap, core) {
+                    // Validate on the live engine. The generation is read
+                    // under the same guard, so the cache entry is keyed to
+                    // exactly the state it was validated against.
+                    let (gen, checked) = {
+                        let inner = read_lock(&self.inner);
+                        (
+                            inner.engine.generation(),
+                            inner.engine.can_enter(actor, cap, core),
+                        )
+                    };
+                    match checked {
                         Ok((target, entry, policy)) if policy == RevocationPolicy::NONE => {
                             state.cache = Some((gen, actor, cap, target, entry));
                             self.trace.emit(
@@ -546,12 +585,7 @@ impl ConcurrentMonitor {
     fn serve_mutating(&self, core: usize, call: MonitorCall) -> Result<CallResult, Status> {
         let mut state = mutex_lock(self.core_state(core)?);
         let actor = state.current;
-        // One snapshot for the whole involved-set computation, so the
-        // set and the loser set come from a single generation (mixing
-        // generations across the per-cap lookups under-computed
-        // shootdown targets).
-        let snap = self.snapshot();
-        let (involved, losers) = self.involved_domains(&snap, actor, &call);
+        let involved = self.involved_live(actor, std::slice::from_ref(&call));
         let mut shard_idx: Vec<usize> = involved.iter().map(|&d| self.shard_index(d)).collect();
         shard_idx.sort_unstable();
         shard_idx.dedup();
@@ -606,6 +640,10 @@ impl ConcurrentMonitor {
             );
             t0 += self.lock_handoff;
         }
+        // Shootdown targets come from the engine state the call executes
+        // against, read under the write lock: the shard-set pass above ran
+        // under a guard that has since been dropped.
+        let (_, losers) = self.involved_domains(&inner.engine, actor, &call);
         // The inner call charges the machine-global counter; the delta
         // is this operation's cost, re-charged to the core's timeline.
         let before = inner.machine.cycles.now();
@@ -616,16 +654,9 @@ impl ConcurrentMonitor {
         for s in &shards {
             s.clock.advance_to(end);
         }
-        // Publish the committed state to the epoch read side before the
-        // Release store makes the new generation observable: a reader
-        // that sees `live_gen == gen` finds a snapshot at least that new
-        // at the head. Failed and read-only calls leave the generation
-        // unchanged and skip the clone.
-        let gen = inner.engine.generation();
-        if gen != self.live_gen.load(Ordering::Acquire) {
-            self.reads.publish(gen, Arc::new(inner.engine.clone()));
-        }
-        self.live_gen.store(gen, Ordering::Release);
+        // Only the generation is recorded; `snapshot` publishes a copy
+        // lazily if anyone asks for one.
+        self.live_gen.store(inner.engine.generation(), Ordering::Release);
         SmpStats::bump(&self.stats.mutations);
         // Mirror mediated transitions into the SMP view.
         match &result {
@@ -727,17 +758,10 @@ impl ConcurrentMonitor {
     ) -> Result<Vec<Result<CallResult, Status>>, Status> {
         let state = mutex_lock(self.core_state(core)?);
         let actor = state.current;
-        // One snapshot for the whole batch: the union is computed at a
-        // single generation. Intra-batch mutations may shift ownership
-        // mid-batch — the shard locks only model contention, so a
-        // pre-batch union stays safe; shootdown targets are recomputed
-        // per entry against the live engine below.
-        let snap = self.snapshot();
-        let mut involved: BTreeSet<DomainId> = BTreeSet::new();
-        for call in batch {
-            let (inv, _) = self.involved_domains(&snap, actor, call);
-            involved.extend(inv);
-        }
+        // Intra-batch mutations may shift ownership mid-batch — the shard
+        // locks only model contention, so a pre-batch union stays safe;
+        // shootdown targets are recomputed per entry below.
+        let involved = self.involved_live(actor, batch);
         let mut shard_idx: Vec<usize> = involved.iter().map(|&d| self.shard_index(d)).collect();
         shard_idx.sort_unstable();
         shard_idx.dedup();
@@ -809,11 +833,7 @@ impl ConcurrentMonitor {
             }
             results.push(result);
         }
-        let gen = inner.engine.generation();
-        if gen != self.live_gen.load(Ordering::Acquire) {
-            self.reads.publish(gen, Arc::new(inner.engine.clone()));
-        }
-        self.live_gen.store(gen, Ordering::Release);
+        self.live_gen.store(inner.engine.generation(), Ordering::Release);
         self.clocks.advance_to(core, t_end);
         for s in &shards {
             s.clock.advance_to(t_end);
@@ -842,6 +862,19 @@ impl ConcurrentMonitor {
         // of leaving the gather window open.
         self.sync_shootdowns(core);
         Ok(results)
+    }
+
+    /// The union of the involved sets of `calls`, computed against the
+    /// live engine under one read guard, so the union comes from a
+    /// single generation. The guard is dropped on return: callers take
+    /// the shard locks next, and no engine guard may be held then.
+    fn involved_live(&self, actor: DomainId, calls: &[MonitorCall]) -> BTreeSet<DomainId> {
+        let inner = read_lock(&self.inner);
+        let mut involved = BTreeSet::new();
+        for call in calls {
+            involved.extend(self.involved_domains(&inner.engine, actor, call).0);
+        }
+        involved
     }
 
     /// The domains a call touches, for shard locking, plus the subset
@@ -1300,25 +1333,40 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_pins_epoch_across_publication_storm() {
+    fn snapshot_publishes_lazily_and_pins_defer_reclamation() {
         let (cm, _doms) = smp_fixture();
-        // A storm of committed mutations publishes a snapshot each; with
-        // no reader pinned they reclaim as they retire.
+        // Serving never copies the engine: mutations only record their
+        // generation, and the read tier runs on the live engine.
         for _ in 0..8 {
             cm.serve(0, MonitorCall::CreateDomain).unwrap();
         }
-        assert!(cm.epochs().published() >= 8);
+        cm.serve(0, MonitorCall::Enumerate).unwrap();
+        assert_eq!(cm.epochs().published(), 0, "serving publishes nothing");
+        // `snapshot` publishes once per generation asked for.
+        let a = cm.snapshot();
+        let b = cm.snapshot();
+        assert!(Arc::ptr_eq(&a, &b), "one generation => one copy");
+        assert_eq!(cm.epochs().published(), 1);
+        assert_eq!(a.generation(), cm.with_inner(|m| m.engine.generation()));
+        cm.serve(0, MonitorCall::CreateDomain).unwrap();
+        let c = cm.snapshot();
+        assert!(!Arc::ptr_eq(&a, &c), "a new generation gets a fresh copy");
+        assert_eq!(c.domains().count(), a.domains().count() + 1);
+        assert_eq!(cm.epochs().published(), 2);
         assert_eq!(cm.epochs().retired_len(), 0, "no pins => retirees reclaimed");
-        // A pinned reader holds the horizon while further publications
+        // A pinned reader holds the horizon while lazy publications
         // displace slots under it.
         let pin = cm.epochs().pin(1);
         let view = cm.snapshot();
         let doms_before = view.domains().count();
         for _ in 0..8 {
             cm.serve(0, MonitorCall::CreateDomain).unwrap();
+            cm.snapshot();
         }
+        assert_eq!(cm.epochs().published(), 10);
         assert!(cm.epochs().retired_len() > 0, "pin defers reclamation");
         assert_eq!(view.domains().count(), doms_before, "pinned view is stable");
+        assert_eq!(cm.snapshot().domains().count(), doms_before + 8);
         drop(pin);
         cm.epochs().reclaim();
         assert_eq!(cm.epochs().retired_len(), 0);

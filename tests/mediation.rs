@@ -183,8 +183,72 @@ fn cannot_kill_a_running_domain() {
     // Once it returns, the kill goes through and the core is safe.
     m.call(0, MonitorCall::Return).unwrap();
     m.call(1, MonitorCall::Kill { domain: victim }).unwrap();
-    assert!(!m.engine.domain(victim).unwrap().is_alive());
+    assert_refused_everywhere(&mut m, victim);
     assert!(m.audit_hardware().is_empty());
+}
+
+/// A killed domain is reclaimed: the engine holds no record of it, and
+/// every call aimed at its id fails as for an id that was never issued
+/// (`NoSuchDomain`, reported as `NotFound`). A live domain created
+/// afterwards gets a fresh id and accepts the same calls, so the
+/// refusals come from the dead id, not from the calls themselves.
+fn assert_refused_everywhere(m: &mut tyche_monitor::Monitor, dead: DomainId) {
+    assert!(m.engine.domain(dead).is_none());
+    let ram = m
+        .engine
+        .caps_of(m.engine.root().unwrap())
+        .iter()
+        .find(|c| {
+            c.active
+                && matches!(c.resource, Resource::Memory(r)
+                    if r.start <= 0x30_0000 && 0x30_1000 <= r.end)
+        })
+        .map(|c| c.id)
+        .unwrap();
+    let calls = |d: DomainId| {
+        [
+            MonitorCall::SetEntry {
+                domain: d,
+                entry: 0x30_0000,
+            },
+            MonitorCall::Share {
+                cap: ram,
+                target: d,
+                sub: Some((0x30_0000, 0x30_1000)),
+                rights: Rights::RW,
+                policy: RevocationPolicy::NONE,
+            },
+            MonitorCall::MakeTransition {
+                target: d,
+                policy: RevocationPolicy::NONE,
+            },
+            MonitorCall::Seal {
+                domain: d,
+                allow_outward: false,
+                allow_children: false,
+            },
+            MonitorCall::Attest {
+                domain: d,
+                nonce: 7,
+            },
+            MonitorCall::Kill { domain: d },
+        ]
+    };
+    for call in calls(dead) {
+        assert_eq!(m.call(1, call), Err(Status::NotFound), "{call:?}");
+    }
+    let fresh = match m.call(1, MonitorCall::CreateDomain) {
+        Ok(tyche_monitor::monitor::CallResult::NewDomain { domain, .. }) => domain,
+        other => panic!("create failed: {other:?}"),
+    };
+    assert!(fresh.0 > dead.0, "retired ids are never re-issued");
+    for call in calls(fresh) {
+        assert!(m.call(1, call).is_ok(), "{call:?}");
+    }
+    assert!(
+        m.engine.domain(fresh).is_none(),
+        "the fresh domain was killed last"
+    );
 }
 
 #[test]
@@ -277,7 +341,7 @@ fn cannot_kill_a_fast_path_caller() {
     m.ret_fast(0).unwrap();
     m.ret_fast(0).unwrap();
     m.call(1, MonitorCall::Kill { domain: mid }).unwrap();
-    assert!(!m.engine.domain(mid).unwrap().is_alive());
+    assert_refused_everywhere(&mut m, mid);
 }
 
 #[test]
