@@ -3,6 +3,14 @@
 //! Used by the simulated TPM for nonces and key generation, and by workload
 //! generators that need reproducible randomness (benchmarks must produce the
 //! same workloads run-to-run).
+//!
+//! The output stream is a compatibility surface: seeded artifacts, TPM
+//! nonces and benchmark inputs are all drawn from it, so a change to how
+//! bytes are produced must leave every byte where it was. The stream is
+//! the ChaCha20 keystream for the seed as key, an all-zero nonce and a
+//! block counter from 0 (the nonce steps each time the 32-bit counter
+//! wraps), handed out front to back without regard to how callers split
+//! their draws; a known-answer test pins its first 128 bytes.
 
 use crate::chacha;
 
@@ -66,13 +74,21 @@ impl ChaChaRng {
     }
 
     /// Fills `out` with pseudo-random bytes.
+    ///
+    /// The stream does not depend on how it is drawn: one fill of `n`
+    /// bytes equals any sequence of fills that add up to `n`.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
+        let mut out = out;
+        while !out.is_empty() {
             if self.pos == 64 {
                 self.refill();
             }
-            *byte = self.buf[self.pos];
-            self.pos += 1;
+            let end = (self.pos + out.len()).min(64);
+            let chunk = &self.buf[self.pos..end];
+            let (head, rest) = std::mem::take(&mut out).split_at_mut(chunk.len());
+            head.copy_from_slice(chunk);
+            self.pos = end;
+            out = rest;
         }
     }
 
@@ -169,6 +185,43 @@ mod tests {
         rng2.fill_bytes(b);
         rng2.fill_bytes(c);
         assert_eq!(one, parts);
+    }
+
+    #[test]
+    fn stream_is_pinned() {
+        // The first 128 bytes of seed 42. Seeded artifacts, TPM nonces and
+        // benchmark inputs are all drawn from this stream, so it must never
+        // drift.
+        let mut rng = ChaChaRng::from_seed(42);
+        let mut out = [0u8; 128];
+        rng.fill_bytes(&mut out);
+        let hex: String = out.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0d0231cc322b22a46dd76a34b43fd826eb57695accfa4d07579ea98bbe15043b\
+             73ca954f80b816af37b8af5daa7d2cf795b0f150eb04a8a086daaf222e9a5699\
+             a74477fa753db6d937b72c7ae10092b3f1dc35774320a2ac02a3ce807f4ca441\
+             5840153febe21d9de853689821d73903828c378ee5dcb2f8c6cd5095f72edca7"
+        );
+    }
+
+    #[test]
+    fn arbitrary_splits_match_one_fill() {
+        let mut one = vec![0u8; 1000];
+        ChaChaRng::from_seed(42).fill_bytes(&mut one);
+        let mut sizes = ChaChaRng::from_seed(5);
+        for _ in 0..50 {
+            let mut rng = ChaChaRng::from_seed(42);
+            let mut parts = vec![0u8; 1000];
+            let mut rest = parts.as_mut_slice();
+            while !rest.is_empty() {
+                let n = (sizes.below(150) as usize).min(rest.len());
+                let (head, tail) = rest.split_at_mut(n);
+                rng.fill_bytes(head);
+                rest = tail;
+            }
+            assert_eq!(one, parts);
+        }
     }
 
     #[test]

@@ -24,27 +24,30 @@ impl Signature {
 }
 
 /// A signing key held by a root of trust or monitor.
+///
+/// Holds the keyed HMAC state (key material, see [`crate::hmac`]) rather
+/// than the raw key, so signing a message does not re-absorb the key pads.
 #[derive(Clone)]
 pub struct SigningKey {
-    key: [u8; 32],
+    mac: HmacSha256,
 }
 
 impl SigningKey {
     /// Creates a signing key from raw key material.
     pub fn new(key: [u8; 32]) -> Self {
-        SigningKey { key }
+        SigningKey {
+            mac: HmacSha256::new(&key),
+        }
     }
 
     /// Derives a purpose-separated signing key from a root secret.
     pub fn derive(root: &[u8], purpose: &str) -> Self {
-        SigningKey {
-            key: hkdf::derive_key32(b"tyche-sign", root, purpose.as_bytes()),
-        }
+        Self::new(hkdf::derive_key32(b"tyche-sign", root, purpose.as_bytes()))
     }
 
     /// Signs a message.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(HmacSha256::mac(&self.key, msg))
+        Signature(self.mac.tag(msg))
     }
 
     /// Returns the matching verifying key.
@@ -52,7 +55,9 @@ impl SigningKey {
     /// With the MAC substitution the verifying key carries the same key
     /// material; a production build would return the public half.
     pub fn verifying_key(&self) -> VerifyingKey {
-        VerifyingKey { key: self.key }
+        VerifyingKey {
+            mac: self.mac.clone(),
+        }
     }
 }
 
@@ -66,13 +71,13 @@ impl core::fmt::Debug for SigningKey {
 /// The verification half of a [`SigningKey`].
 #[derive(Clone)]
 pub struct VerifyingKey {
-    key: [u8; 32],
+    mac: HmacSha256,
 }
 
 impl VerifyingKey {
     /// Verifies `sig` over `msg` in constant time.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        HmacSha256::verify(&self.key, msg, &sig.0)
+        self.mac.check(msg, &sig.0)
     }
 }
 
@@ -110,6 +115,20 @@ mod tests {
         let mut sig = sk.sign(b"m");
         sig.0 .0[5] ^= 0xff;
         assert!(!vk.verify(b"m", &sig));
+    }
+
+    #[test]
+    fn signature_is_pinned() {
+        // Attestation signatures are compared across machines and stored
+        // in artifacts; the keyed-state signer must produce the same bytes
+        // as HMAC under the derived key always has.
+        let sk = SigningKey::derive(b"root", "attest");
+        assert_eq!(
+            sk.sign(b"report").to_hex(),
+            "ff2994485785dbcab48b1e8606641287d15cbdbdcea4f9606723dd1e10f08f8a"
+        );
+        let raw = hkdf::derive_key32(b"tyche-sign", b"root", b"attest");
+        assert_eq!(sk.sign(b"report").0, HmacSha256::mac(&raw, b"report"));
     }
 
     #[test]

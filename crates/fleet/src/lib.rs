@@ -174,8 +174,10 @@ pub struct FleetMachine {
     /// previous epoch are retained (the one-epoch grace window lets a
     /// stale-epoch frame be *diagnosed* as stale rather than merely
     /// unauthentic); retired keys are never used to accept frames, and
-    /// a teardown destroys every epoch for the peer.
-    keys: BTreeMap<u64, BTreeMap<u64, [u8; 32]>>,
+    /// a teardown destroys every epoch for the peer. Each key is held as
+    /// its keyed HMAC state, so a frame's MAC does not re-absorb the key
+    /// pads.
+    keys: BTreeMap<u64, BTreeMap<u64, HmacSha256>>,
     accepted: u64,
     violations: u64,
 }
@@ -202,7 +204,7 @@ impl FleetMachine {
     /// the grace window.
     fn install_key(&mut self, peer: u64, epoch: u64, key: [u8; 32]) {
         let epochs = self.keys.entry(peer).or_default();
-        epochs.insert(epoch, key);
+        epochs.insert(epoch, HmacSha256::new(&key));
         while epochs.len() > 2 {
             if let Some((&oldest, _)) = epochs.iter().next() {
                 epochs.remove(&oldest);
@@ -230,16 +232,13 @@ fn tpm_seed_for(fleet_seed: u64, i: usize) -> u64 {
 }
 
 /// MAC transcript for one channel frame.
-fn frame_tag(key: &[u8; 32], src: u64, epoch: u64, seq: u64, payload: &[u8]) -> Digest {
-    HmacSha256::mac_parts(
-        key,
-        &[
-            &src.to_le_bytes(),
-            &epoch.to_le_bytes(),
-            &seq.to_le_bytes(),
-            payload,
-        ],
-    )
+fn frame_tag(key: &HmacSha256, src: u64, epoch: u64, seq: u64, payload: &[u8]) -> Digest {
+    key.tag_parts(&[
+        &src.to_le_bytes(),
+        &epoch.to_le_bytes(),
+        &seq.to_le_bytes(),
+        payload,
+    ])
 }
 
 impl Fleet {
@@ -581,19 +580,8 @@ impl Fleet {
             };
             return Err(m.channels.reject(src, reason));
         };
-        let mut tag32 = [0u8; 32];
-        tag32.copy_from_slice(tag);
-        let expected = Digest(tag32);
-        if !HmacSha256::verify_parts(
-            key,
-            &[
-                &src.to_le_bytes(),
-                &epoch.to_le_bytes(),
-                &seq.to_le_bytes(),
-                payload,
-            ],
-            &expected,
-        ) {
+        let expected = frame_tag(key, src, epoch, seq, payload);
+        if !tyche_crypto::ct::eq(expected.as_bytes(), tag) {
             return Err(m.channels.reject(src, ViolationReason::BadMac));
         }
         let seq = m.channels.accept_recv(src, seq, epoch)?;
@@ -884,6 +872,29 @@ mod tests {
         f.tee_read(1, 0, RDMA_MR.0, &mut got).unwrap();
         assert_eq!(&got, b"fleet rdma secret");
         f.exit_tee(1, 0).unwrap();
+    }
+
+    #[test]
+    fn frame_tag_is_pinned() {
+        // One channel frame tag for a fixed key and header: the wire
+        // format (transcript layout and MAC) must never drift.
+        let key = HmacSha256::new(&[0x11; 32]);
+        assert_eq!(
+            frame_tag(&key, 2, 3, 9, b"fleet frame payload").to_hex(),
+            "20bcce0d14bf1b0fcf3ecbfffbca4880d455035444eecd9790a84f158e0ba5e0"
+        );
+    }
+
+    #[test]
+    fn teardown_destroys_the_peers_keyed_state() {
+        let mut f = two();
+        assert!(f.machines[1].keys.contains_key(&0));
+        // A forged frame from 0 tears the channel down at 1.
+        f.send_raw(0, 1, 0, vec![0u8; FRAME_OVERHEAD + 4]).unwrap();
+        assert!(matches!(f.deliver(1, 0), Err(FleetError::Channel(_))));
+        assert!(!f.machines[1].keys.contains_key(&0));
+        // Nothing keyed is left to send with.
+        assert!(f.send(1, 0, 0, b"after teardown").is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::client::TycheClient;
 use tyche_core::prelude::*;
-use tyche_crypto::{hkdf, ChaChaRng};
+use tyche_crypto::{hkdf, ChaChaRng, HmacSha256};
 use tyche_monitor::attest::{SignedReport, Verifier, VerifyError};
 use tyche_monitor::Monitor;
 
@@ -56,6 +56,10 @@ pub enum RdmaError {
     Attestation(VerifyError),
     /// Frame authentication failed at the receiver (wire tampering).
     BadFrame,
+    /// An authentic frame whose sequence number the receiver has already
+    /// passed: a replay of a captured frame, refused so it cannot roll
+    /// the remote MR back to older contents.
+    Replayed,
 }
 
 /// The per-machine RDMA NIC: MR table + wire statistics.
@@ -143,7 +147,13 @@ impl Wire {
 pub struct RdmaConnection {
     // (key material; Debug deliberately omits it)
     key: [u8; 32],
+    /// `key` as a keyed HMAC state, for frame tags.
+    mac: HmacSha256,
+    /// Sequence number of the next frame this side produces.
     seq: u64,
+    /// Lowest sequence number this side still accepts; every frame
+    /// below it has been delivered or skipped.
+    next_recv: u64,
 }
 
 impl core::fmt::Debug for RdmaConnection {
@@ -188,7 +198,17 @@ impl RdmaConnection {
         ikm.extend_from_slice(remote_quote_nonce);
         ikm.extend_from_slice(remote_report_nonce);
         let key = hkdf::derive_key32(b"tyche-rdma", &ikm, b"channel");
-        Ok(RdmaConnection { key, seq: 0 })
+        Ok(Self::with_key(key))
+    }
+
+    /// A fresh connection (both sequence counters at 0) keyed by `key`.
+    fn with_key(key: [u8; 32]) -> RdmaConnection {
+        RdmaConnection {
+            key,
+            mac: HmacSha256::new(&key),
+            seq: 0,
+            next_recv: 0,
+        }
     }
 
     /// The raw channel key — test-only accessor for authenticating
@@ -198,14 +218,36 @@ impl RdmaConnection {
         &self.key
     }
 
-    /// Per-frame keystream (key + sequence number).
-    fn keystream(&self, seq: u64, len: usize) -> Vec<u8> {
-        let mut seed = self.key.to_vec();
-        seed.extend_from_slice(&seq.to_le_bytes());
+    /// XORs the per-frame keystream (key + sequence number) into `buf`
+    /// in place: encrypts plaintext, decrypts ciphertext.
+    fn apply_keystream(&self, seq: u64, buf: &mut [u8]) {
+        let mut seed = [0u8; 40];
+        seed[..32].copy_from_slice(&self.key);
+        seed[32..].copy_from_slice(&seq.to_le_bytes());
         let mut rng = ChaChaRng::new(hkdf::derive_key32(b"tyche-rdma-frame", &seed, b"ks"));
-        let mut ks = vec![0u8; len];
-        rng.fill_bytes(&mut ks);
-        ks
+        let mut ks = [0u8; 64];
+        for chunk in buf.chunks_mut(64) {
+            let ks = &mut ks[..chunk.len()];
+            rng.fill_bytes(ks);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
+
+    /// Completes a wire frame whose bytes after the 8-byte header hold
+    /// the plaintext: stamps the next sequence number into the header,
+    /// encrypts the payload in place, and appends the tag over
+    /// `seq_le || ciphertext`.
+    fn seal(&mut self, mut frame: Vec<u8>) -> Vec<u8> {
+        let seq = self.seq;
+        self.seq += 1;
+        let (header, payload) = frame.split_at_mut(8);
+        header.copy_from_slice(&seq.to_le_bytes());
+        self.apply_keystream(seq, payload);
+        let tag = self.mac.tag(&frame);
+        frame.extend_from_slice(tag.as_bytes());
+        frame
     }
 
     /// Sender half of an RDMA write: reads `len` bytes at `local_addr`
@@ -221,33 +263,29 @@ impl RdmaConnection {
         local_addr: u64,
         len: usize,
     ) -> Result<Vec<u8>, RdmaError> {
-        // Local read through the sender's own enforced view.
-        let mut payload = vec![0u8; len];
-        {
-            let mut client = TycheClient::new(local, core);
-            client
-                .read(local_addr, &mut payload)
-                .map_err(|f| RdmaError::LocalFault(f.addr))?;
-        }
-        // Encrypt, authenticate, and transmit. A stream cipher alone is
-        // malleable; the MAC is what makes wire tampering detectable
-        // ([`RdmaError::BadFrame`]).
-        let seq = self.seq;
-        self.seq += 1;
-        let ks = self.keystream(seq, len);
+        // Local read through the sender's own enforced view, straight
+        // into the frame's payload bytes.
         let mut frame = Vec::with_capacity(len + 40);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend(payload.iter().zip(&ks).map(|(p, k)| p ^ k));
-        let tag = tyche_crypto::HmacSha256::mac(&self.key, &frame);
-        frame.extend_from_slice(tag.as_bytes());
-        Ok(frame)
+        frame.resize(8 + len, 0);
+        TycheClient::new(local, core)
+            .read(local_addr, &mut frame[8..])
+            .map_err(|f| RdmaError::LocalFault(f.addr))?;
+        // Encrypt and authenticate. A stream cipher alone is malleable;
+        // the MAC is what makes wire tampering detectable
+        // ([`RdmaError::BadFrame`]).
+        Ok(self.seal(frame))
     }
 
     /// Receiver half of an RDMA write: authenticates and decrypts one
     /// wire frame, then delivers it into the remote MR at `remote_off`
     /// after the remote NIC re-validates ownership and exclusivity.
+    ///
+    /// Frames must arrive in increasing sequence order: an authentic
+    /// frame numbered below one already delivered is a replay and is
+    /// refused ([`RdmaError::Replayed`]). Gaps are allowed — a frame the
+    /// transport lost is simply skipped.
     pub fn deliver_frame(
-        &self,
+        &mut self,
         frame: &[u8],
         remote: &mut Monitor,
         remote_nic: &RdmaNic,
@@ -261,18 +299,19 @@ impl RdmaConnection {
         // checked `BadFrame`, never a caller abort.
         let (body, rtag) = frame.split_at(frame.len() - 32);
         let rtag: [u8; 32] = rtag.try_into().map_err(|_| RdmaError::BadFrame)?;
-        let expect = tyche_crypto::Digest(rtag);
-        if !tyche_crypto::HmacSha256::verify(&self.key, body, &expect) {
+        if !self.mac.check(body, &tyche_crypto::Digest(rtag)) {
             return Err(RdmaError::BadFrame);
         }
-        let rseq_bytes: [u8; 8] = body
-            .get(..8)
-            .and_then(|b| b.try_into().ok())
-            .ok_or(RdmaError::BadFrame)?;
+        let (rseq_bytes, ciphertext) = body.split_at(8);
+        let rseq_bytes: [u8; 8] = rseq_bytes.try_into().map_err(|_| RdmaError::BadFrame)?;
         let rseq = u64::from_le_bytes(rseq_bytes);
-        let len = body.len() - 8;
-        let rks = self.keystream(rseq, len);
-        let plain: Vec<u8> = body[8..].iter().zip(&rks).map(|(c, k)| c ^ k).collect();
+        if rseq < self.next_recv {
+            return Err(RdmaError::Replayed);
+        }
+        let next_recv = rseq.checked_add(1).ok_or(RdmaError::BadFrame)?;
+        let len = ciphertext.len();
+        let mut plain = ciphertext.to_vec();
+        self.apply_keystream(rseq, &mut plain);
 
         let mr = remote_nic
             .regions
@@ -319,6 +358,7 @@ impl RdmaConnection {
                 &plain,
             )
             .map_err(|_| RdmaError::OutOfBounds)?;
+        self.next_recv = next_recv;
         Ok(())
     }
 
@@ -670,6 +710,118 @@ mod tests {
             ebody,
             &etag
         ));
+    }
+
+    /// Reads `len` bytes of B's MR as B's TEE.
+    fn read_mr(mb: &mut Monitor, gb: CapId, len: usize) -> Vec<u8> {
+        let mut got = vec![0u8; len];
+        let mut client = TycheClient::new(mb, 0);
+        client.enter(gb).unwrap();
+        client.read(TEE_MEM.0 + 0x1000, &mut got).unwrap();
+        client.ret().unwrap();
+        got
+    }
+
+    /// A's TEE stages `data` and produces the frame carrying it.
+    fn frame_of(ma: &mut Monitor, ga: CapId, conn: &mut RdmaConnection, data: &[u8]) -> Vec<u8> {
+        let mut client = TycheClient::new(ma, 0);
+        client.enter(ga).unwrap();
+        client.write(TEE_MEM.0 + 0x100, data).unwrap();
+        let frame = conn
+            .produce_frame(ma, 0, TEE_MEM.0 + 0x100, data.len())
+            .unwrap();
+        TycheClient::new(ma, 0).ret().unwrap();
+        frame
+    }
+
+    #[test]
+    fn deliver_frame_lands_authentic_frames_and_refuses_bad_ones() {
+        let (mut ma, ga, mut mb, gb, mut conn, nic_b, rkey, _wire) = connected();
+        let frame = frame_of(&mut ma, ga, &mut conn, b"land");
+        // A frame with one bit flipped (in the ciphertext, the header, or
+        // the tag) is refused and the MR keeps its contents.
+        let before = read_mr(&mut mb, gb, 4);
+        for bit in [8 * 9 + 3, 5, (frame.len() - 1) * 8] {
+            let mut evil = frame.clone();
+            evil[bit / 8] ^= 1 << (bit % 8);
+            let err = conn
+                .deliver_frame(&evil, &mut mb, &nic_b, rkey, 0)
+                .unwrap_err();
+            assert_eq!(err, RdmaError::BadFrame, "flipped bit {bit}");
+            assert_eq!(read_mr(&mut mb, gb, 4), before);
+        }
+        // A frame shorter than header + tag is refused.
+        for len in [0, 8, 39] {
+            let err = conn
+                .deliver_frame(&frame[..len], &mut mb, &nic_b, rkey, 0)
+                .unwrap_err();
+            assert_eq!(err, RdmaError::BadFrame, "{len}-byte frame");
+            assert_eq!(read_mr(&mut mb, gb, 4), before);
+        }
+        // The unmodified frame lands.
+        conn.deliver_frame(&frame, &mut mb, &nic_b, rkey, 0)
+            .unwrap();
+        assert_eq!(read_mr(&mut mb, gb, 4), b"land");
+    }
+
+    #[test]
+    fn replayed_frame_is_refused() {
+        let (mut ma, ga, mut mb, gb, mut conn, nic_b, rkey, _wire) = connected();
+        let old = frame_of(&mut ma, ga, &mut conn, b"old!");
+        conn.deliver_frame(&old, &mut mb, &nic_b, rkey, 0).unwrap();
+        let new = frame_of(&mut ma, ga, &mut conn, b"new!");
+        conn.deliver_frame(&new, &mut mb, &nic_b, rkey, 0).unwrap();
+        assert_eq!(read_mr(&mut mb, gb, 4), b"new!");
+        // The captured older frame is authentic but cannot roll the MR back.
+        assert_eq!(
+            conn.deliver_frame(&old, &mut mb, &nic_b, rkey, 0),
+            Err(RdmaError::Replayed)
+        );
+        assert_eq!(
+            conn.deliver_frame(&new, &mut mb, &nic_b, rkey, 0),
+            Err(RdmaError::Replayed)
+        );
+        assert_eq!(read_mr(&mut mb, gb, 4), b"new!");
+        // A refused delivery does not consume a sequence number: a frame
+        // that fails MR validation can still be delivered later, and a
+        // frame after a gap (one the transport lost) is accepted.
+        let retry = frame_of(&mut ma, ga, &mut conn, b"try!");
+        assert_eq!(
+            conn.deliver_frame(&retry, &mut mb, &nic_b, rkey, 0xfff),
+            Err(RdmaError::OutOfBounds)
+        );
+        conn.deliver_frame(&retry, &mut mb, &nic_b, rkey, 0)
+            .unwrap();
+        let _lost = frame_of(&mut ma, ga, &mut conn, b"lost");
+        let after_gap = frame_of(&mut ma, ga, &mut conn, b"gap!");
+        conn.deliver_frame(&after_gap, &mut mb, &nic_b, rkey, 0)
+            .unwrap();
+        assert_eq!(read_mr(&mut mb, gb, 4), b"gap!");
+    }
+
+    #[test]
+    fn rdma_frame_is_pinned() {
+        // One wire frame for a fixed key, sequence number and payload
+        // (crossing a 64-byte keystream block): `seq_le || ciphertext ||
+        // tag` must never drift.
+        let mut conn = RdmaConnection::with_key([0x42; 32]);
+        conn.seq = 7;
+        let mut frame = vec![0u8; 8];
+        frame.extend(0..100u8);
+        let hex: String = conn
+            .seal(frame)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "07000000000000009a53999d598c645168997708e96f126be3abefe21b9b9e81\
+             270313554db6919674e9639e29a11d0a11d36e600c75fe5aacf284e946a3ea64\
+             9b927cca01287efdfb717646a140d47a077094868f61a04d28c7b5e1c18f43f5\
+             d166949e5ececbfe994fee84df6d2ff3cdfb2d914d096bae762b8b711f277419\
+             f29aa7bd12b0170c2c53d7a1"
+        );
+        assert_eq!(conn.seq, 8);
     }
 
     #[test]
