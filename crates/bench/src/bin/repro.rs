@@ -8,21 +8,11 @@
 //! `repro verify` runs the judiciary toolchain alone: the static TCB
 //! audit and the bounded model check, exiting non-zero on any failure.
 //!
-//! `repro bench [--json] [--smoke]` runs the hot-path before/after
-//! benchmarks (revocation, transitions, flush_policy, capability_ops)
-//! introduced with the capability-indexing and effect-coalescing work;
-//! `--json` writes `BENCH_hotpath.json` at the workspace root and
-//! `--smoke` runs one tiny iteration for CI (which also exercises a
-//! 2-thread SMP smoke pass). `repro bench --smp [--json] [--smoke]`
-//! runs the SMP serving suite instead — concurrent hypercall throughput
-//! through the sharded `ConcurrentMonitor` vs a mutex around the whole
-//! monitor — and `--json` writes `BENCH_smp.json`. `repro bench
-//! --scale [--json] [--smoke]` sweeps domain populations 1k → 1M
-//! (create/attest/enter/revoke storms, deep derivation chains,
-//! steady-state neighbor latency, bytes-per-domain) and `--json`
-//! writes `BENCH_scale.json`; `--smoke` truncates the sweep at 100k.
-//! `bench` is explicit-only: it is not part of the no-argument full
-//! run.
+//! `repro harness [--suite hotpath|smp|scale|fleet|all] [--smoke]
+//! [--out P]` is the one producer of the `BENCH_*.json` artifacts: it
+//! runs every scenario of `harness::suite_specs` in `repro
+//! harness-child` processes and merges their lines. `repro report`
+//! diffs two artifacts or `--check`s committed ones.
 //!
 //! `repro trace [--json] [--smoke]` runs traced fuzz campaigns over the
 //! trace seed corpus, drains each machine's event log, replays it
@@ -34,7 +24,7 @@
 
 use std::path::PathBuf;
 use std::time::Instant;
-use tyche_bench::harness::{self, Family, MergedScenario};
+use tyche_bench::harness::{self, Family};
 use tyche_bench::histogram::Histogram;
 use tyche_bench::json::{self, Json};
 use tyche_bench::scenarios::{self, layout};
@@ -79,33 +69,10 @@ fn main() {
         report_main(&raw[1..]);
         return;
     }
-    if args.iter().any(|a| a == "bench") {
-        // Explicit-only: the benchmarks are not part of the default
-        // all-run (they exist to regenerate BENCH_hotpath.json and
-        // BENCH_smp.json).
-        let json = args.iter().any(|a| a == "--json");
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let out = flag_value(&raw, "--out");
-        if args.iter().any(|a| a == "--scale") {
-            bench_scale(json, smoke, out.as_deref());
-        } else if args.iter().any(|a| a == "--smp") {
-            bench_smp(json, smoke, out.as_deref());
-        } else if args.iter().any(|a| a == "--fleet") {
-            bench_fleet(json, smoke, out.as_deref());
-        } else {
-            bench_hotpath(json, smoke, out.as_deref());
-            if smoke {
-                // The CI smoke pass also exercises the SMP serving path
-                // (2 threads, no artifact rewrite).
-                bench_smp(false, true, None);
-            }
-        }
-        return;
-    }
     if args.iter().any(|a| a == "fuzz") {
-        // Explicit-only, like `bench`: the adversarial hypercall fuzzer
-        // over fixed seeds. Exits non-zero on any audit finding or
-        // replay divergence; a panic anywhere in the TCB kills the
+        // Explicit-only: the adversarial hypercall fuzzer over fixed
+        // seeds. Exits non-zero on any audit finding or replay
+        // divergence; a panic anywhere in the TCB kills the
         // process, which the CI gate treats as failure.
         let json = args.iter().any(|a| a == "--json");
         let smoke = args.iter().any(|a| a == "--smoke");
@@ -269,7 +236,7 @@ fn harness_main(args: &[String], raw: &[String]) {
             eprintln!("harness: {e}");
             std::process::exit(1);
         });
-        let doc = harness::assemble_artifact(&run, MONITOR_VERSION, &workspace_root(), "harness");
+        let doc = harness::assemble_artifact(&run, MONITOR_VERSION, &workspace_root());
         if let Err(e) = harness::write_artifact(&path, &doc, smoke) {
             eprintln!("harness: {e}");
             std::process::exit(1);
@@ -430,21 +397,9 @@ fn harness_child(args: &[String]) {
         }
         "mutations" => {
             let workload = harness::param(&params, "workload").expect("workload param");
-            let mode = match workload {
-                w if w.starts_with("hypercalls_distinct") => SmpMode::Distinct,
-                "hypercalls_contended" => SmpMode::Contended,
-                w if w.starts_with("hypercalls_contended_ring") => SmpMode::ContendedRing,
-                other => panic!("unknown workload {other:?}"),
-            };
-            // The workload name must outlive the entry; the known names
-            // are interned here rather than leaked.
-            let name: &'static str = match workload {
-                "hypercalls_distinct" => "hypercalls_distinct",
-                "hypercalls_contended" => "hypercalls_contended",
-                "hypercalls_contended_ring" => "hypercalls_contended_ring",
-                "hypercalls_distinct_shards" => "hypercalls_distinct_shards",
-                "hypercalls_contended_ringdepth" => "hypercalls_contended_ringdepth",
-                other => panic!("unknown workload {other:?}"),
+            let Some(&(name, mode)) = SMP_WORKLOADS.iter().find(|(n, _)| *n == workload) else {
+                eprintln!("harness-child: unknown workload {workload:?}");
+                std::process::exit(2);
             };
             let (e, hist) = smp_run_mutations(
                 name,
@@ -506,38 +461,6 @@ fn smp_row(e: &SmpEntry) -> Json {
 
 fn scale_row(e: &ScaleEntry) -> Json {
     json::parse(e.to_json().trim()).expect("scale row is valid JSON")
-}
-
-/// Wraps in-process bench results in a [`SuiteRun`] and writes the
-/// artifact with generator `"inprocess"` — readable by `repro report`
-/// for local diffs, but rejected by `report --check`, so an in-process
-/// run can never masquerade as a committed harness artifact.
-fn write_inprocess_artifact(
-    family: Family,
-    smoke: bool,
-    out: Option<&str>,
-    rows: Vec<MergedScenario>,
-) {
-    let ids: Vec<String> = rows.iter().map(|r| r.id.clone()).collect();
-    let run = harness::SuiteRun {
-        family,
-        smoke,
-        rows,
-        seeds: vec![1],
-        config: format!(
-            "suite={} smoke={smoke} inprocess; {}",
-            family.name(),
-            ids.join("; ")
-        ),
-        invocations: 1,
-    };
-    let doc = harness::assemble_artifact(&run, MONITOR_VERSION, &workspace_root(), "inprocess");
-    let path = resolve_bench_out(family, smoke, out);
-    if let Err(e) = harness::write_artifact(&path, &doc, smoke) {
-        eprintln!("bench: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
 }
 
 /// `repro verify` — the judiciary toolchain: static TCB audit + bounded
@@ -1972,7 +1895,7 @@ fn m_enter_read(m: &mut tyche_monitor::Monitor, gate: CapId, addr: u64, out: &mu
 }
 
 // ----------------------------------------------------------------------
-// `repro bench` — hot-path before/after benchmarks (BENCH_hotpath.json)
+// Hot-path scenarios: before/after pairs (BENCH_hotpath.json)
 // ----------------------------------------------------------------------
 
 /// One measured bench entry destined for `BENCH_hotpath.json`.
@@ -2009,122 +1932,6 @@ impl HotpathEntry {
             self.improvement(),
             detail
         )
-    }
-}
-
-/// Runs the four hot-path benchmarks and (with `json`) writes a
-/// `tyche-bench-hotpath/v2` artifact (committed path for full runs,
-/// `target/BENCH_hotpath.smoke.json` or `--out` for smoke). `smoke`
-/// shrinks fan-outs and iteration counts to a single fast CI-sized
-/// pass.
-fn bench_hotpath(json: bool, smoke: bool, out: Option<&str>) {
-    if json && smoke {
-        // Preflight before any measurement: refuse instantly if a smoke
-        // run is pointed at a committed full-run artifact.
-        if let Err(e) = harness::refuse_smoke_clobber(&resolve_bench_out(Family::Hotpath, smoke, out)) {
-            eprintln!("bench: {e}");
-            std::process::exit(1);
-        }
-    }
-    let fanouts: &[usize] = if smoke { &[8] } else { &[16, 64, 256, 1024] };
-    let iters: usize = if smoke { 2 } else { 2000 };
-    let storms: usize = if smoke { 2 } else { 5 };
-    let mut rows = Vec::new();
-
-    let mut t = Table::new(
-        "BENCH — revocation storm: per-effect sync (before) vs coalesced sync (after)",
-        &[
-            "fan-out",
-            "before (cycles)",
-            "after (cycles)",
-            "improvement",
-        ],
-    );
-    for &n in fanouts {
-        let (e, hist) = measure_revocation(n, storms);
-        t.row(&[
-            n.to_string(),
-            e.before.to_string(),
-            e.after.to_string(),
-            format!("{:.1}x", e.improvement()),
-        ]);
-        rows.push(MergedScenario::from_single(
-            format!("hotpath/revocation/fanout={n}"),
-            hotpath_row(&e),
-            vec![("op".to_string(), hist)],
-        ));
-    }
-    t.print();
-
-    let mut t = Table::new(
-        "BENCH — capability ops: full scan (before) vs secondary indexes (after)",
-        &[
-            "fan-out",
-            "caps_of scan (ns)",
-            "caps_of indexed (ns)",
-            "improvement",
-        ],
-    );
-    for &n in fanouts {
-        let (e, hist) = bench_capability_ops(n, iters);
-        t.row(&[
-            n.to_string(),
-            e.before.to_string(),
-            e.after.to_string(),
-            format!("{:.1}x", e.improvement()),
-        ]);
-        rows.push(MergedScenario::from_single(
-            format!("hotpath/capability_ops/fanout={n}"),
-            hotpath_row(&e),
-            vec![("op".to_string(), hist)],
-        ));
-    }
-    t.print();
-
-    let (e, hist) = bench_transitions(iters, false);
-    let mut t = Table::new(
-        "BENCH — transition latency: uncached fast path (before) vs validated cache (after)",
-        &["variant", "wall ns/roundtrip", "simulated cycles/roundtrip"],
-    );
-    t.row(&[
-        "mediated (VMCALL)".into(),
-        e.detail[0].1.to_string(),
-        e.detail[1].1.to_string(),
-    ]);
-    t.row(&[
-        "fast, uncached".into(),
-        e.before.to_string(),
-        e.detail[2].1.to_string(),
-    ]);
-    t.row(&[
-        "fast, cached".into(),
-        e.after.to_string(),
-        e.detail[2].1.to_string(),
-    ]);
-    t.print();
-    rows.push(MergedScenario::from_single(
-        "hotpath/transitions".to_string(),
-        hotpath_row(&e),
-        vec![("op".to_string(), hist)],
-    ));
-
-    let (e, hist) = bench_flush_policy(iters, false);
-    let mut t = Table::new(
-        "BENCH — flush-policy cost per mediated roundtrip (simulated cycles)",
-        &["policy", "cycles/roundtrip"],
-    );
-    t.row(&["NONE".into(), e.after.to_string()]);
-    t.row(&["ZERO".into(), e.detail[0].1.to_string()]);
-    t.row(&["OBFUSCATE".into(), e.before.to_string()]);
-    t.print();
-    rows.push(MergedScenario::from_single(
-        "hotpath/flush_policy".to_string(),
-        hotpath_row(&e),
-        vec![("op".to_string(), hist)],
-    ));
-
-    if json {
-        write_inprocess_artifact(Family::Hotpath, smoke, out, rows);
     }
 }
 
@@ -2440,7 +2247,7 @@ fn bench_flush_policy(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
 }
 
 // ----------------------------------------------------------------------
-// `repro bench --scale` — population sweep 1k → 1M (BENCH_scale.json)
+// Scale scenario: one population point of the 1k → 1M sweep (BENCH_scale.json)
 // ----------------------------------------------------------------------
 
 /// Measured figures for one population size in the scale sweep. All
@@ -2769,74 +2576,8 @@ fn scale_population(
     (entry, hists)
 }
 
-/// Runs the population sweep and (with `json`) writes an `"inprocess"`
-/// scale artifact. `smoke` truncates the sweep at 10k domains and
-/// shortens the derivation chain for CI.
-fn bench_scale(json: bool, smoke: bool, out: Option<&str>) {
-    if json && smoke {
-        let path = resolve_bench_out(Family::Scale, smoke, out);
-        if let Err(e) = harness::refuse_smoke_clobber(&path) {
-            eprintln!("bench: {e}");
-            std::process::exit(1);
-        }
-    }
-    let populations: &[usize] = if smoke {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000, 1_000_000]
-    };
-    let depth = if smoke { 256 } else { 1024 };
-    let neighbors = 64;
-
-    let mut t = Table::new(
-        "BENCH — population sweep: storms and steady-state neighbor latency (wall ns/op)",
-        &[
-            "population",
-            "create",
-            "enter",
-            "enumerate",
-            "refcount",
-            "revoke storm",
-            "bytes/domain",
-        ],
-    );
-    let mut entries = Vec::new();
-    let mut rows = Vec::new();
-    for &n in populations {
-        let (e, hists) = scale_population(n, neighbors, depth);
-        t.row(&[
-            n.to_string(),
-            e.create_ns.to_string(),
-            e.enter_ns.to_string(),
-            e.enumerate_ns.to_string(),
-            e.refcount_ns.to_string(),
-            e.revoke_storm_ns.to_string(),
-            e.bytes_per_domain.to_string(),
-        ]);
-        rows.push(MergedScenario::from_single(
-            format!("scale/population={n}"),
-            scale_row(&e),
-            hists,
-        ));
-        entries.push(e);
-    }
-    t.print();
-
-    if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-        let ratio = last.revoke_storm_ns as f64 / first.revoke_storm_ns.max(1) as f64;
-        println!(
-            "revoke-storm per-op cost at {} domains is {:.2}x the {}-domain cost",
-            last.population, ratio, first.population
-        );
-    }
-
-    if json {
-        write_inprocess_artifact(Family::Scale, smoke, out, rows);
-    }
-}
-
 // ----------------------------------------------------------------------
-// `repro bench --fleet` — multi-machine attested channels (BENCH_fleet.json)
+// Fleet scenario: multi-machine attested channels (BENCH_fleet.json)
 // ----------------------------------------------------------------------
 
 /// A fleet child row: the deterministic JSON row, the det fields the
@@ -2972,66 +2713,8 @@ fn fleet_bench(
     (row, det, vec![("request".to_string(), hist)])
 }
 
-/// Runs the fleet matrix in-process and (with `json`) writes an
-/// `"inprocess"` fleet artifact — the committed `BENCH_fleet.json` comes
-/// from `repro harness --suite fleet`, which runs the same matrix
-/// through child processes.
-fn bench_fleet(json: bool, smoke: bool, out: Option<&str>) {
-    if json && smoke {
-        let path = resolve_bench_out(Family::Fleet, smoke, out);
-        if let Err(e) = harness::refuse_smoke_clobber(&path) {
-            eprintln!("bench: {e}");
-            std::process::exit(1);
-        }
-    }
-    let mut t = Table::new(
-        "BENCH — fleet: attested requests over MAC-keyed channels (wall ns/request)",
-        &[
-            "scenario",
-            "machines",
-            "channels",
-            "accepted",
-            "violations",
-            "quarantined",
-            "p50",
-            "p99",
-        ],
-    );
-    let mut rows = Vec::new();
-    for spec in harness::suite_specs(Family::Fleet, smoke) {
-        let p = |key: &str, default: usize| -> usize {
-            harness::param(&spec.params, key)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let (row, _det, hists) = fleet_bench(
-            p("machines", 2),
-            p("requests", 512),
-            p("byzantine", 0) != 0,
-            p("faulted", 0) != 0,
-            1,
-        );
-        let h = &hists.first().expect("request histogram").1;
-        t.row(&[
-            spec.id.clone(),
-            row.get("machines").and_then(Json::as_u64).unwrap_or(0).to_string(),
-            row.get("channels").and_then(Json::as_u64).unwrap_or(0).to_string(),
-            row.get("accepted").and_then(Json::as_u64).unwrap_or(0).to_string(),
-            row.get("violations").and_then(Json::as_u64).unwrap_or(0).to_string(),
-            row.get("quarantined").and_then(Json::as_u64).unwrap_or(0).to_string(),
-            h.percentile(0.50).to_string(),
-            h.percentile(0.99).to_string(),
-        ]);
-        rows.push(MergedScenario::from_single(spec.id, row, hists));
-    }
-    t.print();
-    if json {
-        write_inprocess_artifact(Family::Fleet, smoke, out, rows);
-    }
-}
-
 // ----------------------------------------------------------------------
-// `repro bench --smp` — SMP serving benchmarks (BENCH_smp.json)
+// SMP scenarios: concurrent serving vs a whole-monitor mutex (BENCH_smp.json)
 // ----------------------------------------------------------------------
 
 /// One SMP bench entry: the same workload pushed through a mutex around
@@ -3309,6 +2992,17 @@ enum SmpMode {
     /// shootdown rounds amortize over whole batches.
     ContendedRing,
 }
+
+/// Every mutation workload `harness::suite_specs` names, with its mode.
+/// The entry keeps the `'static` name from here rather than leaking the
+/// parameter string.
+const SMP_WORKLOADS: [(&str, SmpMode); 5] = [
+    ("hypercalls_distinct", SmpMode::Distinct),
+    ("hypercalls_distinct_shards", SmpMode::Distinct),
+    ("hypercalls_contended", SmpMode::Contended),
+    ("hypercalls_contended_ring", SmpMode::ContendedRing),
+    ("hypercalls_contended_ringdepth", SmpMode::ContendedRing),
+];
 
 /// Enters the actors the mode needs: distinct workers run as their
 /// core's tenant; contended modes put the victim on its own core so
@@ -3632,194 +3326,6 @@ fn smp_run_transitions(threads: usize, roundtrips: usize) -> (SmpEntry, Histogra
         ],
     };
     (entry, call_hist)
-}
-
-/// Runs the SMP serving suite at 1–32 worker threads (one per modeled
-/// core) and (with `json`) writes an `"inprocess"` SMP artifact. Full
-/// runs append two sweeps at fixed thread counts: shard count at the
-/// widest fan-out (locating the shard-collision knee) and ring depth on
-/// the contended path (the batching amortization curve). `smoke`
-/// shrinks everything to a single 2-thread pass per workload for CI.
-/// Cycle numbers are simulated, so they are independent of the host
-/// machine, and IPI charges are per-requester batches (TLB-gather
-/// discipline), so they do not depend on thread interleaving either.
-/// Wall-clock appears only in `detail` and the call-latency histogram.
-fn bench_smp(json: bool, smoke: bool, out: Option<&str>) {
-    use tyche_core::shared::SHARDS;
-
-    if json && smoke {
-        let path = resolve_bench_out(Family::Smp, smoke, out);
-        if let Err(e) = harness::refuse_smoke_clobber(&path) {
-            eprintln!("bench: {e}");
-            std::process::exit(1);
-        }
-    }
-    let threads: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8, 16, 32] };
-    let pairs: usize = if smoke { 8 } else { 64 };
-    let roundtrips: usize = if smoke { 16 } else { 256 };
-    let depth = ConcurrentMonitor::DEFAULT_RING_DEPTH;
-    let mut entries: Vec<SmpEntry> = Vec::new();
-    let mut rows: Vec<MergedScenario> = Vec::new();
-
-    type Workload<'a> = (&'a str, Box<dyn Fn(usize) -> (SmpEntry, Histogram)>);
-    let workloads: [Workload; 4] = [
-        (
-            "hypercalls_distinct: per-core tenants mutate their own domains",
-            Box::new(move |t| {
-                smp_run_mutations("hypercalls_distinct", t, pairs, SmpMode::Distinct, SHARDS, depth)
-            }),
-        ),
-        (
-            "hypercalls_contended: every core mutates one shared running domain",
-            Box::new(move |t| {
-                smp_run_mutations("hypercalls_contended", t, pairs, SmpMode::Contended, SHARDS, depth)
-            }),
-        ),
-        (
-            "hypercalls_contended_ring: same contention through per-core submission rings",
-            Box::new(move |t| {
-                smp_run_mutations(
-                    "hypercalls_contended_ring",
-                    t,
-                    pairs,
-                    SmpMode::ContendedRing,
-                    SHARDS,
-                    depth,
-                )
-            }),
-        ),
-        (
-            "transitions_distinct: per-core fast enter/return roundtrips",
-            Box::new(move |t| smp_run_transitions(t, roundtrips)),
-        ),
-    ];
-    for (title, run) in &workloads {
-        let mut t = Table::new(
-            &format!("BENCH SMP — {title}"),
-            &[
-                "threads",
-                "baseline (ops/Mcycle)",
-                "smp (ops/Mcycle)",
-                "speedup",
-            ],
-        );
-        for &n in threads {
-            let (e, h) = run(n);
-            t.row(&[
-                n.to_string(),
-                format!("{:.1}", e.baseline_tput()),
-                format!("{:.1}", e.smp_tput()),
-                format!("{:.2}x", e.speedup()),
-            ]);
-            rows.push(MergedScenario::from_single(
-                format!("smp/{}/threads={n}", e.workload),
-                smp_row(&e),
-                vec![("call".to_string(), h)],
-            ));
-            entries.push(e);
-        }
-        t.print();
-    }
-
-    if !smoke {
-        // Shard-count sweep at the widest fan-out: below 32 shards some
-        // tenants fold onto one shard and re-serialize — the knee.
-        let wide = *threads.last().expect("thread list");
-        let mut t = Table::new(
-            &format!("BENCH SMP — hypercalls_distinct_shards: shard sweep at {wide} threads"),
-            &["shards", "baseline (ops/Mcycle)", "smp (ops/Mcycle)", "speedup"],
-        );
-        for &ns in &[8usize, 16, 32, 64] {
-            let (e, h) = smp_run_mutations(
-                "hypercalls_distinct_shards",
-                wide,
-                pairs,
-                SmpMode::Distinct,
-                ns,
-                depth,
-            );
-            t.row(&[
-                ns.to_string(),
-                format!("{:.1}", e.baseline_tput()),
-                format!("{:.1}", e.smp_tput()),
-                format!("{:.2}x", e.speedup()),
-            ]);
-            rows.push(MergedScenario::from_single(
-                format!("smp/hypercalls_distinct_shards/shards={ns}"),
-                smp_row(&e),
-                vec![("call".to_string(), h)],
-            ));
-            entries.push(e);
-        }
-        t.print();
-
-        // Ring-depth sweep: how much batching is needed before the
-        // per-batch trap and shootdown round stop dominating.
-        let mut t = Table::new(
-            "BENCH SMP — hypercalls_contended_ringdepth: ring-depth sweep at 8 threads",
-            &["ring_depth", "baseline (ops/Mcycle)", "smp (ops/Mcycle)", "speedup"],
-        );
-        for &d in &[4usize, 8, 16, 32] {
-            let (e, h) = smp_run_mutations(
-                "hypercalls_contended_ringdepth",
-                8,
-                pairs,
-                SmpMode::ContendedRing,
-                SHARDS,
-                d,
-            );
-            t.row(&[
-                d.to_string(),
-                format!("{:.1}", e.baseline_tput()),
-                format!("{:.1}", e.smp_tput()),
-                format!("{:.2}x", e.speedup()),
-            ]);
-            rows.push(MergedScenario::from_single(
-                format!("smp/hypercalls_contended_ringdepth/ring_depth={d}"),
-                smp_row(&e),
-                vec![("call".to_string(), h)],
-            ));
-            entries.push(e);
-        }
-        t.print();
-    }
-
-    // Headline criteria: distinct-domain throughput must scale from the
-    // lowest to the highest thread count and beat the whole-monitor
-    // mutex there, and the ring-batched contended path must beat the
-    // mutex on the workload where per-call serving plateaus.
-    let distinct: Vec<&SmpEntry> = entries
-        .iter()
-        .filter(|e| e.workload == "hypercalls_distinct")
-        .collect();
-    let first = distinct.first().expect("distinct entries");
-    let last = distinct.last().expect("distinct entries");
-    let scaling = last.smp_tput() / first.smp_tput().max(f64::MIN_POSITIVE);
-    let vs_baseline = last.speedup();
-    println!(
-        "SMP scaling (hypercalls_distinct): {:.2}x from {} to {} threads; \
-         {vs_baseline:.2}x vs whole-monitor mutex at {} threads",
-        scaling, first.threads, last.threads, last.threads
-    );
-    let contended_last = entries
-        .iter()
-        .rfind(|e| e.workload == "hypercalls_contended")
-        .expect("contended entries");
-    let ring_last = entries
-        .iter()
-        .rfind(|e| e.workload == "hypercalls_contended_ring")
-        .expect("ring entries");
-    let ring_vs_baseline = ring_last.speedup();
-    println!(
-        "SMP contended path at {} threads: {:.2}x serve-per-call, \
-         {ring_vs_baseline:.2}x ring-batched vs whole-monitor mutex",
-        ring_last.threads,
-        contended_last.speedup()
-    );
-
-    if json {
-        write_inprocess_artifact(Family::Smp, smoke, out, rows);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -135,11 +135,10 @@ pub fn param<'a>(params: &'a [(String, String)], key: &str) -> Option<&'a str> {
     params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
-/// The scenario matrix for one suite. Mirrors the in-process
-/// `bench`/`bench --smp`/`bench --scale` matrices so the harnessed
-/// artifacts stay row-compatible with their predecessors; invocation
-/// counts trade repetition against suite cost (the 1M-domain sweep runs
-/// once, the cheap hot-path scenarios three times).
+/// The scenario matrix for one suite: the only place the hotpath, smp,
+/// scale and fleet matrices are spelled out. Invocation counts trade
+/// repetition against suite cost (the 1M-domain sweep runs once, the
+/// cheap hot-path scenarios three times).
 pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
     match family {
         Family::Hotpath => {
@@ -420,17 +419,6 @@ pub struct MergedScenario {
     pub children: Vec<ChildRecord>,
 }
 
-impl MergedScenario {
-    /// Wraps a single in-process run (no child spawn) in the same
-    /// shape, so `bench --json` and the orchestrator share one artifact
-    /// assembler.
-    pub fn from_single(id: String, row: Json, hists: Vec<(String, Histogram)>) -> Self {
-        let digest = hists_digest(&hists);
-        let child_id = format!("{id}#inprocess");
-        Self { id, row, hists, children: vec![ChildRecord { id: child_id, digest }] }
-    }
-}
-
 /// Merges the invocations of one scenario: verifies they agree on the
 /// id and on every deterministic field (a simulated-cycle metric that
 /// differs between two runs of the same binary is a determinism bug,
@@ -685,20 +673,15 @@ fn f64_field(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// Assembles the final artifact document for a run. `generator` is
-/// `"harness"` for orchestrated runs and `"inprocess"` for single-run
-/// `bench --json`; `root` anchors the git queries for the manifest.
-pub fn assemble_artifact(
-    run: &SuiteRun,
-    monitor_version: &str,
-    root: &Path,
-    generator: &str,
-) -> String {
+/// Assembles the final artifact document for an orchestrated run,
+/// stamped with generator `"harness"`; `root` anchors the git queries
+/// for the manifest.
+pub fn assemble_artifact(run: &SuiteRun, monitor_version: &str, root: &Path) -> String {
     let children: Vec<ChildRecord> =
         run.rows.iter().flat_map(|r| r.children.iter().cloned()).collect();
     let manifest = Manifest::capture(
         root,
-        generator,
+        "harness",
         run.seeds.clone(),
         &run.config,
         run.invocations,
@@ -719,8 +702,7 @@ pub fn assemble_artifact(
     match run.family {
         Family::Hotpath => {}
         Family::Smp => {
-            // Headline stats, recomputed from the merged rows exactly as
-            // the in-process suite computed them from its entries.
+            // Headline stats, computed from the merged rows.
             let distinct: Vec<&MergedScenario> = run
                 .rows
                 .iter()

@@ -65,9 +65,9 @@ pub struct ChildRecord {
 /// Provenance for one artifact-producing run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// `"harness"` for orchestrated multi-process runs, `"inprocess"`
-    /// for single-process `bench --json` runs. The artifact gate only
-    /// accepts `"harness"` for committed bench artifacts.
+    /// The producing tool: `"harness"` for `repro harness` runs, the
+    /// only producer the artifact gate accepts for committed bench
+    /// artifacts.
     pub generator: String,
     /// `git rev-parse HEAD`, or `"unknown"` outside a repo.
     pub git_hash: String,

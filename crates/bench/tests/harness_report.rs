@@ -238,9 +238,9 @@ fn harness_smoke_refuses_to_overwrite_full_artifact() {
 }
 
 #[test]
-fn bench_json_smoke_leaves_committed_artifact_untouched() {
-    // `repro bench --json --smoke` with no --out must resolve into
-    // target/, never the committed workspace-root artifact.
+fn harness_smoke_without_out_leaves_committed_artifact_untouched() {
+    // `repro harness --smoke` with no --out must resolve into target/,
+    // never the committed workspace-root artifact.
     let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(std::path::Path::parent)
@@ -248,12 +248,16 @@ fn bench_json_smoke_leaves_committed_artifact_untouched() {
         .to_path_buf();
     let committed = workspace.join("BENCH_hotpath.json");
     let before = std::fs::read_to_string(&committed).ok();
-    let out = repro().args(["bench", "--json", "--smoke"]).output().expect("run bench smoke");
-    assert!(out.status.success(), "bench smoke failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = repro()
+        .args(["harness", "--suite", "hotpath", "--smoke"])
+        .output()
+        .expect("run harness smoke");
+    assert!(out.status.success(), "harness smoke failed: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
+    let smoke_path = workspace.join("target").join("BENCH_hotpath.smoke.json");
     assert!(
-        stdout.contains("BENCH_hotpath.smoke.json"),
-        "smoke run must write the .smoke.json path:\n{stdout}"
+        stdout.contains(&format!("wrote {}", smoke_path.display())),
+        "smoke run must write target/BENCH_hotpath.smoke.json:\n{stdout}"
     );
     assert_eq!(
         std::fs::read_to_string(&committed).ok(),
@@ -264,6 +268,7 @@ fn bench_json_smoke_leaves_committed_artifact_untouched() {
     assert_eq!(Family::Hotpath.artifact_name(), "BENCH_hotpath.json");
     assert_eq!(Family::Smp.artifact_name(), "BENCH_smp.json");
     assert_eq!(Family::Scale.artifact_name(), "BENCH_scale.json");
+    assert_eq!(Family::Fleet.artifact_name(), "BENCH_fleet.json");
 }
 
 // ---------------------------------------------------------------------
@@ -287,6 +292,14 @@ fn harness_child_emits_a_parseable_verified_line() {
     assert_eq!(parsed.seed, 3);
     assert!(parsed.hists.iter().any(|(name, h)| name == "op" && h.count() > 0));
     assert!(parsed.det.iter().any(|(k, _)| k == "mediated_cycles"));
+
+    // Mutation workloads are matched by exact name: a near miss fails
+    // the child instead of running a guessed mode.
+    let out = repro()
+        .args(["harness-child", "mutations", "workload=hypercalls_distinct_bogus", "threads=1", "pairs=1"])
+        .output()
+        .expect("spawn child");
+    assert!(!out.status.success(), "an unknown workload must fail the child");
 }
 
 #[test]

@@ -72,37 +72,13 @@ impl IrqController {
         &self.metrics
     }
 
-    /// Vectors raised with no route (dropped).
-    #[deprecated(note = "read `Counter::IrqSpurious` from the machine's metrics registry")]
-    pub fn spurious(&self) -> u64 {
-        self.metrics.get(Counter::IrqSpurious)
-    }
-
-    /// Total vectors raised.
-    #[deprecated(note = "read `Counter::IrqRaised` from the machine's metrics registry")]
-    pub fn raised(&self) -> u64 {
-        self.metrics.get(Counter::IrqRaised)
-    }
-
-    /// Interrupts lost to injected faults.
-    #[deprecated(note = "read `Counter::IrqInjectedDrops` from the machine's metrics registry")]
-    pub fn injected_drops(&self) -> u64 {
-        self.metrics.get(Counter::IrqInjectedDrops)
-    }
-
-    /// Interrupts duplicated by injected faults.
-    #[deprecated(note = "read `Counter::IrqInjectedDups` from the machine's metrics registry")]
-    pub fn injected_dups(&self) -> u64 {
-        self.metrics.get(Counter::IrqInjectedDups)
-    }
-
     /// A device (or timer) raises `vector`; returns the routed key, or
     /// `None` when the interrupt was dropped.
     ///
     /// An injected [`FaultSite::IpiDrop`] loses the interrupt before
-    /// remapping (counted in `injected_drops`); an injected
+    /// remapping (counted in `irq.injected_drops`); an injected
     /// [`FaultSite::IpiDup`] enqueues it twice (counted in
-    /// `injected_dups`) — both are observable, checked degradations, not
+    /// `irq.injected_dups`) — both are observable, checked degradations, not
     /// silent state corruption.
     pub fn raise(&mut self, vector: u32) -> Option<u64> {
         self.metrics.bump(Counter::IrqRaised);
@@ -227,16 +203,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_accessors_mirror_the_registry() {
+    fn raises_are_counted_in_the_registry() {
         let mut c = IrqController::new();
         c.route(32, 7);
         c.raise(32);
         c.raise(99);
-        assert_eq!(c.raised(), 2);
-        assert_eq!(c.spurious(), 1);
-        assert_eq!(c.injected_drops(), 0);
-        assert_eq!(c.injected_dups(), 0);
+        assert_eq!(c.metrics().get(Counter::IrqRaised), 2);
+        assert_eq!(c.metrics().get(Counter::IrqSpurious), 1);
+        assert_eq!(c.metrics().get(Counter::IrqInjectedDrops), 0);
+        assert_eq!(c.metrics().get(Counter::IrqInjectedDups), 0);
     }
 
     #[test]
