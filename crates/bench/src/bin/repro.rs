@@ -2825,7 +2825,8 @@ fn find_core_cap(m: &tyche_monitor::Monitor, os: DomainId, core: usize) -> CapId
 /// produce real cross-core IPIs — a queued shootdown only turns into an
 /// IPI if some remote core is executing an affected domain.
 ///
-/// Tenant `c` is steered onto capability shard `c % nshards`: the
+/// Tenant `c` is steered onto the shard `ConcurrentMonitor` routes id
+/// `c` to — `c` modulo the shard count rounded up to a power of two: the
 /// distinct workload measures per-shard parallelism, and an *unplanned*
 /// collision would re-serialize it (at `threads > nshards` the fold-over
 /// is the point — that is the shard-sweep knee). Domain and capability
@@ -2840,8 +2841,6 @@ fn find_core_cap(m: &tyche_monitor::Monitor, os: DomainId, core: usize) -> CapId
 /// iteration has a fresh capability whose revocation must shoot down
 /// the victim core.
 fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture {
-    use tyche_core::shared::SharedEngine;
-
     let mut cfg = BootConfig::default();
     cfg.machine.cores = threads + 1;
     let mut m = boot_x86(cfg);
@@ -2892,8 +2891,8 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
         + 1;
     let lanes: Vec<SmpLane> = (0..threads)
         .map(|core| {
-            let want = (core % nshards) as u64;
-            while next_id % nshards as u64 != want {
+            let want = ConcurrentMonitor::shard_of_n(DomainId(core as u64), nshards);
+            while ConcurrentMonitor::shard_of_n(DomainId(next_id), nshards) != want {
                 next_id = m
                     .engine
                     .make_transition(os, os, RevocationPolicy::NONE)
@@ -2904,8 +2903,8 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
             let base = lane_base(core);
             let (tenant, gate) = m.engine.create_domain(os).expect("tenant");
             assert_eq!(
-                SharedEngine::shard_of_n(tenant, nshards),
-                core % nshards,
+                ConcurrentMonitor::shard_of_n(tenant, nshards),
+                want,
                 "tenant off its shard"
             );
             let window = m

@@ -300,6 +300,23 @@ fn harness_child_emits_a_parseable_verified_line() {
         .output()
         .expect("spawn child");
     assert!(!out.status.success(), "an unknown workload must fail the child");
+
+    // Tenant steering follows the monitor's shard routing at shard
+    // counts that are not powers of two, and at zero (clamped to one).
+    for shards in ["shards=6", "shards=0"] {
+        let out = repro()
+            .args(["harness-child", "mutations", "workload=hypercalls_distinct", "threads=4", "pairs=4", shards, "ring_depth=16"])
+            .output()
+            .expect("spawn child");
+        assert!(out.status.success(), "{shards}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("{\"schema\": \"tyche-harness-child/"))
+            .expect("child line on stdout");
+        let parsed = ChildLine::parse(line).expect("digest-verified parse");
+        assert!(parsed.hists.iter().any(|(name, h)| name == "call" && h.count() > 0), "{shards}");
+    }
 }
 
 #[test]

@@ -97,8 +97,8 @@ pub struct CapEngine {
     /// (corruption hooks exist only for mutation tests).
     indexes_poisoned: bool,
     /// Bumped on every mutation (see `tick()`) and by the corruption
-    /// hooks. The monitor's fast-path cache and `SharedEngine`'s cached
-    /// snapshot key their validity on this counter.
+    /// hooks. The monitor's fast-path cache and its published snapshots
+    /// key their validity on this counter.
     generation: u64,
     /// Observability sink (disabled by default; installed by the boot
     /// path). Compares vacuously equal so engine equality — replay
@@ -120,9 +120,10 @@ impl CapEngine {
     fn tick(&mut self) -> u64 {
         self.op_counter += 1;
         // Every mutation is also a new generation: snapshot readers
-        // (SharedEngine) key staleness on `generation()`, so it must move
-        // on *every* state change, not just the transition-invalidating
-        // ones. The monitor's fast-path cache only over-invalidates.
+        // (the concurrent monitor's `snapshot`) key staleness on
+        // `generation()`, so it must move on *every* state change, not
+        // just the transition-invalidating ones. The monitor's
+        // fast-path cache only over-invalidates.
         self.generation += 1;
         self.trace.emit_engine(EventKind::GenBump {
             gen: self.generation,

@@ -102,7 +102,6 @@ pub use error::CapError;
 pub use ids::{CapId, DomainId};
 pub use metrics::{Counter, Metrics};
 pub use resource::{MemRegion, Resource, Rights};
-pub use shared::SharedEngine;
 pub use trace::{EventKind, TraceEvent, TraceLog, TraceSink};
 
 /// The clean-up contract attached to a capability (§3.2 of the paper):

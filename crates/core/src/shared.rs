@@ -1,40 +1,24 @@
-//! A thread-shareable front-end over [`CapEngine`].
+//! The epoch read side shared by the SMP front end, plus its default
+//! shard count.
 //!
 //! The engine itself stays a plain `&mut self` state machine — the BMC,
 //! the corruption hooks, and every existing test keep driving it
-//! directly. [`SharedEngine`] wraps one engine for SMP serving:
+//! directly. SMP serving lives in the monitor crate's
+//! `ConcurrentMonitor`, which owns the shard locks and the engine lock
+//! and serves every tier from the live engine. This module keeps the
+//! two pieces of that front end that are not monitor-specific:
 //!
-//! - **Reads** go through an epoch/RCU-style read side
-//!   ([`EpochReadSide`]): every committed mutation *publishes* a fresh
-//!   `Arc<CapEngine>` clone into a small ring of snapshot slots and
-//!   swaps the head pointer, so [`SharedEngine::snapshot`] is one
-//!   atomic head load plus an uncontended slot read — readers never
-//!   take a shard lock and never serialize on a shared cache mutex.
-//!   Readers that need a stable reclamation horizon across several
-//!   reads pin an epoch first ([`EpochReadSide::pin`]); displaced
-//!   snapshots are retired and reclaimed only after every pinned
-//!   reader has advanced past their displacement epoch
-//!   (retire-after-grace).
-//! - **Mutations** ([`SharedEngine::mutate`]) first pin the resizable
-//!   *shard table* (its `RwLock` read side, lock class `shard-table`),
-//!   then take the per-domain *shard* locks of every involved domain —
-//!   in ascending shard order, the global ordering rule that makes
-//!   cross-domain operations (grant/share/revoke lock both sides)
-//!   deadlock-free — and then the engine write lock for the actual
-//!   state change. The shard locks are what serialize
-//!   logically-conflicting hypercalls; the inner write lock is held
-//!   only for the (short) engine operation itself, and the concurrent
-//!   monitor's cycle model charges contention accordingly. Shard count
-//!   is a construction-time parameter (power-of-two mask routing) and
-//!   can be changed at runtime: see the resize protocol on
-//!   [`SharedEngine`].
-//!
-//! Each mutation is stamped with a monotonically increasing **sequence
-//! number** assigned inside the exclusive section, so a concurrent
-//! stress driver can record `(seq, op)` pairs and later *replay* the log
-//! single-threadedly: because every mutation ran under the write lock,
-//! the sequence order is a linearization, and the replayed engine must
-//! be `==` to the shared one (`CapEngine` derives `PartialEq`).
+//! - [`SHARDS`], the default number of domain shards;
+//! - [`EpochReadSide`], an epoch/RCU-style ring of published
+//!   `Arc<CapEngine>` copies. A publisher overwrites the oldest of a
+//!   small ring of snapshot slots and swaps the head pointer, so
+//!   reading the newest copy is one atomic head load plus an
+//!   uncontended slot read. Readers that need a stable reclamation
+//!   horizon across several reads pin an epoch first
+//!   ([`EpochReadSide::pin`]); displaced snapshots are retired and
+//!   reclaimed only after every pinned reader has advanced past their
+//!   displacement epoch (retire-after-grace). The concurrent monitor's
+//!   `snapshot` is the only publisher.
 //!
 //! ## Epoch lifecycle
 //!
@@ -70,7 +54,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::engine::CapEngine;
-use crate::ids::DomainId;
 
 /// Default number of domain shards. Domains route to shards by id AND
 /// the power-of-two shard mask; more shards than plausible worker
@@ -108,13 +91,12 @@ fn mutex_lock<T>(l: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One published `(generation, snapshot)` slot in the epoch ring.
 type SnapSlot = RwLock<(u64, Arc<CapEngine>)>;
 
-/// The epoch-based read side used by [`SharedEngine`] and the
-/// concurrent monitor: a ring of published `(generation, snapshot)`
-/// slots, per-reader epoch pins, and a retired list reclaimed after
-/// grace. See the module docs for the lifecycle. `SharedEngine`
-/// publishes on every mutation; the concurrent monitor serves from its
-/// live engine and publishes only when its `snapshot` finds the head
-/// older than the live generation.
+/// The epoch-based read side of the concurrent monitor: a ring of
+/// published `(generation, snapshot)` slots, per-reader epoch pins, and
+/// a retired list reclaimed after grace. See the module docs for the
+/// lifecycle. The monitor serves from its live engine and publishes
+/// only when its `snapshot` finds the head older than the live
+/// generation.
 pub struct EpochReadSide {
     /// Published snapshot slots; `head` indexes the newest.
     snaps: Box<[SnapSlot]>,
@@ -206,11 +188,9 @@ impl EpochReadSide {
     }
 
     /// Publishes a new snapshot. The caller must hold the engine write
-    /// lock so publications are totally ordered: [`SharedEngine`]
-    /// publishes from the committing mutator and stores `live_gen` with
-    /// Release *after* this returns; the concurrent monitor publishes
-    /// from its `snapshot`, under the same lock, a copy of a generation
-    /// it has already recorded.
+    /// lock so publications are totally ordered: the concurrent monitor
+    /// publishes from its `snapshot`, under that lock, a copy of a
+    /// generation it has already recorded.
     pub fn publish(&self, gen: u64, snap: Arc<CapEngine>) {
         let epoch_now = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let old_head = self.head.load(Ordering::Acquire);
@@ -303,399 +283,78 @@ impl EpochReadSide {
     }
 }
 
-/// The shard-lock table: the per-domain shard mutexes plus the
-/// power-of-two routing mask (`locks.len() - 1`). Swapped wholesale by
-/// [`SharedEngine::resize_shards`] under the table's write lock.
-///
-/// Shard mutexes are *stateless* — they serialize conflicting mutators
-/// but guard no data of their own — so a resize has nothing to rehash:
-/// it only needs a quiesce point where no mutator holds a shard, which
-/// is exactly the table write lock.
-struct ShardTable {
-    locks: Vec<Mutex<()>>,
-    mask: usize,
-}
-
-impl ShardTable {
-    /// Builds a table of `nshards` mutexes, rounded up to the next
-    /// power of two (min 1) so routing is a mask, not a division.
-    fn with_shards(nshards: usize) -> Self {
-        let n = nshards.max(1).next_power_of_two();
-        ShardTable {
-            locks: (0..n).map(|_| Mutex::new(())).collect(),
-            mask: n - 1,
-        }
-    }
-}
-
-/// A [`CapEngine`] shared between worker threads. See the module docs
-/// for the locking discipline.
-///
-/// ## Resize protocol
-///
-/// The shard count is a construction-time parameter
-/// ([`with_shards`](Self::with_shards), power-of-two rounded) that can
-/// be changed at runtime through [`resize_shards`](Self::resize_shards).
-/// The table lives behind its own `RwLock` — lock class `shard-table`,
-/// ranked immediately *above* per-core state and *below* the domain
-/// shards, so the mutator order is: table read lock → shard mutexes
-/// (ascending index) → engine write lock. Resizing takes the table
-/// *write* lock: that is the quiesce point — it cannot be granted while
-/// any mutator still holds a read guard (and therefore possibly a shard
-/// mutex), and once granted the old mutexes are provably unheld and can
-/// simply be dropped. Shard mutexes guard no data, so there is nothing
-/// to rehash; new routing takes effect with the new mask.
-pub struct SharedEngine {
-    engine: RwLock<CapEngine>,
-    /// Resizable shard-lock table. Mutators hold a read guard for the
-    /// duration of their shard acquisitions; `resize_shards` takes the
-    /// write side as its quiesce point.
-    shard_table: RwLock<ShardTable>,
-    /// Generation of the engine after the most recent committed
-    /// mutation; read without the engine lock to validate snapshots.
-    live_gen: AtomicU64,
-    /// Epoch read side: published snapshots, reader pins, retired list.
-    reads: EpochReadSide,
-    /// Next mutation sequence number.
-    seq: AtomicU64,
-}
-
-/// Reader pin slots a standalone [`SharedEngine`] offers. The
-/// concurrent monitor, which knows its core count, sizes its own
-/// [`EpochReadSide`] with one pin slot per core instead.
-const DEFAULT_READERS: usize = 64;
-
-impl SharedEngine {
-    /// Wraps `engine` for shared use with the default shard count.
-    pub fn new(engine: CapEngine) -> Self {
-        Self::with_shards(engine, SHARDS)
-    }
-
-    /// Wraps `engine` with `nshards` domain shards, rounded up to the
-    /// next power of two (at least one) so routing is `id & mask`.
-    /// Shard-count is swept by the SMP benches: fewer shards means more
-    /// false conflicts, more shards means a longer lock table.
-    pub fn with_shards(engine: CapEngine, nshards: usize) -> Self {
-        let gen = engine.generation();
-        let snap = Arc::new(engine.clone());
-        SharedEngine {
-            engine: RwLock::new(engine),
-            shard_table: RwLock::new(ShardTable::with_shards(nshards)),
-            live_gen: AtomicU64::new(gen),
-            reads: EpochReadSide::new(gen, snap, DEFAULT_READERS),
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    /// Masks a raw domain id onto a table of `len` shards (`mask` =
-    /// `len - 1`, `len` a power of two) with a totality check: every
-    /// domain must land on an existing shard.
-    fn route(domain: DomainId, mask: usize, len: usize) -> usize {
-        let idx = (domain.0 & mask as u64) as usize;
-        debug_assert!(
-            idx < len,
-            "shard routing must be total: idx {idx} vs {len} shards"
-        );
-        idx
-    }
-
-    /// The shard index a domain maps to under the default shard count.
-    pub fn shard_of(domain: DomainId) -> usize {
-        Self::shard_of_n(domain, SHARDS)
-    }
-
-    /// The shard index a domain maps to under an `nshards`-sized table
-    /// (rounded up to a power of two like the table itself).
-    pub fn shard_of_n(domain: DomainId, nshards: usize) -> usize {
-        let n = nshards.max(1).next_power_of_two();
-        Self::route(domain, n - 1, n)
-    }
-
-    /// This engine's current shard count.
-    pub fn shard_count(&self) -> usize {
-        read_lock(&self.shard_table).locks.len()
-    }
-
-    /// The shard index a domain maps to in *this* engine (under the
-    /// current table; a concurrent resize can re-route it).
-    pub fn shard_index(&self, domain: DomainId) -> usize {
-        let shard_tbl = read_lock(&self.shard_table);
-        Self::route(domain, shard_tbl.mask, shard_tbl.locks.len())
-    }
-
-    /// Swaps in a new shard table of `nshards` locks (power-of-two
-    /// rounded; returns the actual count). The table write lock is the
-    /// quiesce point: it is granted only when no mutator holds a read
-    /// guard, hence no shard mutex is held and the old table can be
-    /// dropped without rehashing (shard locks are stateless — see
-    /// [`ShardTable`]). In-flight mutators that routed under the old
-    /// mask have already committed; later ones route under the new one.
-    pub fn resize_shards(&self, nshards: usize) -> usize {
-        let mut shard_tbl = write_lock(&self.shard_table);
-        *shard_tbl = ShardTable::with_shards(nshards);
-        shard_tbl.locks.len()
-    }
-
-    /// The epoch read side (pinning, reclamation counters).
-    pub fn epochs(&self) -> &EpochReadSide {
-        &self.reads
-    }
-
-    /// Runs `f` with a read lock on the live engine. Prefer
-    /// [`snapshot`](Self::snapshot) for read-mostly query paths — this
-    /// blocks writers for the duration of `f`.
-    pub fn with_read<R>(&self, f: impl FnOnce(&CapEngine) -> R) -> R {
-        f(&read_lock(&self.engine))
-    }
-
-    /// Returns a point-in-time snapshot of the engine.
-    ///
-    /// Every committed mutation publishes a fresh clone into the epoch
-    /// read side, so this is one Acquire head load plus an uncontended
-    /// slot read — no snapshot-cache mutex, no shard lock, and queries
-    /// on the returned `Arc` never contend with anything.
-    pub fn snapshot(&self) -> Arc<CapEngine> {
-        self.reads.current()
-    }
-
-    /// Runs the mutation `f` under the shard locks of `domains` (taken
-    /// in ascending shard order — the global deadlock-freedom rule) and
-    /// the engine write lock. Returns the mutation's sequence number —
-    /// assigned *inside* the exclusive section, so ascending sequence
-    /// numbers are a linearization of all mutations — and `f`'s result.
-    /// Before releasing the write lock the mutation *publishes* the new
-    /// state to the epoch read side, so readers observe it without ever
-    /// locking.
-    pub fn mutate<R>(
-        &self,
-        domains: &[DomainId],
-        f: impl FnOnce(&mut CapEngine) -> R,
-    ) -> (u64, R) {
-        // Pin the shard table (read side) for the whole exclusive
-        // section — a resize cannot swap the mask out from under the
-        // held shard guards. Then sort + dedup the shard indexes so
-        // each lock is taken once, in the global order, regardless of
-        // the caller's domain order.
-        let shard_tbl = read_lock(&self.shard_table);
-        let mut idx: Vec<usize> = domains
-            .iter()
-            .map(|&d| Self::route(d, shard_tbl.mask, shard_tbl.locks.len()))
-            .collect();
-        idx.sort_unstable();
-        idx.dedup();
-        let _shard_guards: Vec<MutexGuard<'_, ()>> = idx
-            .into_iter()
-            .filter_map(|i| shard_tbl.locks.get(i))
-            .map(mutex_lock)
-            .collect();
-        let mut eng = write_lock(&self.engine);
-        // verify: relaxed-ok mutation counter ordered by the engine write lock; live_gen carries the Release publication
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let out = f(&mut eng);
-        let gen = eng.generation();
-        self.reads.publish(gen, Arc::new(eng.clone()));
-        self.live_gen.store(gen, Ordering::Release);
-        (seq, out)
-    }
-
-    /// Number of mutations committed so far.
-    pub fn mutations(&self) -> u64 {
-        // verify: relaxed-ok statistics read; snapshot validity is proven through live_gen, not this counter
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Unwraps the shared engine back into a plain [`CapEngine`] (e.g.
-    /// for a final single-threaded `audit()` pass).
-    pub fn into_inner(self) -> CapEngine {
-        match self.engine.into_inner() {
-            Ok(e) => e,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
 
-    fn seeded() -> (SharedEngine, DomainId, crate::ids::CapId) {
+    /// An engine with a root domain, and a read side publishing it with
+    /// one reader pin slot.
+    fn seeded() -> (CapEngine, DomainId, EpochReadSide) {
         let mut e = CapEngine::new();
         let root = e.create_root_domain();
-        let ram = e
-            .endow(root, Resource::mem(0x0, 0x10_0000), Rights::RWX)
+        e.endow(root, Resource::mem(0x0, 0x10_0000), Rights::RWX)
             .unwrap();
-        (SharedEngine::new(e), root, ram)
+        let reads = EpochReadSide::new(e.generation(), Arc::new(e.clone()), 1);
+        (e, root, reads)
+    }
+
+    /// Mutates `e` once and publishes the new state.
+    fn mutate_and_publish(e: &mut CapEngine, root: DomainId, reads: &EpochReadSide) {
+        e.create_domain(root).unwrap();
+        reads.publish(e.generation(), Arc::new(e.clone()));
     }
 
     #[test]
     fn snapshot_reused_until_mutation() {
-        let (shared, root, _ram) = seeded();
-        let a = shared.snapshot();
-        let b = shared.snapshot();
-        assert!(Arc::ptr_eq(&a, &b), "unchanged engine reuses the published slot");
-        let (seq, child) = shared.mutate(&[root], |e| e.create_domain(root));
-        assert_eq!(seq, 0);
-        child.unwrap();
-        let c = shared.snapshot();
-        assert!(!Arc::ptr_eq(&a, &c), "mutation publishes a fresh snapshot");
+        let (mut e, root, reads) = seeded();
+        let a = reads.current();
+        let b = reads.current();
+        assert!(Arc::ptr_eq(&a, &b), "no publication reuses the head slot");
+        mutate_and_publish(&mut e, root, &reads);
+        let (gen, c) = reads.current_with_gen();
+        assert!(!Arc::ptr_eq(&a, &c), "a publication swaps the head");
+        assert_eq!(gen, e.generation());
         assert_eq!(c.domains().count(), 2);
         // The old snapshot still reads its point-in-time state.
         assert_eq!(a.domains().count(), 1);
     }
 
     #[test]
-    fn mutation_seq_is_dense_and_ordered() {
-        let (shared, root, ram) = seeded();
-        let (s0, r0) = shared.mutate(&[root], |e| e.split(root, ram, 0x8000));
-        let (lo, _hi) = r0.unwrap();
-        let (s1, r1) = shared.mutate(&[root], |e| e.revoke(root, lo));
-        r1.unwrap();
-        assert_eq!((s0, s1), (0, 1));
-        assert_eq!(shared.mutations(), 2);
-    }
-
-    #[test]
-    fn cross_thread_mutations_all_commit() {
-        let (shared, root, _ram) = seeded();
-        let shared = Arc::new(shared);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    for _ in 0..50 {
-                        let (_, r) = s.mutate(&[root], |e| e.create_domain(root));
-                        r.unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let shared = Arc::try_unwrap(shared).ok().expect("threads joined");
-        assert_eq!(shared.mutations(), 200);
-        let engine = shared.into_inner();
-        assert_eq!(engine.domains().count(), 201);
-        assert!(crate::audit::audit(&engine).is_empty());
-    }
-
-    #[test]
-    fn shard_order_is_global() {
-        // shard_of is a pure function of the id: two domains always map
-        // to the same pair of shards in the same order, whichever side
-        // initiates the cross-domain operation.
-        let a = DomainId(3);
-        let b = DomainId(7);
-        assert_eq!(SharedEngine::shard_of(a), 3);
-        assert_eq!(SharedEngine::shard_of(b), 7);
-        assert_eq!(
-            SharedEngine::shard_of(DomainId(3 + SHARDS as u64)),
-            SharedEngine::shard_of(a)
-        );
-    }
-
-    #[test]
-    fn with_shards_folds_ids_onto_smaller_table() {
-        let mut e = CapEngine::new();
-        let root = e.create_root_domain();
-        let shared = SharedEngine::with_shards(e, 4);
-        assert_eq!(shared.shard_count(), 4);
-        assert_eq!(shared.shard_index(DomainId(7)), 3);
-        assert_eq!(shared.shard_index(DomainId(11)), 3);
-        // Degenerate counts clamp to one shard instead of dividing by 0.
-        assert_eq!(SharedEngine::shard_of_n(DomainId(9), 0), 0);
-        let (_, r) = shared.mutate(&[root], |e| e.create_domain(root));
-        r.unwrap();
-        assert_eq!(shared.snapshot().domains().count(), 2);
-    }
-
-    #[test]
-    fn shard_counts_round_up_to_powers_of_two() {
-        let mut e = CapEngine::new();
-        let root = e.create_root_domain();
-        let shared = SharedEngine::with_shards(e, 7);
-        assert_eq!(shared.shard_count(), 8, "7 rounds up to 8");
-        // Mask routing agrees with the pure helper at the rounded count.
-        for raw in [0u64, 1, 7, 8, 9, 1023] {
-            assert_eq!(
-                shared.shard_index(DomainId(raw)),
-                SharedEngine::shard_of_n(DomainId(raw), 7)
-            );
-        }
-        let (_, r) = shared.mutate(&[root], |e| e.create_domain(root));
-        r.unwrap();
-    }
-
-    #[test]
-    fn resize_rebuilds_table_and_keeps_mutations_linearized() {
-        let (shared, root, _ram) = seeded();
-        let shared = Arc::new(shared);
-        assert_eq!(shared.shard_count(), SHARDS);
-        // Concurrent mutators race a stream of resizes; every mutation
-        // must still commit exactly once under a consistent table.
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        if t == 0 && i % 10 == 0 {
-                            s.resize_shards([8, 16, 32, 64][(i / 10) % 4]);
-                        }
-                        let (_, r) = s.mutate(&[root], |e| e.create_domain(root));
-                        r.unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(shared.resize_shards(64), 64);
-        assert_eq!(shared.shard_count(), 64);
-        let shared = Arc::try_unwrap(shared).ok().expect("threads joined");
-        assert_eq!(shared.mutations(), 200);
-        let engine = shared.into_inner();
-        assert_eq!(engine.domains().count(), 201);
-        assert!(crate::audit::audit(&engine).is_empty());
-    }
-
-    #[test]
     fn pinned_reader_defers_reclamation() {
-        let (shared, root, _ram) = seeded();
-        let pin = shared.epochs().pin(0);
-        let pinned_view = shared.snapshot();
+        let (mut e, root, reads) = seeded();
+        let pin = reads.pin(0);
+        let pinned_view = reads.current();
         // A storm of publications while the reader stays pinned: nothing
         // displaced during the pin may be reclaimed.
         for _ in 0..(3 * SNAP_SLOTS) {
-            let (_, r) = shared.mutate(&[root], |e| e.create_domain(root));
-            r.unwrap();
+            mutate_and_publish(&mut e, root, &reads);
         }
-        assert_eq!(shared.epochs().published(), 3 * SNAP_SLOTS as u64);
+        assert_eq!(reads.published(), 3 * SNAP_SLOTS as u64);
         assert_eq!(
-            shared.epochs().reclaimed(),
+            reads.reclaimed(),
             0,
             "grace cannot elapse under a pin taken before the storm"
         );
-        assert!(shared.epochs().retired_len() > 0);
+        assert_eq!(reads.retired_len() as u64, reads.published());
+        assert_eq!(reads.deferred(), reads.published());
         // The pinned reader's view is still the pre-storm state.
         assert_eq!(pinned_view.domains().count(), 1);
         drop(pin);
-        shared.epochs().reclaim();
-        assert_eq!(shared.epochs().retired_len(), 0, "unpinning drains the retired list");
-        assert!(shared.epochs().reclaimed() > 0);
+        reads.reclaim();
+        assert_eq!(reads.retired_len(), 0, "unpinning drains the retired list");
+        assert_eq!(reads.reclaimed(), 3 * SNAP_SLOTS as u64);
     }
 
     #[test]
     fn unpinned_publications_reclaim_immediately() {
-        let (shared, root, _ram) = seeded();
+        let (mut e, root, reads) = seeded();
         for _ in 0..SNAP_SLOTS {
-            let (_, r) = shared.mutate(&[root], |e| e.create_domain(root));
-            r.unwrap();
+            mutate_and_publish(&mut e, root, &reads);
         }
         // With no readers pinned, each publish reclaims its own retiree.
-        assert_eq!(shared.epochs().retired_len(), 0);
-        assert_eq!(shared.epochs().reclaimed(), SNAP_SLOTS as u64);
-        assert_eq!(shared.epochs().deferred(), 0);
+        assert_eq!(reads.retired_len(), 0);
+        assert_eq!(reads.reclaimed(), SNAP_SLOTS as u64);
+        assert_eq!(reads.deferred(), 0);
     }
 }

@@ -17,10 +17,11 @@
 //! - **Mutations** (everything else) compute the involved domains on
 //!   the live engine under a read guard they drop again, take the
 //!   *shard locks* of every involved domain — in ascending shard order,
-//!   the same global rule as [`tyche_core::shared::SharedEngine`], so
-//!   cross-domain grants and revokes are deadlock-free — and then the
-//!   inner monitor's write lock for the actual state change. A
-//!   committed mutation only records the new engine generation.
+//!   the global rule that makes cross-domain grants and revokes
+//!   deadlock-free — and then the inner monitor's write lock for the
+//!   actual state change. A committed mutation only records the new
+//!   engine generation. Domains route to shards by
+//!   [`ConcurrentMonitor::shard_of_n`], a power-of-two mask.
 //!
 //! ## Publication
 //!
@@ -107,7 +108,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 use tyche_core::engine::CapEngine;
 use tyche_core::ids::{CapId, DomainId};
-use tyche_core::shared::{EpochReadSide, SharedEngine, SHARDS};
+use tyche_core::shared::{EpochReadSide, SHARDS};
 use tyche_core::trace::{EventKind, TraceSink};
 use tyche_core::RevocationPolicy;
 use tyche_hw::cycles::{CycleCounter, PerCoreClocks};
@@ -257,16 +258,11 @@ impl ConcurrentMonitor {
         Self::with_config(monitor, SHARDS, Self::DEFAULT_RING_DEPTH)
     }
 
-    /// Like [`new`](Self::new) with an explicit shard count (the SMP
-    /// benches sweep it). Rounded up to a power of two so routing is a
-    /// mask, matching [`SharedEngine::shard_of_n`].
-    pub fn with_shards(monitor: Monitor, nshards: usize) -> Self {
-        Self::with_config(monitor, nshards, Self::DEFAULT_RING_DEPTH)
-    }
-
     /// Full-control constructor: `nshards` domain shards (at least one,
-    /// rounded up to a power of two) and `ring_depth` (at least one) for
-    /// the per-core submission rings.
+    /// rounded up to a power of two, so routing is the
+    /// [`shard_of_n`](Self::shard_of_n) mask) and `ring_depth` (at least
+    /// one) for the per-core submission rings. The SMP benches sweep
+    /// both.
     pub fn with_config(monitor: Monitor, nshards: usize, ring_depth: usize) -> Self {
         let arch = monitor.arch();
         let cost = monitor.machine.cost;
@@ -319,39 +315,6 @@ impl ConcurrentMonitor {
         self.shards.len()
     }
 
-    /// Rebuilds the shard table with `nshards` shards (rounded up to a
-    /// power of two) and returns the new count.
-    ///
-    /// Resize protocol (monitor side): the table is only reachable
-    /// through `&self` serving paths, so taking `&mut self` *is* the
-    /// quiesce point — no core can be mid-hypercall while the exclusive
-    /// borrow exists, and the per-core submission rings drain before the
-    /// caller can obtain it. Shard mutexes are stateless, so there is
-    /// nothing to rehash; the shard *clocks* are stateful, and every new
-    /// clock starts at the max of the old ones so discrete-event time
-    /// never runs backwards for an operation routed to a different shard
-    /// after the resize.
-    pub fn resize_shards(&mut self, nshards: usize) -> usize {
-        let floor = self
-            .shards
-            .iter()
-            .map(|s| s.clock.now())
-            .max()
-            .unwrap_or(0);
-        let n = nshards.max(1).next_power_of_two();
-        self.shards = (0..n)
-            .map(|_| {
-                let clock = CycleCounter::new();
-                clock.advance_to(floor);
-                Shard {
-                    lock: Mutex::new(()),
-                    clock,
-                }
-            })
-            .collect();
-        n
-    }
-
     /// The configured submission-ring depth.
     pub fn ring_depth(&self) -> usize {
         self.ring_depth
@@ -362,9 +325,19 @@ impl ConcurrentMonitor {
         &self.reads
     }
 
+    /// The shard a domain routes to in a table of `nshards` shards,
+    /// rounded up to a power of two (at least one) like the table
+    /// itself: `domain & (next_pow2(nshards) - 1)`. A pure function of
+    /// the id, so two domains lock their shards in the same order
+    /// whichever side initiates a cross-domain call.
+    pub fn shard_of_n(domain: DomainId, nshards: usize) -> usize {
+        let mask = nshards.max(1).next_power_of_two() - 1;
+        (domain.0 & mask as u64) as usize
+    }
+
     /// The shard index a domain maps to in *this* monitor.
     fn shard_index(&self, domain: DomainId) -> usize {
-        SharedEngine::shard_of_n(domain, self.shards.len())
+        Self::shard_of_n(domain, self.shards.len())
     }
 
     /// Number of modeled cores.
@@ -1059,6 +1032,56 @@ mod tests {
             out.push((child, gate));
         }
         (ConcurrentMonitor::new(m), out)
+    }
+
+    #[test]
+    fn shard_order_is_global() {
+        // Routing is a pure function of the id: two domains always map
+        // to the same pair of shards in the same order, whichever side
+        // initiates the cross-domain operation.
+        let a = DomainId(3);
+        let b = DomainId(7);
+        assert_eq!(ConcurrentMonitor::shard_of_n(a, SHARDS), 3);
+        assert_eq!(ConcurrentMonitor::shard_of_n(b, SHARDS), 7);
+        assert_eq!(
+            ConcurrentMonitor::shard_of_n(DomainId(3 + SHARDS as u64), SHARDS),
+            ConcurrentMonitor::shard_of_n(a, SHARDS)
+        );
+    }
+
+    #[test]
+    fn small_shard_tables_fold_ids() {
+        let cm = ConcurrentMonitor::with_config(boot_x86(BootConfig::default()), 4, 1);
+        assert_eq!(cm.shard_count(), 4);
+        assert_eq!(cm.shard_index(DomainId(7)), 3);
+        assert_eq!(cm.shard_index(DomainId(11)), 3);
+        let before = cm.snapshot().domains().count();
+        assert!(matches!(
+            cm.serve(0, MonitorCall::CreateDomain),
+            Ok(CallResult::NewDomain { .. })
+        ));
+        assert_eq!(cm.snapshot().domains().count(), before + 1);
+        // Degenerate counts clamp to one shard instead of dividing by 0.
+        assert_eq!(ConcurrentMonitor::shard_of_n(DomainId(9), 0), 0);
+        let cm = ConcurrentMonitor::with_config(boot_x86(BootConfig::default()), 0, 0);
+        assert_eq!((cm.shard_count(), cm.ring_depth()), (1, 1));
+        assert!(cm.serve(0, MonitorCall::CreateDomain).is_ok());
+    }
+
+    #[test]
+    fn shard_counts_round_up_to_powers_of_two() {
+        let cm = ConcurrentMonitor::with_config(boot_x86(BootConfig::default()), 7, 1);
+        assert_eq!(cm.shard_count(), 8, "7 rounds up to 8");
+        // The table routes exactly like the pure helper at the
+        // requested (unrounded) count.
+        for raw in [0u64, 1, 7, 8, 9, 1023] {
+            assert_eq!(
+                cm.shard_index(DomainId(raw)),
+                ConcurrentMonitor::shard_of_n(DomainId(raw), 7)
+            );
+        }
+        assert_eq!(ConcurrentMonitor::shard_of_n(DomainId(9), 7), 1);
+        assert!(cm.serve(0, MonitorCall::CreateDomain).is_ok());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! with Release stores, exactly as DESIGN.md's seqlock argument
 //! requires:
 //!
-//! - `live_gen` — the seqlock generation on [`SharedEngine`] and
-//!   `ConcurrentMonitor`: a reader that observes generation `g` with
-//!   Acquire must see every write the `g`-committing mutation made
-//!   before its Release store.
+//! - `live_gen` — the seqlock generation on `ConcurrentMonitor`: a
+//!   reader that observes generation `g` with Acquire must see every
+//!   write the `g`-committing mutation made before its Release store.
 //! - `enabled` — the trace-sink gate: a thread that observes the sink
 //!   enabled must see the reset sequence counter and lane setup.
 //!

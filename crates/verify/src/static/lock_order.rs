@@ -3,8 +3,8 @@
 //! DESIGN.md fixes one global acquisition order for every sleeping lock
 //! in the monitor:
 //!
-//! > submission ring → per-core state → shard table (read) → domain
-//! > shards (ascending index) → inner engine → pending-shootdown set
+//! > submission ring → per-core state → domain shards (ascending
+//! > index) → inner engine → pending-shootdown set
 //!
 //! plus the leaf-level epoch read-side locks (snapshot slots, retired
 //! list), the cross-machine channel table and NIC queue, and the
@@ -33,17 +33,16 @@ use std::collections::BTreeMap;
 pub const HIERARCHY: &[(&str, u8)] = &[
     ("submission-ring", 0),
     ("core-state", 1),
-    ("shard-table", 2),
-    ("domain-shard", 3),
-    ("engine-inner", 4),
-    ("pending-shootdown", 5),
-    ("snapshot-cache", 6),
-    ("epoch-retired", 7),
-    ("channel-table", 8),
-    ("nic-queue", 9),
-    ("trace-lanes", 10),
-    ("trace-lane", 11),
-    ("trace-spill-log", 12),
+    ("domain-shard", 2),
+    ("engine-inner", 3),
+    ("pending-shootdown", 4),
+    ("snapshot-cache", 5),
+    ("epoch-retired", 6),
+    ("channel-table", 7),
+    ("nic-queue", 8),
+    ("trace-lanes", 9),
+    ("trace-lane", 10),
+    ("trace-spill-log", 11),
 ];
 
 /// Substring → class rules, checked in order against the argument text
@@ -57,7 +56,6 @@ const PATTERNS: &[(&str, &str)] = &[
     // which shows up in plenty of statement contexts.
     ("nic_queue", "nic-queue"),
     ("channel", "channel-table"),
-    ("shard_table", "shard-table"),
     ("shard", "domain-shard"),
     ("core", "core-state"),
     ("slot", "core-state"),

@@ -107,7 +107,7 @@ impl StaticConfig {
             workspace_root: flat.workspace_root,
             tcb_crates: flat.tcb_crates,
             allowlist: flat.allowlist,
-            relaxed_ok_budget: 8,
+            relaxed_ok_budget: 6,
         }
     }
 }

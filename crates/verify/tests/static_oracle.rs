@@ -152,84 +152,6 @@ impl Serving {
     assert!(findings[0].message.contains("twice"), "{}", findings[0].message);
 }
 
-/// The resizable shard table's lock shape, mirroring
-/// `SharedEngine::mutate`: pin the table with a read lock, then the
-/// sorted shard batch *through* the pinned table, then the engine. The
-/// read-guard binding is `shard_tbl` (not `shard_table`) so the batch
-/// sites still classify as `domain-shard`.
-const SHARD_TABLE_OK: &str = r#"
-impl Serving {
-    pub fn table_then_batch(&self, domains: Vec<u64>) {
-        let shard_tbl = read_lock(&self.shard_table);
-        let mut idx: Vec<usize> = domains.iter().map(|&d| route(d)).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        let _guards: Vec<MutexGuard<'_, ()>> = idx
-            .into_iter()
-            .filter_map(|i| shard_tbl.locks.get(i))
-            .map(mutex_lock)
-            .collect();
-        let eng = write_lock(&self.engine);
-        consume(&eng);
-    }
-    pub fn resize(&self, n: usize) {
-        let mut tbl = write_lock(&self.shard_table);
-        rebuild(&mut tbl, n);
-    }
-}
-"#;
-
-#[test]
-fn conforming_shard_table_protocol_passes() {
-    let model =
-        WorkspaceModel::from_sources(&[("core", "crates/core/src/table_ok.rs", SHARD_TABLE_OK)]);
-    let findings = lock_order::check(&model);
-    assert!(findings.is_empty(), "clean shard-table fixture flagged: {findings:?}");
-}
-
-#[test]
-fn shard_table_after_shard_is_caught() {
-    let src = r#"
-impl Serving {
-    pub fn shard_then_table(&self) {
-        let shard = mutex_lock(&self.shards[0].lock);
-        let tbl = read_lock(&self.shard_table);
-        consume(&shard, &tbl);
-    }
-}
-"#;
-    let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/table_bad.rs", src)]);
-    let findings = lock_order::check(&model);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.lint, Lint::LockOrder);
-    assert_eq!(f.line, 5, "site is the table acquisition");
-    assert!(f.message.contains("acquires `shard-table`"), "{}", f.message);
-    assert!(f.message.contains("`domain-shard`"), "{}", f.message);
-}
-
-#[test]
-fn engine_then_shard_table_is_caught() {
-    let src = r#"
-impl Serving {
-    pub fn backwards_resize(&self) {
-        let eng = write_lock(&self.engine);
-        let tbl = write_lock(&self.shard_table);
-        consume(&eng, &tbl);
-    }
-}
-"#;
-    let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/table_bad.rs", src)]);
-    let findings = lock_order::check(&model);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("acquires `shard-table`")
-            && findings[0].message.contains("`engine-inner`"),
-        "{}",
-        findings[0].message
-    );
-}
-
 /// The epoch read side's lock shape: the submission ring first (and
 /// dropped), then core state, the engine, a publish into a snapshot
 /// slot, and the retired list last. Everything the extended hierarchy
