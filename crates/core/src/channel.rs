@@ -29,6 +29,10 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::trace::{EventKind, TraceSink};
 
+/// The largest key epoch a channel can reach: the fleet wire spends the
+/// top bit of its 64-bit epoch word on the frame kind.
+pub const MAX_EPOCH: u64 = (1 << 63) - 1;
+
 /// Why an inbound frame (or an establishment attempt) was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViolationReason {
@@ -148,14 +152,15 @@ impl ChannelTable {
     /// Refused when the peer is quarantined (a byzantine peer never gets
     /// a fresh channel without out-of-band intervention) or when `epoch`
     /// does not advance past the channel's current epoch (a stale
-    /// re-attestation must not resurrect an old key).
+    /// re-attestation must not resurrect an old key) or exceeds
+    /// [`MAX_EPOCH`].
     pub fn establish(&self, peer: u64, epoch: u64) -> Result<(), ViolationReason> {
         let mut channels = mutex_lock(&self.channels);
         let state = channels.entry(peer).or_default();
         if state.quarantined {
             return Err(ViolationReason::NoChannel);
         }
-        if state.epoch != 0 && epoch <= state.epoch {
+        if (state.epoch != 0 && epoch <= state.epoch) || epoch > MAX_EPOCH {
             return Err(ViolationReason::StaleEpoch);
         }
         state.epoch = epoch;
@@ -357,8 +362,15 @@ mod tests {
         assert_eq!(t.epoch(9), 2);
         assert_eq!(t.note_send(9).unwrap(), (0, 2));
         assert_eq!(t.accept_recv(9, 0, 2).unwrap(), 0);
-        // A re-key must strictly advance the epoch.
+        // A re-key must strictly advance the epoch, and stay clear of
+        // the wire's kind bit.
         assert_eq!(t.establish(9, 2), Err(ViolationReason::StaleEpoch));
+        assert_eq!(
+            t.establish(9, MAX_EPOCH + 1),
+            Err(ViolationReason::StaleEpoch)
+        );
+        t.establish(9, MAX_EPOCH).unwrap();
+        assert_eq!(t.epoch(9), MAX_EPOCH);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! The ChaCha20 block function (RFC 7539 §2.3).
 //!
-//! Only the block function is exposed; it backs the deterministic random bit
-//! generator in [`crate::drbg`]. We do not implement the AEAD construction —
-//! the reproduction encrypts nothing on a real wire.
+//! Only the block function is exposed. It backs the deterministic random bit
+//! generator in [`crate::drbg`], and it is the stream cipher of the attested
+//! RDMA frames (`libtyche::rdma`), which XOR each 64-byte chunk of a payload
+//! with the block for the connection's keystream key, the chunk's index as
+//! the counter and the frame's sequence number as the nonce. We do not
+//! implement the AEAD construction: RDMA frames are authenticated by a
+//! separate HMAC-SHA256 tag over the ciphertext.
 
 /// "expand 32-byte k" — the ChaCha constant words.
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];

@@ -92,28 +92,9 @@ impl HmacSha256 {
         h.finalize()
     }
 
-    /// The MAC of a multi-part message (header fields + payload, as in
-    /// the fleet's channel frames). Each part is absorbed behind a 64-bit
-    /// little-endian length prefix, so distinct part splits can never
-    /// collide — the parts `["ab", "c"]` and `["a", "bc"]` produce
-    /// unrelated tags (and neither equals [`Self::tag`] of `"abc"`).
-    pub fn tag_parts(&self, parts: &[&[u8]]) -> Digest {
-        let mut h = self.clone();
-        for part in parts {
-            h.update(&(part.len() as u64).to_le_bytes());
-            h.update(part);
-        }
-        h.finalize()
-    }
-
     /// Checks `tag` against [`Self::tag`] of `data` in constant time.
     pub fn check(&self, data: &[u8], tag: &Digest) -> bool {
         crate::ct::eq(self.tag(data).as_bytes(), tag.as_bytes())
-    }
-
-    /// Checks `tag` against [`Self::tag_parts`] in constant time.
-    pub fn check_parts(&self, parts: &[&[u8]], tag: &Digest) -> bool {
-        crate::ct::eq(self.tag_parts(parts).as_bytes(), tag.as_bytes())
     }
 
     /// One-shot HMAC over a single message.
@@ -124,17 +105,6 @@ impl HmacSha256 {
     /// Verifies `tag` against the MAC of `data` in constant time.
     pub fn verify(key: &[u8], data: &[u8], tag: &Digest) -> bool {
         Self::new(key).check(data, tag)
-    }
-
-    /// One-shot [`Self::tag_parts`]: `mac_parts(k, ["ab", "c"])` and
-    /// `mac_parts(k, ["a", "bc"])` produce unrelated tags.
-    pub fn mac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
-        Self::new(key).tag_parts(parts)
-    }
-
-    /// Verifies `tag` against [`Self::mac_parts`] in constant time.
-    pub fn verify_parts(key: &[u8], parts: &[&[u8]], tag: &Digest) -> bool {
-        Self::new(key).check_parts(parts, tag)
     }
 }
 
@@ -194,34 +164,6 @@ mod tests {
         assert!(!HmacSha256::verify(b"key", b"msg", &bad));
     }
 
-    #[test]
-    fn parts_are_unambiguous() {
-        let k = b"frame-key";
-        let ab_c = HmacSha256::mac_parts(k, &[b"ab", b"c"]);
-        let a_bc = HmacSha256::mac_parts(k, &[b"a", b"bc"]);
-        let abc = HmacSha256::mac(k, b"abc");
-        assert_ne!(ab_c, a_bc, "part boundaries are authenticated");
-        assert_ne!(ab_c, abc, "parts never alias the flat message");
-        assert!(HmacSha256::verify_parts(k, &[b"ab", b"c"], &ab_c));
-        assert!(!HmacSha256::verify_parts(k, &[b"a", b"bc"], &ab_c));
-        let mut flipped = ab_c;
-        flipped.0[31] ^= 0x01;
-        assert!(!HmacSha256::verify_parts(k, &[b"ab", b"c"], &flipped));
-    }
-
-    #[test]
-    fn parts_encoding_is_stable() {
-        // Pin the transcript encoding (8-byte LE length prefix per part):
-        // a schema change here would silently re-key every fleet channel.
-        let tag = HmacSha256::mac_parts(b"k", &[b"seq", b"payload"]);
-        let mut flat = Vec::new();
-        flat.extend_from_slice(&3u64.to_le_bytes());
-        flat.extend_from_slice(b"seq");
-        flat.extend_from_slice(&7u64.to_le_bytes());
-        flat.extend_from_slice(b"payload");
-        assert_eq!(tag, HmacSha256::mac(b"k", &flat));
-    }
-
     /// HMAC straight from its definition, `H((K ^ opad) || H((K ^ ipad) || m))`,
     /// with no keyed state involved.
     fn reference_mac(key: &[u8], msg: &[u8]) -> Digest {
@@ -259,25 +201,14 @@ mod tests {
                     reference_mac(&key, &msg),
                     "key {key_len}, msg {msg_len}"
                 );
-                let (head, tail) = msg.split_at(msg_len / 3);
-                let parts: [&[u8]; 2] = [head, tail];
-                let ptag = keyed.tag_parts(&parts);
-                assert_eq!(ptag, HmacSha256::mac_parts(&key, &parts));
                 // The keyed state is reusable: a second message gives the
                 // same answer as a fresh key.
                 assert_eq!(keyed.tag(&msg), tag);
                 assert!(keyed.check(&msg, &tag));
-                assert!(keyed.check_parts(&parts, &ptag));
                 for bit in [0usize, 7, 128, 255] {
                     let mut bad = tag;
                     bad.0[bit / 8] ^= 1 << (bit % 8);
                     assert!(!keyed.check(&msg, &bad), "flipped bit {bit} accepted");
-                    let mut bad = ptag;
-                    bad.0[bit / 8] ^= 1 << (bit % 8);
-                    assert!(
-                        !keyed.check_parts(&parts, &bad),
-                        "flipped bit {bit} accepted"
-                    );
                 }
             }
         }

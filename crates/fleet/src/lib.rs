@@ -18,25 +18,35 @@
 //! publishes only keys, never the expected PCR — see
 //! `tyche-monitor::attest::MachineRoots`), and both sides derive the
 //! same channel key with HKDF over the sorted report digests, all four
-//! nonces, and the key epoch. Every subsequent frame carries a
-//! monotonic sequence number and an HMAC over
-//! `(src, epoch, seq, payload)`; the receiving TCB's `ChannelTable`
+//! nonces, and the key epoch. Every subsequent frame is
+//! `word ‖ seq ‖ payload ‖ tag`, where `word` is the key epoch with the
+//! frame kind in its top bit and `tag` is an HMAC over the fixed-width
+//! little-endian `src ‖ word ‖ seq ‖ len` followed by the bytes the
+//! channel binds; the receiving TCB's `ChannelTable`
 //! (`tyche-core::channel`) is the single accept/reject authority, and
 //! any violation — bad MAC, replay, reorder, truncation, stale epoch —
 //! tears the channel down at an exact frame index and quarantines the
 //! peer for good.
 //!
 //! The `libtyche` RDMA scenario composes on top: [`Fleet::rdma_connect`]
-//! runs the RDMA attestation handshake over an already-attested channel
-//! and [`Fleet::rdma_write`] routes the encrypted RDMA frames through
-//! the NIC transport instead of an abstract wire, making it a real
-//! two-machine attested workload.
+//! runs the RDMA attestation handshake over an already-attested channel,
+//! and [`Fleet::rdma_send`] / [`Fleet::rdma_deliver`] (composed as
+//! [`Fleet::rdma_write`]) route the encrypted RDMA frames through the
+//! NIC transport instead of an abstract wire, making it a real
+//! two-machine attested workload. Each payload byte is authenticated
+//! once: an ordinary frame's channel MAC binds its whole payload, but an
+//! RDMA-kind frame's channel MAC binds only the RDMA frame's length,
+//! sequence number and TEE-pair tag, because that tag already binds the
+//! ciphertext. The receiving RDMA session checks the tag before the
+//! `ChannelTable` counts the frame, so a payload tamper is still the
+//! channel's `BadMac` at its exact frame index, and a plain
+//! [`Fleet::deliver`] never hands out an RDMA-kind payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use libtyche::rdma::{RKey, RdmaError, RdmaNic};
 use libtyche::{RdmaConnection, TycheClient};
@@ -59,8 +69,15 @@ pub const TEE_MEM: (u64, u64) = (0x10_0000, 0x10_4000);
 /// The MR window registered for attested RDMA, inside [`TEE_MEM`].
 pub const RDMA_MR: (u64, u64) = (0x10_1000, 0x10_2000);
 
-/// Channel frame overhead: epoch (8) + seq (8) + HMAC tag (32).
+/// Channel frame overhead: epoch word (8) + seq (8) + HMAC tag (32).
 pub const FRAME_OVERHEAD: usize = 48;
+
+/// The top bit of a frame's wire epoch word: set on an RDMA-kind frame,
+/// clear on an ordinary one. Epochs stay below it
+/// ([`tyche_core::channel::MAX_EPOCH`]), so the kind costs no wire byte,
+/// and the channel MAC covers the whole word, so a relabelled frame dies
+/// as [`ViolationReason::BadMac`].
+const RDMA_KIND: u64 = 1 << 63;
 
 /// The monitor version a byzantine machine boots: a different image,
 /// measuring to a different PCR 17, so every honest peer's tier-1
@@ -178,6 +195,11 @@ pub struct FleetMachine {
     /// its keyed HMAC state, so a frame's MAC does not re-absorb the key
     /// pads.
     keys: BTreeMap<u64, BTreeMap<u64, HmacSha256>>,
+    /// Outcomes of the frames an RDMA receive judged on its way to its
+    /// RDMA frame (ordinary frames, and frames from other peers), in
+    /// arrival order; [`Fleet::deliver`] hands them out before it polls
+    /// the NIC again.
+    pending: VecDeque<Result<Delivery, Violation>>,
     accepted: u64,
     violations: u64,
 }
@@ -189,6 +211,77 @@ impl FleetMachine {
             accepted: self.accepted,
             violations: self.violations,
             quarantined: self.channels.quarantined_peers().len() as u64,
+        }
+    }
+
+    /// Verifies one inbound ordinary frame from `src` through the
+    /// channel: MAC first, then the `ChannelTable`'s sequence/epoch
+    /// judgment. Counts the outcome.
+    fn judge(&mut self, src: u64, bytes: &[u8]) -> Result<Delivery, Violation> {
+        let outcome = self
+            .authenticate(src, bytes, 0)
+            .and_then(|(epoch, seq, payload)| {
+                let seq = self.channels.accept_recv(src, seq, epoch)?;
+                Ok(Delivery {
+                    from: src,
+                    seq,
+                    payload: payload.to_vec(),
+                })
+            });
+        self.count(src, outcome)
+    }
+
+    /// Checks one inbound frame from `src` up to and including its
+    /// channel MAC, and returns its epoch, sequence number and payload.
+    /// Attribution comes from the trusted NIC's link header; the MAC
+    /// transcript binds the same id, so a forged id dies as BadMac. A
+    /// receive path verifies only its own `kind`: a frame of the other
+    /// kind is a BadMac without a MAC computed. Every rejection is
+    /// counted by the table at the frame's index.
+    fn authenticate<'a>(
+        &self,
+        src: u64,
+        bytes: &'a [u8],
+        kind: u64,
+    ) -> Result<(u64, u64, &'a [u8]), Violation> {
+        let Some((word, seq, payload, tag)) = split_frame(bytes) else {
+            return Err(self.channels.reject(src, ViolationReason::Truncated));
+        };
+        let epoch = word & !RDMA_KIND;
+        // Key lookup by the frame's *claimed* epoch: a frame under a
+        // retired (grace-window) epoch authenticates against its old
+        // key so it can be diagnosed as StaleEpoch by the table rather
+        // than dying as an anonymous BadMac; an unknown epoch has no
+        // key and is judged directly.
+        let current = self.channels.epoch(src);
+        let Some(key) = self.keys.get(&src).and_then(|e| e.get(&epoch)) else {
+            let reason = if epoch != current && current != 0 {
+                ViolationReason::StaleEpoch
+            } else {
+                ViolationReason::NoChannel
+            };
+            return Err(self.channels.reject(src, reason));
+        };
+        let authentic = word & RDMA_KIND == kind
+            && bound_bytes(word, payload).is_some_and(|bound| {
+                let expected = frame_tag(key, src, word, seq, payload.len(), bound);
+                tyche_crypto::ct::eq(expected.as_bytes(), tag)
+            });
+        if !authentic {
+            return Err(self.channels.reject(src, ViolationReason::BadMac));
+        }
+        Ok((epoch, seq, payload))
+    }
+
+    /// Counts a receive outcome; a violation also destroys the peer's
+    /// keys.
+    fn count<T>(&mut self, src: u64, outcome: Result<T, Violation>) -> Result<T, Violation> {
+        match outcome {
+            Ok(t) => {
+                self.accepted += 1;
+                Ok(t)
+            }
+            Err(v) => Err(self.violated(src, v)),
         }
     }
 
@@ -231,14 +324,56 @@ fn tpm_seed_for(fleet_seed: u64, i: usize) -> u64 {
     fleet_seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// MAC transcript for one channel frame.
-fn frame_tag(key: &HmacSha256, src: u64, epoch: u64, seq: u64, payload: &[u8]) -> Digest {
-    key.tag_parts(&[
-        &src.to_le_bytes(),
-        &epoch.to_le_bytes(),
-        &seq.to_le_bytes(),
+/// Splits a channel frame into its wire fields: epoch word, sequence
+/// number, payload and tag. `None` when it is shorter than
+/// [`FRAME_OVERHEAD`]. Nothing in the result is authenticated yet.
+fn split_frame(bytes: &[u8]) -> Option<(u64, u64, &[u8], &[u8; 32])> {
+    let (word, rest) = bytes.split_first_chunk::<8>()?;
+    let (seq, rest) = rest.split_first_chunk::<8>()?;
+    let (payload, tag) = rest.split_last_chunk::<32>()?;
+    Some((
+        u64::from_le_bytes(*word),
+        u64::from_le_bytes(*seq),
         payload,
-    ])
+        tag,
+    ))
+}
+
+/// The payload bytes a frame's channel MAC binds: all of an ordinary
+/// payload; of an RDMA-kind payload only the RDMA frame's `seq_le` and
+/// its TEE-pair tag. That tag already binds the ciphertext, and the
+/// receiver checks it before the channel counts the frame. `None` when
+/// an RDMA-kind payload is too short to hold both.
+fn bound_bytes(word: u64, payload: &[u8]) -> Option<[&[u8]; 2]> {
+    if word & RDMA_KIND == 0 {
+        return Some([payload, &[]]);
+    }
+    let (rdma_seq, rest) = payload.split_first_chunk::<8>()?;
+    let (_, rdma_tag) = rest.split_last_chunk::<32>()?;
+    Some([rdma_seq, rdma_tag])
+}
+
+/// The channel MAC of one frame: HMAC over the fixed-width
+/// little-endian `src ‖ word ‖ seq ‖ len` (`word` is the epoch with the
+/// kind bit, `len` the payload's length), then the `bound` bytes.
+fn frame_tag(
+    key: &HmacSha256,
+    src: u64,
+    word: u64,
+    seq: u64,
+    len: usize,
+    bound: [&[u8]; 2],
+) -> Digest {
+    let mut head = [0u8; 32];
+    for (field, value) in head.chunks_exact_mut(8).zip([src, word, seq, len as u64]) {
+        field.copy_from_slice(&value.to_le_bytes());
+    }
+    let mut mac = key.clone();
+    mac.update(&head);
+    for part in bound {
+        mac.update(part);
+    }
+    mac.finalize()
 }
 
 impl Fleet {
@@ -276,6 +411,7 @@ impl Fleet {
                 tee,
                 gate,
                 keys: BTreeMap::new(),
+                pending: VecDeque::new(),
                 accepted: 0,
                 violations: 0,
             });
@@ -446,8 +582,8 @@ impl Fleet {
 
     /// Sends `payload` from machine `from` to machine `to` over their
     /// attested channel: reserves the next sequence number, MACs
-    /// `(src, epoch, seq, payload)`, and hands the frame to the NICs
-    /// (charging send cycles to `core` on the sending machine).
+    /// `src ‖ epoch ‖ seq ‖ len ‖ payload`, and hands the frame to the
+    /// NICs (charging send cycles to `core` on the sending machine).
     /// Returns the frame's sequence number.
     pub fn send(
         &mut self,
@@ -456,15 +592,29 @@ impl Fleet {
         core: usize,
         payload: &[u8],
     ) -> Result<u64, FleetError> {
+        self.send_kind(from, to, core, 0, payload)
+    }
+
+    /// [`Self::send`] of a frame of `kind` (0 or [`RDMA_KIND`]).
+    fn send_kind(
+        &mut self,
+        from: usize,
+        to: usize,
+        core: usize,
+        kind: u64,
+        payload: &[u8],
+    ) -> Result<u64, FleetError> {
         let (mf, mt) = self.pair_mut(from, to)?;
         let to_id = to as u64;
+        let bound = bound_bytes(kind, payload).ok_or(FleetError::Rdma(RdmaError::BadFrame))?;
         let (seq, epoch) = mf.channels.note_send(to_id).map_err(FleetError::Refused)?;
         let Some(key) = mf.keys.get(&to_id).and_then(|e| e.get(&epoch)) else {
             return Err(FleetError::Refused(ViolationReason::NoChannel));
         };
-        let tag = frame_tag(key, from as u64, epoch, seq, payload);
+        let word = epoch | kind;
+        let tag = frame_tag(key, from as u64, word, seq, payload.len(), bound);
         let mut bytes = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        bytes.extend_from_slice(&epoch.to_le_bytes());
+        bytes.extend_from_slice(&word.to_le_bytes());
         bytes.extend_from_slice(&seq.to_le_bytes());
         bytes.extend_from_slice(payload);
         bytes.extend_from_slice(tag.as_bytes());
@@ -510,25 +660,20 @@ impl Fleet {
     /// through the channel: MAC first, then the `ChannelTable`'s
     /// sequence/epoch judgment. `Ok(None)` on an empty queue; a
     /// rejection tears the channel down, destroys the peer's keys, and
-    /// reports the exact frame index.
+    /// reports the exact frame index. Frames an RDMA receive already
+    /// judged ([`Self::rdma_deliver`]) come out first, in arrival order.
     pub fn deliver(&mut self, at: usize, core: usize) -> Result<Option<Delivery>, FleetError> {
         let m = self.machines.get_mut(at).ok_or(FleetError::NoSuchMachine)?;
-        let Some(frame) = m.monitor.machine.nic_recv(core) else {
-            return Ok(None);
+        let outcome = match m.pending.pop_front() {
+            Some(outcome) => outcome,
+            None => {
+                let Some(frame) = m.monitor.machine.nic_recv(core) else {
+                    return Ok(None);
+                };
+                m.judge(frame.src, &frame.payload)
+            }
         };
-        // Attribution comes from the trusted NIC's link header; the MAC
-        // transcript binds the same id, so a forged id dies as BadMac.
-        let src = frame.src;
-        match Self::verify_frame(m, src, &frame.payload) {
-            Ok(d) => {
-                m.accepted += 1;
-                Ok(Some(d))
-            }
-            Err(v) => {
-                let v = m.violated(src, v);
-                Err(FleetError::Channel(v))
-            }
-        }
+        outcome.map(Some).map_err(FleetError::Channel)
     }
 
     /// Drains machine `at`'s queue, collecting accepted deliveries and
@@ -547,49 +692,6 @@ impl Fleet {
             }
         }
         (accepted, rejected)
-    }
-
-    fn verify_frame(m: &mut FleetMachine, src: u64, bytes: &[u8]) -> Result<Delivery, Violation> {
-        if bytes.len() < FRAME_OVERHEAD {
-            return Err(m.channels.reject(src, ViolationReason::Truncated));
-        }
-        let (body, tag) = bytes.split_at(bytes.len() - 32);
-        let mut word = [0u8; 8];
-        let Some(epoch_bytes) = body.get(..8) else {
-            return Err(m.channels.reject(src, ViolationReason::Truncated));
-        };
-        word.copy_from_slice(epoch_bytes);
-        let epoch = u64::from_le_bytes(word);
-        let Some(seq_bytes) = body.get(8..16) else {
-            return Err(m.channels.reject(src, ViolationReason::Truncated));
-        };
-        word.copy_from_slice(seq_bytes);
-        let seq = u64::from_le_bytes(word);
-        let payload = body.get(16..).unwrap_or(&[]);
-        // Key lookup by the frame's *claimed* epoch: a frame under a
-        // retired (grace-window) epoch authenticates against its old
-        // key so it can be diagnosed as StaleEpoch by the table rather
-        // than dying as an anonymous BadMac; an unknown epoch has no
-        // key and is judged directly.
-        let current = m.channels.epoch(src);
-        let Some(key) = m.keys.get(&src).and_then(|e| e.get(&epoch)) else {
-            let reason = if epoch != current && current != 0 {
-                ViolationReason::StaleEpoch
-            } else {
-                ViolationReason::NoChannel
-            };
-            return Err(m.channels.reject(src, reason));
-        };
-        let expected = frame_tag(key, src, epoch, seq, payload);
-        if !tyche_crypto::ct::eq(expected.as_bytes(), tag) {
-            return Err(m.channels.reject(src, ViolationReason::BadMac));
-        }
-        let seq = m.channels.accept_recv(src, seq, epoch)?;
-        Ok(Delivery {
-            from: src,
-            seq,
-            payload: payload.to_vec(),
-        })
     }
 
     /// Enters machine `at`'s TEE on `core` (subsequent
@@ -696,10 +798,8 @@ impl Fleet {
         Ok(RdmaSession { conn, nic, rkey })
     }
 
-    /// One attested RDMA write routed over the fleet transport: `a`'s
-    /// TEE produces the encrypted+MACed RDMA frame (enter the TEE on
-    /// `core` first), the frame rides the NIC channel `a → b`, and on
-    /// delivery `b`'s RDMA NIC re-validates the MR and lands the bytes.
+    /// One attested RDMA write routed over the fleet transport:
+    /// [`Self::rdma_send`] then [`Self::rdma_deliver`].
     #[allow(clippy::too_many_arguments)]
     pub fn rdma_write(
         &mut self,
@@ -711,24 +811,82 @@ impl Fleet {
         len: usize,
         remote_off: u64,
     ) -> Result<(), FleetError> {
+        self.rdma_send(sess, a, b, core, local_addr, len)?;
+        self.rdma_deliver(sess, a, b, core, remote_off)
+    }
+
+    /// Sender half of an attested RDMA write: `a`'s TEE produces the
+    /// encrypted+MACed RDMA frame from `len` bytes at `local_addr` (enter
+    /// the TEE on `core` first), and the frame rides the NIC channel
+    /// `a → b`. Returns the channel sequence number.
+    pub fn rdma_send(
+        &mut self,
+        sess: &mut RdmaSession,
+        a: usize,
+        b: usize,
+        core: usize,
+        local_addr: u64,
+        len: usize,
+    ) -> Result<u64, FleetError> {
         let rdma_frame = {
             let ma = self.machines.get_mut(a).ok_or(FleetError::NoSuchMachine)?;
             sess.conn
                 .produce_frame(&mut ma.monitor, core, local_addr, len)
                 .map_err(FleetError::Rdma)?
         };
-        self.send(a, b, core, &rdma_frame)?;
-        let delivery = loop {
-            match self.deliver(b, core)? {
-                Some(d) if d.from == a as u64 => break d,
-                Some(_) => continue,
-                None => return Err(FleetError::Refused(ViolationReason::NoChannel)),
-            }
-        };
+        self.send_kind(a, b, core, RDMA_KIND, &rdma_frame)
+    }
+
+    /// Receiver half of an attested RDMA write: polls `b`'s NIC on
+    /// `core` until the RDMA frame from `a`, and lands it in the MR at
+    /// `remote_off`. The frame is checked in this order: the channel MAC
+    /// over its header and the RDMA frame's seq and tag; the RDMA tag
+    /// over the whole RDMA frame (a failure is the channel's BadMac, at
+    /// this frame's index); the `ChannelTable`'s sequence/epoch
+    /// judgment; then `b`'s RDMA NIC re-validates the MR and lands the
+    /// bytes. Ordinary frames met on the way, and frames from other
+    /// peers, are judged and kept, in order, for the next
+    /// [`Self::deliver`] / [`Self::pump`]; a violation on the `a → b`
+    /// channel ends the receive.
+    pub fn rdma_deliver(
+        &mut self,
+        sess: &mut RdmaSession,
+        a: usize,
+        b: usize,
+        core: usize,
+        remote_off: u64,
+    ) -> Result<(), FleetError> {
         let mb = self.machines.get_mut(b).ok_or(FleetError::NoSuchMachine)?;
-        sess.conn
-            .deliver_frame(&delivery.payload, &mut mb.monitor, &sess.nic, sess.rkey, remote_off)
-            .map_err(FleetError::Rdma)
+        let src = a as u64;
+        loop {
+            let Some(frame) = mb.monitor.machine.nic_recv(core) else {
+                return Err(FleetError::Refused(ViolationReason::NoChannel));
+            };
+            let claims_rdma =
+                split_frame(&frame.payload).is_some_and(|(word, ..)| word & RDMA_KIND != 0);
+            if frame.src != src || !claims_rdma {
+                match mb.judge(frame.src, &frame.payload) {
+                    Err(v) if frame.src == src => return Err(FleetError::Channel(v)),
+                    outcome => mb.pending.push_back(outcome),
+                }
+                continue;
+            }
+            let checked = mb.authenticate(src, &frame.payload, RDMA_KIND).and_then(
+                |(epoch, seq, payload)| {
+                    let checked = sess
+                        .conn
+                        .check_frame(payload)
+                        .map_err(|_| mb.channels.reject(src, ViolationReason::BadMac))?;
+                    mb.channels.accept_recv(src, seq, epoch)?;
+                    Ok(checked)
+                },
+            );
+            let checked = mb.count(src, checked).map_err(FleetError::Channel)?;
+            return sess
+                .conn
+                .land_frame(checked, &mut mb.monitor, &sess.nic, sess.rkey, remote_off)
+                .map_err(FleetError::Rdma);
+        }
     }
 }
 
@@ -876,13 +1034,60 @@ mod tests {
 
     #[test]
     fn frame_tag_is_pinned() {
-        // One channel frame tag for a fixed key and header: the wire
-        // format (transcript layout and MAC) must never drift.
-        let key = HmacSha256::new(&[0x11; 32]);
+        // Channel frame tags for a fixed key and header: the wire format
+        // (transcript layout and MAC) must never drift. The expected tags
+        // are HMAC-SHA256 over hand-assembled transcripts: `src ‖ word ‖
+        // seq ‖ len`, 8-byte little-endian each, then the bound bytes.
+        let raw = [0x11u8; 32];
+        let key = HmacSha256::new(&raw);
+        let (src, epoch, seq) = (2u64, 3u64, 9u64);
+        let le = |v: u64| v.to_le_bytes();
+
+        let payload = b"fleet frame payload";
+        let mut transcript = [le(src), le(epoch), le(seq), le(19)].concat();
+        transcript.extend_from_slice(payload);
+        let tag = frame_tag(&key, src, epoch, seq, payload.len(), [payload, &[]]);
+        assert_eq!(tag, HmacSha256::mac(&raw, &transcript));
         assert_eq!(
-            frame_tag(&key, 2, 3, 9, b"fleet frame payload").to_hex(),
-            "20bcce0d14bf1b0fcf3ecbfffbca4880d455035444eecd9790a84f158e0ba5e0"
+            tag.to_hex(),
+            "cd9d49b78d1940c15249d521fe31a77734250be1817cdf592f5fc651d964fa06"
         );
+
+        // An RDMA-kind frame binds the RDMA frame's length, seq and tag,
+        // not its ciphertext: here a 140-byte RDMA frame (`seq_le ‖ 100
+        // bytes ‖ tag`), the pinned one from `libtyche::rdma`'s tests.
+        let rdma_frame = hex_bytes(
+            "07000000000000008699b9d84c0d0672b6dc4abce2192e90da2dc3e93fc66b42\
+             dfc476fab0671e80bbc97de1e512a1056884c17a17021fe9c553d7aca831c6d3\
+             396a4a2a51ca7def797ce8e35ca61baac1dfddab10b1faf631185b2571ba2983\
+             a81b65fb05256b770c3d3fd1d26f9870d014a080208cd5c2f5757189a97ace02\
+             efca34df9145c47ef34d6948",
+        );
+        let word = epoch | RDMA_KIND;
+        let mut transcript = [le(src), le(word), le(seq), le(140)].concat();
+        transcript.extend_from_slice(&rdma_frame[..8]);
+        transcript.extend_from_slice(&rdma_frame[108..]);
+        let bound = bound_bytes(word, &rdma_frame).unwrap();
+        let tag = frame_tag(&key, src, word, seq, rdma_frame.len(), bound);
+        assert_eq!(tag, HmacSha256::mac(&raw, &transcript));
+        assert_eq!(
+            tag.to_hex(),
+            "169b49221e7da3af6b8ec2d1b7272fa229546b95c20165260d80ad33614ba644"
+        );
+        // The ciphertext is not in the channel transcript; the kind is.
+        let mut flipped = rdma_frame.clone();
+        flipped[50] ^= 1;
+        let bound = bound_bytes(word, &flipped).unwrap();
+        assert_eq!(frame_tag(&key, src, word, seq, 140, bound), tag);
+        let bound = bound_bytes(epoch, &rdma_frame).unwrap();
+        assert_ne!(frame_tag(&key, src, epoch, seq, 140, bound), tag);
+    }
+
+    fn hex_bytes(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
     }
 
     #[test]

@@ -8,20 +8,35 @@
 //! attested, controlled-sharing story, not a side door.
 //!
 //! Two TEEs connect by exchanging attestations: each side's verifier
-//! checks the other machine's quote + domain report, and the connection
-//! key is derived from both report digests and both nonces. Every frame
-//! on the (untrusted) wire is encrypted under that key — the test suite
-//! literally greps the wire capture for plaintext.
+//! checks the other machine's quote + domain report, and one HKDF over
+//! both report digests and both nonces yields the connection's two keys,
+//! a MAC key and a keystream key. Every frame on the (untrusted) wire is
+//! `seq_le ‖ ciphertext ‖ tag`: the payload XORed with ChaCha20 blocks
+//! under the keystream key with `seq_le ‖ 0u32` as the nonce and the
+//! block index as the counter, then HMAC-SHA256 under the MAC key over
+//! `seq_le ‖ ciphertext`. The test suite literally greps the wire capture
+//! for plaintext.
 //!
 //! One-sided `rdma_write` then moves bytes from the local TEE's memory
 //! (read through its own hardware-enforced view) into the remote MR
 //! (bounds- and ownership-checked by the remote NIC at delivery time).
+//! Delivery is two steps, so a transport can slot its own checks
+//! between them: [`RdmaConnection::check_frame`] authenticates a frame,
+//! and [`RdmaConnection::land_frame`] lands only what that check passed.
 
 use crate::client::TycheClient;
 use tyche_core::prelude::*;
-use tyche_crypto::{hkdf, ChaChaRng, HmacSha256};
+use tyche_crypto::{chacha, hkdf, Digest, HmacSha256};
 use tyche_monitor::attest::{SignedReport, Verifier, VerifyError};
 use tyche_monitor::Monitor;
+
+/// Wire bytes an RDMA frame adds to its payload: the 8-byte sequence
+/// number in front and the 32-byte tag behind.
+const FRAME_OVERHEAD: usize = 40;
+
+/// The largest payload one frame carries: the ChaCha20 block counter is
+/// 32 bits and counts 64-byte blocks.
+const MAX_PAYLOAD: u64 = 64 << 32;
 
 /// A remote-access key naming a registered memory region.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -146,9 +161,10 @@ impl Wire {
 /// An established, mutually attested connection between two TEEs.
 pub struct RdmaConnection {
     // (key material; Debug deliberately omits it)
-    key: [u8; 32],
-    /// `key` as a keyed HMAC state, for frame tags.
+    /// The MAC key as a keyed HMAC state, for frame tags.
     mac: HmacSha256,
+    /// The ChaCha20 key for payload keystreams.
+    ks_key: [u8; 32],
     /// Sequence number of the next frame this side produces.
     seq: u64,
     /// Lowest sequence number this side still accepts; every frame
@@ -162,10 +178,18 @@ impl core::fmt::Debug for RdmaConnection {
     }
 }
 
+/// A wire frame whose tag [`RdmaConnection::check_frame`] verified; the
+/// only thing [`RdmaConnection::land_frame`] accepts.
+#[derive(Debug)]
+pub struct CheckedFrame<'a> {
+    seq: u64,
+    ciphertext: &'a [u8],
+}
+
 impl RdmaConnection {
     /// Establishes a connection: each side verifies the other's machine
     /// quote and domain report with its own verifier, then both derive
-    /// the same channel key from the two report digests and nonces.
+    /// the same keys from the two report digests and nonces.
     #[allow(clippy::too_many_arguments)]
     pub fn establish(
         local_verifier: &Verifier,
@@ -185,7 +209,7 @@ impl RdmaConnection {
                 expected_remote_measurement,
             )
             .map_err(RdmaError::Attestation)?;
-        // Both sides hold both reports after the exchange; the key binds
+        // Both sides hold both reports after the exchange; the keys bind
         // the channel to this exact pair of attested configurations.
         let mut a = local_report.report.digest();
         let mut b = remote_report.report.digest();
@@ -197,39 +221,34 @@ impl RdmaConnection {
         ikm.extend_from_slice(b.as_bytes());
         ikm.extend_from_slice(remote_quote_nonce);
         ikm.extend_from_slice(remote_report_nonce);
-        let key = hkdf::derive_key32(b"tyche-rdma", &ikm, b"channel");
-        Ok(Self::with_key(key))
+        // 64 bytes: the MAC key, then the keystream key.
+        let okm = hkdf::derive(b"tyche-rdma", &ikm, b"channel", 64);
+        let (mac_key, ks_key) = okm.split_at(32);
+        let mut ks = [0u8; 32];
+        ks.copy_from_slice(ks_key);
+        Ok(Self::with_keys(mac_key, ks))
     }
 
-    /// A fresh connection (both sequence counters at 0) keyed by `key`.
-    fn with_key(key: [u8; 32]) -> RdmaConnection {
+    /// A fresh connection (both sequence counters at 0).
+    fn with_keys(mac_key: &[u8], ks_key: [u8; 32]) -> RdmaConnection {
         RdmaConnection {
-            key,
-            mac: HmacSha256::new(&key),
+            mac: HmacSha256::new(mac_key),
+            ks_key,
             seq: 0,
             next_recv: 0,
         }
     }
 
-    /// The raw channel key — test-only accessor for authenticating
-    /// captured frames the way a receiver would.
-    #[cfg(test)]
-    pub(crate) fn key_for_tests(&self) -> &[u8; 32] {
-        &self.key
-    }
-
-    /// XORs the per-frame keystream (key + sequence number) into `buf`
-    /// in place: encrypts plaintext, decrypts ciphertext.
+    /// XORs frame `seq`'s keystream into `buf` in place: encrypts
+    /// plaintext, decrypts ciphertext. Block `i` of the stream is
+    /// `chacha::block(ks_key, i, seq_le ‖ 0u32)`; the sequence number
+    /// never repeats within a connection, so neither does a nonce.
     fn apply_keystream(&self, seq: u64, buf: &mut [u8]) {
-        let mut seed = [0u8; 40];
-        seed[..32].copy_from_slice(&self.key);
-        seed[32..].copy_from_slice(&seq.to_le_bytes());
-        let mut rng = ChaChaRng::new(hkdf::derive_key32(b"tyche-rdma-frame", &seed, b"ks"));
-        let mut ks = [0u8; 64];
-        for chunk in buf.chunks_mut(64) {
-            let ks = &mut ks[..chunk.len()];
-            rng.fill_bytes(ks);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+        let mut nonce = [0u8; 12];
+        nonce[..8].copy_from_slice(&seq.to_le_bytes());
+        for (counter, chunk) in (0u32..).zip(buf.chunks_mut(64)) {
+            let ks = chacha::block(&self.ks_key, counter, &nonce);
+            for (b, k) in chunk.iter_mut().zip(ks) {
                 *b ^= k;
             }
         }
@@ -263,9 +282,12 @@ impl RdmaConnection {
         local_addr: u64,
         len: usize,
     ) -> Result<Vec<u8>, RdmaError> {
+        if len as u64 > MAX_PAYLOAD {
+            return Err(RdmaError::OutOfBounds);
+        }
         // Local read through the sender's own enforced view, straight
         // into the frame's payload bytes.
-        let mut frame = Vec::with_capacity(len + 40);
+        let mut frame = Vec::with_capacity(len + FRAME_OVERHEAD);
         frame.resize(8 + len, 0);
         TycheClient::new(local, core)
             .read(local_addr, &mut frame[8..])
@@ -276,14 +298,8 @@ impl RdmaConnection {
         Ok(self.seal(frame))
     }
 
-    /// Receiver half of an RDMA write: authenticates and decrypts one
-    /// wire frame, then delivers it into the remote MR at `remote_off`
-    /// after the remote NIC re-validates ownership and exclusivity.
-    ///
-    /// Frames must arrive in increasing sequence order: an authentic
-    /// frame numbered below one already delivered is a replay and is
-    /// refused ([`RdmaError::Replayed`]). Gaps are allowed — a frame the
-    /// transport lost is simply skipped.
+    /// Receiver half of an RDMA write: [`Self::check_frame`] then
+    /// [`Self::land_frame`].
     pub fn deliver_frame(
         &mut self,
         frame: &[u8],
@@ -292,27 +308,47 @@ impl RdmaConnection {
         rkey: RKey,
         remote_off: u64,
     ) -> Result<(), RdmaError> {
-        if frame.len() < 40 {
+        let checked = self.check_frame(frame)?;
+        self.land_frame(checked, remote, remote_nic, rkey, remote_off)
+    }
+
+    /// Authenticates one wire frame: its tag must verify over
+    /// `seq_le || ciphertext` under this connection's MAC key. Wire bytes
+    /// are untrusted input: a short or forged frame is a checked
+    /// [`RdmaError::BadFrame`], never a caller abort.
+    pub fn check_frame<'a>(&self, frame: &'a [u8]) -> Result<CheckedFrame<'a>, RdmaError> {
+        let (body, tag) = frame.split_last_chunk::<32>().ok_or(RdmaError::BadFrame)?;
+        let (seq, ciphertext) = body.split_first_chunk::<8>().ok_or(RdmaError::BadFrame)?;
+        if !self.mac.check(body, &Digest(*tag)) {
             return Err(RdmaError::BadFrame);
         }
-        // Wire bytes are untrusted input: a malformed tag or header is a
-        // checked `BadFrame`, never a caller abort.
-        let (body, rtag) = frame.split_at(frame.len() - 32);
-        let rtag: [u8; 32] = rtag.try_into().map_err(|_| RdmaError::BadFrame)?;
-        if !self.mac.check(body, &tyche_crypto::Digest(rtag)) {
-            return Err(RdmaError::BadFrame);
-        }
-        let (rseq_bytes, ciphertext) = body.split_at(8);
-        let rseq_bytes: [u8; 8] = rseq_bytes.try_into().map_err(|_| RdmaError::BadFrame)?;
-        let rseq = u64::from_le_bytes(rseq_bytes);
-        if rseq < self.next_recv {
+        Ok(CheckedFrame {
+            seq: u64::from_le_bytes(*seq),
+            ciphertext,
+        })
+    }
+
+    /// Lands an authenticated frame in the remote MR at `remote_off`,
+    /// after the remote NIC re-validates ownership and exclusivity, and
+    /// only then decrypts it.
+    ///
+    /// Frames must arrive in increasing sequence order: an authentic
+    /// frame numbered below one already delivered is a replay and is
+    /// refused ([`RdmaError::Replayed`]). Gaps are allowed — a frame the
+    /// transport lost is simply skipped.
+    pub fn land_frame(
+        &mut self,
+        frame: CheckedFrame<'_>,
+        remote: &mut Monitor,
+        remote_nic: &RdmaNic,
+        rkey: RKey,
+        remote_off: u64,
+    ) -> Result<(), RdmaError> {
+        if frame.seq < self.next_recv {
             return Err(RdmaError::Replayed);
         }
-        let next_recv = rseq.checked_add(1).ok_or(RdmaError::BadFrame)?;
-        let len = ciphertext.len();
-        let mut plain = ciphertext.to_vec();
-        self.apply_keystream(rseq, &mut plain);
-
+        let next_recv = frame.seq.checked_add(1).ok_or(RdmaError::BadFrame)?;
+        let len = frame.ciphertext.len();
         let mr = remote_nic
             .regions
             .get(&rkey)
@@ -347,6 +383,8 @@ impl RdmaConnection {
         if !still_owner {
             return Err(RdmaError::ExclusivityLost);
         }
+        let mut plain = frame.ciphertext.to_vec();
+        self.apply_keystream(frame.seq, &mut plain);
         // The NIC DMAs through the memory-encryption controller, like the
         // CPU does (TDX-IO-style trusted device path).
         remote
@@ -691,25 +729,15 @@ mod tests {
         )
         .unwrap();
         let frame = wire.frames.last().unwrap().clone();
-        assert!(frame.len() >= 40, "seq + payload + 32-byte tag");
+        assert!(frame.len() >= FRAME_OVERHEAD, "seq + payload + 32-byte tag");
         // An unmodified frame authenticates under the connection key...
         let (body, tag) = frame.split_at(frame.len() - 32);
-        let tag = tyche_crypto::Digest(tag.try_into().unwrap());
-        assert!(tyche_crypto::HmacSha256::verify(
-            conn.key_for_tests(),
-            body,
-            &tag
-        ));
+        assert!(conn.mac.check(body, &Digest(tag.try_into().unwrap())));
         // ...and a tampered one does not.
         let mut evil = frame.clone();
         evil[9] ^= 0x80;
         let (ebody, etag) = evil.split_at(evil.len() - 32);
-        let etag = tyche_crypto::Digest(etag.try_into().unwrap());
-        assert!(!tyche_crypto::HmacSha256::verify(
-            conn.key_for_tests(),
-            ebody,
-            &etag
-        ));
+        assert!(!conn.mac.check(ebody, &Digest(etag.try_into().unwrap())));
     }
 
     /// Reads `len` bytes of B's MR as B's TEE.
@@ -801,27 +829,55 @@ mod tests {
 
     #[test]
     fn rdma_frame_is_pinned() {
-        // One wire frame for a fixed key, sequence number and payload
+        // One wire frame for fixed keys, sequence number and payload
         // (crossing a 64-byte keystream block): `seq_le || ciphertext ||
         // tag` must never drift.
-        let mut conn = RdmaConnection::with_key([0x42; 32]);
-        conn.seq = 7;
+        let (mac_key, ks_key, seq) = ([0x42u8; 32], [0x24u8; 32], 7u64);
+        let plaintext: Vec<u8> = (0..100u8).collect();
+        let mut conn = RdmaConnection::with_keys(&mac_key, ks_key);
+        conn.seq = seq;
         let mut frame = vec![0u8; 8];
-        frame.extend(0..100u8);
-        let hex: String = conn
-            .seal(frame)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
+        frame.extend_from_slice(&plaintext);
+        let frame = conn.seal(frame);
+        assert_eq!(conn.seq, seq + 1);
+
+        // From the definition: block i of the keystream is ChaCha20 with
+        // counter i and nonce `seq_le || 0u32`; the tag is HMAC-SHA256
+        // over `seq_le || ciphertext`.
+        let mut nonce = [0u8; 12];
+        nonce[..8].copy_from_slice(&seq.to_le_bytes());
+        let mut expected = seq.to_le_bytes().to_vec();
+        for (i, chunk) in plaintext.chunks(64).enumerate() {
+            let ks = chacha::block(&ks_key, i as u32, &nonce);
+            expected.extend(chunk.iter().zip(ks).map(|(p, k)| p ^ k));
+        }
+        let tag = HmacSha256::mac(&mac_key, &expected);
+        expected.extend_from_slice(tag.as_bytes());
+        assert_eq!(frame, expected);
+
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "07000000000000009a53999d598c645168997708e96f126be3abefe21b9b9e81\
-             270313554db6919674e9639e29a11d0a11d36e600c75fe5aacf284e946a3ea64\
-             9b927cca01287efdfb717646a140d47a077094868f61a04d28c7b5e1c18f43f5\
-             d166949e5ececbfe994fee84df6d2ff3cdfb2d914d096bae762b8b711f277419\
-             f29aa7bd12b0170c2c53d7a1"
+            "07000000000000008699b9d84c0d0672b6dc4abce2192e90da2dc3e93fc66b42\
+             dfc476fab0671e80bbc97de1e512a1056884c17a17021fe9c553d7aca831c6d3\
+             396a4a2a51ca7def797ce8e35ca61baac1dfddab10b1faf631185b2571ba2983\
+             a81b65fb05256b770c3d3fd1d26f9870d014a080208cd5c2f5757189a97ace02\
+             efca34df9145c47ef34d6948"
         );
-        assert_eq!(conn.seq, 8);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused() {
+        // The 32-bit ChaCha20 block counter covers 256 GiB per frame; a
+        // longer payload would reuse keystream, so it is never produced.
+        let (mut ma, ga, _mb, _gb, mut conn, _nic_b, _rkey, _wire) = connected();
+        TycheClient::new(&mut ma, 0).enter(ga).unwrap();
+        let len = usize::try_from(MAX_PAYLOAD + 1).unwrap();
+        assert_eq!(
+            conn.produce_frame(&mut ma, 0, TEE_MEM.0, len),
+            Err(RdmaError::OutOfBounds)
+        );
+        assert_eq!(conn.seq, 0);
     }
 
     #[test]

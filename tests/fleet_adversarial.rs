@@ -10,10 +10,15 @@
 //! a seeded 3-machine fleet under injected NIC drop/dup faults run
 //! twice produces bit-identical per-machine trace chains and equal
 //! engine states.
+//!
+//! The attested-RDMA cases at the end tamper with a frame produced by
+//! `rdma_send` and check that `rdma_deliver` rejects it at the exact
+//! frame index, leaves the remote memory region unchanged, and tears
+//! the channel down.
 
 use tyche_core::channel::ViolationReason;
 use tyche_crypto::{hash, Digest};
-use tyche_fleet::{Fleet, FleetConfig, FleetError, FRAME_OVERHEAD};
+use tyche_fleet::{Fleet, FleetConfig, FleetError, RdmaSession, FRAME_OVERHEAD, TEE_MEM};
 use tyche_hw::faults::{FaultPlan, FaultSite};
 use tyche_hw::nic::Frame;
 use tyche_monitor::attest::VerifyError;
@@ -256,4 +261,210 @@ fn faulted_fleet_replays_bit_identically() {
     // secrets, so the chains are a pure function of the schedule.)
     assert_eq!(chains_a, chains_b);
     assert_eq!(engines_a, engines_b);
+}
+
+/// Where machine 0's TEE stages an outgoing RDMA payload (inside its
+/// TEE memory, outside the registered MR).
+const RDMA_SRC: u64 = TEE_MEM.0 + 0x2000;
+
+/// The payload of the clean RDMA write every tamper case starts with.
+const CLEAN: &[u8] = b"clean rdma write";
+
+/// Machine 0's TEE stages `data` and sends it to machine 1 as an RDMA
+/// frame; returns the channel sequence number.
+fn stage_and_send(fleet: &mut Fleet, sess: &mut RdmaSession, data: &[u8]) -> u64 {
+    fleet.enter_tee(0, 0).unwrap();
+    fleet.tee_write(0, 0, RDMA_SRC, data).unwrap();
+    let seq = fleet
+        .rdma_send(sess, 0, 1, 0, RDMA_SRC, data.len())
+        .unwrap();
+    fleet.exit_tee(0, 0).unwrap();
+    seq
+}
+
+/// Machine 1's MR contents, read as its TEE.
+fn read_mr(fleet: &mut Fleet, len: usize) -> Vec<u8> {
+    let mut got = vec![0u8; len];
+    fleet.enter_tee(1, 0).unwrap();
+    fleet
+        .tee_read(1, 0, tyche_fleet::RDMA_MR.0, &mut got)
+        .unwrap();
+    fleet.exit_tee(1, 0).unwrap();
+    got
+}
+
+/// A pair fleet with an RDMA session 0 → 1 whose first write (frame 0
+/// on the channel) landed cleanly.
+fn rdma_fleet(seed: u64) -> (Fleet, RdmaSession) {
+    let mut fleet = pair_fleet(seed);
+    let mut sess = fleet.rdma_connect(0, 1).unwrap();
+    assert_eq!(stage_and_send(&mut fleet, &mut sess, CLEAN), 0);
+    fleet.rdma_deliver(&mut sess, 0, 1, 0, 0).unwrap();
+    assert_eq!(read_mr(&mut fleet, CLEAN.len()), CLEAN);
+    (fleet, sess)
+}
+
+/// Asserts the aftermath of a rejected frame 1: the MR still holds the
+/// clean write, machine 1 tore the channel to 0 down and quarantined
+/// it, and nothing is left over for a plain receive.
+#[track_caller]
+fn assert_torn_down_and_intact(fleet: &mut Fleet) {
+    assert_eq!(read_mr(fleet, CLEAN.len()), CLEAN, "MR changed");
+    let channels = &fleet.machine(1).unwrap().channels;
+    assert!(!channels.is_open(0));
+    assert!(channels.is_quarantined(0));
+    assert!(matches!(fleet.deliver(1, 0), Ok(None)));
+}
+
+/// One RDMA tamper case: after a clean write (frame 0), `tamper` edits
+/// the next RDMA write's channel frame in flight, and `rdma_deliver`
+/// must reject it with `reason` at frame 1. The bytes `tamper` sees are
+/// the channel epoch word (0..8) and seq (8..16), then the RDMA frame —
+/// its seq (16..24), ciphertext, and TEE-pair tag — then the 32-byte
+/// channel tag.
+fn rdma_tamper_case(seed: u64, tamper: impl FnOnce(&mut Vec<u8>), reason: ViolationReason) {
+    let (mut fleet, mut sess) = rdma_fleet(seed);
+    stage_and_send(&mut fleet, &mut sess, b"tampered payload");
+    let mut frame = intercept(&mut fleet, 1);
+    tamper(&mut frame.payload);
+    fleet.inject(1, frame).unwrap();
+    assert_violation(fleet.rdma_deliver(&mut sess, 0, 1, 0, 0), reason, 1);
+    assert_torn_down_and_intact(&mut fleet);
+}
+
+#[test]
+fn rdma_ciphertext_flip_is_rejected_at_the_exact_frame() {
+    rdma_tamper_case(201, |p| p[24] ^= 0x01, ViolationReason::BadMac);
+    rdma_tamper_case(
+        202,
+        |p| {
+            let last_ct = p.len() - 65;
+            p[last_ct] ^= 0x80;
+        },
+        ViolationReason::BadMac,
+    );
+}
+
+#[test]
+fn rdma_seq_flip_is_rejected_at_the_exact_frame() {
+    rdma_tamper_case(203, |p| p[16] ^= 0x01, ViolationReason::BadMac);
+}
+
+#[test]
+fn rdma_tag_flip_is_rejected_at_the_exact_frame() {
+    rdma_tamper_case(
+        204,
+        |p| {
+            let rdma_tag = p.len() - 64;
+            p[rdma_tag] ^= 0x01;
+        },
+        ViolationReason::BadMac,
+    );
+}
+
+#[test]
+fn rdma_channel_header_and_tag_flips_are_rejected_at_the_exact_frame() {
+    // Epoch 1 read as 0: a frame from no epoch this receiver holds a
+    // key for, diagnosed as stale.
+    rdma_tamper_case(205, |p| p[0] ^= 0x01, ViolationReason::StaleEpoch);
+    rdma_tamper_case(206, |p| p[8] ^= 0x01, ViolationReason::BadMac);
+    rdma_tamper_case(
+        207,
+        |p| *p.last_mut().unwrap() ^= 0x01,
+        ViolationReason::BadMac,
+    );
+}
+
+#[test]
+fn truncated_rdma_frame_is_rejected_at_the_exact_frame() {
+    // One byte short: the channel tag no longer lines up.
+    rdma_tamper_case(208, |p| p.truncate(p.len() - 1), ViolationReason::BadMac);
+    // Cut inside the RDMA frame, leaving less than its seq and tag.
+    rdma_tamper_case(209, |p| p.truncate(16 + 20 + 32), ViolationReason::BadMac);
+    // Below the channel header + tag minimum.
+    rdma_tamper_case(
+        210,
+        |p| p.truncate(FRAME_OVERHEAD - 1),
+        ViolationReason::Truncated,
+    );
+}
+
+#[test]
+fn relabelled_frames_are_rejected_at_the_exact_frame() {
+    // An ordinary frame relabelled as RDMA-kind (the top bit of the
+    // wire epoch word) on its way into the RDMA receive.
+    let (mut fleet, mut sess) = rdma_fleet(211);
+    fleet.send(0, 1, 0, &[0x5a; 64]).unwrap();
+    let mut frame = intercept(&mut fleet, 1);
+    frame.payload[7] ^= 0x80;
+    fleet.inject(1, frame).unwrap();
+    assert_violation(
+        fleet.rdma_deliver(&mut sess, 0, 1, 0, 0),
+        ViolationReason::BadMac,
+        1,
+    );
+    assert_torn_down_and_intact(&mut fleet);
+
+    // The same relabel into a plain receive.
+    let (mut fleet, _sess) = rdma_fleet(212);
+    fleet.send(0, 1, 0, &[0x5a; 64]).unwrap();
+    let mut frame = intercept(&mut fleet, 1);
+    frame.payload[7] ^= 0x80;
+    fleet.inject(1, frame).unwrap();
+    assert_violation(fleet.deliver(1, 0), ViolationReason::BadMac, 1);
+    assert_torn_down_and_intact(&mut fleet);
+
+    // An RDMA frame relabelled as ordinary.
+    rdma_tamper_case(213, |p| p[7] ^= 0x80, ViolationReason::BadMac);
+}
+
+#[test]
+fn rdma_frame_is_never_a_plain_delivery() {
+    // An RDMA frame no session has checked: a plain receive must not
+    // hand its bytes out, neither from `deliver` nor from `pump`.
+    let (mut fleet, mut sess) = rdma_fleet(214);
+    stage_and_send(&mut fleet, &mut sess, b"for the session only");
+    assert_violation(fleet.deliver(1, 0), ViolationReason::BadMac, 1);
+    assert_torn_down_and_intact(&mut fleet);
+
+    let (mut fleet, mut sess) = rdma_fleet(215);
+    stage_and_send(&mut fleet, &mut sess, b"for the session only");
+    let (accepted, rejected) = fleet.pump(1, 0);
+    assert!(accepted.is_empty());
+    assert_eq!(rejected.len(), 1);
+    assert_eq!(rejected[0].frame_index, 1);
+}
+
+#[test]
+fn rdma_receive_keeps_other_peers_frames_in_order() {
+    // Machines 2 and 0 both have frames queued at machine 1 when its
+    // RDMA receive from 0 runs: the frames from 2 are judged and handed
+    // out, in order, by the next plain receives.
+    let mut fleet = Fleet::new(&FleetConfig {
+        machines: 3,
+        seed: 216,
+        ..FleetConfig::default()
+    })
+    .expect("fleet boots");
+    assert_eq!(fleet.establish_all(), 3);
+    let mut sess = fleet.rdma_connect(0, 1).unwrap();
+    fleet.send(2, 1, 0, b"from two").unwrap();
+    fleet.send(2, 1, 0, b"from two, again").unwrap();
+    fleet.enter_tee(0, 0).unwrap();
+    fleet.tee_write(0, 0, RDMA_SRC, CLEAN).unwrap();
+    fleet
+        .rdma_write(&mut sess, 0, 1, 0, RDMA_SRC, CLEAN.len(), 0)
+        .unwrap();
+    fleet.exit_tee(0, 0).unwrap();
+    assert_eq!(read_mr(&mut fleet, CLEAN.len()), CLEAN);
+    assert_eq!(fleet.machine(1).unwrap().stats().accepted, 3);
+    let first = fleet.deliver(1, 0).unwrap().expect("first frame from 2");
+    assert_eq!((first.from, first.seq), (2, 0));
+    assert_eq!(first.payload, b"from two");
+    let (accepted, rejected) = fleet.pump(1, 0);
+    assert!(rejected.is_empty());
+    assert_eq!(accepted.len(), 1);
+    assert_eq!((accepted[0].from, accepted[0].seq), (2, 1));
+    assert_eq!(accepted[0].payload, b"from two, again");
+    assert!(matches!(fleet.deliver(1, 0), Ok(None)));
 }
