@@ -26,6 +26,7 @@ use crate::capability::{CapKind, Capability};
 use crate::domain::{Domain, DomainState, SealPolicy};
 use crate::effect::Effect;
 use crate::error::CapError;
+use crate::holders::{HolderIndex, UnitKey};
 use crate::ids::{CapId, DomainId, IdAllocator};
 use crate::interval::IntervalTree;
 use crate::refcount::{mem_refcount, RefCount};
@@ -87,11 +88,16 @@ pub struct CapEngine {
     /// prune by subtree `max_end` — `O(log n + k)` instead of scanning
     /// every interval left of the query.
     mem_index: IntervalTree,
-    /// Non-memory resource → capability ids (active and suspended), keyed
-    /// by `(type_tag, value)`. Backs `owns_core`/`owns_device`, the unit
-    /// refcounts in `enumerate`, and the dangling-transition sweep in
-    /// `kill`.
+    /// Transition target → capability ids (active and suspended), keyed
+    /// `(3, target)` (the transition type tag). Backs the
+    /// dangling-transition sweep in `kill` and the deactivation sweep in
+    /// `quarantine`.
     res_index: BTreeMap<(u8, u64), BTreeSet<CapId>>,
+    /// Active core/device/interrupt capabilities grouped by unit, then
+    /// owner. A unit's refcount is its owner count, and
+    /// `owns_core`/`owns_device` look at the queried domain's own
+    /// capabilities only, however many co-tenants share the unit.
+    holders: HolderIndex,
     /// Set once a corruption hook hands out mutable internals: the
     /// indexes may be stale, so every query falls back to the scan path
     /// (corruption hooks exist only for mutation tests).
@@ -317,7 +323,8 @@ impl CapEngine {
     }
 
     /// Retained heap footprint of the engine's storage layer: the slab
-    /// stores, the interval index, the unit-resource index, the effects
+    /// stores, the interval index, the transition and unit-holder
+    /// indexes, the effects
     /// buffer, and the revoked-lineage table. Capacity-based, so it
     /// reports what the allocator actually holds; per-value heap (e.g.
     /// a capability's `children` set) is estimated from live counts.
@@ -335,6 +342,7 @@ impl CapEngine {
         let owner_bytes = owner_entries * 8 * 3 / 2;
         self.store_bytes()
             + self.mem_index.storage_bytes()
+            + self.holders.storage_bytes()
             + self.effects.capacity() * std::mem::size_of::<Effect>()
             + self.revoked.storage_bytes()
             + children
@@ -964,67 +972,54 @@ impl CapEngine {
 
     /// True when `domain` holds an active capability for CPU `core`.
     pub fn owns_core(&self, domain: DomainId, core: usize) -> bool {
-        if self.indexes_poisoned {
-            return self.owns_core_scan(domain, core);
-        }
-        let out = self
-            .res_index
-            .get(&(1, core as u64))
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .filter_map(|id| self.caps.get(id.0))
-            .any(|c| c.owner == domain && c.active && c.rights.can_use());
-        #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
-        assert_eq!(
-            out,
-            self.owns_core_scan(domain, core),
-            "core index diverged from scan"
-        );
-        out
+        self.owns_unit(domain, Resource::CpuCore(core))
     }
 
     /// Scan-based reference implementation of [`owns_core`](Self::owns_core).
     #[doc(hidden)]
     pub fn owns_core_scan(&self, domain: DomainId, core: usize) -> bool {
-        self.caps.values().any(|c| {
-            c.owner == domain
-                && c.active
-                && c.rights.can_use()
-                && matches!(c.resource, Resource::CpuCore(n) if n == core)
-        })
+        self.owns_unit_scan(domain, Resource::CpuCore(core))
     }
 
     /// True when `domain` holds an active capability for `device`.
     pub fn owns_device(&self, domain: DomainId, device: u16) -> bool {
-        if self.indexes_poisoned {
-            return self.owns_device_scan(domain, device);
-        }
-        let out = self
-            .res_index
-            .get(&(2, u64::from(device)))
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .filter_map(|id| self.caps.get(id.0))
-            .any(|c| c.owner == domain && c.active && c.rights.can_use());
-        #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
-        assert_eq!(
-            out,
-            self.owns_device_scan(domain, device),
-            "device index diverged from scan"
-        );
-        out
+        self.owns_unit(domain, Resource::Device(device))
     }
 
     /// Scan-based reference implementation of
     /// [`owns_device`](Self::owns_device).
     #[doc(hidden)]
     pub fn owns_device_scan(&self, domain: DomainId, device: u16) -> bool {
-        self.caps.values().any(|c| {
-            c.owner == domain
-                && c.active
-                && c.rights.can_use()
-                && matches!(c.resource, Resource::Device(d) if d == device)
-        })
+        self.owns_unit_scan(domain, Resource::Device(device))
+    }
+
+    /// True when one of `domain`'s active capabilities over `unit`
+    /// carries the use right. Looks only at the capabilities `domain`
+    /// itself holds on the unit: `O(log n)` plus those, however many
+    /// co-tenants share it.
+    fn owns_unit(&self, domain: DomainId, unit: Resource) -> bool {
+        if self.indexes_poisoned {
+            return self.owns_unit_scan(domain, unit);
+        }
+        let out = Self::unit_key(&unit).is_some_and(|key| {
+            self.holders
+                .caps_of(key, domain)
+                .filter_map(|id| self.caps.get(id.0))
+                .any(|c| c.rights.can_use())
+        });
+        #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
+        assert_eq!(
+            out,
+            self.owns_unit_scan(domain, unit),
+            "unit holder index diverged from scan"
+        );
+        out
+    }
+
+    fn owns_unit_scan(&self, domain: DomainId, unit: Resource) -> bool {
+        self.caps
+            .values()
+            .any(|c| c.owner == domain && c.active && c.rights.can_use() && c.resource == unit)
     }
 
     // ------------------------------------------------------------------
@@ -1137,10 +1132,14 @@ impl CapEngine {
         if !dom.is_alive() {
             return Err(CapError::NoSuchDomain(domain));
         }
-        // The scan twin prices refcounts against the full coverage list;
-        // the indexed path answers each one from a pruned overlap query
-        // instead, so enumerating one tenant stays O(own · log n) no
-        // matter how many unrelated domains are resident.
+        // The scan twin prices refcounts against the full coverage list
+        // and every capability. The indexed path answers a memory
+        // refcount from a pruned overlap query (`O(log n + k log k)` for
+        // the `k` intervals overlapping the region) and a unit refcount
+        // from the holder index's owner count (`O(log n)`), so
+        // enumerating one tenant costs its own capabilities plus the
+        // memory actually shared with it, however many domains are
+        // resident or share its cores, devices and interrupts.
         let coverage = if use_index {
             Vec::new()
         } else {
@@ -1196,36 +1195,28 @@ impl CapEngine {
     /// Reference count of a unit (core/device/interrupt) resource:
     /// distinct owners holding an active capability over it.
     fn unit_owner_count(&self, resource: Resource, use_index: bool) -> usize {
-        let owners: Vec<DomainId> = if use_index {
-            Self::res_key(&resource)
-                .and_then(|key| self.res_index.get(&key))
-                .into_iter()
-                .flat_map(|ids| ids.iter())
-                .filter_map(|id| self.caps.get(id.0))
-                .filter(|k| k.active)
-                .map(|k| k.owner)
-                .collect()
-        } else {
+        if use_index {
+            return Self::unit_key(&resource).map_or(0, |key| self.holders.owner_count(key));
+        }
+        crate::refcount::unit_refcount(
             self.caps
                 .values()
                 .filter(|k| k.active && k.resource == resource)
                 .map(|k| k.owner)
-                .collect()
-        };
-        crate::refcount::unit_refcount(owners)
+                .collect(),
+        )
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    /// Index key for non-memory resources: `(type_tag, value)`.
-    fn res_key(resource: &Resource) -> Option<(u8, u64)> {
+    /// Holder-index key for unit resources: `(type_tag, value)`.
+    fn unit_key(resource: &Resource) -> Option<UnitKey> {
         match resource {
-            Resource::Memory(_) => None,
+            Resource::Memory(_) | Resource::Transition(_) => None,
             Resource::CpuCore(n) => Some((1, *n as u64)),
             Resource::Device(d) => Some((2, u64::from(*d))),
-            Resource::Transition(t) => Some((3, t.0)),
             Resource::Interrupt(v) => Some((4, u64::from(*v))),
         }
     }
@@ -1239,13 +1230,11 @@ impl CapEngine {
             self.by_owner
                 .insert(cap.owner.0, BTreeSet::from([cap.id]));
         }
-        if let Some(key) = Self::res_key(&cap.resource) {
-            self.res_index.entry(key).or_default().insert(cap.id);
+        if let Resource::Transition(t) = cap.resource {
+            self.res_index.entry((3, t.0)).or_default().insert(cap.id);
         }
         if cap.active {
-            if let Some(r) = cap.resource.as_mem() {
-                self.mem_index.insert(r.start, cap.id, r.end, cap.owner);
-            }
+            self.index_activate(cap.id, cap.resource, cap.owner);
         }
     }
 
@@ -1261,7 +1250,8 @@ impl CapEngine {
         if drained {
             self.by_owner.remove(cap.owner.0);
         }
-        if let Some(key) = Self::res_key(&cap.resource) {
+        if let Resource::Transition(t) = cap.resource {
+            let key = (3, t.0);
             if let Some(ids) = self.res_index.get_mut(&key) {
                 ids.remove(&cap.id);
                 if ids.is_empty() {
@@ -1269,26 +1259,43 @@ impl CapEngine {
                 }
             }
         }
-        if let Some(r) = cap.resource.as_mem() {
-            self.mem_index.remove(r.start, cap.id);
-        }
+        self.index_deactivate(cap.id, cap.resource, cap.owner);
     }
 
     /// Flips a capability's `active` flag, keeping the active-memory
-    /// index in lock-step. The only two places `active` changes are
-    /// suspension (grant/split) and reactivation (revocation of the
-    /// suspending children) — both funnel through here.
+    /// and unit-holder indexes in lock-step. Besides quarantine's
+    /// transition sweep, `active` changes only on suspension
+    /// (grant/split) and reactivation (revocation of the suspending
+    /// children) — all funnel through here.
     fn set_cap_active(&mut self, id: CapId, active: bool) {
         if let Some(c) = self.caps.get_mut(id.0) {
             c.active = active;
             let (resource, owner) = (c.resource, c.owner);
-            if let Some(r) = resource.as_mem() {
-                if active {
-                    self.mem_index.insert(r.start, id, r.end, owner);
-                } else {
-                    self.mem_index.remove(r.start, id);
-                }
+            if active {
+                self.index_activate(id, resource, owner);
+            } else {
+                self.index_deactivate(id, resource, owner);
             }
+        }
+    }
+
+    /// Adds an active capability to the index that holds only active
+    /// ones for its resource type (memory intervals or unit holders).
+    fn index_activate(&mut self, id: CapId, resource: Resource, owner: DomainId) {
+        if let Some(r) = resource.as_mem() {
+            self.mem_index.insert(r.start, id, r.end, owner);
+        } else if let Some(key) = Self::unit_key(&resource) {
+            self.holders.insert(key, owner, id);
+        }
+    }
+
+    /// Inverse of [`index_activate`](Self::index_activate); a no-op for
+    /// a capability that is not indexed.
+    fn index_deactivate(&mut self, id: CapId, resource: Resource, owner: DomainId) {
+        if let Some(r) = resource.as_mem() {
+            self.mem_index.remove(r.start, id);
+        } else if let Some(key) = Self::unit_key(&resource) {
+            self.holders.remove(key, owner, id);
         }
     }
 

@@ -72,6 +72,7 @@ pub mod domain;
 pub mod effect;
 pub mod engine;
 pub mod error;
+pub mod holders;
 pub mod ids;
 pub mod interval;
 pub mod metrics;

@@ -1,21 +1,24 @@
 //! Property tests for the arena-backed engine storage at scale.
 //!
-//! The slab [`Store`] and the interval-tree `mem_index` each keep a
-//! naive differential twin in the engine (`caps_of_scan`,
-//! `active_mem_coverage_scan`, `refcount_mem_full_scan`,
-//! `enumerate_scan`): full scans over the same state that the indexed
+//! The slab [`Store`], the interval-tree `mem_index` and the unit
+//! [`HolderIndex`] each keep a naive differential twin in the engine
+//! (`caps_of_scan`, `active_mem_coverage_scan`,
+//! `refcount_mem_full_scan`, `enumerate_scan`, `owns_core_scan`,
+//! `owns_device_scan`): full scans over the same state that the indexed
 //! paths answer from their structures. These properties drive
-//! randomized create/share/revoke/kill interleavings to populations of
-//! ten thousand domains — enough churn that the slab freelists recycle
-//! thousands of slots — and require the indexed answers to match the
-//! scans exactly, plus a slot-reuse/generation-tag regression so a
-//! stale handle can never alias a recycled slot (ABA).
+//! randomized create/share/grant/revoke/quarantine/kill interleavings
+//! to populations of ten thousand domains — enough churn that the slab
+//! freelists recycle thousands of slots and hundreds of domains share
+//! each core, device and interrupt — and require the indexed answers to
+//! match the scans exactly, plus a slot-reuse/generation-tag regression
+//! so a stale handle can never alias a recycled slot (ABA).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tyche_core::audit::audit;
 use tyche_core::engine::EFFECTS_RETAIN;
+use tyche_core::holders::{HolderIndex, UnitKey};
 use tyche_core::interval::IntervalTree;
 use tyche_core::prelude::*;
 use tyche_core::store::{Store, INDEX_PAGE};
@@ -26,6 +29,9 @@ use tyche_core::store::{Store, INDEX_PAGE};
 const POPULATION: usize = 10_000;
 /// One 8 KiB lane per domain inside the root endowment.
 const LANE: u64 = 0x2000;
+/// Cores, devices and interrupt vectors in the root endowment: few
+/// enough that hundreds of domains share each one.
+const UNITS: u64 = 8;
 
 /// xorshift64* — the same tiny generator the stress tests use, so the
 /// interleavings are reproducible from the proptest-chosen seed.
@@ -50,19 +56,63 @@ impl Rng {
 
 /// Grows a population of `POPULATION` domains under seeded churn:
 /// every domain may get a page of the root endowment shared into its
-/// lane, and a sliding window of older domains is revoked or killed as
-/// the population grows, so creation constantly reuses freed slots.
+/// lane and a core, device or interrupt shared to it (one in four
+/// without the use right), and a sliding window of older domains is
+/// revoked or killed as the population grows, so creation constantly
+/// reuses freed slots. Unit capabilities are also granted onward —
+/// suspending the granter's until a revoke or kill reactivates it —
+/// and some domains are quarantined.
 fn churned_population(seed: u64) -> (CapEngine, DomainId, Vec<DomainId>) {
     let mut e = CapEngine::new();
     let root = e.create_root_domain();
     let ram = e
-        .endow(root, Resource::mem(0, POPULATION as u64 * LANE), Rights::RWX)
+        .endow(
+            root,
+            Resource::mem(0, POPULATION as u64 * LANE),
+            Rights::RWX,
+        )
         .unwrap();
+    let mut units: Vec<CapId> = Vec::new();
+    for u in 0..UNITS {
+        for r in [
+            Resource::CpuCore(u as usize),
+            Resource::Device(u as u16),
+            Resource::Interrupt(u as u32),
+        ] {
+            units.push(e.endow(root, r, Rights::USE).unwrap());
+        }
+    }
     let mut rng = Rng::new(seed);
     let mut live: Vec<DomainId> = Vec::new();
     let mut shared_caps: Vec<CapId> = Vec::new();
+    let mut unit_caps: Vec<CapId> = Vec::new();
+    let (mut granted, mut reactivated, mut quarantined) = (0usize, 0usize, 0usize);
     for i in 0..POPULATION {
         let (d, _gate) = e.create_domain(root).unwrap();
+        if rng.below(4) == 0 {
+            let unit = units[rng.below(units.len() as u64) as usize];
+            let rights = if rng.below(4) == 0 {
+                Rights::NONE
+            } else {
+                Rights::USE
+            };
+            let cap = e
+                .share(root, unit, d, None, rights, RevocationPolicy::NONE)
+                .unwrap();
+            unit_caps.push(cap);
+        }
+        // Grant a live unit capability to the newcomer: the holder's
+        // copy is suspended until the grant is revoked or `d` dies.
+        if rng.below(8) == 0 && !unit_caps.is_empty() {
+            let cap = unit_caps[rng.below(unit_caps.len() as u64) as usize];
+            if let Some(c) = e.cap(cap).filter(|c| c.active) {
+                let (holder, rights) = (c.owner, c.rights);
+                if let Ok(g) = e.grant(holder, cap, d, None, rights, RevocationPolicy::NONE) {
+                    unit_caps.push(g);
+                    granted += 1;
+                }
+            }
+        }
         if rng.below(2) == 0 {
             let base = i as u64 * LANE;
             let cap = e
@@ -88,16 +138,43 @@ fn churned_population(seed: u64) -> (CapEngine, DomainId, Vec<DomainId>) {
                 let _ = e.revoke(root, cap);
             }
         }
+        if rng.below(8) == 0 && !unit_caps.is_empty() {
+            let idx = rng.below(unit_caps.len() as u64) as usize;
+            let cap = unit_caps.swap_remove(idx);
+            let suspended_parent = e
+                .cap(cap)
+                .filter(|c| c.kind == CapKind::Granted)
+                .and_then(|c| c.parent);
+            if e.cap(cap).is_some() {
+                let _ = e.revoke(root, cap);
+            }
+            if suspended_parent
+                .and_then(|p| e.cap(p))
+                .is_some_and(|p| p.active)
+            {
+                reactivated += 1;
+            }
+        }
         if rng.below(8) == 0 && live.len() > 1 {
             let idx = rng.below(live.len() as u64 - 1) as usize;
             let victim = live.swap_remove(idx);
             let _ = e.kill(root, victim);
+        }
+        if rng.below(64) == 0 && !live.is_empty() {
+            let victim = live[rng.below(live.len() as u64) as usize];
+            e.quarantine(victim).unwrap();
+            quarantined += 1;
         }
         // Keep the drained-effects backlog bounded during the build.
         if i % 1024 == 0 {
             let _ = e.drain_effects();
         }
     }
+    assert!(
+        granted > 0 && reactivated > 0 && quarantined > 0,
+        "churn skipped a transition: {granted} grants, {reactivated} reactivations, \
+         {quarantined} quarantines"
+    );
     (e, root, live)
 }
 
@@ -127,17 +204,35 @@ proptest! {
             })
             .collect();
         sample.push(root);
-        for d in sample {
+        let mut shared_unit_seen = false;
+        for &d in &sample {
             let indexed: Vec<CapId> = e.caps_of(d).iter().map(|c| c.id).collect();
             let scanned: Vec<CapId> = e.caps_of_scan(d).iter().map(|c| c.id).collect();
             prop_assert_eq!(indexed, scanned, "caps_of diverged for {:?}", d);
-            prop_assert_eq!(
-                e.enumerate(d).ok(),
-                e.enumerate_scan(d).ok(),
-                "enumerate diverged for {:?}",
-                d
-            );
+            let listed = e.enumerate(d).ok();
+            prop_assert_eq!(&listed, &e.enumerate_scan(d).ok(), "enumerate diverged for {:?}", d);
+            shared_unit_seen |= listed.into_iter().flatten().any(|r| {
+                !matches!(r.resource, Resource::Memory(_) | Resource::Transition(_))
+                    && r.refcount.max > 1
+            });
+            for u in 0..UNITS {
+                prop_assert_eq!(
+                    e.owns_core(d, u as usize),
+                    e.owns_core_scan(d, u as usize),
+                    "owns_core diverged for {:?} on core {}",
+                    d,
+                    u
+                );
+                prop_assert_eq!(
+                    e.owns_device(d, u as u16),
+                    e.owns_device_scan(d, u as u16),
+                    "owns_device diverged for {:?} on device {}",
+                    d,
+                    u
+                );
+            }
         }
+        prop_assert!(shared_unit_seen, "no enumerated unit resource was shared");
 
         // Refcount twins on random windows (interval overlap queries).
         for _ in 0..64 {
@@ -151,6 +246,76 @@ proptest! {
                 region
             );
         }
+
+        // Rewrite a shared core capability's owner behind the holder
+        // index's back: the stale index would still credit the old
+        // owner, so every query must fall back to the scans.
+        let mut e = e;
+        let (cap, old, core) = e
+            .caps()
+            .find_map(|c| match c.resource {
+                Resource::CpuCore(core) if c.active && c.rights.can_use() && c.owner != root => {
+                    Some((c.id, c.owner, core))
+                }
+                _ => None,
+            })
+            .expect("a tenant holds a usable core");
+        let new = sample
+            .iter()
+            .copied()
+            .find(|&d| d != old && !e.owns_core(d, core))
+            .expect("a sampled domain without that core");
+        e.corrupt_cap(cap).unwrap().owner = new;
+        prop_assert!(e.owns_core(new, core), "stale holder index answered");
+        for d in [old, new, root] {
+            prop_assert_eq!(e.owns_core(d, core), e.owns_core_scan(d, core));
+            prop_assert_eq!(e.enumerate(d).ok(), e.enumerate_scan(d).ok());
+        }
+    }
+
+    /// The unit holder index against a `BTreeSet` model of
+    /// `(unit, owner, cap)` entries: after insert/remove interleavings
+    /// every unit's owner count and every owner's capability list agree
+    /// with the model, and draining the model prunes the index back to
+    /// empty.
+    #[test]
+    fn holder_index_agrees_with_set_model(seed in any::<u64>()) {
+        let mut index = HolderIndex::default();
+        let mut model: BTreeSet<(UnitKey, DomainId, CapId)> = BTreeSet::new();
+        let mut rng = Rng::new(seed);
+        let unit = |rng: &mut Rng| ([1u8, 2, 4][rng.below(3) as usize], rng.below(16));
+        for _ in 0..20_000 {
+            let entry = (unit(&mut rng), DomainId(rng.below(64)), CapId(rng.below(512)));
+            if rng.below(3) == 0 {
+                index.remove(entry.0, entry.1, entry.2);
+                model.remove(&entry);
+            } else {
+                index.insert(entry.0, entry.1, entry.2);
+                model.insert(entry);
+            }
+        }
+        for tag in [1u8, 2, 4] {
+            for value in 0..16 {
+                let key = (tag, value);
+                let owners: BTreeSet<DomainId> =
+                    model.iter().filter(|e| e.0 == key).map(|e| e.1).collect();
+                prop_assert_eq!(index.owner_count(key), owners.len());
+                for owner in (0..64).map(DomainId) {
+                    let want: Vec<CapId> = model
+                        .iter()
+                        .filter(|e| e.0 == key && e.1 == owner)
+                        .map(|e| e.2)
+                        .collect();
+                    prop_assert!(index.caps_of(key, owner).eq(want));
+                }
+            }
+        }
+        prop_assert!(index.storage_bytes() > 0);
+        for (unit, owner, cap) in std::mem::take(&mut model) {
+            index.remove(unit, owner, cap);
+        }
+        prop_assert_eq!(index.storage_bytes(), 0);
+        prop_assert_eq!(index, HolderIndex::default());
     }
 
     /// Raw slab semantics against a `BTreeMap` model under randomized
