@@ -15,7 +15,7 @@
 //!    arming mid-stream;
 //! 2. **x86 SMP** — the same schedule shape served through
 //!    [`ConcurrentMonitor::serve`] (single-threaded round-robin across
-//!    cores, so the shard/snapshot/shootdown tiers are exercised
+//!    cores, so the shard/read/shootdown tiers are exercised
 //!    without sacrificing determinism), with periodic
 //!    [`ConcurrentMonitor::sync_shootdowns`];
 //! 3. **RISC-V direct** — the PMP backend under the same storm;
@@ -373,7 +373,7 @@ fn drive_monitor(m: &mut Monitor, d: &mut Driver, n: u64, faults: bool, phase: u
 
 /// Phase 2: the same storm through the SMP serving tiers. Calls go
 /// round-robin-by-RNG across cores on one thread: the shard locks,
-/// snapshot reads, and shootdown queues are all exercised, and the
+/// live-engine reads, and shootdown queues are all exercised, and the
 /// schedule stays a pure function of the seed.
 fn drive_concurrent(m: Monitor, d: &mut Driver, n: u64, faults: bool, phase: u64) -> Monitor {
     let injector = m.machine.faults.clone();
@@ -402,8 +402,7 @@ fn drive_concurrent(m: Monitor, d: &mut Driver, n: u64, faults: bool, phase: u64
             cm.sync_shootdowns(core);
         }
         if step % 64 == 0 {
-            let snap = cm.snapshot();
-            d.harvest(&snap);
+            cm.with_inner(|inner| d.harvest(&inner.engine));
         }
         cm.with_inner(|inner| d.check_audit(&inner.engine, "x86-smp", step));
     }

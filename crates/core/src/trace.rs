@@ -206,9 +206,9 @@ pub enum EventKind {
         /// Remote cores actually charged an IPI.
         ipis: u64,
     },
-    /// A seqlock-style snapshot was taken at engine generation `gen`.
+    /// The read tier read the live engine at generation `gen`.
     SnapRead {
-        /// Generation the snapshot observed.
+        /// Generation the read observed.
         gen: u64,
     },
     /// A driver-defined phase boundary (the fuzzer emits one per campaign

@@ -23,18 +23,15 @@
 //!   engine generation. Domains route to shards by
 //!   [`ConcurrentMonitor::shard_of_n`], a power-of-two mask.
 //!
-//! ## Publication
+//! ## Reading the engine
 //!
-//! No serving tier copies the engine. [`ConcurrentMonitor::snapshot`] is
-//! the only publisher to the epoch read side ([`EpochReadSide`]): when
-//! the newest published copy is older than the live generation it
-//! clones the engine once, under the inner write lock so publications
-//! stay serialized, and publishes the copy. Pins and retire-after-grace
-//! reclamation (see `tyche_core::shared`) work on these lazily published
-//! copies as before, so a caller holding a snapshot across mutations
-//! keeps a stable view. Host cost per mutation is therefore independent
-//! of the population; a snapshot costs one clone per generation asked
-//! for.
+//! Nothing copies the engine: not the constructor, not a serving tier.
+//! A committed mutation only records the new generation in `live_gen`,
+//! so host cost per mutation is independent of the population. Audits
+//! and tests read the live engine through
+//! [`ConcurrentMonitor::with_inner`]; a caller that must hold a state
+//! across later mutations takes one explicit
+//! `with_inner(|m| m.engine.clone())`.
 //!
 //! ## Simulated-time contention model
 //!
@@ -108,7 +105,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 use tyche_core::engine::CapEngine;
 use tyche_core::ids::{CapId, DomainId};
-use tyche_core::shared::{EpochReadSide, SHARDS};
+use tyche_core::shared::SHARDS;
 use tyche_core::trace::{EventKind, TraceSink};
 use tyche_core::RevocationPolicy;
 use tyche_hw::cycles::{CycleCounter, PerCoreClocks};
@@ -169,8 +166,6 @@ pub struct SmpStats {
     pub mutations: AtomicU64,
     /// Fast (per-core, no-lock) transitions, one per one-way switch.
     pub fast_transitions: AtomicU64,
-    /// Read-only calls served by the read tier.
-    pub snapshot_reads: AtomicU64,
     /// Domain invalidations queued for shootdown (pre-coalescing).
     pub shootdowns_requested: AtomicU64,
     /// Remote IPIs actually sent (post-coalescing).
@@ -212,9 +207,6 @@ pub struct ConcurrentMonitor {
     pending: Vec<Mutex<BTreeSet<DomainId>>>,
     /// Engine generation after the most recent committed mutation.
     live_gen: AtomicU64,
-    /// Epoch read side: snapshots published lazily by `snapshot`, one
-    /// reader pin slot per core, retire-after-grace reclamation.
-    reads: EpochReadSide,
     /// Per-core submission rings of pending mutating calls.
     rings: Vec<Mutex<Vec<MonitorCall>>>,
     /// Ring depth at which `submit` force-drains the ring.
@@ -230,6 +222,22 @@ pub struct ConcurrentMonitor {
     lock_handoff: u64,
     ring_enqueue_cost: u64,
     ring_dispatch_cost: u64,
+}
+
+/// See [`ConcurrentMonitor::epochs`]: holds no lock and no atomic.
+#[doc(hidden)]
+pub struct Epochs;
+
+impl Epochs {
+    /// Engine copies published: always 0.
+    pub fn published(&self) -> u64 {
+        0
+    }
+
+    /// Engine copies awaiting reclamation: always 0.
+    pub fn retired_len(&self) -> usize {
+        0
+    }
 }
 
 /// What [`ConcurrentMonitor::submit`] did with a call.
@@ -273,7 +281,6 @@ impl ConcurrentMonitor {
         let clocks = Arc::clone(&monitor.machine.core_clocks);
         let trace = monitor.trace().clone();
         let gen = monitor.engine.generation();
-        let snap = Arc::new(monitor.engine.clone());
         let core_count = monitor.machine.cores;
         let cores = (0..core_count)
             .map(|core| {
@@ -296,7 +303,6 @@ impl ConcurrentMonitor {
             clocks,
             pending: (0..core_count).map(|_| Mutex::new(BTreeSet::new())).collect(),
             live_gen: AtomicU64::new(gen),
-            reads: EpochReadSide::new(gen, snap, core_count.max(1)),
             rings: (0..core_count).map(|_| Mutex::new(Vec::new())).collect(),
             ring_depth: ring_depth.max(1),
             stats: SmpStats::default(),
@@ -320,9 +326,13 @@ impl ConcurrentMonitor {
         self.ring_depth
     }
 
-    /// The epoch read side (reader pins, reclamation counters).
-    pub fn epochs(&self) -> &EpochReadSide {
-        &self.reads
+    /// Engine-copy publication counts. Both read 0 because nothing
+    /// publishes or retires a copy of the engine. Exists only for the
+    /// `shared.*` layer rows that `perfbench/src/smp.rs` still reads,
+    /// and is deleted together with those rows (ROADMAP item 0).
+    #[doc(hidden)]
+    pub fn epochs(&self) -> Epochs {
+        Epochs
     }
 
     /// The shard a domain routes to in a table of `nshards` shards,
@@ -370,28 +380,6 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// A point-in-time engine snapshot. When the newest published copy
-    /// is at the live generation it is returned as is: one Acquire load
-    /// plus an uncontended slot read. Otherwise this clones the engine
-    /// once and publishes the copy to the epoch read side. Publication
-    /// runs under the inner write lock, so publications stay serialized
-    /// and the copy is of a committed state. No serving tier calls this.
-    pub fn snapshot(&self) -> Arc<CapEngine> {
-        let (gen, snap) = self.reads.current_with_gen();
-        if gen == self.live_gen.load(Ordering::Acquire) {
-            return snap;
-        }
-        let inner = write_lock(&self.inner);
-        let gen = inner.engine.generation();
-        let (head_gen, head) = self.reads.current_with_gen();
-        if head_gen == gen {
-            return head;
-        }
-        let snap = Arc::new(inner.engine.clone());
-        self.reads.publish(gen, Arc::clone(&snap));
-        snap
-    }
-
     /// Serves one hypercall issued by the domain running on `core`.
     pub fn serve(&self, core: usize, call: MonitorCall) -> Result<CallResult, Status> {
         if core >= self.cores.len() {
@@ -410,7 +398,6 @@ impl ConcurrentMonitor {
     /// read side. Charges the trap cost to the calling core's clock;
     /// takes no shard lock and never copies the engine.
     fn serve_enumerate(&self, core: usize) -> Result<CallResult, Status> {
-        SmpStats::bump(&self.stats.snapshot_reads);
         let start = self.clocks.now(core);
         self.clocks.charge(core, self.trap_cost);
         let actor = mutex_lock(self.core_state(core)?).current;
@@ -627,8 +614,7 @@ impl ConcurrentMonitor {
         for s in &shards {
             s.clock.advance_to(end);
         }
-        // Only the generation is recorded; `snapshot` publishes a copy
-        // lazily if anyone asks for one.
+        // Only the generation is recorded; nothing copies the engine.
         self.live_gen.store(inner.engine.generation(), Ordering::Release);
         SmpStats::bump(&self.stats.mutations);
         // Mirror mediated transitions into the SMP view.
@@ -853,7 +839,7 @@ impl ConcurrentMonitor {
     /// The domains a call touches, for shard locking, plus the subset
     /// that *loses* translations (shootdown targets), all computed
     /// against the **one** engine state the caller passes in — never a
-    /// fresh snapshot per cap, which could mix generations within a
+    /// fresh read per cap, which could mix generations within a
     /// single involved-set computation and under-compute shootdown
     /// targets. The involved set is conservative — a superset is always
     /// safe, since the inner lock guarantees correctness and shards only
@@ -1055,12 +1041,13 @@ mod tests {
         assert_eq!(cm.shard_count(), 4);
         assert_eq!(cm.shard_index(DomainId(7)), 3);
         assert_eq!(cm.shard_index(DomainId(11)), 3);
-        let before = cm.snapshot().domains().count();
+        let domains = || cm.with_inner(|m| m.engine.domains().count());
+        let before = domains();
         assert!(matches!(
             cm.serve(0, MonitorCall::CreateDomain),
             Ok(CallResult::NewDomain { .. })
         ));
-        assert_eq!(cm.snapshot().domains().count(), before + 1);
+        assert_eq!(domains(), before + 1);
         // Degenerate counts clamp to one shard instead of dividing by 0.
         assert_eq!(ConcurrentMonitor::shard_of_n(DomainId(9), 0), 0);
         let cm = ConcurrentMonitor::with_config(boot_x86(BootConfig::default()), 0, 0);
@@ -1185,13 +1172,14 @@ mod tests {
         cm.serve(1, MonitorCall::Enter { cap: cap1 }).unwrap();
         // Root on core 0 revokes two of d1's capabilities; both queue
         // invalidations, but one sync sends a single IPI to core 1.
-        let caps: Vec<CapId> = cm
-            .snapshot()
-            .caps_of(d1)
-            .iter()
-            .filter(|c| matches!(c.resource, tyche_core::Resource::Memory(_)))
-            .map(|c| c.id)
-            .collect();
+        let caps: Vec<CapId> = cm.with_inner(|m| {
+            m.engine
+                .caps_of(d1)
+                .iter()
+                .filter(|c| matches!(c.resource, tyche_core::Resource::Memory(_)))
+                .map(|c| c.id)
+                .collect()
+        });
         for cap in caps {
             cm.serve(0, MonitorCall::Revoke { cap }).unwrap();
         }
@@ -1202,9 +1190,9 @@ mod tests {
     }
 
     /// Regression test for the torn-snapshot bug: `involved_domains`
-    /// used to call `self.snapshot()` separately per cap, so a mutation
+    /// used to read the engine separately per cap, so a mutation
     /// committing between the lookups could make one computation mix
-    /// two generations. The fixed signature takes the snapshot as a
+    /// two generations. The fixed signature takes the engine state as a
     /// parameter, which makes the result a pure function of one
     /// generation — interleaved mutations (modeled both with a real
     /// served call and with the corruption hooks) must not change it.
@@ -1213,7 +1201,8 @@ mod tests {
         let (cm, doms) = smp_fixture();
         let (d1, _) = doms[1];
         let root = cm.with_inner(|m| m.engine.root().unwrap());
-        let snap = cm.snapshot();
+        // One explicit copy, held across the interleaved revoke below.
+        let snap = cm.with_inner(|m| m.engine.clone());
         let cap = snap
             .caps_of(d1)
             .iter()
@@ -1232,8 +1221,8 @@ mod tests {
         // Same property under the corruption hooks: tampering a clone
         // (the interleaved-mutation stand-in the pre-fix code could
         // have observed mid-computation) changes the answer, proving
-        // the per-cap re-snapshot really could tear the set...
-        let mut tampered = (*snap).clone();
+        // the per-cap re-read really could tear the set...
+        let mut tampered = snap.clone();
         if let Some(c) = tampered.corrupt_cap(cap) {
             c.owner = root;
         }
@@ -1291,13 +1280,14 @@ mod tests {
         let (d1, cap1) = doms[1];
         // Core 1 fast-enters its domain so a shootdown can target it.
         cm.serve(1, MonitorCall::Enter { cap: cap1 }).unwrap();
-        let caps: Vec<CapId> = cm
-            .snapshot()
-            .caps_of(d1)
-            .iter()
-            .filter(|c| matches!(c.resource, tyche_core::Resource::Memory(_)))
-            .map(|c| c.id)
-            .collect();
+        let caps: Vec<CapId> = cm.with_inner(|m| {
+            m.engine
+                .caps_of(d1)
+                .iter()
+                .filter(|c| matches!(c.resource, tyche_core::Resource::Memory(_)))
+                .map(|c| c.id)
+                .collect()
+        });
         assert!(!caps.is_empty());
         for cap in caps {
             match cm.submit(0, MonitorCall::Revoke { cap }) {
@@ -1353,45 +1343,5 @@ mod tests {
         assert_eq!(results.len(), 2, "inline enumerate never entered the ring");
         assert!(matches!(results[0], Ok(CallResult::NewDomain { .. })), "{results:?}");
         assert!(matches!(results[1], Ok(CallResult::Cap(_))), "{results:?}");
-    }
-
-    #[test]
-    fn snapshot_publishes_lazily_and_pins_defer_reclamation() {
-        let (cm, _doms) = smp_fixture();
-        // Serving never copies the engine: mutations only record their
-        // generation, and the read tier runs on the live engine.
-        for _ in 0..8 {
-            cm.serve(0, MonitorCall::CreateDomain).unwrap();
-        }
-        cm.serve(0, MonitorCall::Enumerate).unwrap();
-        assert_eq!(cm.epochs().published(), 0, "serving publishes nothing");
-        // `snapshot` publishes once per generation asked for.
-        let a = cm.snapshot();
-        let b = cm.snapshot();
-        assert!(Arc::ptr_eq(&a, &b), "one generation => one copy");
-        assert_eq!(cm.epochs().published(), 1);
-        assert_eq!(a.generation(), cm.with_inner(|m| m.engine.generation()));
-        cm.serve(0, MonitorCall::CreateDomain).unwrap();
-        let c = cm.snapshot();
-        assert!(!Arc::ptr_eq(&a, &c), "a new generation gets a fresh copy");
-        assert_eq!(c.domains().count(), a.domains().count() + 1);
-        assert_eq!(cm.epochs().published(), 2);
-        assert_eq!(cm.epochs().retired_len(), 0, "no pins => retirees reclaimed");
-        // A pinned reader holds the horizon while lazy publications
-        // displace slots under it.
-        let pin = cm.epochs().pin(1);
-        let view = cm.snapshot();
-        let doms_before = view.domains().count();
-        for _ in 0..8 {
-            cm.serve(0, MonitorCall::CreateDomain).unwrap();
-            cm.snapshot();
-        }
-        assert_eq!(cm.epochs().published(), 10);
-        assert!(cm.epochs().retired_len() > 0, "pin defers reclamation");
-        assert_eq!(view.domains().count(), doms_before, "pinned view is stable");
-        assert_eq!(cm.snapshot().domains().count(), doms_before + 8);
-        drop(pin);
-        cm.epochs().reclaim();
-        assert_eq!(cm.epochs().retired_len(), 0);
     }
 }

@@ -3,8 +3,8 @@
 //! One worker thread per core races capability mutations (create/
 //! share/grant/revoke/seal/set-entry/make-transition) as real
 //! hypercalls through `serve`, each as the tenant entered on its core,
-//! while also auditing point-in-time snapshots. Every call is recorded
-//! with its concrete arguments and result.
+//! while also auditing the live engine. Every call is recorded with its
+//! concrete arguments and result.
 //!
 //! The linearization order comes from the trace: a mutating call's
 //! `HyperEnter` is emitted inside the inner monitor's write lock and
@@ -20,6 +20,11 @@
 //! `HyperEnter` per issued call, so a build with tracing compiled out
 //! fails here instead of replaying nothing.
 //!
+//! A second test races read-only observers against a share/revoke
+//! storm from three writers: every state a reader observes through
+//! `with_inner` must audit clean, and the engine generations one reader
+//! sees must never run backwards.
+//!
 //! The seed comes from `TYCHE_STRESS_SEED` (default 1) and the shard
 //! count from `TYCHE_STRESS_SHARDS` (default [`SHARDS`]) so CI can
 //! sweep a fixed set of seeds crossed with shard counts. Run with
@@ -29,6 +34,7 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use common::{boot_tenants, seed_from_env, window_base, Rng};
@@ -57,8 +63,8 @@ fn setup() -> (Monitor, Vec<(DomainId, CapId)>) {
     boot_tenants(THREADS, THREADS, WINDOW)
 }
 
-/// Picks thread `tid`'s next call from a point-in-time snapshot. The
-/// live state may move before the call commits, which is exactly the
+/// Picks thread `tid`'s next call from the engine state read just
+/// before it. The live state may move before the call commits, which is exactly the
 /// raciness the replay check has to absorb. Sealed tenants accept no
 /// incoming resources, so cross-tenant traffic targets the peer's
 /// (unsealed) children.
@@ -155,17 +161,17 @@ fn concurrent_mutations_linearize_and_audit_clean() {
                 let (peer, _) = tenants[(tid + 1) % THREADS];
                 let mut log: Vec<(MonitorCall, Outcome)> = Vec::with_capacity(OPS_PER_THREAD);
                 for i in 0..OPS_PER_THREAD {
-                    let snap = cm.snapshot();
-                    let call = next_call(&snap, &mut rng, tid, me, my_window, peer);
+                    let call =
+                        cm.with_inner(|m| next_call(&m.engine, &mut rng, tid, me, my_window, peer));
                     log.push((call, cm.serve(tid, call)));
                     // Periodically flush this core's shootdowns and audit
-                    // a fresh snapshot: every committed prefix of the
+                    // the live engine: every committed prefix of the
                     // linearization must be invariant-clean.
                     if i % 16 == 0 {
                         cm.sync_shootdowns(tid);
                         assert!(
-                            audit(&cm.snapshot()).is_empty(),
-                            "snapshot audit failed (seed {seed}, thread {tid}, iter {i})"
+                            cm.with_inner(|m| audit(&m.engine).is_empty()),
+                            "live audit failed (seed {seed}, thread {tid}, iter {i})"
                         );
                     }
                 }
@@ -228,7 +234,118 @@ fn concurrent_mutations_linearize_and_audit_clean() {
     );
 }
 
-/// A random live child domain of `mgr` from the snapshot.
+const WRITERS: usize = 3;
+const READERS: usize = 3;
+const STORM_OPS: usize = 100;
+
+/// Boots one tenant per writer and gives each an unsealed child to
+/// receive shares (sealed tenants accept none). Returns, per writer,
+/// its window cap and the next writer's child as its share target.
+fn storm_setup() -> (ConcurrentMonitor, Vec<(CapId, DomainId)>) {
+    let (mut m, tenants) = boot_tenants(WRITERS, WRITERS, WINDOW);
+    let children: Vec<DomainId> = (0..WRITERS)
+        .map(|core| match m.call(core, MonitorCall::CreateDomain) {
+            Ok(CallResult::NewDomain { domain, .. }) => domain,
+            other => panic!("create share target: {other:?}"),
+        })
+        .collect();
+    let lanes = (0..WRITERS)
+        .map(|i| (tenants[i].1, children[(i + 1) % WRITERS]))
+        .collect();
+    let cm =
+        ConcurrentMonitor::with_config(m, shards_from_env(), ConcurrentMonitor::DEFAULT_RING_DEPTH);
+    (cm, lanes)
+}
+
+#[test]
+fn readers_see_monotone_audited_states_across_revoke_storm() {
+    let seed = seed_from_env();
+    let (cm, lanes) = storm_setup();
+    let cm = Arc::new(cm);
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|rid| {
+            let cm = Arc::clone(&cm);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut last_gen = 0u64;
+                let mut reads = 0u64;
+                loop {
+                    // Read `stop` first: the pass that sees it set still
+                    // observes, so it sees the final generation.
+                    let done = stop.load(Ordering::Acquire);
+                    let (gen, clean) =
+                        cm.with_inner(|m| (m.engine.generation(), audit(&m.engine).is_empty()));
+                    assert!(
+                        clean,
+                        "reader {rid} observed an unauditable state at gen {gen} (seed {seed})"
+                    );
+                    assert!(
+                        gen >= last_gen,
+                        "reader {rid} saw generation run backwards: {gen} < {last_gen} (seed {seed})"
+                    );
+                    last_gen = gen;
+                    reads += 1;
+                    if done {
+                        return (reads, last_gen);
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|tid| {
+            let cm = Arc::clone(&cm);
+            let (my_window, peer) = lanes[tid];
+            std::thread::spawn(move || {
+                let mut rng = Rng::new(seed ^ (tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                for _ in 0..STORM_OPS {
+                    // One page shared with the peer, revoked at once.
+                    let page = window_base(tid, WINDOW) + rng.below(WINDOW / 0x1000) * 0x1000;
+                    let share = MonitorCall::Share {
+                        cap: my_window,
+                        target: peer,
+                        sub: Some((page, page + 0x1000)),
+                        rights: Rights::RW,
+                        policy: RevocationPolicy::NONE,
+                    };
+                    let cap = match cm.serve(tid, share) {
+                        Ok(CallResult::Cap(cap)) => cap,
+                        other => panic!("share: {other:?}"),
+                    };
+                    cm.serve(tid, MonitorCall::Revoke { cap }).expect("revoke");
+                }
+                cm.sync_shootdowns(tid);
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    stop.store(true, Ordering::Release);
+    let final_gen = cm.with_inner(|m| m.engine.generation());
+    for r in readers {
+        let (reads, last_gen) = r.join().unwrap();
+        assert!(reads > 0, "reader made no progress");
+        assert_eq!(
+            last_gen, final_gen,
+            "a reader's last pass missed the final state"
+        );
+    }
+    assert_eq!(
+        SmpStats::get(&cm.stats.mutations),
+        (WRITERS * STORM_OPS * 2) as u64
+    );
+    let monitor = Arc::try_unwrap(cm).ok().expect("threads joined").finish();
+    assert!(
+        audit(&monitor.engine).is_empty(),
+        "final audit failed (seed {seed})"
+    );
+    assert!(monitor.audit_hardware().is_empty());
+}
+
+/// A random live child domain of `mgr`.
 fn pick_child(snap: &CapEngine, mgr: DomainId, rng: &mut Rng) -> Option<DomainId> {
     let kids: Vec<DomainId> = snap
         .domains()

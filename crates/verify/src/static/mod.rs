@@ -7,10 +7,11 @@
 //! observability arguments rest on:
 //!
 //! 1. [`lock_order`] — every nested guard acquisition respects the
-//!    DESIGN.md hierarchy (per-core state → domain shards ascending →
-//!    engine inner → pending-shootdown set → snapshot cache → trace
-//!    sink), intra- and inter-procedurally, with the offending call
-//!    chain as evidence.
+//!    DESIGN.md hierarchy of ten classes (submission ring → per-core
+//!    state → domain shards ascending → engine inner → pending-shootdown
+//!    set → channel table → NIC queue → trace lanes → trace lane →
+//!    trace spill log), intra- and inter-procedurally, with the
+//!    offending call chain as evidence.
 //! 2. [`panic_reach`] — no panic-capable construct is reachable on the
 //!    call graph from the 14 hypercall leaves or the SMP serving tiers
 //!    unless its `(file, construct)` is allowlisted; reachable

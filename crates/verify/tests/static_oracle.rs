@@ -6,8 +6,11 @@
 //! call graph, the expected path evidence. A lint that silently stops
 //! firing fails these tests before it can rot the real gate.
 
+use std::path::Path;
+
 use tyche_verify::allowlist::AllowEntry;
 use tyche_verify::parse::WorkspaceModel;
+use tyche_verify::static_audit::AuditConfig;
 use tyche_verify::static_lints::{atomics, lock_order, panic_reach, trace_complete, Lint};
 
 fn allow(file: &str, construct: &str, count: usize) -> AllowEntry {
@@ -152,50 +155,53 @@ impl Serving {
     assert!(findings[0].message.contains("twice"), "{}", findings[0].message);
 }
 
-/// The epoch read side's lock shape: the submission ring first (and
-/// dropped), then core state, the engine, a publish into a snapshot
-/// slot, and the retired list last. Everything the extended hierarchy
-/// allows.
-const EPOCH_LOCKS_OK: &str = r#"
-impl Reads {
-    pub fn drain_and_publish(&self, gen: u64) {
+/// A ring drain's lock shape: the submission ring first (and dropped),
+/// then core state, the engine, the pending-shootdown batch, and the
+/// channel table last. Everything the hierarchy allows.
+const RING_LOCKS_OK: &str = r#"
+impl Drain {
+    pub fn drain_and_gather(&self, gen: u64) {
         let queued = mutex_lock(&self.ring_cell);
         drop(queued);
         let state = mutex_lock(&self.core_slot);
         let eng = write_lock(&self.engine);
-        let published = write_lock(&self.snap_cell);
-        drop(published);
-        let retired = mutex_lock(&self.retired);
-        consume(&state, &eng, &retired);
+        let batch = mutex_lock(&self.pending);
+        drop(batch);
+        let channels = mutex_lock(&self.channels);
+        consume(&state, &eng, &channels);
     }
 }
 "#;
 
 #[test]
-fn conforming_epoch_and_ring_locks_pass() {
+fn conforming_ring_to_channel_locks_pass() {
     let model =
-        WorkspaceModel::from_sources(&[("core", "crates/core/src/epoch_ok.rs", EPOCH_LOCKS_OK)]);
+        WorkspaceModel::from_sources(&[("core", "crates/core/src/ring_ok.rs", RING_LOCKS_OK)]);
     let findings = lock_order::check(&model);
-    assert!(findings.is_empty(), "clean epoch fixture flagged: {findings:?}");
+    assert!(findings.is_empty(), "clean ring fixture flagged: {findings:?}");
 }
 
+/// Both inversions a ring drain must avoid: taking the ring while core
+/// state is held, and taking another core's state while still holding a
+/// shard (why a drain releases its shard guards before the shootdown
+/// round).
 #[test]
-fn ring_and_retired_inversions_are_caught() {
+fn ring_and_core_state_inversions_are_caught() {
     let src = r#"
-impl Reads {
+impl Drain {
     pub fn ring_after_core(&self) {
         let state = mutex_lock(&self.core_slot);
         let queued = mutex_lock(&self.ring_cell);
         consume(&state, &queued);
     }
-    pub fn slot_after_retired(&self) {
-        let retired = mutex_lock(&self.retired);
-        let published = write_lock(&self.snap_cell);
-        consume(&retired, &published);
+    pub fn core_after_shard(&self, shard: &Shard) {
+        let held = mutex_lock(&shard.lock);
+        let remote = mutex_lock(&self.core_slot);
+        consume(&held, &remote);
     }
 }
 "#;
-    let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/epoch_bad.rs", src)]);
+    let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/ring_bad.rs", src)]);
     let findings = lock_order::check(&model);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(
@@ -204,10 +210,35 @@ impl Reads {
         "ring-after-core inversion missed: {findings:?}"
     );
     assert!(
-        findings.iter().any(|f| f.message.contains("acquires `snapshot-cache`")
-            && f.message.contains("`epoch-retired`")),
-        "slot-after-retired inversion missed: {findings:?}"
+        findings.iter().any(|f| f.message.contains("acquires `core-state`")
+            && f.message.contains("`domain-shard`")),
+        "core-after-shard inversion missed: {findings:?}"
     );
+}
+
+/// The lint only ranks what it classifies: a pattern dropped from the
+/// class table would silently take a real lock out of the order. Every
+/// guard the actual TCB takes must fall into a class.
+#[test]
+fn every_real_tcb_acquisition_is_classified() {
+    let ws = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let tcb = AuditConfig::tyche_defaults(ws).tcb_crates;
+    let model = WorkspaceModel::build(ws, &tcb).expect("parse the TCB");
+    let sites: Vec<_> = model
+        .functions
+        .iter()
+        .flat_map(|f| f.locks.iter().map(move |l| (f, l)))
+        .collect();
+    assert!(sites.len() >= 30, "only {} acquisitions parsed", sites.len());
+    let unclassified: Vec<String> = sites
+        .iter()
+        .filter(|(_, l)| lock_order::classify(l).is_none())
+        .map(|(f, l)| format!("{}:{} in {} ({}({}))", f.file, l.line, f.qname, l.helper, l.arg))
+        .collect();
+    assert!(unclassified.is_empty(), "unranked acquisitions: {unclassified:#?}");
 }
 
 /// The fleet layer's lock shape: the channel table (which emits trace
@@ -491,11 +522,11 @@ impl Stats {
     assert!(atomics::check(&model, 1).findings.is_empty());
 }
 
-/// The epoch reclamation code's atomics shape: SeqCst epoch bumps and
+/// An epoch-reclamation atomics shape: SeqCst epoch bumps and
 /// reader-pin traffic, Acquire/Release on the head pointer, and no
 /// Relaxed anywhere — so it must pass with a zero relaxed budget.
 const EPOCH_ATOMICS_OK: &str = r#"
-impl EpochReadSide {
+impl Reclaimer {
     pub fn publish(&self, next: usize) {
         let epoch_now = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let old_head = self.head.load(Ordering::Acquire);
@@ -519,7 +550,7 @@ fn conforming_reclamation_atomics_pass_with_zero_budget() {
 #[test]
 fn relaxed_reclamation_without_annotation_is_caught() {
     let src = r#"
-impl EpochReadSide {
+impl Reclaimer {
     pub fn reclaim(&self) {
         let horizon = self.readers.load(Ordering::Relaxed);
         self.reclaimed.fetch_add(1, Ordering::Relaxed);
