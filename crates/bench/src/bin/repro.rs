@@ -62,7 +62,7 @@ fn main() {
 
     println!("Tyche reproduction harness — {MONITOR_VERSION}");
     if args.first().map(String::as_str) == Some("harness") {
-        harness_main(&args, &raw);
+        harness_main(&raw);
         return;
     }
     if args.first().map(String::as_str) == Some("report") {
@@ -201,10 +201,43 @@ fn resolve_bench_out(family: Family, smoke: bool, out: Option<&str>) -> PathBuf 
 /// `repro harness [--suite hotpath|smp|scale|fleet|all] [--smoke] [--out P]`:
 /// orchestrates the selected suites through child processes of this
 /// same binary and writes one artifact per suite.
-fn harness_main(args: &[String], raw: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let suite = flag_value(raw, "--suite").unwrap_or_else(|| "all".into()).to_lowercase();
-    let out = flag_value(raw, "--out");
+/// `repro harness` usage; `--help` prints it and exits 0.
+const HARNESS_USAGE: &str =
+    "usage: repro harness [--suite hotpath|smp|scale|fleet|all] [--smoke] [--out PATH]";
+
+fn harness_main(raw: &[String]) {
+    // Every argument is checked before anything runs: with `--suite all`
+    // and the workspace root as defaults, an ignored typo (or `--help`)
+    // would otherwise run every suite and rewrite the committed
+    // artifacts.
+    let mut smoke = false;
+    let mut suite = "all".to_string();
+    let mut out = None;
+    let mut args = raw.iter().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.to_lowercase().as_str() {
+            "--help" | "-h" => {
+                println!("{HARNESS_USAGE}");
+                std::process::exit(0);
+            }
+            "--smoke" => smoke = true,
+            flag @ ("--suite" | "--out") => {
+                let Some(value) = args.next() else {
+                    eprintln!("harness: {flag} needs a value\n{HARNESS_USAGE}");
+                    std::process::exit(2);
+                };
+                if flag == "--suite" {
+                    suite = value.to_lowercase();
+                } else {
+                    out = Some(value.clone());
+                }
+            }
+            _ => {
+                eprintln!("harness: unknown argument {arg:?}\n{HARNESS_USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
     let families: Vec<Family> = if suite == "all" {
         vec![Family::Hotpath, Family::Smp, Family::Scale, Family::Fleet]
     } else {

@@ -372,7 +372,7 @@ fn drive_monitor(m: &mut Monitor, d: &mut Driver, n: u64, faults: bool, phase: u
 }
 
 /// Phase 2: the same storm through the SMP serving tiers. Calls go
-/// round-robin-by-RNG across cores on one thread: the shard locks,
+/// round-robin-by-RNG across cores on one thread: the shard clocks,
 /// live-engine reads, and shootdown queues are all exercised, and the
 /// schedule stays a pure function of the seed.
 fn drive_concurrent(m: Monitor, d: &mut Driver, n: u64, faults: bool, phase: u64) -> Monitor {

@@ -794,40 +794,88 @@ pub fn write_artifact(path: &Path, doc: &str, smoke: bool) -> Result<(), String>
 // `repro report` — run-to-run diff
 // ---------------------------------------------------------------------
 
-/// Whether a bigger value of a metric is worse or better.
+/// How a metric is gated: a bigger value is worse or better past the
+/// threshold, or (for deterministic model output) any change at all
+/// fails.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
+enum Gate {
     LowerIsBetter,
     HigherIsBetter,
+    /// Simulated-model output that is a pure function of the code: any
+    /// difference is a failure, whatever the threshold. Gated only on
+    /// rows whose threads never interleave on a shared clock
+    /// ([`deterministic_row`]).
+    Exact,
+}
+
+/// Which clock a metric reads. Host wall-clock figures from smoke runs
+/// (64–128 samples) swing ±20% between identical builds, so a diff
+/// involving a smoke artifact prints them as information only.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Clock {
+    /// Simulated cycles or counts.
+    Model,
+    /// Host wall-clock time.
+    Host,
+    /// Whatever the row's `metric` names (`wall_*` is host time).
+    RowMetric,
 }
 
 struct MetricSpec {
     path: &'static str,
-    direction: Direction,
+    gate: Gate,
+    clock: Clock,
+}
+
+const fn metric(path: &'static str, gate: Gate, clock: Clock) -> MetricSpec {
+    MetricSpec { path, gate, clock }
 }
 
 const HOTPATH_METRICS: &[MetricSpec] = &[
-    MetricSpec { path: "after", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "latency.p50", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "latency.p99", direction: Direction::LowerIsBetter },
+    metric("after", Gate::LowerIsBetter, Clock::RowMetric),
+    metric("latency.p50", Gate::LowerIsBetter, Clock::Host),
+    metric("latency.p99", Gate::LowerIsBetter, Clock::Host),
 ];
 const SMP_METRICS: &[MetricSpec] = &[
-    MetricSpec { path: "smp_tput", direction: Direction::HigherIsBetter },
-    MetricSpec { path: "call_latency.p99", direction: Direction::LowerIsBetter },
+    metric("ops", Gate::Exact, Clock::Model),
+    metric("smp_cycles", Gate::Exact, Clock::Model),
+    metric("detail.ipis_sent", Gate::Exact, Clock::Model),
+    metric("detail.ring_batches", Gate::Exact, Clock::Model),
+    metric("detail.shard_waits", Gate::Exact, Clock::Model),
+    metric("smp_tput", Gate::HigherIsBetter, Clock::Model),
+    metric("call_latency.p99", Gate::LowerIsBetter, Clock::Host),
 ];
 const FLEET_METRICS: &[MetricSpec] = &[
-    MetricSpec { path: "attested_rps", direction: Direction::HigherIsBetter },
-    MetricSpec { path: "latency.p50", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "latency.p99", direction: Direction::LowerIsBetter },
+    metric("attested_rps", Gate::HigherIsBetter, Clock::Host),
+    metric("latency.p50", Gate::LowerIsBetter, Clock::Host),
+    metric("latency.p99", Gate::LowerIsBetter, Clock::Host),
 ];
 const SCALE_METRICS: &[MetricSpec] = &[
-    MetricSpec { path: "create_ns_per_op", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "enter_ns_per_op", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "neighbor.caps_of_ns", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "neighbor.enumerate_ns", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "neighbor.refcount_ns", direction: Direction::LowerIsBetter },
-    MetricSpec { path: "revoke_storm_ns_per_op", direction: Direction::LowerIsBetter },
+    metric("create_ns_per_op", Gate::LowerIsBetter, Clock::Host),
+    metric("enter_ns_per_op", Gate::LowerIsBetter, Clock::Host),
+    metric("neighbor.caps_of_ns", Gate::LowerIsBetter, Clock::Host),
+    metric("neighbor.enumerate_ns", Gate::LowerIsBetter, Clock::Host),
+    metric("neighbor.refcount_ns", Gate::LowerIsBetter, Clock::Host),
+    metric("revoke_storm_ns_per_op", Gate::LowerIsBetter, Clock::Host),
 ];
+
+/// True for SMP rows whose model output cannot depend on how the host
+/// interleaves threads: a single thread, fast transitions (no shard
+/// clock), distinct-domain calls with at most one thread per shard, and
+/// ring rows whose threads each drain exactly one batch (identical
+/// batches commute). Serve-per-call contention on one domain, distinct
+/// threads folded onto shared shards, and ring rows with several
+/// batches per thread race on a shard clock — two full runs of one
+/// build differ there — so those rows keep only the threshold gates.
+fn deterministic_row(row: &Json) -> bool {
+    let field = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
+    let workload = row.get("workload").and_then(Json::as_str).unwrap_or("");
+    let (threads, shards) = (field("threads"), field("shards"));
+    threads == 1
+        || workload.starts_with("transitions")
+        || (workload.starts_with("hypercalls_distinct") && threads <= shards)
+        || (workload.contains("_ring") && field("ops") <= threads * field("ring_depth"))
+}
 
 /// A bench family as identified by an artifact's schema string,
 /// version-agnostically (v1 artifacts remain diffable against v2).
@@ -881,6 +929,9 @@ pub struct ReportOutcome {
     /// Rows present on only one side (informational, not a failure —
     /// schema evolution adds and removes rows).
     pub unmatched: usize,
+    /// Host wall-clock metrics printed but not gated, because one side
+    /// is a smoke artifact.
+    pub informational: usize,
 }
 
 /// Diffs two bench artifacts of the same family, printing a table and
@@ -908,6 +959,9 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
     };
     let old_rows = rows_of(old);
     let new_rows = rows_of(new);
+    let smoke = [old, new]
+        .iter()
+        .any(|d| d.get("mode").and_then(Json::as_str) == Some("smoke"));
 
     let mut t = Table::new(
         &format!(
@@ -916,8 +970,13 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
         ),
         &["row", "metric", "old", "new", "delta", "verdict"],
     );
-    let mut outcome =
-        ReportOutcome { compared: 0, regressions: Vec::new(), improvements: 0, unmatched: 0 };
+    let mut outcome = ReportOutcome {
+        compared: 0,
+        regressions: Vec::new(),
+        improvements: 0,
+        unmatched: 0,
+        informational: 0,
+    };
     let mut matched_new: BTreeSet<usize> = BTreeSet::new();
     for old_row in &old_rows {
         let key = row_key(family, old_row);
@@ -930,27 +989,50 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
         };
         matched_new.insert(new_idx);
         for metric in metrics {
+            if metric.gate == Gate::Exact && !deterministic_row(old_row) {
+                continue;
+            }
             let (Some(o), Some(n)) = (
                 old_row.path(metric.path).and_then(Json::as_f64),
                 new_row.path(metric.path).and_then(Json::as_f64),
             ) else {
                 continue; // metric absent on one side (e.g. v1 has no percentiles)
             };
-            outcome.compared += 1;
+            let host = match metric.clock {
+                Clock::Model => false,
+                Clock::Host => true,
+                Clock::RowMetric => old_row
+                    .get("metric")
+                    .and_then(Json::as_str)
+                    .is_some_and(|m| m.starts_with("wall")),
+            };
             // Signed percentage move in the *bad* direction.
             let base = o.abs().max(f64::MIN_POSITIVE);
-            let delta = match metric.direction {
-                Direction::LowerIsBetter => (n - o) * 100.0 / base,
-                Direction::HigherIsBetter => (o - n) * 100.0 / base,
+            let delta = match metric.gate {
+                Gate::LowerIsBetter | Gate::Exact => (n - o) * 100.0 / base,
+                Gate::HigherIsBetter => (o - n) * 100.0 / base,
             };
-            let verdict = if delta > threshold_pct {
-                outcome.regressions.push(format!("{key}/{}", metric.path));
-                "REGRESSED"
-            } else if delta < -threshold_pct {
-                outcome.improvements += 1;
-                "improved"
+            let verdict = if host && smoke {
+                outcome.informational += 1;
+                "info (smoke)"
             } else {
-                "ok"
+                outcome.compared += 1;
+                if metric.gate == Gate::Exact {
+                    if o == n {
+                        "exact"
+                    } else {
+                        outcome.regressions.push(format!("{key}/{}", metric.path));
+                        "CHANGED"
+                    }
+                } else if delta > threshold_pct {
+                    outcome.regressions.push(format!("{key}/{}", metric.path));
+                    "REGRESSED"
+                } else if delta < -threshold_pct {
+                    outcome.improvements += 1;
+                    "improved"
+                } else {
+                    "ok"
+                }
             };
             t.row(&[
                 key.clone(),
@@ -966,11 +1048,13 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
         new_rows.len() - matched_new.len();
     t.print();
     println!(
-        "report: {} metrics compared, {} regressed, {} improved, {} unmatched rows",
+        "report: {} metrics compared, {} regressed, {} improved, {} unmatched rows, \
+         {} host-clock metrics informational (smoke)",
         outcome.compared,
         outcome.regressions.len(),
         outcome.improvements,
-        outcome.unmatched
+        outcome.unmatched,
+        outcome.informational
     );
     Ok(outcome)
 }

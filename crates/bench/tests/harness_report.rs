@@ -213,6 +213,96 @@ fn report_diff_library_flags_directions_correctly() {
     assert!(out.improvements >= 1);
 }
 
+/// One SMP artifact row with the fields `repro report` reads.
+fn smp_row(workload: &str, threads: u64, smp_cycles: u64, shard_waits: u64, p99: u64) -> String {
+    format!(
+        r#"{{"workload": "{workload}", "threads": {threads}, "shards": 16, "ring_depth": 16,
+    "ops": 32, "smp_cycles": {smp_cycles}, "smp_tput": {:.2},
+    "detail": {{"shard_waits": {shard_waits}, "ipis_sent": 2, "ring_batches": 2}},
+    "call_latency": {{"p50": 90, "p99": {p99}, "p999": {p99}, "max": {p99}}}}}"#,
+        32e6 / smp_cycles as f64
+    )
+}
+
+fn smp_artifact(mode: &str, rows: &[String]) -> Json {
+    json::parse(&format!(
+        r#"{{"schema": "tyche-bench-smp/v3", "mode": "{mode}", "benches": [{}]}}"#,
+        rows.join(",")
+    ))
+    .unwrap()
+}
+
+/// Deterministic SMP model fields are gated as exact matches on rows
+/// that cannot race (ring rows here), whatever the threshold, and not on
+/// serve-per-call contended rows whose cycles depend on interleaving.
+#[test]
+fn report_gates_deterministic_smp_fields_exactly() {
+    let base = |ring_cycles, waits, contended_cycles| {
+        smp_artifact(
+            "full",
+            &[
+                smp_row("hypercalls_contended_ring", 2, ring_cycles, waits, 25_000),
+                smp_row("hypercalls_contended", 2, contended_cycles, 3, 10_000),
+            ],
+        )
+    };
+    let old = base(6100, 1, 54_660);
+    let same = harness::report_diff(&old, &base(6100, 1, 54_660), 1000.0).unwrap();
+    assert!(same.regressions.is_empty(), "{:?}", same.regressions);
+    // One cycle or one shard wait on the ring row is a change.
+    let drift = harness::report_diff(&old, &base(6101, 1, 54_660), 1000.0).unwrap();
+    assert_eq!(
+        drift.regressions,
+        vec!["hypercalls_contended_ring/t2/s16/r16/smp_cycles".to_string()]
+    );
+    let waits = harness::report_diff(&old, &base(6100, 2, 54_660), 1000.0).unwrap();
+    assert_eq!(
+        waits.regressions,
+        vec!["hypercalls_contended_ring/t2/s16/r16/detail.shard_waits".to_string()]
+    );
+    // The contended serve-per-call row races: its cycles keep only the
+    // threshold gate on throughput (+2% passes a 10% threshold).
+    let raced = harness::report_diff(&old, &base(6100, 1, 55_700), 10.0).unwrap();
+    assert!(raced.regressions.is_empty(), "{:?}", raced.regressions);
+}
+
+/// A diff involving a smoke artifact prints host wall-clock metrics as
+/// information; between two full artifacts the same move still fails.
+#[test]
+fn smoke_diffs_do_not_gate_host_clock_metrics() {
+    let rows = |p99| [smp_row("transitions_distinct", 2, 3488, 0, p99)];
+    let slow = rows(2_000);
+    let fast = rows(1_000);
+    let out =
+        harness::report_diff(&smp_artifact("smoke", &fast), &smp_artifact("smoke", &slow), 10.0)
+            .unwrap();
+    assert!(out.regressions.is_empty(), "{:?}", out.regressions);
+    assert_eq!(out.informational, 1, "call_latency.p99 reported as information");
+    let mixed =
+        harness::report_diff(&smp_artifact("full", &fast), &smp_artifact("smoke", &slow), 10.0)
+            .unwrap();
+    assert!(mixed.regressions.is_empty(), "{:?}", mixed.regressions);
+    let full =
+        harness::report_diff(&smp_artifact("full", &fast), &smp_artifact("full", &slow), 10.0)
+            .unwrap();
+    assert_eq!(
+        full.regressions,
+        vec!["transitions_distinct/t2/s16/r16/call_latency.p99".to_string()]
+    );
+    assert_eq!(full.informational, 0);
+    // Model fields stay gated in smoke diffs.
+    let drift = harness::report_diff(
+        &smp_artifact("smoke", &fast),
+        &smp_artifact("smoke", &[smp_row("transitions_distinct", 2, 3489, 0, 1_000)]),
+        10.0,
+    )
+    .unwrap();
+    assert_eq!(
+        drift.regressions,
+        vec!["transitions_distinct/t2/s16/r16/smp_cycles".to_string()]
+    );
+}
+
 // ---------------------------------------------------------------------
 // Smoke-clobber protection
 // ---------------------------------------------------------------------
@@ -235,6 +325,40 @@ fn harness_smoke_refuses_to_overwrite_full_artifact() {
         committed,
         "the committed artifact must be untouched"
     );
+}
+
+/// `--help` prints usage and runs nothing; any other unknown argument
+/// exits 2 before a child starts. Both runs carry a valid smoke suite
+/// and `--out`, so a harness that ignored the flag would write there.
+#[test]
+fn harness_help_and_unknown_flags_run_nothing() {
+    let path = tmp_path("help_probe.json");
+    let _ = std::fs::remove_file(&path);
+    let out = repro()
+        .args(["harness", "--help", "--suite", "hotpath", "--smoke", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("run harness --help");
+    assert_eq!(out.status.code(), Some(0), "--help must exit 0");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("usage: repro harness"), "no usage printed:\n{stdout}");
+    assert!(!stdout.contains("wrote"), "--help ran a suite:\n{stdout}");
+    assert!(!path.exists(), "--help wrote an artifact");
+    for bad in [
+        vec!["harness", "--bogus", "--suite", "hotpath", "--smoke"],
+        vec!["harness", "--suite", "hotpath", "--smoke", "extra"],
+        vec!["harness", "--suite", "hotpath", "--smoke", "--out"],
+    ] {
+        let mut cmd = repro();
+        cmd.args(&bad);
+        if bad.last() != Some(&"--out") {
+            cmd.args(["--out", path.to_str().unwrap()]);
+        }
+        let out = cmd.output().expect("run harness");
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro harness"), "{bad:?}: no usage:\n{stderr}");
+        assert!(!path.exists(), "{bad:?} wrote an artifact");
+    }
 }
 
 #[test]

@@ -61,7 +61,11 @@ impl DomainReport {
     /// Canonical byte encoding — what the monitor signs. Any change to the
     /// domain's resources, rights, or reference counts changes these bytes.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.resources.len() * 32);
+        // Exact size: 72-byte header, 35 bytes per resource, then the
+        // content count and 48 bytes per content measurement.
+        let mut out = Vec::with_capacity(
+            72 + self.resources.len() * 35 + 8 + self.content_measurements.len() * 48,
+        );
         out.extend_from_slice(b"tyche-report-v1");
         out.extend_from_slice(&self.domain.0.to_le_bytes());
         out.extend_from_slice(self.measurement.as_bytes());

@@ -42,6 +42,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// allocator with the drained vector.
 pub const EFFECTS_RETAIN: usize = 1024;
 
+/// Capability entries a seal measurement sorts on the stack; a domain
+/// holding more spills to one heap buffer.
+const MEASURE_INLINE: usize = 16;
+
 /// A resource entry as enumerated for attestation (§3.4): resource,
 /// rights, sharing kind, and the current reference count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +119,33 @@ pub struct CapEngine {
     /// dead node's lineage facts here instead of leaving a tombstone in
     /// `caps`.
     revoked: RevokedLog,
+    /// Reusable buffers for subtree walks (holds nothing between
+    /// operations; compares vacuously equal like `trace`).
+    walk: WalkScratch,
 }
+
+/// The two buffers a subtree revocation walks with, kept on the engine
+/// so a revocation allocates nothing once they have grown. Empty
+/// between operations: clones start empty and any two compare equal.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    stack: Vec<CapId>,
+    order: Vec<CapId>,
+}
+
+impl Clone for WalkScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for WalkScratch {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for WalkScratch {}
 
 impl CapEngine {
     /// Creates an empty engine (no domains yet).
@@ -182,13 +212,7 @@ impl CapEngine {
         if self.indexes_poisoned {
             return self.caps_of_scan(domain);
         }
-        let out: Vec<&Capability> = self
-            .by_owner
-            .get(domain.0)
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .filter_map(|id| self.caps.get(id.0))
-            .collect();
+        let out: Vec<&Capability> = self.owned_caps(domain, true).collect();
         #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
         {
             let scan: Vec<CapId> = self.caps_of_scan(domain).iter().map(|c| c.id).collect();
@@ -292,6 +316,19 @@ impl CapEngine {
         let drained = std::mem::take(&mut self.effects);
         self.effects = Vec::with_capacity(drained.len().min(EFFECTS_RETAIN));
         drained
+    }
+
+    /// Moves all pending effects into `out` (cleared first) by swapping
+    /// buffers: the engine keeps `out`'s old buffer for the next batch,
+    /// so a caller that keeps one buffer alive drains without
+    /// allocating. A buffer retained past [`EFFECTS_RETAIN`] is shrunk,
+    /// as in [`drain_effects`](Self::drain_effects).
+    pub fn drain_effects_into(&mut self, out: &mut Vec<Effect>) {
+        out.clear();
+        std::mem::swap(&mut self.effects, out);
+        if self.effects.capacity() > EFFECTS_RETAIN {
+            self.effects.shrink_to(EFFECTS_RETAIN);
+        }
     }
 
     /// Number of pending effects (without draining).
@@ -592,45 +629,21 @@ impl CapEngine {
                 actor,
             });
         }
-        // Revoke every capability owned by the dying domain. Collect ids
-        // first; each revocation may cascade into caps owned by others.
-        let owned: Vec<CapId> = if self.indexes_poisoned {
-            self.caps
-                .values()
-                .filter(|c| c.owner == domain)
-                .map(|c| c.id)
-                .collect()
-        } else {
-            self.by_owner
-                .get(domain.0)
-                .into_iter()
-                .flat_map(|ids| ids.iter().copied())
-                .collect()
-        };
-        for cap in owned {
-            if self.caps.contains(cap.0) {
-                self.revoke_subtree(cap);
-            }
+        // Revoke every capability owned by the dying domain, in id order.
+        // Each revocation may cascade into caps owned by others (and
+        // remove later ids of this owner), so the walk re-reads the next
+        // id above a cursor instead of collecting the ids first.
+        let mut from = Some(CapId(0));
+        while let Some(cap) = from.and_then(|f| self.next_owned(domain, f)) {
+            self.revoke_subtree(cap);
+            from = cap.0.checked_add(1).map(CapId);
         }
         // Also revoke transition capabilities *into* the dead domain held
         // by others — they dangle otherwise.
-        let dangling: Vec<CapId> = if self.indexes_poisoned {
-            self.caps
-                .values()
-                .filter(|c| matches!(c.resource, Resource::Transition(t) if t == domain))
-                .map(|c| c.id)
-                .collect()
-        } else {
-            self.res_index
-                .get(&(3, domain.0))
-                .into_iter()
-                .flat_map(|ids| ids.iter().copied())
-                .collect()
-        };
-        for cap in dangling {
-            if self.caps.contains(cap.0) {
-                self.revoke_subtree(cap);
-            }
+        let mut from = Some(CapId(0));
+        while let Some(cap) = from.and_then(|f| self.next_transition_into(domain, f)) {
+            self.revoke_subtree(cap);
+            from = cap.0.checked_add(1).map(CapId);
         }
         // Reclaim the dead domain's records. Its id stays retired: the
         // allocator never re-issues ids, and every path answers
@@ -1052,11 +1065,42 @@ impl CapEngine {
     /// [`active_mem_coverage`](Self::active_mem_coverage).
     #[doc(hidden)]
     pub fn active_mem_coverage_scan(&self) -> Vec<(DomainId, MemRegion)> {
-        self.caps
-            .values()
-            .filter(|c| c.active)
-            .filter_map(|c| c.resource.as_mem().map(|r| (c.owner, r)))
-            .collect()
+        // One allocation sized for every capability, not a doubling
+        // cascade: the differential checks run this on every query.
+        let mut out = Vec::with_capacity(self.caps.len());
+        out.extend(
+            self.caps
+                .values()
+                .filter(|c| c.active)
+                .filter_map(|c| c.resource.as_mem().map(|r| (c.owner, r))),
+        );
+        out
+    }
+
+    /// The `(owner, region)` pairs of the active memory capabilities
+    /// overlapping `region`, from the interval index.
+    fn overlapping_coverage(&self, region: MemRegion) -> Vec<(DomainId, MemRegion)> {
+        let mut out = Vec::new();
+        self.mem_index.for_each_overlapping(region.start, region.end, |e| {
+            out.push((e.owner, MemRegion::new(e.start, e.end)));
+        });
+        out
+    }
+
+    /// `domain`'s capabilities (active and suspended) in ascending id
+    /// order — from the owner index with `use_index`, else by a full scan.
+    fn owned_caps(&self, domain: DomainId, use_index: bool) -> impl Iterator<Item = &Capability> {
+        let indexed = use_index
+            .then(|| self.by_owner.get(domain.0))
+            .flatten()
+            .into_iter()
+            .flat_map(|ids| ids.iter())
+            .filter_map(|id| self.caps.get(id.0));
+        let scanned = (!use_index)
+            .then(|| self.caps.values().filter(move |c| c.owner == domain))
+            .into_iter()
+            .flatten();
+        indexed.chain(scanned)
     }
 
     /// Full reference-count query over a memory range (Figure 4). Visits
@@ -1070,13 +1114,7 @@ impl CapEngine {
         // intervals that actually overlap `region` (plus the O(log n)
         // search spine). `mem_refcount` ignores non-overlapping entries,
         // so the tighter candidate set is sound.
-        let coverage: Vec<(DomainId, MemRegion)> = self
-            .mem_index
-            .overlapping(region.start, region.end)
-            .into_iter()
-            .map(|e| (e.owner, MemRegion::new(e.start, e.end)))
-            .collect();
-        let out = mem_refcount(&coverage, region);
+        let out = mem_refcount(&self.overlapping_coverage(region), region);
         #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
         assert_eq!(
             out,
@@ -1145,32 +1183,13 @@ impl CapEngine {
         } else {
             self.active_mem_coverage_scan()
         };
-        let own: Vec<&Capability> = if use_index {
-            self.by_owner
-                .get(domain.0)
-                .into_iter()
-                .flat_map(|ids| ids.iter())
-                .filter_map(|id| self.caps.get(id.0))
-                .filter(|c| c.active)
-                .collect()
-        } else {
-            self.caps
-                .values()
-                .filter(|c| c.owner == domain && c.active)
-                .collect()
-        };
-        let mut out: Vec<EnumeratedResource> = own
-            .into_iter()
+        let mut out: Vec<EnumeratedResource> = self
+            .owned_caps(domain, use_index)
+            .filter(|c| c.active)
             .map(|c| {
                 let refcount = match c.resource {
                     Resource::Memory(r) if use_index => {
-                        let local: Vec<(DomainId, MemRegion)> = self
-                            .mem_index
-                            .overlapping(r.start, r.end)
-                            .into_iter()
-                            .map(|e| (e.owner, MemRegion::new(e.start, e.end)))
-                            .collect();
-                        mem_refcount(&local, r)
+                        mem_refcount(&self.overlapping_coverage(r), r)
                     }
                     Resource::Memory(r) => mem_refcount(&coverage, r),
                     Resource::Transition(_) => RefCount { max: 1, min: 1 },
@@ -1514,6 +1533,41 @@ impl CapEngine {
         }
     }
 
+    /// The smallest live capability id `>= from` owned by `domain`.
+    fn next_owned(&self, domain: DomainId, from: CapId) -> Option<CapId> {
+        if self.indexes_poisoned {
+            return self
+                .caps
+                .values()
+                .find(|c| c.owner == domain && c.id >= from)
+                .map(|c| c.id);
+        }
+        self.by_owner
+            .get(domain.0)?
+            .range(from..)
+            .copied()
+            .find(|id| self.caps.contains(id.0))
+    }
+
+    /// The smallest live transition capability id `>= from` into
+    /// `domain`.
+    fn next_transition_into(&self, domain: DomainId, from: CapId) -> Option<CapId> {
+        if self.indexes_poisoned {
+            return self
+                .caps
+                .values()
+                .find(|c| {
+                    c.id >= from && matches!(c.resource, Resource::Transition(t) if t == domain)
+                })
+                .map(|c| c.id);
+        }
+        self.res_index
+            .get(&(3, domain.0))?
+            .range(from..)
+            .copied()
+            .find(|id| self.caps.contains(id.0))
+    }
+
     /// Revokes the subtree rooted at `cap` (inclusive), post-order, with
     /// clean-up effects. Iterative with an explicit stack; each node is
     /// visited exactly once, so this terminates regardless of domain-level
@@ -1524,9 +1578,15 @@ impl CapEngine {
         self.trace.emit_engine(EventKind::GenBump {
             gen: self.generation,
         });
-        // Collect the subtree in DFS order.
-        let mut order = Vec::new();
-        let mut stack = vec![cap];
+        // Collect the subtree in DFS order, in the engine's reusable
+        // walk buffers.
+        let WalkScratch {
+            mut stack,
+            mut order,
+        } = std::mem::take(&mut self.walk);
+        stack.clear();
+        order.clear();
+        stack.push(cap);
         while let Some(id) = stack.pop() {
             if let Some(c) = self.caps.get(id.0) {
                 order.push(id);
@@ -1538,9 +1598,11 @@ impl CapEngine {
         // of effects; reserving the subtree size up front turns a
         // storm's O(log) reallocation cascade into one growth step.
         self.effects.reserve(order.len());
-        for id in order.into_iter().rev() {
+        for &id in order.iter().rev() {
             self.revoke_single(id);
         }
+        order.clear();
+        self.walk = WalkScratch { stack, order };
     }
 
     /// Revokes one capability node (its children are already gone).
@@ -1627,48 +1689,65 @@ impl CapEngine {
     /// encoding of the domain's configuration and recorded contents.
     fn measure_config(&self, domain: DomainId, policy: SealPolicy) -> tyche_crypto::Digest {
         let dom = self.domains.get(domain.0).expect("caller checked");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"tyche-domain-v1");
-        bytes.extend_from_slice(&dom.entry.unwrap_or(0).to_le_bytes());
-        bytes.push(policy.encode());
-        let mut entries: Vec<(u8, u64, u64, u8, u8)> = self
-            .caps_of(domain)
-            .into_iter()
+        // The canonical encoding is hashed as it is produced; a tenant's
+        // handful of capability entries sorts in a stack buffer.
+        let mut h = tyche_crypto::Sha256::new();
+        h.update(b"tyche-domain-v1");
+        h.update(&dom.entry.unwrap_or(0).to_le_bytes());
+        h.update(&[policy.encode()]);
+        let mut small = [(0u8, 0u64, 0u64, 0u8, 0u8); MEASURE_INLINE];
+        let mut spill = Vec::new();
+        let mut n = 0;
+        for c in self
+            .owned_caps(domain, !self.indexes_poisoned)
             .filter(|c| c.active)
-            .map(|c| {
-                let (a, b) = match c.resource {
-                    Resource::Memory(r) => (r.start, r.end),
-                    Resource::CpuCore(n) => (n as u64, 0),
-                    Resource::Device(d) => (d as u64, 0),
-                    Resource::Transition(t) => (t.0, 0),
-                    Resource::Interrupt(v) => (v as u64, 0),
-                };
-                let kind = match c.kind {
-                    CapKind::Root => 0u8,
-                    CapKind::Shared => 1,
-                    CapKind::Granted => 2,
-                    CapKind::Carved => 3,
-                };
-                (c.resource.type_tag(), a, b, c.rights.0, kind)
-            })
-            .collect();
-        entries.sort();
-        bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (tag, a, b, rights, kind) in entries {
-            bytes.push(tag);
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(&b.to_le_bytes());
-            bytes.push(rights);
-            bytes.push(kind);
+        {
+            let (a, b) = match c.resource {
+                Resource::Memory(r) => (r.start, r.end),
+                Resource::CpuCore(n) => (n as u64, 0),
+                Resource::Device(d) => (d as u64, 0),
+                Resource::Transition(t) => (t.0, 0),
+                Resource::Interrupt(v) => (v as u64, 0),
+            };
+            let kind = match c.kind {
+                CapKind::Root => 0u8,
+                CapKind::Shared => 1,
+                CapKind::Granted => 2,
+                CapKind::Carved => 3,
+            };
+            let entry = (c.resource.type_tag(), a, b, c.rights.0, kind);
+            match small.get_mut(n) {
+                Some(slot) => *slot = entry,
+                None => {
+                    if spill.is_empty() {
+                        spill.extend_from_slice(&small);
+                    }
+                    spill.push(entry);
+                }
+            }
+            n += 1;
         }
-        let mut contents = dom.content_measurements.clone();
+        let entries = match small.get_mut(..n) {
+            Some(inline) => inline,
+            None => spill.as_mut_slice(),
+        };
+        entries.sort_unstable();
+        h.update(&(n as u64).to_le_bytes());
+        for &(tag, a, b, rights, kind) in entries.iter() {
+            h.update(&[tag]);
+            h.update(&a.to_le_bytes());
+            h.update(&b.to_le_bytes());
+            h.update(&[rights, kind]);
+        }
+        h.update(&(dom.content_measurements.len() as u64).to_le_bytes());
+        let mut contents: Vec<&(u64, u64, tyche_crypto::Digest)> =
+            dom.content_measurements.iter().collect();
         contents.sort();
-        bytes.extend_from_slice(&(contents.len() as u64).to_le_bytes());
         for (s, e, d) in contents {
-            bytes.extend_from_slice(&s.to_le_bytes());
-            bytes.extend_from_slice(&e.to_le_bytes());
-            bytes.extend_from_slice(d.as_bytes());
+            h.update(&s.to_le_bytes());
+            h.update(&e.to_le_bytes());
+            h.update(d.as_bytes());
         }
-        tyche_crypto::hash(&bytes)
+        h.finalize()
     }
 }

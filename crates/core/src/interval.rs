@@ -17,7 +17,12 @@
 //!   the same key set always produces the same shape, with no RNG in
 //!   the TCB and no dependence on insertion order;
 //! - nodes live in a `u32`-indexed arena with a freelist, so a revoke
-//!   storm recycles nodes instead of thrashing the allocator.
+//!   storm recycles nodes instead of thrashing the allocator;
+//! - point updates are single root-to-leaf passes: `insert` descends
+//!   while the path outranks the new key, replaces in place on an equal
+//!   key, and otherwise splits only the subtree at the insertion point;
+//!   `remove` replaces the node by the join of its children. Both repair
+//!   `max_end` on the way back up.
 //!
 //! Equality is logical (same `(key, value)` sequence); shape never
 //! leaks into `PartialEq`, `Debug`, or iteration.
@@ -204,29 +209,97 @@ impl IntervalTree {
     }
 
     /// Inserts (or replaces) the interval keyed `(start, cap)`.
+    ///
+    /// One top-down pass: descend by key while the node on the path
+    /// outranks the new key's priority, replace the payload in place on
+    /// an equal key, and otherwise split only the subtree at the
+    /// insertion point around the new node; `max_end` is repaired on the
+    /// way back up. An equal key always carries an equal priority, so it
+    /// can never sit below the insertion point.
     pub fn insert(&mut self, start: u64, cap: CapId, end: u64, owner: DomainId) {
-        self.remove(start, cap);
-        let node = self.alloc_node(start, cap.0, end, owner.0);
-        let (a, b) = self.treap_split(self.root, (start, cap.0));
-        let left = self.treap_join(a, node);
-        self.root = self.treap_join(left, b);
+        let k = (start, cap.0);
+        let root = self.insert_at(self.root, k, prio_for(start, cap.0), end, owner.0);
+        self.root = root;
+    }
+
+    /// [`insert`](Self::insert) below subtree `t`; returns the subtree's
+    /// new root.
+    fn insert_at(&mut self, t: u32, k: (u64, u64), prio: u64, end: u64, owner: u64) -> u32 {
+        let Some(n) = self.nodes.get_mut(t as usize) else {
+            return self.place(NIL, k, end, owner);
+        };
+        if (n.start, n.cap) == k {
+            n.end = end;
+            n.owner = owner;
+            self.pull(t);
+            return t;
+        }
+        if n.prio < prio {
+            return self.place(t, k, end, owner);
+        }
+        let go_left = k < (n.start, n.cap);
+        let child = if go_left { n.left } else { n.right };
+        let sub = self.insert_at(child, k, prio, end, owner);
+        if let Some(n) = self.nodes.get_mut(t as usize) {
+            if go_left {
+                n.left = sub;
+            } else {
+                n.right = sub;
+            }
+        }
+        self.pull(t);
+        t
+    }
+
+    /// Makes a new node for `k` the root of subtree `t` (which does not
+    /// hold `k`), splitting `t` around it.
+    fn place(&mut self, t: u32, k: (u64, u64), end: u64, owner: u64) -> u32 {
+        let (a, b) = self.treap_split(t, k);
+        let node = self.alloc_node(k.0, k.1, end, owner);
+        if let Some(n) = self.nodes.get_mut(node as usize) {
+            n.left = a;
+            n.right = b;
+        }
+        self.pull(node);
         self.len += 1;
+        node
     }
 
     /// Removes the interval keyed `(start, cap)`; true if it existed.
+    /// One descent: the node is replaced by the join of its children and
+    /// `max_end` is repaired along the path.
     pub fn remove(&mut self, start: u64, cap: CapId) -> bool {
-        let k = (start, cap.0);
-        let (a, rest) = self.treap_split(self.root, k);
-        let (hit, b) = self.treap_split(rest, (start, cap.0.wrapping_add(1)));
-        let found = hit != NIL;
-        if found {
-            // The middle split holds exactly the matching key (keys are
-            // unique), so it is a single node: recycle it.
-            self.free.push(hit);
-            self.len -= 1;
-        }
-        self.root = self.treap_join(a, b);
+        let (root, found) = self.remove_at(self.root, (start, cap.0));
+        self.root = root;
         found
+    }
+
+    /// [`remove`](Self::remove) below subtree `t`; returns the subtree's
+    /// new root and whether the key was found.
+    fn remove_at(&mut self, t: u32, k: (u64, u64)) -> (u32, bool) {
+        let Some(n) = self.nodes.get(t as usize) else {
+            return (NIL, false);
+        };
+        let nk = (n.start, n.cap);
+        let (left, right) = (n.left, n.right);
+        if nk == k {
+            self.free.push(t);
+            self.len -= 1;
+            return (self.treap_join(left, right), true);
+        }
+        let go_left = k < nk;
+        let (sub, found) = self.remove_at(if go_left { left } else { right }, k);
+        if found {
+            if let Some(n) = self.nodes.get_mut(t as usize) {
+                if go_left {
+                    n.left = sub;
+                } else {
+                    n.right = sub;
+                }
+            }
+            self.pull(t);
+        }
+        (t, found)
     }
 
     /// Looks up the payload stored under `(start, cap)`.
@@ -265,16 +338,22 @@ impl IntervalTree {
     /// subtrees past `qend` are never visited — `O(log n + k)`.
     pub fn overlapping(&self, qstart: u64, qend: u64) -> Vec<IntervalEntry> {
         let mut out = Vec::new();
-        self.collect_overlaps(self.root, qstart, qend, &mut out, 0);
+        self.for_each_overlapping(qstart, qend, |e| out.push(e));
         out
     }
 
-    fn collect_overlaps(
+    /// Calls `f` on every interval overlapping `[qstart, qend)`, in key
+    /// order — [`overlapping`](Self::overlapping) without the `Vec`.
+    pub fn for_each_overlapping(&self, qstart: u64, qend: u64, mut f: impl FnMut(IntervalEntry)) {
+        self.visit_overlaps(self.root, qstart, qend, &mut f, 0);
+    }
+
+    fn visit_overlaps<F: FnMut(IntervalEntry)>(
         &self,
         i: u32,
         qstart: u64,
         qend: u64,
-        out: &mut Vec<IntervalEntry>,
+        f: &mut F,
         depth: u32,
     ) {
         // Depth guard: expected depth is O(log n); 120 covers any
@@ -292,12 +371,12 @@ impl IntervalTree {
         }
         let (left, right) = (n.left, n.right);
         let (start, cap, end, owner) = (n.start, n.cap, n.end, n.owner);
-        self.collect_overlaps(left, qstart, qend, out, depth + 1);
+        self.visit_overlaps(left, qstart, qend, f, depth + 1);
         if start < qend && end > qstart {
-            out.push(IntervalEntry { start, cap: CapId(cap), end, owner: DomainId(owner) });
+            f(IntervalEntry { start, cap: CapId(cap), end, owner: DomainId(owner) });
         }
         if start < qend {
-            self.collect_overlaps(right, qstart, qend, out, depth + 1);
+            self.visit_overlaps(right, qstart, qend, f, depth + 1);
         }
         // else: every key in the right subtree has start >= this start
         // >= qend, so none can overlap — pruned.
@@ -440,6 +519,116 @@ mod tests {
         assert_eq!(a, b, "insertion order does not matter");
         b.remove(0, CapId(0));
         assert_ne!(a, b);
+    }
+
+    /// Walks the whole tree and checks, at every node, key order against
+    /// the subtree's bounds, heap order on `prio`, and that `max_end` is
+    /// the subtree maximum. Returns the number of reachable nodes.
+    fn check_invariants(t: &IntervalTree) -> usize {
+        fn walk(
+            t: &IntervalTree,
+            i: u32,
+            lo: Option<(u64, u64)>,
+            hi: Option<(u64, u64)>,
+            parent_prio: u64,
+        ) -> (usize, u64) {
+            if i == NIL {
+                return (0, 0);
+            }
+            let n = &t.nodes[i as usize];
+            let k = (n.start, n.cap);
+            assert!(lo.is_none_or(|lo| lo < k), "key order: {k:?} not above {lo:?}");
+            assert!(hi.is_none_or(|hi| k < hi), "key order: {k:?} not below {hi:?}");
+            assert!(n.prio <= parent_prio, "heap order broken at {k:?}");
+            assert_eq!(n.prio, prio_for(n.start, n.cap), "priority is the key's hash");
+            let (lc, lmax) = walk(t, n.left, lo, Some(k), n.prio);
+            let (rc, rmax) = walk(t, n.right, Some(k), hi, n.prio);
+            let max = n.end.max(lmax).max(rmax);
+            assert_eq!(n.max_end, max, "max_end at {k:?} is not the subtree maximum");
+            (lc + rc + 1, max)
+        }
+        let (count, _) = walk(t, t.root, None, None, u64::MAX);
+        assert_eq!(count, t.len(), "len matches the reachable nodes");
+        count
+    }
+
+    /// Seeded random insert / replace / remove sequences against a
+    /// `BTreeMap` model, shaped like the engine's slices: page-sized
+    /// intervals on a small page range (so keys collide and replace) plus
+    /// a few large intervals. The invariant walker runs after every step.
+    #[test]
+    fn random_updates_match_map_model_and_keep_invariants() {
+        use std::collections::BTreeMap;
+        const PAGE: u64 = 0x1000;
+        for seed in [1u64, 42] {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut t = IntervalTree::new();
+            let mut model: BTreeMap<(u64, u64), (u64, u64)> = BTreeMap::new();
+            let (mut inserts, mut replaces, mut removes) = (0, 0, 0);
+            for step in 0..10_500u32 {
+                let r = next();
+                let start = (r % 256) * PAGE;
+                let cap = (r >> 20) % 8;
+                let end = if (r >> 40) % 64 == 0 {
+                    start + ((r >> 46) % 4096 + 1) * PAGE
+                } else {
+                    start + PAGE
+                };
+                let owner = (r >> 50) % 16;
+                if (r >> 56) % 3 == 0 {
+                    let hit = t.remove(start, CapId(cap));
+                    assert_eq!(hit, model.remove(&(start, cap)).is_some(), "remove result");
+                    removes += usize::from(hit);
+                } else {
+                    let old = model.insert((start, cap), (end, owner));
+                    if old.is_some() {
+                        replaces += 1;
+                    } else {
+                        inserts += 1;
+                    }
+                    t.insert(start, CapId(cap), end, DomainId(owner));
+                }
+                check_invariants(&t);
+                assert_eq!(t.len(), model.len());
+                assert_eq!(
+                    t.get(start, CapId(cap)),
+                    model.get(&(start, cap)).map(|&(e, o)| (e, DomainId(o)))
+                );
+                if step % 64 == 0 {
+                    let got: Vec<_> =
+                        t.iter().map(|e| ((e.start, e.cap.0), (e.end, e.owner.0))).collect();
+                    let want: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(got, want, "in-order iteration is the model's key order");
+                }
+                if step % 8 == 0 {
+                    let q = next();
+                    let qs = (q % 300) * PAGE;
+                    let qe = qs + ((q >> 32) % 64 + 1) * PAGE;
+                    let got: Vec<_> =
+                        t.overlapping(qs, qe).into_iter().map(|e| (e.start, e.cap.0)).collect();
+                    let want: Vec<_> = model
+                        .iter()
+                        .filter(|(&(s, _), &(e, _))| s < qe && e > qs)
+                        .map(|(&k, _)| k)
+                        .collect();
+                    assert_eq!(got, want, "overlap [{qs:#x},{qe:#x}) at step {step}");
+                }
+            }
+            assert!(inserts > 1000 && replaces > 1000 && removes > 1000, "{inserts}/{replaces}/{removes}");
+            // A tree rebuilt from the model in another order is equal.
+            let mut rebuilt = IntervalTree::new();
+            for (&(s, c), &(e, o)) in model.iter().rev() {
+                rebuilt.insert(s, CapId(c), e, DomainId(o));
+            }
+            check_invariants(&rebuilt);
+            assert_eq!(rebuilt, t);
+        }
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //!   read side, the VMFUNC switch is charged to the core's own clock,
 //!   and a cache hit takes no shared lock at all. This is the paper's
 //!   "fast (100 cycles) transitions" path, now per-core.
-//! - **Mutations** (everything else) compute the involved domains on
-//!   the live engine under a read guard they drop again, take the
-//!   *shard locks* of every involved domain — in ascending shard order,
-//!   the global rule that makes cross-domain grants and revokes
-//!   deadlock-free — and then the inner monitor's write lock for the
-//!   actual state change. A committed mutation only records the new
-//!   engine generation. Domains route to shards by
-//!   [`ConcurrentMonitor::shard_of_n`], a power-of-two mask.
+//! - **Mutations** (everything else) take the core's state lock and
+//!   the inner monitor's write lock, then compute the domains the call
+//!   involves and the ones that lose translations **once**, against the
+//!   state the call runs on, into per-core scratch buffers. A committed
+//!   mutation only records the new engine generation. Domains route to
+//!   *shards* by [`ConcurrentMonitor::shard_of_n`], a power-of-two mask;
+//!   a shard is a simulated clock, not a lock (below).
 //!
 //! ## Reading the engine
 //!
@@ -35,18 +34,19 @@
 //!
 //! ## Simulated-time contention model
 //!
-//! Correctness comes from the real locks; *cost* comes from the
-//! discrete-event clock model. Each shard lock carries a simulated
-//! clock: a mutation starts at `t0 = max(core clock, involved shard
-//! clocks)` (+ a lock hand-off penalty if it had to wait), runs for the
-//! operation's charged cycle count, and advances the core clock and
-//! every involved shard clock to `t0 + dt`. Two cores mutating
-//! *distinct* domains never share a shard clock and proceed in parallel
-//! simulated time; two cores hammering the *same* domain serialize on
-//! its shard clock exactly like a contended lock. The machine makespan
-//! is `max` over core clocks. The engine object itself is still guarded
-//! by one inner lock (it is a single data structure); the shard clocks
-//! model the per-domain engine sharding the lock order is designed for,
+//! Correctness comes from the inner write lock; *cost* comes from the
+//! discrete-event clock model. Each shard is a simulated clock: a
+//! mutation starts at `t0 = max(core clock, involved shard clocks)` (+
+//! a lock hand-off penalty if it had to wait), runs for the operation's
+//! charged cycle count, and advances the core clock and every involved
+//! shard clock to `t0 + dt`. Two cores mutating *distinct* domains
+//! never share a shard clock and proceed in parallel simulated time;
+//! two cores hammering the *same* domain serialize on its shard clock
+//! exactly like a contended lock. The machine makespan is `max` over
+//! core clocks. The engine object itself is guarded by the one inner
+//! lock (it is a single data structure), and the clocks are read and
+//! advanced only under its write side, so the model is a function of
+//! the call order; the shard clocks model per-domain engine sharding,
 //! and the whole-monitor-mutex baseline in `tyche-bench` models the
 //! alternative where every call serializes on one global clock.
 //!
@@ -85,9 +85,10 @@
 //! [`ring_doorbell`](ConcurrentMonitor::ring_doorbell) or automatically
 //! when the ring reaches its configured depth. A drain charges **one**
 //! trap crossing for the whole batch (each entry then pays its operation
-//! cost minus the per-call trap, plus `ring_dispatch`), takes the shard
-//! locks of the batch's involved-set union **once**, pays at most one
-//! `lock_handoff`, and coalesces every entry's invalidations into one
+//! cost minus the per-call trap, plus `ring_dispatch`), holds the write
+//! lock **once**, waits on the shard clocks of the batch's
+//! involved-set union (pre-batch state) at most once — one
+//! `lock_handoff` — and coalesces every entry's invalidations into one
 //! shootdown round. Read-tier and transition calls are never enqueued:
 //! they have their own no-lock tiers, and their results are needed
 //! synchronously to know what the core runs next.
@@ -99,7 +100,6 @@
 //! monitor disagree about who is running on the core, rather than let a
 //! hypercall execute with the wrong actor.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -134,13 +134,6 @@ fn mutex_lock<T>(l: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// One shard: the real lock serializing conflicting mutations, plus the
-/// simulated clock modeling when the shard is next free.
-struct Shard {
-    lock: Mutex<()>,
-    clock: CycleCounter,
-}
-
 /// A fast-path stack frame mirrored per core.
 struct SmpFrame {
     caller: DomainId,
@@ -155,6 +148,102 @@ struct SmpCore {
     /// `(engine generation, actor, cap)` → `(target, entry)`; valid only
     /// while the generation matches.
     cache: Option<(u64, DomainId, CapId, DomainId, u64)>,
+    /// Involved-set scratch, reused by every mutation this core serves.
+    involved: Involved,
+    /// A ring drain's union of involved domains and of shootdown
+    /// targets across its entries.
+    batch_domains: Vec<DomainId>,
+    batch_losers: Vec<DomainId>,
+}
+
+/// The domains one mutating call touches and the subset that *loses*
+/// translations (shootdown targets), both ascending and deduplicated,
+/// plus the walk stack a revoke needs. Kept per core so a steady stream
+/// of mutations allocates nothing here.
+#[derive(Debug, Default)]
+struct Involved {
+    domains: Vec<DomainId>,
+    losers: Vec<DomainId>,
+    walk: Vec<CapId>,
+}
+
+impl Involved {
+    /// Computes the sets for `call` issued by `actor` against the **one**
+    /// engine state passed in — never a fresh read per cap, which could
+    /// mix generations within a single computation and under-compute
+    /// shootdown targets. The involved set is conservative (a superset
+    /// only costs simulated contention, never correctness: the inner
+    /// lock serializes every mutation) but tight enough that
+    /// distinct-domain workloads stay on disjoint shards. The loser set
+    /// mirrors the backends' flush rule: map-only changes (share, split,
+    /// create) never shoot down; grant strips the granter, revoke strips
+    /// the subtree owners, kill strips the dead domain.
+    fn compute(&mut self, snap: &CapEngine, actor: DomainId, call: &MonitorCall) {
+        let Involved { domains, losers, walk } = self;
+        domains.clear();
+        losers.clear();
+        domains.push(actor);
+        match call {
+            MonitorCall::Share { cap, target, .. } => {
+                domains.push(*target);
+                if let Some(c) = snap.cap(*cap) {
+                    domains.push(c.owner);
+                }
+            }
+            MonitorCall::Grant { cap, target, .. } => {
+                domains.push(*target);
+                if let Some(c) = snap.cap(*cap) {
+                    domains.push(c.owner);
+                    if matches!(c.resource, tyche_core::Resource::Memory(_)) {
+                        losers.push(c.owner);
+                    }
+                }
+            }
+            MonitorCall::Revoke { cap } => {
+                // Owners across the revoked subtree, all from the same
+                // generation.
+                walk.clear();
+                walk.push(*cap);
+                while let Some(id) = walk.pop() {
+                    if let Some(c) = snap.cap(id) {
+                        domains.push(c.owner);
+                        if c.active && matches!(c.resource, tyche_core::Resource::Memory(_)) {
+                            losers.push(c.owner);
+                        }
+                        walk.extend(c.children.iter().copied());
+                    }
+                }
+            }
+            MonitorCall::Kill { domain } => {
+                domains.push(*domain);
+                losers.push(*domain);
+            }
+            MonitorCall::Seal { domain, .. }
+            | MonitorCall::SetEntry { domain, .. }
+            | MonitorCall::RecordContent { domain, .. }
+            | MonitorCall::Attest { domain, .. } => {
+                domains.push(*domain);
+            }
+            MonitorCall::MakeTransition { target, .. } => {
+                domains.push(*target);
+            }
+            MonitorCall::Enter { cap } => {
+                if let Some(c) = snap.cap(*cap) {
+                    if let tyche_core::Resource::Transition(t) = c.resource {
+                        domains.push(t);
+                    }
+                }
+            }
+            MonitorCall::Split { .. }
+            | MonitorCall::CreateDomain
+            | MonitorCall::Return
+            | MonitorCall::Enumerate => {}
+        }
+        domains.sort_unstable();
+        domains.dedup();
+        losers.sort_unstable();
+        losers.dedup();
+    }
 }
 
 /// Aggregate counters, all atomics so workers update them lock-free.
@@ -174,8 +263,8 @@ pub struct SmpStats {
     pub shard_waits: AtomicU64,
     /// Calls enqueued into a submission ring.
     pub ring_submitted: AtomicU64,
-    /// Ring batches drained (each = one trap crossing, one shard-lock
-    /// acquisition, one shootdown round).
+    /// Ring batches drained (each = one trap crossing, one write-lock
+    /// hold, one shootdown round).
     pub ring_batches: AtomicU64,
 }
 
@@ -196,7 +285,8 @@ impl SmpStats {
 /// model.
 pub struct ConcurrentMonitor {
     inner: RwLock<Monitor>,
-    shards: Vec<Shard>,
+    /// Per-shard simulated clocks: when each domain shard is next free.
+    shards: Vec<CycleCounter>,
     cores: Vec<Mutex<SmpCore>>,
     clocks: Arc<PerCoreClocks>,
     /// Per-core invalidation batches: domains whose translations a core
@@ -204,7 +294,9 @@ pub struct ConcurrentMonitor {
     /// batch (like per-CPU TLB gather), which keeps IPI accounting
     /// deterministic — it never depends on which core happens to sync
     /// first.
-    pending: Vec<Mutex<BTreeSet<DomainId>>>,
+    /// Each batch is kept ascending and deduplicated; its buffer is
+    /// handed back after a sync, so steady queueing allocates nothing.
+    pending: Vec<Mutex<Vec<DomainId>>>,
     /// Engine generation after the most recent committed mutation.
     live_gen: AtomicU64,
     /// Per-core submission rings of pending mutating calls.
@@ -288,20 +380,20 @@ impl ConcurrentMonitor {
                     current: monitor.current_domain(core),
                     stack: Vec::new(),
                     cache: None,
+                    involved: Involved::default(),
+                    batch_domains: Vec::new(),
+                    batch_losers: Vec::new(),
                 })
             })
             .collect();
         ConcurrentMonitor {
             inner: RwLock::new(monitor),
             shards: (0..nshards.max(1).next_power_of_two())
-                .map(|_| Shard {
-                    lock: Mutex::new(()),
-                    clock: CycleCounter::new(),
-                })
+                .map(|_| CycleCounter::new())
                 .collect(),
             cores,
             clocks,
-            pending: (0..core_count).map(|_| Mutex::new(BTreeSet::new())).collect(),
+            pending: (0..core_count).map(|_| Mutex::new(Vec::new())).collect(),
             live_gen: AtomicU64::new(gen),
             rings: (0..core_count).map(|_| Mutex::new(Vec::new())).collect(),
             ring_depth: ring_depth.max(1),
@@ -539,21 +631,12 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// Mutation tier: shard locks in ascending order, then the inner
-    /// monitor, with the discrete-event timing described in the module
-    /// docs.
+    /// Mutation tier: the inner monitor's write lock, then the involved
+    /// and loser sets computed once against the state the call runs on,
+    /// with the discrete-event timing described in the module docs.
     fn serve_mutating(&self, core: usize, call: MonitorCall) -> Result<CallResult, Status> {
         let mut state = mutex_lock(self.core_state(core)?);
         let actor = state.current;
-        let involved = self.involved_live(actor, std::slice::from_ref(&call));
-        let mut shard_idx: Vec<usize> = involved.iter().map(|&d| self.shard_index(d)).collect();
-        shard_idx.sort_unstable();
-        shard_idx.dedup();
-        let shards: Vec<&Shard> = shard_idx
-            .iter()
-            .filter_map(|&i| self.shards.get(i))
-            .collect();
-        let _guards: Vec<MutexGuard<'_, ()>> = shards.iter().map(|s| mutex_lock(&s.lock)).collect();
         let mut inner = write_lock(&self.inner);
         // A fast-entered domain has not trapped into the monitor: the
         // inner monitor still has its caller current on this core, so a
@@ -563,6 +646,54 @@ impl ConcurrentMonitor {
         // cannot see is exactly what the trace-completeness argument
         // forbids.
         if inner.current_domain(core) != actor {
+            self.trace_denied(core, actor, std::slice::from_ref(&call));
+            return Err(Status::Denied);
+        }
+        let SmpCore {
+            involved,
+            stack,
+            current,
+            ..
+        } = &mut *state;
+        involved.compute(&inner.engine, actor, &call);
+        let t0 = self.start_time(core, &involved.domains);
+        // The inner call charges the machine-global counter; the delta
+        // is this operation's cost, re-charged to the core's timeline.
+        let before = inner.machine.cycles.now();
+        let result = inner.call(core, call);
+        let dt = inner.machine.cycles.since(before);
+        self.finish_time(core, &involved.domains, t0 + dt);
+        // Only the generation is recorded; nothing copies the engine.
+        self.live_gen.store(inner.engine.generation(), Ordering::Release);
+        drop(inner);
+        SmpStats::bump(&self.stats.mutations);
+        // Mirror mediated transitions into the SMP view.
+        match &result {
+            Ok(CallResult::Entered { target, .. }) => {
+                stack.push(SmpFrame {
+                    caller: actor,
+                    fast: false,
+                });
+                *current = *target;
+            }
+            Ok(CallResult::Returned { to }) => {
+                stack.pop();
+                *current = *to;
+            }
+            _ => {}
+        }
+        // Translation-shrinking ops queue the domains that *lost* access
+        // for a batched cross-core shootdown instead of IPI-ing inline.
+        if result.is_ok() {
+            self.queue_shootdowns(core, &involved.losers);
+        }
+        result
+    }
+
+    /// Leaves a `HyperEnter`/`HyperExit(Denied)` bracket per refused
+    /// call: a fast-entered domain must return before mutating.
+    fn trace_denied(&self, core: usize, actor: DomainId, calls: &[MonitorCall]) {
+        for call in calls {
             let leaf = call.encode().0;
             self.trace
                 .emit(core as u32, EventKind::HyperEnter { leaf, actor: actor.0 });
@@ -574,19 +705,23 @@ impl ConcurrentMonitor {
                     cycles: 0,
                 },
             );
-            return Err(Status::Denied);
         }
-        // Discrete-event lock timing: start when the core *and* every
-        // involved shard are free; pay a hand-off if the shard clocks
-        // made us wait.
+    }
+
+    /// Discrete-event lock timing: a mutation over `domains` starts when
+    /// the core *and* every involved shard are free, plus a hand-off if
+    /// the shard clocks made it wait. Reported as waiting on the lowest
+    /// busiest shard, exactly as an ascending walk would find it.
+    fn start_time(&self, core: usize, domains: &[DomainId]) -> u64 {
         let core_now = self.clocks.now(core);
         let mut shard_free = 0;
-        let mut busiest_shard = 0u64;
-        for (s, &i) in shards.iter().zip(shard_idx.iter()) {
-            let now = s.clock.now();
-            if now > shard_free {
+        let mut busiest_shard = 0;
+        for &d in domains {
+            let i = self.shard_index(d);
+            let now = self.shards.get(i).map_or(0, CycleCounter::now);
+            if now > shard_free || (now == shard_free && now > 0 && i < busiest_shard) {
                 shard_free = now;
-                busiest_shard = i as u64;
+                busiest_shard = i;
             }
         }
         let mut t0 = core_now.max(shard_free);
@@ -595,62 +730,44 @@ impl ConcurrentMonitor {
             self.trace.emit(
                 core as u32,
                 EventKind::ShardWait {
-                    shard: busiest_shard,
+                    shard: busiest_shard as u64,
                 },
             );
             t0 += self.lock_handoff;
         }
-        // Shootdown targets come from the engine state the call executes
-        // against, read under the write lock: the shard-set pass above ran
-        // under a guard that has since been dropped.
-        let (_, losers) = self.involved_domains(&inner.engine, actor, &call);
-        // The inner call charges the machine-global counter; the delta
-        // is this operation's cost, re-charged to the core's timeline.
-        let before = inner.machine.cycles.now();
-        let result = inner.call(core, call);
-        let dt = inner.machine.cycles.since(before);
-        let end = t0 + dt;
+        t0
+    }
+
+    /// Advances the core clock and every involved shard clock to `end`.
+    fn finish_time(&self, core: usize, domains: &[DomainId], end: u64) {
         self.clocks.advance_to(core, end);
-        for s in &shards {
-            s.clock.advance_to(end);
-        }
-        // Only the generation is recorded; nothing copies the engine.
-        self.live_gen.store(inner.engine.generation(), Ordering::Release);
-        SmpStats::bump(&self.stats.mutations);
-        // Mirror mediated transitions into the SMP view.
-        match &result {
-            Ok(CallResult::Entered { target, .. }) => {
-                state.stack.push(SmpFrame {
-                    caller: actor,
-                    fast: false,
-                });
-                state.current = *target;
-            }
-            Ok(CallResult::Returned { to }) => {
-                state.stack.pop();
-                state.current = *to;
-            }
-            _ => {}
-        }
-        drop(inner);
-        drop(state);
-        // Translation-shrinking ops queue the domains that *lost* access
-        // for a batched cross-core shootdown instead of IPI-ing inline.
-        if result.is_ok() && !losers.is_empty() {
-            // `core` was validated by `core_state` above; `get` keeps the
-            // no-panic discipline anyway.
-            if let Some(batch) = self.pending.get(core) {
-                let mut pending = mutex_lock(batch);
-                for d in losers {
-                    SmpStats::bump(&self.stats.shootdowns_requested);
-                    if pending.insert(d) {
-                        self.trace
-                            .emit(core as u32, EventKind::ShootQueue { domain: d.0 });
-                    }
-                }
+        for &d in domains {
+            if let Some(clock) = self.shards.get(self.shard_index(d)) {
+                clock.advance_to(end);
             }
         }
-        result
+    }
+
+    /// Adds `losers` (ascending, deduplicated) to `core`'s invalidation
+    /// batch.
+    fn queue_shootdowns(&self, core: usize, losers: &[DomainId]) {
+        if losers.is_empty() {
+            return;
+        }
+        // `core` was validated by `core_state`; `get` keeps the no-panic
+        // discipline anyway.
+        let Some(batch) = self.pending.get(core) else {
+            return;
+        };
+        let mut pending = mutex_lock(batch);
+        for &d in losers {
+            SmpStats::bump(&self.stats.shootdowns_requested);
+            if let Err(at) = pending.binary_search(&d) {
+                pending.insert(at, d);
+                self.trace
+                    .emit(core as u32, EventKind::ShootQueue { domain: d.0 });
+            }
+        }
     }
 
     /// Submits a call through `core`'s doorbell ring. Read-tier and
@@ -686,7 +803,7 @@ impl ConcurrentMonitor {
     }
 
     /// Rings `core`'s doorbell: drains every queued call as one batch —
-    /// one trap crossing, one shard-lock acquisition over the batch's
+    /// one trap crossing, one write-lock hold over the batch's
     /// involved-set union, at most one lock hand-off, and one coalesced
     /// shootdown round delivered before returning — and returns the
     /// per-call results in submission order. Empty ring ⇒ empty vec.
@@ -704,215 +821,83 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// Serves one drained batch. Same locking story as the single-call
-    /// mutating tier, paid once: the shard locks cover the union of
-    /// every entry's involved set at one generation (a superset of any
-    /// per-entry set, so still conservative), and the timing model
-    /// charges one trap crossing plus per-entry dispatch overhead
-    /// instead of a trap per call.
+    /// Serves one drained batch under one write-lock hold. The shard
+    /// clocks cover the union of every entry's involved set at the
+    /// pre-batch state (intra-batch mutations may shift ownership, but
+    /// shards only model contention, so that union is the batch's
+    /// footprint), shootdown targets come per entry from the state that
+    /// entry executes against, and the timing model charges one trap
+    /// crossing plus per-entry dispatch overhead instead of a trap per
+    /// call.
     fn serve_batch(
         &self,
         core: usize,
         batch: &[MonitorCall],
     ) -> Result<Vec<Result<CallResult, Status>>, Status> {
-        let state = mutex_lock(self.core_state(core)?);
+        let mut state = mutex_lock(self.core_state(core)?);
         let actor = state.current;
-        // Intra-batch mutations may shift ownership mid-batch — the shard
-        // locks only model contention, so a pre-batch union stays safe;
-        // shootdown targets are recomputed per entry below.
-        let involved = self.involved_live(actor, batch);
-        let mut shard_idx: Vec<usize> = involved.iter().map(|&d| self.shard_index(d)).collect();
-        shard_idx.sort_unstable();
-        shard_idx.dedup();
-        let shards: Vec<&Shard> = shard_idx
-            .iter()
-            .filter_map(|&i| self.shards.get(i))
-            .collect();
-        let guards: Vec<MutexGuard<'_, ()>> = shards.iter().map(|s| mutex_lock(&s.lock)).collect();
         let mut inner = write_lock(&self.inner);
         // Same refusal rule as the single-call tier: a fast-entered
         // domain must return before mutating. Each refused entry still
         // leaves a hypercall bracket in the trace.
         if inner.current_domain(core) != actor {
-            for call in batch {
-                let leaf = call.encode().0;
-                self.trace
-                    .emit(core as u32, EventKind::HyperEnter { leaf, actor: actor.0 });
-                self.trace.emit(
-                    core as u32,
-                    EventKind::HyperExit {
-                        leaf,
-                        code: Status::Denied as u64,
-                        cycles: 0,
-                    },
-                );
-            }
+            self.trace_denied(core, actor, batch);
             return Ok(batch.iter().map(|_| Err(Status::Denied)).collect());
         }
-        let core_now = self.clocks.now(core);
-        let mut shard_free = 0;
-        let mut busiest_shard = 0u64;
-        for (s, &i) in shards.iter().zip(shard_idx.iter()) {
-            let now = s.clock.now();
-            if now > shard_free {
-                shard_free = now;
-                busiest_shard = i as u64;
-            }
+        let SmpCore {
+            involved,
+            batch_domains,
+            batch_losers,
+            ..
+        } = &mut *state;
+        batch_domains.clear();
+        batch_losers.clear();
+        for call in batch {
+            involved.compute(&inner.engine, actor, call);
+            batch_domains.extend_from_slice(&involved.domains);
         }
-        let mut t0 = core_now.max(shard_free);
-        if shard_free > core_now {
-            SmpStats::bump(&self.stats.shard_waits);
-            self.trace.emit(
-                core as u32,
-                EventKind::ShardWait {
-                    shard: busiest_shard,
-                },
-            );
-            t0 += self.lock_handoff;
-        }
+        batch_domains.sort_unstable();
+        batch_domains.dedup();
+        let t0 = self.start_time(core, batch_domains);
         // One doorbell trap crossing for the whole batch; each entry
         // then pays its operation cost *minus* the per-call trap the
         // inner monitor charges, plus the ring dispatch overhead.
         let mut t_end = t0 + self.trap_cost;
         let mut results = Vec::with_capacity(batch.len());
-        let mut all_losers: BTreeSet<DomainId> = BTreeSet::new();
         for call in batch {
             SmpStats::bump(&self.stats.calls);
-            // Shootdown targets come from the live engine state this
-            // entry actually executes against: an earlier entry in the
-            // same batch may already have moved ownership.
-            let (_, call_losers) = self.involved_domains(&inner.engine, actor, call);
+            // Shootdown targets come from the live state this entry
+            // executes against: an earlier entry may already have moved
+            // ownership. A lone entry's sets are still current from the
+            // union pass.
+            if batch.len() > 1 {
+                involved.compute(&inner.engine, actor, call);
+            }
             let before = inner.machine.cycles.now();
             let result = inner.call(core, *call);
             let dt = inner.machine.cycles.since(before);
             t_end += dt.saturating_sub(self.trap_cost) + self.ring_dispatch_cost;
             SmpStats::bump(&self.stats.mutations);
             if result.is_ok() {
-                all_losers.extend(call_losers);
+                batch_losers.extend_from_slice(&involved.losers);
             }
             results.push(result);
         }
         self.live_gen.store(inner.engine.generation(), Ordering::Release);
-        self.clocks.advance_to(core, t_end);
-        for s in &shards {
-            s.clock.advance_to(t_end);
-        }
+        self.finish_time(core, batch_domains, t_end);
         SmpStats::bump(&self.stats.ring_batches);
         drop(inner);
+        batch_losers.sort_unstable();
+        batch_losers.dedup();
+        self.queue_shootdowns(core, batch_losers);
+        // The sync below takes other cores' state locks, which rank with
+        // this one: release it first.
         drop(state);
-        // The shard guards must go before the sync below: it takes other
-        // cores' state locks (rank below the shards), and a core waiting
-        // on one of our shards could be holding its own state lock.
-        drop(guards);
-        if !all_losers.is_empty() {
-            if let Some(pending_cell) = self.pending.get(core) {
-                let mut pending = mutex_lock(pending_cell);
-                for d in all_losers {
-                    SmpStats::bump(&self.stats.shootdowns_requested);
-                    if pending.insert(d) {
-                        self.trace
-                            .emit(core as u32, EventKind::ShootQueue { domain: d.0 });
-                    }
-                }
-            }
-        }
         // A batch is an explicit flush boundary: its invalidations are
         // already coalesced, so deliver the shootdown round now instead
         // of leaving the gather window open.
         self.sync_shootdowns(core);
         Ok(results)
-    }
-
-    /// The union of the involved sets of `calls`, computed against the
-    /// live engine under one read guard, so the union comes from a
-    /// single generation. The guard is dropped on return: callers take
-    /// the shard locks next, and no engine guard may be held then.
-    fn involved_live(&self, actor: DomainId, calls: &[MonitorCall]) -> BTreeSet<DomainId> {
-        let inner = read_lock(&self.inner);
-        let mut involved = BTreeSet::new();
-        for call in calls {
-            involved.extend(self.involved_domains(&inner.engine, actor, call).0);
-        }
-        involved
-    }
-
-    /// The domains a call touches, for shard locking, plus the subset
-    /// that *loses* translations (shootdown targets), all computed
-    /// against the **one** engine state the caller passes in — never a
-    /// fresh read per cap, which could mix generations within a
-    /// single involved-set computation and under-compute shootdown
-    /// targets. The involved set is conservative — a superset is always
-    /// safe, since the inner lock guarantees correctness and shards only
-    /// model contention — but tight enough that distinct-domain
-    /// workloads stay disjoint. The loser set mirrors the backends'
-    /// flush rule: map-only changes (share, split, create) never shoot
-    /// down; grant strips the granter, revoke strips the subtree owners,
-    /// kill strips the dead domain.
-    fn involved_domains(
-        &self,
-        snap: &CapEngine,
-        actor: DomainId,
-        call: &MonitorCall,
-    ) -> (BTreeSet<DomainId>, BTreeSet<DomainId>) {
-        let mut set = BTreeSet::new();
-        let mut losers = BTreeSet::new();
-        set.insert(actor);
-        match call {
-            MonitorCall::Share { cap, target, .. } => {
-                set.insert(*target);
-                if let Some(c) = snap.cap(*cap) {
-                    set.insert(c.owner);
-                }
-            }
-            MonitorCall::Grant { cap, target, .. } => {
-                set.insert(*target);
-                if let Some(c) = snap.cap(*cap) {
-                    set.insert(c.owner);
-                    if matches!(c.resource, tyche_core::Resource::Memory(_)) {
-                        losers.insert(c.owner);
-                    }
-                }
-            }
-            MonitorCall::Revoke { cap } => {
-                // Owners across the revoked subtree, all from the same
-                // generation.
-                let mut stack = vec![*cap];
-                while let Some(id) = stack.pop() {
-                    if let Some(c) = snap.cap(id) {
-                        set.insert(c.owner);
-                        if c.active && matches!(c.resource, tyche_core::Resource::Memory(_)) {
-                            losers.insert(c.owner);
-                        }
-                        stack.extend(c.children.iter().copied());
-                    }
-                }
-            }
-            MonitorCall::Kill { domain } => {
-                set.insert(*domain);
-                losers.insert(*domain);
-            }
-            MonitorCall::Seal { domain, .. }
-            | MonitorCall::SetEntry { domain, .. }
-            | MonitorCall::RecordContent { domain, .. }
-            | MonitorCall::Attest { domain, .. } => {
-                set.insert(*domain);
-            }
-            MonitorCall::MakeTransition { target, .. } => {
-                set.insert(*target);
-            }
-            MonitorCall::Enter { cap } => {
-                if let Some(c) = snap.cap(*cap) {
-                    if let tyche_core::Resource::Transition(t) = c.resource {
-                        set.insert(t);
-                    }
-                }
-            }
-            MonitorCall::Split { .. }
-            | MonitorCall::CreateDomain
-            | MonitorCall::Return
-            | MonitorCall::Enumerate => {}
-        }
-        (set, losers)
     }
 
     /// Drains `core`'s own invalidation batch and delivers one batched
@@ -922,10 +907,10 @@ impl ConcurrentMonitor {
     /// only what it shrank — the TLB-gather discipline — so IPI counts
     /// are a function of the workload, not of sync interleaving.
     pub fn sync_shootdowns(&self, core: usize) -> usize {
-        let affected: BTreeSet<DomainId> = match self.pending.get(core) {
-            Some(batch) => std::mem::take(&mut *mutex_lock(batch)),
-            None => return 0,
+        let Some(batch) = self.pending.get(core) else {
+            return 0;
         };
+        let mut affected = std::mem::take(&mut *mutex_lock(batch));
         if affected.is_empty() {
             return 0;
         }
@@ -937,7 +922,7 @@ impl ConcurrentMonitor {
                 continue;
             }
             let st = mutex_lock(slot);
-            if affected.contains(&st.current) {
+            if affected.binary_search(&st.current).is_ok() {
                 targets.push(i);
             }
         }
@@ -959,6 +944,12 @@ impl ConcurrentMonitor {
         );
         for _ in 0..sent {
             SmpStats::bump(&self.stats.ipis_sent);
+        }
+        // Hand the drained buffer back so the next batch reuses it.
+        affected.clear();
+        let mut pending = mutex_lock(batch);
+        if pending.is_empty() {
+            std::mem::swap(&mut *pending, &mut affected);
         }
         sent
     }
@@ -1189,13 +1180,25 @@ mod tests {
         assert_eq!(cm.sync_shootdowns(0), 0, "pending set drained");
     }
 
-    /// Regression test for the torn-snapshot bug: `involved_domains`
-    /// used to read the engine separately per cap, so a mutation
-    /// committing between the lookups could make one computation mix
-    /// two generations. The fixed signature takes the engine state as a
-    /// parameter, which makes the result a pure function of one
-    /// generation — interleaved mutations (modeled both with a real
-    /// served call and with the corruption hooks) must not change it.
+    /// The involved and loser sets of `call` against `snap`.
+    fn involved_sets(
+        snap: &CapEngine,
+        actor: DomainId,
+        call: &MonitorCall,
+    ) -> (Vec<DomainId>, Vec<DomainId>) {
+        let mut inv = Involved::default();
+        inv.compute(snap, actor, call);
+        (inv.domains, inv.losers)
+    }
+
+    /// Regression test for the torn-snapshot bug: the involved-set
+    /// computation used to read the engine separately per cap, so a
+    /// mutation committing between the lookups could make one
+    /// computation mix two generations. `Involved::compute` takes the
+    /// engine state as a parameter, which makes the result a pure
+    /// function of one generation — interleaved mutations (modeled both
+    /// with a real served call and with the corruption hooks) must not
+    /// change it.
     #[test]
     fn involved_set_computed_at_one_generation() {
         let (cm, doms) = smp_fixture();
@@ -1210,13 +1213,13 @@ mod tests {
             .map(|c| c.id)
             .unwrap();
         let call = MonitorCall::Revoke { cap };
-        let before = cm.involved_domains(&snap, root, &call);
+        let before = involved_sets(&snap, root, &call);
         assert!(before.0.contains(&d1), "owner of the revoked cap is involved");
         assert!(before.1.contains(&d1), "memory revocation shoots d1 down");
         // A mutation interleaves: the cap is revoked for real. The
         // computation against the *held* snapshot must not change.
         cm.serve(0, call).unwrap();
-        let after = cm.involved_domains(&snap, root, &call);
+        let after = involved_sets(&snap, root, &call);
         assert_eq!(before, after, "one snapshot in => one generation out");
         // Same property under the corruption hooks: tampering a clone
         // (the interleaved-mutation stand-in the pre-fix code could
@@ -1226,10 +1229,10 @@ mod tests {
         if let Some(c) = tampered.corrupt_cap(cap) {
             c.owner = root;
         }
-        let torn = cm.involved_domains(&tampered, root, &call);
+        let torn = involved_sets(&tampered, root, &call);
         assert_ne!(before, torn, "a different generation gives a different set");
         // ...while the held snapshot still answers as before.
-        assert_eq!(cm.involved_domains(&snap, root, &call), before);
+        assert_eq!(involved_sets(&snap, root, &call), before);
     }
 
     #[test]

@@ -141,6 +141,27 @@ pub struct Monitor {
     /// Trace sink (a clone of the machine's master handle; the engine
     /// holds its own clone, installed at assembly).
     trace: TraceSink,
+    /// Effect buffer swapped with the engine's on every drain, so
+    /// applying a call's effects allocates nothing once both have grown.
+    effect_buf: Vec<Effect>,
+    /// Coalescing scratch: the batch position of each domain's last
+    /// effect of each [`coalesce_key`] kind.
+    last_effect: HashMap<(DomainId, u8), usize>,
+}
+
+/// Coalesced effect kinds: a mem resync, a TLB flush, a cache flush.
+const SYNC: u8 = 0;
+const TLB: u8 = 1;
+const CACHE: u8 = 2;
+
+/// The `(domain, kind)` an effect coalesces under, if it coalesces.
+fn coalesce_key(fx: &Effect) -> Option<(DomainId, u8)> {
+    match fx {
+        Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. } => Some((*domain, SYNC)),
+        Effect::FlushTlb { domain } => Some((*domain, TLB)),
+        Effect::FlushCache { domain } => Some((*domain, CACHE)),
+        _ => None,
+    }
 }
 
 impl Monitor {
@@ -188,6 +209,8 @@ impl Monitor {
             fast_cache_gen: 0,
             metrics,
             trace,
+            effect_buf: Vec::new(),
+            last_effect: HashMap::new(),
         }
     }
 
@@ -1047,11 +1070,16 @@ impl Monitor {
     }
 
     fn apply_all(&mut self) -> Result<(), (BackendError, BTreeSet<DomainId>)> {
-        let effects = Self::coalesce_effects(self.engine.drain_effects());
-        self.apply_list(&effects)
+        let mut effects = std::mem::take(&mut self.effect_buf);
+        self.engine.drain_effects_into(&mut effects);
+        Self::coalesce_effects(&mut effects, &mut self.last_effect);
+        let res = self.apply_list(&effects);
+        self.effect_buf = effects;
+        res
     }
 
-    /// Coalesces a drained effect batch before backend application.
+    /// Coalesces a drained effect batch in place before backend
+    /// application.
     ///
     /// The backends resync a domain's *entire* translation state from the
     /// engine on every `MapMem`/`UnmapMem` (the engine is the authority),
@@ -1060,40 +1088,31 @@ impl Monitor {
     /// A resync ends in a TLB shootdown for the domain, so standalone
     /// `FlushTlb` effects for a resynced domain are redundant; otherwise
     /// one flush per (domain, batch) suffices, as flushes are idempotent.
-    /// Everything else is preserved in emission order.
-    fn coalesce_effects(effects: Vec<Effect>) -> Vec<Effect> {
-        let mut last_sync: HashMap<DomainId, usize> = HashMap::new();
-        let mut last_tlb: HashMap<DomainId, usize> = HashMap::new();
-        let mut last_cache: HashMap<DomainId, usize> = HashMap::new();
+    /// Everything else is preserved in emission order. `last` is scratch
+    /// kept by the caller so steady batches allocate nothing.
+    fn coalesce_effects(effects: &mut Vec<Effect>, last: &mut HashMap<(DomainId, u8), usize>) {
+        last.clear();
         for (i, fx) in effects.iter().enumerate() {
-            match fx {
-                Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. } => {
-                    last_sync.insert(*domain, i);
-                }
-                Effect::FlushTlb { domain } => {
-                    last_tlb.insert(*domain, i);
-                }
-                Effect::FlushCache { domain } => {
-                    last_cache.insert(*domain, i);
-                }
-                _ => {}
+            if let Some(key) = coalesce_key(fx) {
+                last.insert(key, i);
             }
         }
-        effects
-            .into_iter()
-            .enumerate()
-            .filter(|(i, fx)| match fx {
-                Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. } => {
-                    last_sync.get(domain) == Some(i)
+        let mut at = 0;
+        effects.retain(|fx| {
+            let i = at;
+            at += 1;
+            match coalesce_key(fx) {
+                None => true,
+                Some((domain, TLB)) => {
+                    !last.contains_key(&(domain, SYNC)) && last.get(&(domain, TLB)) == Some(&i)
                 }
-                Effect::FlushTlb { domain } => {
-                    !last_sync.contains_key(domain) && last_tlb.get(domain) == Some(i)
-                }
-                Effect::FlushCache { domain } => last_cache.get(domain) == Some(i),
-                _ => true,
-            })
-            .map(|(_, fx)| fx)
-            .collect()
+                Some(key) => last.get(&key) == Some(&i),
+            }
+        });
+        // A storm's batch must not leave a ballooned map behind.
+        if last.capacity() > tyche_core::engine::EFFECTS_RETAIN {
+            *last = HashMap::new();
+        }
     }
 
     /// Applies every effect in order and returns the *first* failure,

@@ -94,9 +94,6 @@ pub struct LockSite {
     pub bound: bool,
     /// The let binding's name, when it is a plain identifier.
     pub binding: Option<String>,
-    /// True for batch acquisition through an iterator chain
-    /// (`.map(|s| mutex_lock(..)).collect()`).
-    pub multi: bool,
 }
 
 /// One `x.store(v, Ordering::..)`-shaped atomic operation.
@@ -716,8 +713,10 @@ fn record_lock(
         .split_once('=')
         .map(|(_, r)| r.trim().to_string())
         .unwrap_or_default();
-    let multi = context.contains(".map(") || after.contains(".collect()");
-    let bound = is_let && (multi || (rest_after_eq.is_empty() && after.is_empty()));
+    // Guards collected through an iterator chain
+    // (`.map(|s| mutex_lock(..)).collect()`) are held by the bound `Vec`.
+    let collected = context.contains(".map(") || after.contains(".collect()");
+    let bound = is_let && (collected || (rest_after_eq.is_empty() && after.is_empty()));
     let binding = if bound {
         let mut it = context.split_whitespace().skip(1); // past `let`
         let mut first = it.next().unwrap_or("");
@@ -742,7 +741,6 @@ fn record_lock(
         scope_end: if bound { usize::MAX } else { ident_pos },
         bound,
         binding,
-        multi,
     });
 }
 
@@ -955,7 +953,7 @@ mod tests {
     }
 
     #[test]
-    fn collected_map_guards_are_bound_and_multi() {
+    fn collected_map_guards_are_bound() {
         let src = "fn f(&self) {\n\
                        let mut idx: Vec<usize> = ds.iter().map(shard_of).collect();\n\
                        idx.sort_unstable();\n\
@@ -966,7 +964,7 @@ mod tests {
         let m = model(src);
         let f = &m.functions[0];
         let shard = f.locks.iter().find(|l| l.arg.contains("shards")).unwrap();
-        assert!(shard.bound && shard.multi);
+        assert!(shard.bound);
         assert_eq!(shard.binding.as_deref(), Some("_guards"));
     }
 
@@ -978,7 +976,7 @@ mod tests {
         let m = model(src);
         let f = &m.functions[0];
         assert_eq!(f.locks.len(), 1);
-        assert!(f.locks[0].multi && f.locks[0].bound);
+        assert!(f.locks[0].bound);
         assert!(f.locks[0].context.contains("shards"));
     }
 

@@ -3,25 +3,22 @@
 //! DESIGN.md fixes one global acquisition order for every sleeping lock
 //! in the monitor:
 //!
-//! > submission ring → per-core state → domain shards (ascending
-//! > index) → inner engine → pending-shootdown set
+//! > submission ring → per-core state → inner engine →
+//! > pending-shootdown set
 //!
 //! plus the cross-machine channel table and NIC queue, and the
 //! trace-sink locks that sit after everything (channel code emits trace
 //! events while holding its guard). This module is that sentence made
 //! machine-checked: every guard acquisition parsed out of the TCB is
-//! classified into one of the ten ranked classes of [`HIERARCHY`]
+//! classified into one of the nine ranked classes of [`HIERARCHY`]
 //! (`static_oracle` requires every real acquisition to classify), and
 //! an acquisition of a lower-ranked (or same-ranked) class while a
 //! guard is held is a finding — directly in a body, or transitively
 //! through a call while guards are held, reported with the call chain.
 //!
-//! Shard locks are special twice over: the only legal way to take more
-//! than one is the batch idiom (`sort_unstable` + `dedup`, then one
-//! iterator-chain acquisition in ascending index order), so (a) two
-//! separate shard acquisitions in one body are always a finding, and
-//! (b) a batch acquisition without sort+dedup evidence earlier in the
-//! same body is a finding.
+//! Domain shards are not locks: the mutating tier serializes on the
+//! inner engine's write lock alone, and each shard keeps only the
+//! simulated clock that models its contention.
 
 use super::{Lint, StaticFinding};
 use crate::parse::{Function, LockSite, WorkspaceModel};
@@ -32,14 +29,13 @@ use std::collections::BTreeMap;
 pub const HIERARCHY: &[(&str, u8)] = &[
     ("submission-ring", 0),
     ("core-state", 1),
-    ("domain-shard", 2),
-    ("engine-inner", 3),
-    ("pending-shootdown", 4),
-    ("channel-table", 5),
-    ("nic-queue", 6),
-    ("trace-lanes", 7),
-    ("trace-lane", 8),
-    ("trace-spill-log", 9),
+    ("engine-inner", 2),
+    ("pending-shootdown", 3),
+    ("channel-table", 4),
+    ("nic-queue", 5),
+    ("trace-lanes", 6),
+    ("trace-lane", 7),
+    ("trace-spill-log", 8),
 ];
 
 /// Substring → class rules, checked in order against the argument text
@@ -52,7 +48,6 @@ const PATTERNS: &[(&str, &str)] = &[
     // which shows up in plenty of statement contexts.
     ("nic_queue", "nic-queue"),
     ("channel", "channel-table"),
-    ("shard", "domain-shard"),
     ("core", "core-state"),
     ("slot", "core-state"),
     ("engine", "engine-inner"),
@@ -137,28 +132,8 @@ pub fn check(model: &WorkspaceModel) -> Vec<StaticFinding> {
                         file: func.file.clone(),
                         line: site.line,
                         message: format!(
-                            "{} acquires `{class}` twice (first at line {}); only the sorted batch idiom may hold multiple guards of one class",
+                            "{} acquires `{class}` twice (first at line {}); no class may be held twice",
                             func.qname, held.line
-                        ),
-                        path: vec![func.qname.clone()],
-                    });
-                }
-            }
-            // Shard batches must carry ascending-order evidence.
-            if class == "domain-shard" && site.multi {
-                let rel = site
-                    .offset
-                    .saturating_sub(func.body_start)
-                    .min(func.body_text.len());
-                let before = &func.body_text[..rel];
-                if !(before.contains("sort_unstable") && before.contains("dedup")) {
-                    findings.push(StaticFinding {
-                        lint: Lint::LockOrder,
-                        file: func.file.clone(),
-                        line: site.line,
-                        message: format!(
-                            "{} takes a batch of `domain-shard` guards without sort_unstable+dedup evidence earlier in the body — ascending shard order is unproven",
-                            func.qname
                         ),
                         path: vec![func.qname.clone()],
                     });

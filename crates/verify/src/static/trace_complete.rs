@@ -15,6 +15,7 @@ use crate::parse::WorkspaceModel;
 pub const EXEMPT: &[(&str, &str)] = &[
     ("set_trace", "installs the sink itself; nothing to record yet"),
     ("drain_effects", "hardware-effect queue handoff, not a capability mutation"),
+    ("drain_effects_into", "hardware-effect queue handoff, not a capability mutation"),
     ("corrupt_cap", "adversarial tampering hook: invisible by design, RV must catch it"),
     ("corrupt_domain", "adversarial tampering hook: invisible by design, RV must catch it"),
     ("corrupt_generation", "adversarial tampering hook: invisible by design, RV must catch it"),

@@ -25,14 +25,15 @@ fn allow(file: &str, construct: &str, count: usize) -> AllowEntry {
 // ---------------------------------------------------------------- lock order
 
 /// Ascending acquisitions, an explicit drop before re-descending, and a
-/// sorted shard batch: everything the hierarchy allows.
+/// guard taken as a temporary (released at its own statement) before a
+/// lower class: everything the hierarchy allows.
 const LOCKS_OK: &str = r#"
 impl Serving {
     pub fn ascending(&self) {
         let state = mutex_lock(&self.core_slot);
-        let shard = mutex_lock(&self.shards[0].lock);
         let eng = write_lock(&self.engine);
-        consume(&state, &shard, &eng);
+        let batch = mutex_lock(&self.pending);
+        consume(&state, &eng, &batch);
     }
     pub fn drop_then_redescend(&self) {
         let eng = write_lock(&self.engine);
@@ -40,16 +41,10 @@ impl Serving {
         let state = mutex_lock(&self.core_slot);
         consume(&state);
     }
-    pub fn sorted_batch(&self, mut idx: Vec<usize>) {
-        idx.sort_unstable();
-        idx.dedup();
-        let _guards: Vec<MutexGuard<'_, ()>> = idx
-            .iter()
-            .filter_map(|&i| self.shards.get(i))
-            .map(|s| mutex_lock(&s.lock))
-            .collect();
-        let eng = write_lock(&self.engine);
-        consume(&eng);
+    pub fn temporary_then_lower(&self) {
+        let affected = std::mem::take(&mut *mutex_lock(&self.pending));
+        let state = mutex_lock(&self.core_slot);
+        consume(&affected, &state);
     }
 }
 "#;
@@ -67,8 +62,8 @@ fn descending_acquisition_is_caught() {
 impl Serving {
     pub fn backwards(&self) {
         let eng = write_lock(&self.engine);
-        let shard = mutex_lock(&self.shards[0].lock);
-        consume(&eng, &shard);
+        let state = mutex_lock(&self.core_slot);
+        consume(&eng, &state);
     }
 }
 "#;
@@ -77,8 +72,8 @@ impl Serving {
     assert_eq!(findings.len(), 1, "exactly the seeded violation: {findings:?}");
     let f = &findings[0];
     assert_eq!(f.lint, Lint::LockOrder);
-    assert_eq!(f.line, 5, "site is the shard acquisition");
-    assert!(f.message.contains("domain-shard"), "{}", f.message);
+    assert_eq!(f.line, 5, "site is the core-state acquisition");
+    assert!(f.message.contains("acquires `core-state`"), "{}", f.message);
     assert!(f.message.contains("engine-inner"), "{}", f.message);
     assert_eq!(f.path, vec!["Serving::backwards".to_string()]);
 }
@@ -93,8 +88,8 @@ impl Serving {
         consume(&eng);
     }
     fn helper(&self) {
-        let shard = mutex_lock(&self.shards[0].lock);
-        consume(&shard);
+        let state = mutex_lock(&self.core_slot);
+        consume(&state);
     }
 }
 "#;
@@ -108,6 +103,7 @@ impl Serving {
         "{}",
         f.message
     );
+    assert!(f.message.contains("acquires `core-state`"), "{}", f.message);
     assert_eq!(
         f.path,
         vec!["Serving::outer".to_string(), "Serving::helper".to_string()],
@@ -115,36 +111,16 @@ impl Serving {
     );
 }
 
+/// Two guards of one class held at once: a sync that locks a remote
+/// core's state while still holding its own would deadlock against a
+/// remote core doing the same.
 #[test]
-fn unsorted_shard_batch_is_caught() {
+fn double_core_state_acquisition_is_caught() {
     let src = r#"
 impl Serving {
-    pub fn unsorted(&self, idx: Vec<usize>) {
-        let _guards: Vec<MutexGuard<'_, ()>> = idx
-            .iter()
-            .filter_map(|&i| self.shards.get(i))
-            .map(|s| mutex_lock(&s.lock))
-            .collect();
-    }
-}
-"#;
-    let model = WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/bad.rs", src)]);
-    let findings = lock_order::check(&model);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("sort_unstable+dedup"),
-        "{}",
-        findings[0].message
-    );
-}
-
-#[test]
-fn double_single_shard_acquisition_is_caught() {
-    let src = r#"
-impl Serving {
-    pub fn two_shards(&self) {
-        let a = mutex_lock(&self.shards[0].lock);
-        let b = mutex_lock(&self.shards[1].lock);
+    pub fn two_cores(&self) {
+        let a = mutex_lock(&self.core_slot);
+        let b = mutex_lock(&self.remote_core);
         consume(&a, &b);
     }
 }
@@ -152,7 +128,7 @@ impl Serving {
     let model = WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/bad.rs", src)]);
     let findings = lock_order::check(&model);
     assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("twice"), "{}", findings[0].message);
+    assert!(findings[0].message.contains("acquires `core-state` twice"), "{}", findings[0].message);
 }
 
 /// A ring drain's lock shape: the submission ring first (and dropped),
@@ -182,9 +158,9 @@ fn conforming_ring_to_channel_locks_pass() {
 }
 
 /// Both inversions a ring drain must avoid: taking the ring while core
-/// state is held, and taking another core's state while still holding a
-/// shard (why a drain releases its shard guards before the shootdown
-/// round).
+/// state is held, and taking a core's state while still holding the
+/// pending-shootdown batch (why a sync takes its batch out before it
+/// looks at the other cores).
 #[test]
 fn ring_and_core_state_inversions_are_caught() {
     let src = r#"
@@ -194,8 +170,8 @@ impl Drain {
         let queued = mutex_lock(&self.ring_cell);
         consume(&state, &queued);
     }
-    pub fn core_after_shard(&self, shard: &Shard) {
-        let held = mutex_lock(&shard.lock);
+    pub fn core_after_pending(&self) {
+        let held = mutex_lock(&self.pending);
         let remote = mutex_lock(&self.core_slot);
         consume(&held, &remote);
     }
@@ -211,8 +187,8 @@ impl Drain {
     );
     assert!(
         findings.iter().any(|f| f.message.contains("acquires `core-state`")
-            && f.message.contains("`domain-shard`")),
-        "core-after-shard inversion missed: {findings:?}"
+            && f.message.contains("`pending-shootdown`")),
+        "core-after-pending inversion missed: {findings:?}"
     );
 }
 
@@ -579,6 +555,7 @@ impl Reclaimer {
 const EXEMPT_STUBS: &str = r#"
     pub fn set_trace(&mut self, t: TraceSink) { self.trace = t; }
     pub fn drain_effects(&mut self) -> Vec<Effect> { take(&mut self.effects) }
+    pub fn drain_effects_into(&mut self, out: &mut Vec<Effect>) { swap(&mut self.effects, out) }
     pub fn corrupt_cap(&mut self, id: CapId) { self.tamper(id); }
     pub fn corrupt_domain(&mut self, id: DomainId) { self.tamper_domain(id); }
     pub fn corrupt_generation(&mut self) { self.generation += 1; }
