@@ -2619,7 +2619,7 @@ fn scale_population(
 type FleetRow = (Json, Vec<(String, u64)>, Vec<(String, Histogram)>);
 
 /// One fleet scenario: boots `machines` independent machines, mutually
-/// attests every pair into MAC-keyed channels, then times `requests`
+/// attests every pair into AEAD-tagged channels, then times `requests`
 /// attested request deliveries round-robin over the ordered healthy
 /// pairs (both directions, so every machine both sends and receives).
 ///

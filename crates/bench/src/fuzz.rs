@@ -20,7 +20,7 @@
 //!    [`ConcurrentMonitor::sync_shootdowns`];
 //! 3. **RISC-V direct** — the PMP backend under the same storm;
 //! 4. **fleet** (seeds in [`FLEET_SEEDS`] only) — a 3-machine attested
-//!    fleet exchanging MAC-keyed frames under seeded NIC drop/dup
+//!    fleet exchanging AEAD-tagged frames under seeded NIC drop/dup
 //!    faults, every violation resolving to a recorded teardown and the
 //!    per-machine channel traces replayed through the runtime
 //!    verifiers.

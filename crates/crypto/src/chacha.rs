@@ -1,12 +1,12 @@
-//! The ChaCha20 block function (RFC 7539 §2.3).
+//! The ChaCha20 block function (RFC 8439 §2.3).
 //!
 //! Only the block function is exposed. It backs the deterministic random bit
-//! generator in [`crate::drbg`], and it is the stream cipher of the attested
-//! RDMA frames (`libtyche::rdma`), which XOR each 64-byte chunk of a payload
-//! with the block for the connection's keystream key, the chunk's index as
-//! the counter and the frame's sequence number as the nonce. We do not
-//! implement the AEAD construction: RDMA frames are authenticated by a
-//! separate HMAC-SHA256 tag over the ciphertext.
+//! generator in [`crate::drbg`], the per-location keystream of the simulated
+//! memory-encryption controller (`tyche-hw::mktme`), and the
+//! ChaCha20-Poly1305 AEAD in [`crate::aead`], where block 0 of a (key,
+//! nonce) pair is the one-time Poly1305 key and blocks 1, 2, … are the
+//! keystream. The AEAD authenticates every fleet channel frame and seals
+//! every attested RDMA frame.
 
 /// "expand 32-byte k" — the ChaCha constant words.
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];

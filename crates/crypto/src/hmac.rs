@@ -1,14 +1,15 @@
 //! HMAC-SHA256 (RFC 2104 / FIPS 198-1).
 //!
-//! HMAC is the authentication primitive behind attestation reports in this
-//! reproduction (see `DESIGN.md`: MACs substitute for the asymmetric
-//! signatures a production TPM would produce), and behind every fleet
-//! channel frame and RDMA frame.
+//! HMAC is the authentication primitive behind attestation reports and
+//! quotes in this reproduction (see `DESIGN.md`: MACs substitute for the
+//! asymmetric signatures a production TPM would produce), and the PRF of
+//! HKDF. Fleet channel and RDMA frames are authenticated with
+//! ChaCha20-Poly1305 ([`crate::aead`]) instead.
 //!
 //! A keyed [`HmacSha256`] holds the hash states with the inner and outer
-//! key pads already absorbed. Long-lived key holders (channel keys,
-//! signing and verifying keys, RDMA connections) key it once and call
-//! [`HmacSha256::tag`] / [`HmacSha256::check`] per message, which clones
+//! key pads already absorbed. Long-lived key holders (signing and
+//! verifying keys) key it once and call [`HmacSha256::tag`] /
+//! [`HmacSha256::check`] per message, which clones
 //! the keyed state instead of re-hashing both 64-byte pads every time.
 //! The keyed state is key material: anyone holding it can forge tags, so
 //! it gets the same care as the raw key. The type deliberately has no

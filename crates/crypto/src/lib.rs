@@ -10,12 +10,16 @@
 //!   "signatures" — see `DESIGN.md` for why MACs substitute for asymmetric
 //!   signatures in this reproduction.
 //! - [`hkdf`]: HKDF (RFC 5869) for deriving per-purpose keys from a device
-//!   root secret.
-//! - [`chacha`] / [`drbg`]: a ChaCha20-based deterministic random bit
-//!   generator used by the simulated TPM and by workload generators that need
-//!   reproducible randomness.
-//! - [`ct`]: constant-time comparison, used whenever a MAC or measurement is
-//!   verified.
+//!   root secret, and the fleet's channel and RDMA keys.
+//! - [`aead`] / [`poly1305`]: ChaCha20-Poly1305 (RFC 8439) with detached
+//!   16-byte tags, which authenticates every fleet channel frame and seals
+//!   every attested RDMA frame.
+//! - [`chacha`] / [`drbg`]: the ChaCha20 block function, the cipher of the
+//!   AEAD and of the simulated memory encryption, and a ChaCha20-based
+//!   deterministic random bit generator used by the simulated TPM and by
+//!   workload generators that need reproducible randomness.
+//! - [`ct`]: constant-time comparison, used whenever a MAC, tag or
+//!   measurement is verified.
 //! - [`sign`]: a tiny signing facade ([`sign::SigningKey`] /
 //!   [`sign::VerifyingKey`]) over HMAC so higher layers read like a
 //!   signature-based protocol.
@@ -29,11 +33,13 @@
 // production code only (accounting: crates/verify/allowlist.toml).
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod aead;
 pub mod chacha;
 pub mod ct;
 pub mod drbg;
 pub mod hkdf;
 pub mod hmac;
+pub mod poly1305;
 pub mod sha256;
 pub mod sign;
 

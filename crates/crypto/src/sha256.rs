@@ -3,8 +3,7 @@
 //! This is the measurement primitive for the whole reproduction: PCR
 //! extends in the simulated TPM, domain-configuration hashes, and memory
 //! region measurements all go through [`Sha256`], and so does every HMAC
-//! on the attested fleet and RDMA paths, which makes the compression
-//! function the hottest kernel there.
+//! behind attestation reports, quotes and HKDF.
 //!
 //! The compression function keeps a rolling 16-word message schedule
 //! instead of expanding all 64 words up front, unrolls the rounds by

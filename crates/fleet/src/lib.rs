@@ -20,9 +20,14 @@
 //! same channel key with HKDF over the sorted report digests, all four
 //! nonces, and the key epoch. Every subsequent frame is
 //! `word ‖ seq ‖ payload ‖ tag`, where `word` is the key epoch with the
-//! frame kind in its top bit and `tag` is an HMAC over the fixed-width
-//! little-endian `src ‖ word ‖ seq ‖ len` followed by the bytes the
-//! channel binds; the receiving TCB's `ChannelTable`
+//! frame kind in its top bit and `tag` is the 16-byte ChaCha20-Poly1305
+//! tag (`tyche_crypto::aead`) of an empty plaintext under the channel
+//! key, with nonce `(src as u32)_le ‖ seq_le` and additional data the
+//! fixed-width little-endian `src ‖ word ‖ seq ‖ len` followed by the
+//! bytes the channel binds. Both directions of a pair share the key
+//! and count sequence numbers from 0, so the sender's id in the nonce
+//! is what keeps every (key, nonce) pair unique; the receiving TCB's
+//! `ChannelTable`
 //! (`tyche-core::channel`) is the single accept/reject authority, and
 //! any violation — bad MAC, replay, reorder, truncation, stale epoch —
 //! tears the channel down at an exact frame index and quarantines the
@@ -34,8 +39,8 @@
 //! [`Fleet::rdma_write`]) route the encrypted RDMA frames through the
 //! NIC transport instead of an abstract wire, making it a real
 //! two-machine attested workload. Each payload byte is authenticated
-//! once: an ordinary frame's channel MAC binds its whole payload, but an
-//! RDMA-kind frame's channel MAC binds only the RDMA frame's length,
+//! once: an ordinary frame's channel tag binds its whole payload, but an
+//! RDMA-kind frame's channel tag binds only the RDMA frame's length,
 //! sequence number and TEE-pair tag, because that tag already binds the
 //! ciphertext. The receiving RDMA session checks the tag before the
 //! `ChannelTable` counts the frame, so a payload tamper is still the
@@ -53,7 +58,8 @@ use libtyche::{RdmaConnection, TycheClient};
 use tyche_core::channel::{ChannelTable, Violation, ViolationReason};
 use tyche_core::prelude::*;
 use tyche_core::SealPolicy;
-use tyche_crypto::{hkdf, Digest, HmacSha256};
+use tyche_crypto::aead::{self, Tag, TAG_LEN};
+use tyche_crypto::hkdf;
 use tyche_hw::machine::MachineConfig;
 use tyche_hw::nic::Frame;
 use tyche_hw::tpm::{Quote, TpmError};
@@ -69,13 +75,13 @@ pub const TEE_MEM: (u64, u64) = (0x10_0000, 0x10_4000);
 /// The MR window registered for attested RDMA, inside [`TEE_MEM`].
 pub const RDMA_MR: (u64, u64) = (0x10_1000, 0x10_2000);
 
-/// Channel frame overhead: epoch word (8) + seq (8) + HMAC tag (32).
-pub const FRAME_OVERHEAD: usize = 48;
+/// Channel frame overhead: epoch word (8) + seq (8) + AEAD tag (16).
+pub const FRAME_OVERHEAD: usize = 16 + TAG_LEN;
 
 /// The top bit of a frame's wire epoch word: set on an RDMA-kind frame,
 /// clear on an ordinary one. Epochs stay below it
 /// ([`tyche_core::channel::MAX_EPOCH`]), so the kind costs no wire byte,
-/// and the channel MAC covers the whole word, so a relabelled frame dies
+/// and the channel tag covers the whole word, so a relabelled frame dies
 /// as [`ViolationReason::BadMac`].
 const RDMA_KIND: u64 = 1 << 63;
 
@@ -115,7 +121,8 @@ impl Default for FleetConfig {
 /// Why a fleet operation failed.
 #[derive(Debug)]
 pub enum FleetError {
-    /// A machine index was out of range (or `from == to`).
+    /// A machine index was out of range (or `from == to`), or a fleet
+    /// had more machines than the wire's 32-bit sender ids can name.
     NoSuchMachine,
     /// A send was refused locally (no open channel to the peer).
     Refused(ViolationReason),
@@ -191,10 +198,8 @@ pub struct FleetMachine {
     /// previous epoch are retained (the one-epoch grace window lets a
     /// stale-epoch frame be *diagnosed* as stale rather than merely
     /// unauthentic); retired keys are never used to accept frames, and
-    /// a teardown destroys every epoch for the peer. Each key is held as
-    /// its keyed HMAC state, so a frame's MAC does not re-absorb the key
-    /// pads.
-    keys: BTreeMap<u64, BTreeMap<u64, HmacSha256>>,
+    /// a teardown destroys every epoch for the peer.
+    keys: BTreeMap<u64, BTreeMap<u64, [u8; 32]>>,
     /// Outcomes of the frames an RDMA receive judged on its way to its
     /// RDMA frame (ordinary frames, and frames from other peers), in
     /// arrival order; [`Fleet::deliver`] hands them out before it polls
@@ -215,7 +220,7 @@ impl FleetMachine {
     }
 
     /// Verifies one inbound ordinary frame from `src` through the
-    /// channel: MAC first, then the `ChannelTable`'s sequence/epoch
+    /// channel: tag first, then the `ChannelTable`'s sequence/epoch
     /// judgment. Counts the outcome.
     fn judge(&mut self, src: u64, bytes: &[u8]) -> Result<Delivery, Violation> {
         let outcome = self
@@ -232,12 +237,12 @@ impl FleetMachine {
     }
 
     /// Checks one inbound frame from `src` up to and including its
-    /// channel MAC, and returns its epoch, sequence number and payload.
-    /// Attribution comes from the trusted NIC's link header; the MAC
-    /// transcript binds the same id, so a forged id dies as BadMac. A
-    /// receive path verifies only its own `kind`: a frame of the other
-    /// kind is a BadMac without a MAC computed. Every rejection is
-    /// counted by the table at the frame's index.
+    /// channel tag, and returns its epoch, sequence number and payload.
+    /// Attribution comes from the trusted NIC's link header; the tag's
+    /// nonce and additional data bind the same id, so a forged id dies
+    /// as BadMac. A receive path verifies only its own `kind`: a frame
+    /// of the other kind is a BadMac without a tag computed. Every
+    /// rejection is counted by the table at the frame's index.
     fn authenticate<'a>(
         &self,
         src: u64,
@@ -265,7 +270,7 @@ impl FleetMachine {
         let authentic = word & RDMA_KIND == kind
             && bound_bytes(word, payload).is_some_and(|bound| {
                 let expected = frame_tag(key, src, word, seq, payload.len(), bound);
-                tyche_crypto::ct::eq(expected.as_bytes(), tag)
+                tyche_crypto::ct::eq(&expected, tag)
             });
         if !authentic {
             return Err(self.channels.reject(src, ViolationReason::BadMac));
@@ -297,7 +302,7 @@ impl FleetMachine {
     /// the grace window.
     fn install_key(&mut self, peer: u64, epoch: u64, key: [u8; 32]) {
         let epochs = self.keys.entry(peer).or_default();
-        epochs.insert(epoch, HmacSha256::new(&key));
+        epochs.insert(epoch, key);
         while epochs.len() > 2 {
             if let Some((&oldest, _)) = epochs.iter().next() {
                 epochs.remove(&oldest);
@@ -327,10 +332,10 @@ fn tpm_seed_for(fleet_seed: u64, i: usize) -> u64 {
 /// Splits a channel frame into its wire fields: epoch word, sequence
 /// number, payload and tag. `None` when it is shorter than
 /// [`FRAME_OVERHEAD`]. Nothing in the result is authenticated yet.
-fn split_frame(bytes: &[u8]) -> Option<(u64, u64, &[u8], &[u8; 32])> {
+fn split_frame(bytes: &[u8]) -> Option<(u64, u64, &[u8], &Tag)> {
     let (word, rest) = bytes.split_first_chunk::<8>()?;
     let (seq, rest) = rest.split_first_chunk::<8>()?;
-    let (payload, tag) = rest.split_last_chunk::<32>()?;
+    let (payload, tag) = rest.split_last_chunk::<TAG_LEN>()?;
     Some((
         u64::from_le_bytes(*word),
         u64::from_le_bytes(*seq),
@@ -339,7 +344,7 @@ fn split_frame(bytes: &[u8]) -> Option<(u64, u64, &[u8], &[u8; 32])> {
     ))
 }
 
-/// The payload bytes a frame's channel MAC binds: all of an ordinary
+/// The payload bytes a frame's channel tag binds: all of an ordinary
 /// payload; of an RDMA-kind payload only the RDMA frame's `seq_le` and
 /// its TEE-pair tag. That tag already binds the ciphertext, and the
 /// receiver checks it before the channel counts the frame. `None` when
@@ -349,31 +354,39 @@ fn bound_bytes(word: u64, payload: &[u8]) -> Option<[&[u8]; 2]> {
         return Some([payload, &[]]);
     }
     let (rdma_seq, rest) = payload.split_first_chunk::<8>()?;
-    let (_, rdma_tag) = rest.split_last_chunk::<32>()?;
+    let (_, rdma_tag) = rest.split_last_chunk::<{ libtyche::rdma::TAG_LEN }>()?;
     Some([rdma_seq, rdma_tag])
 }
 
-/// The channel MAC of one frame: HMAC over the fixed-width
-/// little-endian `src ‖ word ‖ seq ‖ len` (`word` is the epoch with the
-/// kind bit, `len` the payload's length), then the `bound` bytes.
-fn frame_tag(
-    key: &HmacSha256,
-    src: u64,
-    word: u64,
-    seq: u64,
-    len: usize,
-    bound: [&[u8]; 2],
-) -> Digest {
+/// The AEAD nonce of the frame `src` sends at `seq`: `(src as u32)_le ‖
+/// seq_le`. Both directions of a pair share the channel key and count
+/// `seq` from 0, so the sender's id keeps the nonces apart;
+/// [`Fleet::new`] refuses ids that do not fit in 32 bits.
+fn frame_nonce(src: u64, seq: u64) -> [u8; 12] {
+    let mut nonce = [0u8; 12];
+    let (id, count) = nonce.split_at_mut(4);
+    id.copy_from_slice(&(src as u32).to_le_bytes());
+    count.copy_from_slice(&seq.to_le_bytes());
+    nonce
+}
+
+/// The channel tag of one frame: the ChaCha20-Poly1305 tag of an empty
+/// plaintext under the channel key, at [`frame_nonce`], with additional
+/// data the fixed-width little-endian `src ‖ word ‖ seq ‖ len` (`word`
+/// is the epoch with the kind bit, `len` the payload's length), then the
+/// `bound` bytes.
+fn frame_tag(key: &[u8; 32], src: u64, word: u64, seq: u64, len: usize, bound: [&[u8]; 2]) -> Tag {
     let mut head = [0u8; 32];
     for (field, value) in head.chunks_exact_mut(8).zip([src, word, seq, len as u64]) {
         field.copy_from_slice(&value.to_le_bytes());
     }
-    let mut mac = key.clone();
-    mac.update(&head);
-    for part in bound {
-        mac.update(part);
-    }
-    mac.finalize()
+    let [payload, rdma_tag] = bound;
+    aead::tag(
+        key,
+        &frame_nonce(src, seq),
+        &[&head, payload, rdma_tag],
+        &[],
+    )
 }
 
 impl Fleet {
@@ -382,8 +395,13 @@ impl Fleet {
     /// [`EVIL_VERSION`]), and one sealed TEE owning [`TEE_MEM`].
     ///
     /// No channels exist yet; call [`Self::attest_pair`] or
-    /// [`Self::establish_all`].
+    /// [`Self::establish_all`]. A fleet of more than 2³² machines is
+    /// refused ([`FleetError::NoSuchMachine`]) before anything boots:
+    /// frame nonces carry the sender's id in 32 bits.
     pub fn new(config: &FleetConfig) -> Result<Fleet, FleetError> {
+        if config.machines as u64 > 1 << 32 {
+            return Err(FleetError::NoSuchMachine);
+        }
         let mut machines = Vec::with_capacity(config.machines);
         for i in 0..config.machines {
             let version = if config.byzantine == Some(i) {
@@ -581,7 +599,7 @@ impl Fleet {
     }
 
     /// Sends `payload` from machine `from` to machine `to` over their
-    /// attested channel: reserves the next sequence number, MACs
+    /// attested channel: reserves the next sequence number, tags
     /// `src ‖ epoch ‖ seq ‖ len ‖ payload`, and hands the frame to the
     /// NICs (charging send cycles to `core` on the sending machine).
     /// Returns the frame's sequence number.
@@ -617,7 +635,7 @@ impl Fleet {
         bytes.extend_from_slice(&word.to_le_bytes());
         bytes.extend_from_slice(&seq.to_le_bytes());
         bytes.extend_from_slice(payload);
-        bytes.extend_from_slice(tag.as_bytes());
+        bytes.extend_from_slice(&tag);
         let frame = mf.monitor.machine.nic_send(core, to_id, bytes);
         mt.monitor
             .machine
@@ -657,7 +675,7 @@ impl Fleet {
     }
 
     /// Polls machine `at`'s NIC from `core` and verifies the next frame
-    /// through the channel: MAC first, then the `ChannelTable`'s
+    /// through the channel: tag first, then the `ChannelTable`'s
     /// sequence/epoch judgment. `Ok(None)` on an empty queue; a
     /// rejection tears the channel down, destroys the peer's keys, and
     /// reports the exact frame index. Frames an RDMA receive already
@@ -816,7 +834,7 @@ impl Fleet {
     }
 
     /// Sender half of an attested RDMA write: `a`'s TEE produces the
-    /// encrypted+MACed RDMA frame from `len` bytes at `local_addr` (enter
+    /// sealed RDMA frame from `len` bytes at `local_addr` (enter
     /// the TEE on `core` first), and the frame rides the NIC channel
     /// `a → b`. Returns the channel sequence number.
     pub fn rdma_send(
@@ -839,7 +857,7 @@ impl Fleet {
 
     /// Receiver half of an attested RDMA write: polls `b`'s NIC on
     /// `core` until the RDMA frame from `a`, and lands it in the MR at
-    /// `remote_off`. The frame is checked in this order: the channel MAC
+    /// `remote_off`. The frame is checked in this order: the channel tag
     /// over its header and the RDMA frame's seq and tag; the RDMA tag
     /// over the whole RDMA frame (a failure is the channel's BadMac, at
     /// this frame's index); the `ChannelTable`'s sequence/epoch
@@ -1035,52 +1053,95 @@ mod tests {
     #[test]
     fn frame_tag_is_pinned() {
         // Channel frame tags for a fixed key and header: the wire format
-        // (transcript layout and MAC) must never drift. The expected tags
-        // are HMAC-SHA256 over hand-assembled transcripts: `src ‖ word ‖
-        // seq ‖ len`, 8-byte little-endian each, then the bound bytes.
-        let raw = [0x11u8; 32];
-        let key = HmacSha256::new(&raw);
+        // (nonce, transcript layout and AEAD) must never drift. The
+        // expected tags follow RFC 8439 §2.8 with an empty plaintext:
+        // ChaCha20 block 0 at nonce `src_le32 ‖ seq_le` keys Poly1305
+        // over the hand-assembled transcript `src ‖ word ‖ seq ‖ len`
+        // (8-byte little-endian each) then the bound bytes, zero padding
+        // to 16, and the lengths block.
+        let key = [0x11u8; 32];
         let (src, epoch, seq) = (2u64, 3u64, 9u64);
         let le = |v: u64| v.to_le_bytes();
+        let rfc_tag = |transcript: &[u8]| {
+            let nonce = [&2u32.to_le_bytes()[..], &le(seq)].concat();
+            let block0 = tyche_crypto::chacha::block(&key, 0, &nonce.try_into().unwrap());
+            let mut mac_data = transcript.to_vec();
+            mac_data.resize(transcript.len().div_ceil(16) * 16, 0);
+            mac_data.extend_from_slice(&le(transcript.len() as u64));
+            mac_data.extend_from_slice(&le(0));
+            tyche_crypto::poly1305::Poly1305::mac(&block0[..32].try_into().unwrap(), &mac_data)
+        };
 
         let payload = b"fleet frame payload";
         let mut transcript = [le(src), le(epoch), le(seq), le(19)].concat();
         transcript.extend_from_slice(payload);
         let tag = frame_tag(&key, src, epoch, seq, payload.len(), [payload, &[]]);
-        assert_eq!(tag, HmacSha256::mac(&raw, &transcript));
-        assert_eq!(
-            tag.to_hex(),
-            "cd9d49b78d1940c15249d521fe31a77734250be1817cdf592f5fc651d964fa06"
-        );
+        assert_eq!(tag, rfc_tag(&transcript));
+        assert_eq!(hex(&tag), "3df6952627a65c7d25e419659a3b484f");
 
         // An RDMA-kind frame binds the RDMA frame's length, seq and tag,
-        // not its ciphertext: here a 140-byte RDMA frame (`seq_le ‖ 100
+        // not its ciphertext: here a 124-byte RDMA frame (`seq_le ‖ 100
         // bytes ‖ tag`), the pinned one from `libtyche::rdma`'s tests.
         let rdma_frame = hex_bytes(
-            "07000000000000008699b9d84c0d0672b6dc4abce2192e90da2dc3e93fc66b42\
-             dfc476fab0671e80bbc97de1e512a1056884c17a17021fe9c553d7aca831c6d3\
-             396a4a2a51ca7def797ce8e35ca61baac1dfddab10b1faf631185b2571ba2983\
-             a81b65fb05256b770c3d3fd1d26f9870d014a080208cd5c2f5757189a97ace02\
-             efca34df9145c47ef34d6948",
+            "07000000000000000978b4cc8b7513cf371938a15773a7f6cd6b416a1ec8b955\
+             555396e7033d9ebaec9248332c7cff0732d954606224453c0c3abafbd83f7688\
+             38da00fd40b1cae49c768c9e445a351a1d0015fb473a35abb6413219f10474ff\
+             494985cd4fcf8bf89e979484285a5f769a65d0ec048c0ee23d0d9cba",
         );
         let word = epoch | RDMA_KIND;
-        let mut transcript = [le(src), le(word), le(seq), le(140)].concat();
+        let mut transcript = [le(src), le(word), le(seq), le(124)].concat();
         transcript.extend_from_slice(&rdma_frame[..8]);
         transcript.extend_from_slice(&rdma_frame[108..]);
         let bound = bound_bytes(word, &rdma_frame).unwrap();
         let tag = frame_tag(&key, src, word, seq, rdma_frame.len(), bound);
-        assert_eq!(tag, HmacSha256::mac(&raw, &transcript));
-        assert_eq!(
-            tag.to_hex(),
-            "169b49221e7da3af6b8ec2d1b7272fa229546b95c20165260d80ad33614ba644"
-        );
+        assert_eq!(tag, rfc_tag(&transcript));
+        assert_eq!(hex(&tag), "86e52d701555218075591909c421b61f");
         // The ciphertext is not in the channel transcript; the kind is.
         let mut flipped = rdma_frame.clone();
         flipped[50] ^= 1;
         let bound = bound_bytes(word, &flipped).unwrap();
-        assert_eq!(frame_tag(&key, src, word, seq, 140, bound), tag);
+        assert_eq!(frame_tag(&key, src, word, seq, 124, bound), tag);
         let bound = bound_bytes(epoch, &rdma_frame).unwrap();
-        assert_ne!(frame_tag(&key, src, epoch, seq, 140, bound), tag);
+        assert_ne!(frame_tag(&key, src, epoch, seq, 124, bound), tag);
+    }
+
+    #[test]
+    fn frame_nonces_differ_by_direction() {
+        // Both ends of a channel hold the same key and both count from
+        // seq 0, so A→B and B→A frames at one epoch and seq differ only
+        // in the sender's id. It must reach the nonce, or the two
+        // frames would share a Poly1305 one-time key.
+        let mut f = two();
+        let key = f.machines[0].keys[&1][&1];
+        assert_eq!(f.machines[1].keys[&0][&1], key);
+        assert_eq!(f.send(0, 1, 0, b"same").unwrap(), 0);
+        assert_eq!(f.send(1, 0, 0, b"same").unwrap(), 0);
+        let one_time_key =
+            |src: u64, seq: u64| tyche_crypto::chacha::block(&key, 0, &frame_nonce(src, seq));
+        for seq in [0, 1, u64::MAX] {
+            assert_ne!(one_time_key(0, seq), one_time_key(1, seq), "seq {seq}");
+        }
+        // The same holds at the ends of the id range.
+        assert_ne!(one_time_key(0, 5), one_time_key(u64::from(u32::MAX), 5));
+        assert!(f.deliver(1, 0).unwrap().is_some());
+        assert!(f.deliver(0, 0).unwrap().is_some());
+    }
+
+    #[test]
+    fn fleet_beyond_32_bit_machine_ids_is_refused() {
+        // Checked before anything boots, so no machine is built here.
+        let config = FleetConfig {
+            machines: (1 << 32) + 1,
+            ..FleetConfig::default()
+        };
+        assert!(matches!(
+            Fleet::new(&config),
+            Err(FleetError::NoSuchMachine)
+        ));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     fn hex_bytes(hex: &str) -> Vec<u8> {

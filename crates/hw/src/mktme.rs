@@ -22,13 +22,16 @@
 //! device path and routes through the controller explicitly).
 //!
 //! The cipher is a per-location ChaCha20 keystream XOR (key = page key,
-//! nonce = page number, counter = line offset): deterministic per
-//! location like AES-XTS, so reads after writes round-trip without
-//! stored IVs.
+//! nonce = page number, counter = the 64-byte block's index in the
+//! page): deterministic per location like AES-XTS, so reads after writes
+//! round-trip without stored IVs. An access generates only the blocks
+//! that cover its bytes (one for an 8-byte load), and an access that
+//! touches only plaintext pages goes straight to DRAM.
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
 use crate::mem::{MemError, PhysMem};
 use std::collections::HashMap;
+use std::ops::Range;
 use tyche_crypto::chacha;
 
 /// The plaintext key id.
@@ -71,21 +74,29 @@ impl MemCrypt {
             .unwrap_or(&KEYID_PLAIN)
     }
 
-    /// Keystream bytes for the page under `keyid`, covering the whole
-    /// page (zeroes for the plaintext key).
-    fn keystream(&self, keyid: u64, page: u64) -> Vec<u8> {
-        let mut ks = vec![0u8; PAGE_SIZE as usize];
+    /// XORs the keystream of page number `page` under `keyid` over
+    /// `buf`, which holds the page's bytes from offset `start` on.
+    /// Generates only the blocks `buf` overlaps; the plaintext key is a
+    /// no-op.
+    fn xor_keystream(&self, keyid: u64, page: u64, start: usize, buf: &mut [u8]) {
         if keyid == KEYID_PLAIN {
-            return ks;
+            return;
         }
         let key = self.keys.get(&keyid).expect("programmed key");
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&page.to_le_bytes());
-        for (i, chunk) in ks.chunks_mut(64).enumerate() {
-            let block = chacha::block(key, i as u32, &nonce);
-            chunk.copy_from_slice(&block[..chunk.len()]);
+        let mut pos = start;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let block = chacha::block(key, (pos / 64) as u32, &nonce);
+            let skip = pos % 64;
+            let (head, tail) = rest.split_at_mut((64 - skip).min(rest.len()));
+            for (b, k) in head.iter_mut().zip(&block[skip..]) {
+                *b ^= k;
+            }
+            pos += head.len();
+            rest = tail;
         }
-        ks
     }
 
     /// Retags `page` to `keyid`, re-encrypting its contents so data
@@ -105,13 +116,10 @@ impl MemCrypt {
             return Ok(());
         }
         let pnum = page.as_u64() / PAGE_SIZE;
-        let old_ks = self.keystream(old, pnum);
-        let new_ks = self.keystream(keyid, pnum);
         let mut buf = vec![0u8; PAGE_SIZE as usize];
         mem.read(page, &mut buf)?;
-        for i in 0..buf.len() {
-            buf[i] ^= old_ks[i] ^ new_ks[i];
-        }
+        self.xor_keystream(old, pnum, 0, &mut buf);
+        self.xor_keystream(keyid, pnum, 0, &mut buf);
         mem.write(page, &buf)?;
         if keyid == KEYID_PLAIN {
             self.page_key.remove(&page.as_u64());
@@ -128,30 +136,47 @@ impl MemCrypt {
         Ok(())
     }
 
-    /// Controller write: encrypts on the way to DRAM.
+    /// Controller write: encrypts on the way to DRAM. A write that
+    /// touches only plaintext pages is passed through without a copy.
     pub fn write(&self, mem: &mut PhysMem, addr: PhysAddr, data: &[u8]) -> Result<(), MemError> {
+        if !self.any_encrypted(addr, data.len()) {
+            return mem.write(addr, data);
+        }
         let mut buf = data.to_vec();
         self.apply_keystream(addr, &mut buf);
         mem.write(addr, &buf)
     }
 
+    /// The page-sized segments of `len` bytes at `addr`: each segment's
+    /// page base, its offset into the page, and its range in the access.
+    fn segments(
+        addr: PhysAddr,
+        len: usize,
+    ) -> impl Iterator<Item = (PhysAddr, usize, Range<usize>)> {
+        let mut off = 0usize;
+        core::iter::from_fn(move || {
+            (off < len).then(|| {
+                let cur = PhysAddr::new(addr.as_u64().wrapping_add(off as u64));
+                let start = cur.page_offset() as usize;
+                let end = off + (PAGE_SIZE as usize - start).min(len - off);
+                let seg = (cur.page_base(), start, off..end);
+                off = end;
+                seg
+            })
+        })
+    }
+
+    /// True when any page under `len` bytes at `addr` carries a key.
+    fn any_encrypted(&self, addr: PhysAddr, len: usize) -> bool {
+        Self::segments(addr, len).any(|(page, ..)| self.key_of(page) != KEYID_PLAIN)
+    }
+
     /// XORs the per-page keystream over `buf` starting at `addr`
     /// (page-split aware; plaintext pages are untouched).
     fn apply_keystream(&self, addr: PhysAddr, buf: &mut [u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = PhysAddr::new(addr.as_u64() + off as u64);
-            let page = cur.page_base();
-            let in_page = ((PAGE_SIZE - cur.page_offset()) as usize).min(buf.len() - off);
-            let keyid = self.key_of(page);
-            if keyid != KEYID_PLAIN {
-                let ks = self.keystream(keyid, page.as_u64() / PAGE_SIZE);
-                let start = cur.page_offset() as usize;
-                for i in 0..in_page {
-                    buf[off + i] ^= ks[start + i];
-                }
-            }
-            off += in_page;
+        for (page, start, range) in Self::segments(addr, buf.len()) {
+            let pnum = page.as_u64() / PAGE_SIZE;
+            self.xor_keystream(self.key_of(page), pnum, start, &mut buf[range]);
         }
     }
 
@@ -277,6 +302,91 @@ mod tests {
     fn retag_to_unknown_key_panics() {
         let (mut mem, mut mc) = setup();
         mc.retag(&mut mem, PhysAddr::new(0x1000), 99).unwrap();
+    }
+
+    /// The whole page's keystream under `keyid`, as the controller once
+    /// generated it on every access: the reference for the
+    /// block-granular path.
+    fn full_page_keystream(mc: &MemCrypt, keyid: u64, page: u64) -> Vec<u8> {
+        let mut ks = vec![0u8; PAGE_SIZE as usize];
+        if keyid != KEYID_PLAIN {
+            let mut nonce = [0u8; 12];
+            nonce[..8].copy_from_slice(&page.to_le_bytes());
+            for (i, chunk) in ks.chunks_mut(64).enumerate() {
+                chunk.copy_from_slice(&chacha::block(&mc.keys[&keyid], i as u32, &nonce));
+            }
+        }
+        ks
+    }
+
+    /// What DRAM must hold for `plain` at `addr`: every byte XORed with
+    /// its page's full keystream at its offset.
+    fn expected_raw(mc: &MemCrypt, addr: u64, plain: &[u8]) -> Vec<u8> {
+        let mut pages = HashMap::new();
+        plain
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let a = addr + i as u64;
+                let page = a / PAGE_SIZE;
+                let ks = pages
+                    .entry(page)
+                    .or_insert_with(|| full_page_keystream(mc, mc.key_of(PhysAddr::new(a)), page));
+                p ^ ks[(a % PAGE_SIZE) as usize]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_granular_keystream_matches_full_page_reference() {
+        let (mut mem, mut mc) = setup();
+        let mut rng = tyche_crypto::ChaChaRng::from_seed(0x6d6b);
+        let keys = [KEYID_PLAIN, mc.new_key(), mc.new_key()];
+        // Pages 1..8 get random keys (some plaintext); the accesses
+        // below stay inside them, so page crossings mix keys.
+        for page in 1..8u64 {
+            let k = keys[rng.below(3) as usize];
+            mc.retag(&mut mem, PhysAddr::new(page * PAGE_SIZE), k)
+                .unwrap();
+        }
+        for round in 0..300 {
+            let page = 1 + rng.below(6);
+            let off = match round % 3 {
+                0 => rng.below(PAGE_SIZE),
+                1 => PAGE_SIZE - 1 - rng.below(80),
+                _ => rng.below(64) * 64,
+            };
+            let addr = page * PAGE_SIZE + off;
+            let len = match round % 4 {
+                0 => 8,
+                1 => 1 + rng.below(200) as usize,
+                2 => rng.below(PAGE_SIZE + 200) as usize,
+                _ => 64,
+            };
+            let mut plain = vec![0u8; len];
+            rng.fill_bytes(&mut plain);
+            mc.write(&mut mem, PhysAddr::new(addr), &plain).unwrap();
+            let mut raw = vec![0u8; len];
+            mem.read(PhysAddr::new(addr), &mut raw).unwrap();
+            assert_eq!(
+                raw,
+                expected_raw(&mc, addr, &plain),
+                "write {addr:#x}+{len}"
+            );
+            let mut back = vec![0u8; len];
+            mc.read(&mem, PhysAddr::new(addr), &mut back).unwrap();
+            assert_eq!(back, plain, "read {addr:#x}+{len}");
+            if round % 10 == 0 {
+                // Retag one page: its contents survive under the new key.
+                let p = PhysAddr::new((1 + rng.below(7)) * PAGE_SIZE);
+                let mut before = vec![0u8; PAGE_SIZE as usize];
+                mc.read(&mem, p, &mut before).unwrap();
+                mc.retag(&mut mem, p, keys[rng.below(3) as usize]).unwrap();
+                let mut raw = vec![0u8; PAGE_SIZE as usize];
+                mem.read(p, &mut raw).unwrap();
+                assert_eq!(raw, expected_raw(&mc, p.as_u64(), &before), "retag {p:?}");
+            }
+        }
     }
 
     #[test]

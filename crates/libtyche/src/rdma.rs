@@ -9,13 +9,14 @@
 //!
 //! Two TEEs connect by exchanging attestations: each side's verifier
 //! checks the other machine's quote + domain report, and one HKDF over
-//! both report digests and both nonces yields the connection's two keys,
-//! a MAC key and a keystream key. Every frame on the (untrusted) wire is
-//! `seq_le ‖ ciphertext ‖ tag`: the payload XORed with ChaCha20 blocks
-//! under the keystream key with `seq_le ‖ 0u32` as the nonce and the
-//! block index as the counter, then HMAC-SHA256 under the MAC key over
-//! `seq_le ‖ ciphertext`. The test suite literally greps the wire capture
-//! for plaintext.
+//! both report digests and both nonces yields the connection's 32-byte
+//! key. Every frame on the (untrusted) wire is `seq_le ‖ ciphertext ‖
+//! tag`: the payload sealed with ChaCha20-Poly1305 (RFC 8439,
+//! `tyche_crypto::aead`) under the connection key, with nonce
+//! `0u32 ‖ seq_le` and `seq_le` as the additional data, and the 16-byte
+//! tag detached behind the ciphertext. The sequence number never
+//! repeats within a connection, so neither does a nonce. The test suite
+//! literally greps the wire capture for plaintext.
 //!
 //! One-sided `rdma_write` then moves bytes from the local TEE's memory
 //! (read through its own hardware-enforced view) into the remote MR
@@ -26,17 +27,20 @@
 
 use crate::client::TycheClient;
 use tyche_core::prelude::*;
-use tyche_crypto::{chacha, hkdf, Digest, HmacSha256};
+use tyche_crypto::{aead, hkdf};
 use tyche_monitor::attest::{SignedReport, Verifier, VerifyError};
 use tyche_monitor::Monitor;
 
+/// Bytes in an RDMA frame's tag.
+pub const TAG_LEN: usize = aead::TAG_LEN;
+
 /// Wire bytes an RDMA frame adds to its payload: the 8-byte sequence
-/// number in front and the 32-byte tag behind.
-const FRAME_OVERHEAD: usize = 40;
+/// number in front and the tag behind.
+pub const FRAME_OVERHEAD: usize = 8 + TAG_LEN;
 
 /// The largest payload one frame carries: the ChaCha20 block counter is
-/// 32 bits and counts 64-byte blocks.
-const MAX_PAYLOAD: u64 = 64 << 32;
+/// 32 bits and counts 64-byte blocks, and block 0 keys the tag.
+const MAX_PAYLOAD: u64 = aead::MAX_MESSAGE;
 
 /// A remote-access key naming a registered memory region.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -161,10 +165,8 @@ impl Wire {
 /// An established, mutually attested connection between two TEEs.
 pub struct RdmaConnection {
     // (key material; Debug deliberately omits it)
-    /// The MAC key as a keyed HMAC state, for frame tags.
-    mac: HmacSha256,
-    /// The ChaCha20 key for payload keystreams.
-    ks_key: [u8; 32],
+    /// The ChaCha20-Poly1305 key every frame is sealed under.
+    key: [u8; 32],
     /// Sequence number of the next frame this side produces.
     seq: u64,
     /// Lowest sequence number this side still accepts; every frame
@@ -189,7 +191,7 @@ pub struct CheckedFrame<'a> {
 impl RdmaConnection {
     /// Establishes a connection: each side verifies the other's machine
     /// quote and domain report with its own verifier, then both derive
-    /// the same keys from the two report digests and nonces.
+    /// the same key from the two report digests and nonces.
     #[allow(clippy::too_many_arguments)]
     pub fn establish(
         local_verifier: &Verifier,
@@ -209,7 +211,7 @@ impl RdmaConnection {
                 expected_remote_measurement,
             )
             .map_err(RdmaError::Attestation)?;
-        // Both sides hold both reports after the exchange; the keys bind
+        // Both sides hold both reports after the exchange; the key binds
         // the channel to this exact pair of attested configurations.
         let mut a = local_report.report.digest();
         let mut b = remote_report.report.digest();
@@ -221,58 +223,36 @@ impl RdmaConnection {
         ikm.extend_from_slice(b.as_bytes());
         ikm.extend_from_slice(remote_quote_nonce);
         ikm.extend_from_slice(remote_report_nonce);
-        // 64 bytes: the MAC key, then the keystream key.
-        let okm = hkdf::derive(b"tyche-rdma", &ikm, b"channel", 64);
-        let (mac_key, ks_key) = okm.split_at(32);
-        let mut ks = [0u8; 32];
-        ks.copy_from_slice(ks_key);
-        Ok(Self::with_keys(mac_key, ks))
+        let key = hkdf::derive_key32(b"tyche-rdma", &ikm, b"channel");
+        Ok(Self::with_key(key))
     }
 
     /// A fresh connection (both sequence counters at 0).
-    fn with_keys(mac_key: &[u8], ks_key: [u8; 32]) -> RdmaConnection {
+    fn with_key(key: [u8; 32]) -> RdmaConnection {
         RdmaConnection {
-            mac: HmacSha256::new(mac_key),
-            ks_key,
+            key,
             seq: 0,
             next_recv: 0,
         }
     }
 
-    /// XORs frame `seq`'s keystream into `buf` in place: encrypts
-    /// plaintext, decrypts ciphertext. Block `i` of the stream is
-    /// `chacha::block(ks_key, i, seq_le ‖ 0u32)`; the sequence number
-    /// never repeats within a connection, so neither does a nonce.
-    fn apply_keystream(&self, seq: u64, buf: &mut [u8]) {
-        let mut nonce = [0u8; 12];
-        nonce[..8].copy_from_slice(&seq.to_le_bytes());
-        for (counter, chunk) in (0u32..).zip(buf.chunks_mut(64)) {
-            let ks = chacha::block(&self.ks_key, counter, &nonce);
-            for (b, k) in chunk.iter_mut().zip(ks) {
-                *b ^= k;
-            }
-        }
-    }
-
     /// Completes a wire frame whose bytes after the 8-byte header hold
     /// the plaintext: stamps the next sequence number into the header,
-    /// encrypts the payload in place, and appends the tag over
-    /// `seq_le || ciphertext`.
-    fn seal(&mut self, mut frame: Vec<u8>) -> Vec<u8> {
+    /// seals the payload in place, and appends the tag. `None` (and no
+    /// sequence number spent) for a payload over [`MAX_PAYLOAD`].
+    fn seal(&mut self, mut frame: Vec<u8>) -> Option<Vec<u8>> {
         let seq = self.seq;
-        self.seq += 1;
         let (header, payload) = frame.split_at_mut(8);
         header.copy_from_slice(&seq.to_le_bytes());
-        self.apply_keystream(seq, payload);
-        let tag = self.mac.tag(&frame);
-        frame.extend_from_slice(tag.as_bytes());
-        frame
+        let tag = aead::seal(&self.key, &frame_nonce(seq), &[header], payload)?;
+        self.seq += 1;
+        frame.extend_from_slice(&tag);
+        Some(frame)
     }
 
     /// Sender half of an RDMA write: reads `len` bytes at `local_addr`
     /// as the domain running on `local` core (its own hardware view
-    /// enforces access), encrypts under the per-frame keystream, and
-    /// MACs the result into a self-contained wire frame
+    /// enforces access) and seals it into a self-contained wire frame
     /// (`seq_le || ciphertext || tag`). The frame can cross any
     /// transport — the in-process [`Wire`], or a fleet NIC channel.
     pub fn produce_frame(
@@ -293,9 +273,9 @@ impl RdmaConnection {
             .read(local_addr, &mut frame[8..])
             .map_err(|f| RdmaError::LocalFault(f.addr))?;
         // Encrypt and authenticate. A stream cipher alone is malleable;
-        // the MAC is what makes wire tampering detectable
+        // the tag is what makes wire tampering detectable
         // ([`RdmaError::BadFrame`]).
-        Ok(self.seal(frame))
+        self.seal(frame).ok_or(RdmaError::OutOfBounds)
     }
 
     /// Receiver half of an RDMA write: [`Self::check_frame`] then
@@ -312,14 +292,18 @@ impl RdmaConnection {
         self.land_frame(checked, remote, remote_nic, rkey, remote_off)
     }
 
-    /// Authenticates one wire frame: its tag must verify over
-    /// `seq_le || ciphertext` under this connection's MAC key. Wire bytes
-    /// are untrusted input: a short or forged frame is a checked
-    /// [`RdmaError::BadFrame`], never a caller abort.
+    /// Authenticates one wire frame: its tag must verify over the
+    /// ciphertext, with `seq_le` as additional data, under this
+    /// connection's key. Wire bytes are untrusted input: a short or
+    /// forged frame is a checked [`RdmaError::BadFrame`], never a caller
+    /// abort.
     pub fn check_frame<'a>(&self, frame: &'a [u8]) -> Result<CheckedFrame<'a>, RdmaError> {
-        let (body, tag) = frame.split_last_chunk::<32>().ok_or(RdmaError::BadFrame)?;
+        let (body, tag) = frame
+            .split_last_chunk::<TAG_LEN>()
+            .ok_or(RdmaError::BadFrame)?;
         let (seq, ciphertext) = body.split_first_chunk::<8>().ok_or(RdmaError::BadFrame)?;
-        if !self.mac.check(body, &Digest(*tag)) {
+        let nonce = frame_nonce(u64::from_le_bytes(*seq));
+        if !aead::check(&self.key, &nonce, &[seq], ciphertext, tag) {
             return Err(RdmaError::BadFrame);
         }
         Ok(CheckedFrame {
@@ -384,7 +368,7 @@ impl RdmaConnection {
             return Err(RdmaError::ExclusivityLost);
         }
         let mut plain = frame.ciphertext.to_vec();
-        self.apply_keystream(frame.seq, &mut plain);
+        aead::apply_keystream(&self.key, &frame_nonce(frame.seq), &mut plain);
         // The NIC DMAs through the memory-encryption controller, like the
         // CPU does (TDX-IO-style trusted device path).
         remote
@@ -423,6 +407,13 @@ impl RdmaConnection {
         wire.frames.push(frame.clone());
         self.deliver_frame(&frame, remote, remote_nic, rkey, remote_off)
     }
+}
+
+/// The AEAD nonce of frame `seq`: `0u32 ‖ seq_le`.
+fn frame_nonce(seq: u64) -> [u8; 12] {
+    let mut nonce = [0u8; 12];
+    nonce[4..].copy_from_slice(&seq.to_le_bytes());
+    nonce
 }
 
 #[cfg(test)]
@@ -708,7 +699,7 @@ mod tests {
 
     #[test]
     fn wire_frames_are_authenticated() {
-        // The wire capture proves frames carry MACs: flipping any
+        // The wire capture proves frames carry tags: flipping any
         // ciphertext bit and re-verifying fails. (Delivery in the model
         // is in-process, so we check the property on the captured frame
         // the way a receiver would.)
@@ -729,15 +720,29 @@ mod tests {
         )
         .unwrap();
         let frame = wire.frames.last().unwrap().clone();
-        assert!(frame.len() >= FRAME_OVERHEAD, "seq + payload + 32-byte tag");
+        assert_eq!(frame.len(), FRAME_OVERHEAD + 4, "seq + payload + tag");
         // An unmodified frame authenticates under the connection key...
-        let (body, tag) = frame.split_at(frame.len() - 32);
-        assert!(conn.mac.check(body, &Digest(tag.try_into().unwrap())));
+        let tag_of = |f: &[u8]| -> aead::Tag { f[f.len() - TAG_LEN..].try_into().unwrap() };
+        let nonce = frame_nonce(u64::from_le_bytes(frame[..8].try_into().unwrap()));
+        let ct = &frame[8..frame.len() - TAG_LEN];
+        assert!(aead::check(
+            &conn.key,
+            &nonce,
+            &[&frame[..8]],
+            ct,
+            &tag_of(&frame)
+        ));
         // ...and a tampered one does not.
         let mut evil = frame.clone();
         evil[9] ^= 0x80;
-        let (ebody, etag) = evil.split_at(evil.len() - 32);
-        assert!(!conn.mac.check(ebody, &Digest(etag.try_into().unwrap())));
+        let ct = &evil[8..evil.len() - TAG_LEN];
+        assert!(!aead::check(
+            &conn.key,
+            &nonce,
+            &[&evil[..8]],
+            ct,
+            &tag_of(&evil)
+        ));
     }
 
     /// Reads `len` bytes of B's MR as B's TEE.
@@ -779,7 +784,7 @@ mod tests {
             assert_eq!(read_mr(&mut mb, gb, 4), before);
         }
         // A frame shorter than header + tag is refused.
-        for len in [0, 8, 39] {
+        for len in [0, 8, FRAME_OVERHEAD - 1] {
             let err = conn
                 .deliver_frame(&frame[..len], &mut mb, &nic_b, rkey, 0)
                 .unwrap_err();
@@ -829,40 +834,50 @@ mod tests {
 
     #[test]
     fn rdma_frame_is_pinned() {
-        // One wire frame for fixed keys, sequence number and payload
+        // One wire frame for a fixed key, sequence number and payload
         // (crossing a 64-byte keystream block): `seq_le || ciphertext ||
         // tag` must never drift.
-        let (mac_key, ks_key, seq) = ([0x42u8; 32], [0x24u8; 32], 7u64);
+        let (key, seq) = ([0x42u8; 32], 7u64);
         let plaintext: Vec<u8> = (0..100u8).collect();
-        let mut conn = RdmaConnection::with_keys(&mac_key, ks_key);
+        let mut conn = RdmaConnection::with_key(key);
         conn.seq = seq;
         let mut frame = vec![0u8; 8];
         frame.extend_from_slice(&plaintext);
-        let frame = conn.seal(frame);
+        let frame = conn.seal(frame).unwrap();
         assert_eq!(conn.seq, seq + 1);
 
-        // From the definition: block i of the keystream is ChaCha20 with
-        // counter i and nonce `seq_le || 0u32`; the tag is HMAC-SHA256
-        // over `seq_le || ciphertext`.
-        let mut nonce = [0u8; 12];
-        nonce[..8].copy_from_slice(&seq.to_le_bytes());
+        // From RFC 8439 §2.8, spelled out: with nonce `0u32 || seq_le`,
+        // ChaCha20 block 0 keys Poly1305 and blocks 1, 2 are the
+        // keystream; the tag is Poly1305 over `seq_le`, zero padding to
+        // 16, the ciphertext, zero padding to 16, and both lengths as
+        // 64-bit little-endian.
+        let nonce = frame_nonce(seq);
+        assert_eq!(nonce, [0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
         let mut expected = seq.to_le_bytes().to_vec();
         for (i, chunk) in plaintext.chunks(64).enumerate() {
-            let ks = chacha::block(&ks_key, i as u32, &nonce);
+            let ks = tyche_crypto::chacha::block(&key, i as u32 + 1, &nonce);
             expected.extend(chunk.iter().zip(ks).map(|(p, k)| p ^ k));
         }
-        let tag = HmacSha256::mac(&mac_key, &expected);
-        expected.extend_from_slice(tag.as_bytes());
+        let mut mac_data = seq.to_le_bytes().to_vec();
+        mac_data.resize(16, 0);
+        mac_data.extend_from_slice(&expected[8..]);
+        mac_data.resize(16 + 112, 0);
+        mac_data.extend_from_slice(&8u64.to_le_bytes());
+        mac_data.extend_from_slice(&100u64.to_le_bytes());
+        let one_time: [u8; 32] = tyche_crypto::chacha::block(&key, 0, &nonce)[..32]
+            .try_into()
+            .unwrap();
+        let tag = tyche_crypto::poly1305::Poly1305::mac(&one_time, &mac_data);
+        expected.extend_from_slice(&tag);
         assert_eq!(frame, expected);
 
         let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "07000000000000008699b9d84c0d0672b6dc4abce2192e90da2dc3e93fc66b42\
-             dfc476fab0671e80bbc97de1e512a1056884c17a17021fe9c553d7aca831c6d3\
-             396a4a2a51ca7def797ce8e35ca61baac1dfddab10b1faf631185b2571ba2983\
-             a81b65fb05256b770c3d3fd1d26f9870d014a080208cd5c2f5757189a97ace02\
-             efca34df9145c47ef34d6948"
+            "07000000000000000978b4cc8b7513cf371938a15773a7f6cd6b416a1ec8b955\
+             555396e7033d9ebaec9248332c7cff0732d954606224453c0c3abafbd83f7688\
+             38da00fd40b1cae49c768c9e445a351a1d0015fb473a35abb6413219f10474ff\
+             494985cd4fcf8bf89e979484285a5f769a65d0ec048c0ee23d0d9cba"
         );
     }
 

@@ -16,6 +16,7 @@
 //! frame index, leaves the remote memory region unchanged, and tears
 //! the channel down.
 
+use libtyche::rdma;
 use tyche_core::channel::ViolationReason;
 use tyche_crypto::{hash, Digest};
 use tyche_fleet::{Fleet, FleetConfig, FleetError, RdmaSession, FRAME_OVERHEAD, TEE_MEM};
@@ -320,8 +321,11 @@ fn assert_torn_down_and_intact(fleet: &mut Fleet) {
 /// the next RDMA write's channel frame in flight, and `rdma_deliver`
 /// must reject it with `reason` at frame 1. The bytes `tamper` sees are
 /// the channel epoch word (0..8) and seq (8..16), then the RDMA frame —
-/// its seq (16..24), ciphertext, and TEE-pair tag — then the 32-byte
-/// channel tag.
+/// its seq (16..24), ciphertext, and TEE-pair tag — then the channel
+/// tag, [`CHANNEL_TAG`] bytes.
+/// Bytes in the channel tag at the end of a channel frame.
+const CHANNEL_TAG: usize = FRAME_OVERHEAD - 16;
+
 fn rdma_tamper_case(seed: u64, tamper: impl FnOnce(&mut Vec<u8>), reason: ViolationReason) {
     let (mut fleet, mut sess) = rdma_fleet(seed);
     stage_and_send(&mut fleet, &mut sess, b"tampered payload");
@@ -338,7 +342,7 @@ fn rdma_ciphertext_flip_is_rejected_at_the_exact_frame() {
     rdma_tamper_case(
         202,
         |p| {
-            let last_ct = p.len() - 65;
+            let last_ct = p.len() - CHANNEL_TAG - rdma::TAG_LEN - 1;
             p[last_ct] ^= 0x80;
         },
         ViolationReason::BadMac,
@@ -355,7 +359,7 @@ fn rdma_tag_flip_is_rejected_at_the_exact_frame() {
     rdma_tamper_case(
         204,
         |p| {
-            let rdma_tag = p.len() - 64;
+            let rdma_tag = p.len() - CHANNEL_TAG - rdma::TAG_LEN;
             p[rdma_tag] ^= 0x01;
         },
         ViolationReason::BadMac,
@@ -380,7 +384,11 @@ fn truncated_rdma_frame_is_rejected_at_the_exact_frame() {
     // One byte short: the channel tag no longer lines up.
     rdma_tamper_case(208, |p| p.truncate(p.len() - 1), ViolationReason::BadMac);
     // Cut inside the RDMA frame, leaving less than its seq and tag.
-    rdma_tamper_case(209, |p| p.truncate(16 + 20 + 32), ViolationReason::BadMac);
+    rdma_tamper_case(
+        209,
+        |p| p.truncate(FRAME_OVERHEAD + rdma::FRAME_OVERHEAD - 4),
+        ViolationReason::BadMac,
+    );
     // Below the channel header + tag minimum.
     rdma_tamper_case(
         210,
