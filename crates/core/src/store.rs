@@ -19,10 +19,14 @@
 //!
 //! External ids are untouched: they come from the engine's shared
 //! monotonic [`IdAllocator`](crate::ids::IdAllocator) and are never
-//! reused. Each index page counts its live entries and is freed when the
-//! last one is removed, so index memory follows the live ids: a page
-//! costs 4 KiB while any of its 512 ids is live, and the directory costs
-//! 8 bytes per 512 ids ever issued. Iteration walks the directory and its
+//! reused. Each index page counts its live entries and leaves the
+//! directory when the last one is removed, so index memory follows the
+//! live ids: a page costs 4 KiB while any of its 512 ids is live, plus
+//! one spare page per store, and the directory costs 8 bytes per 512
+//! ids ever issued. An emptied page becomes the spare unless the store
+//! already has one, and the next page the index needs is the spare: it
+//! is already all [`EMPTY`], so a steady create/kill churn that crosses
+//! page boundaries neither allocates nor re-fills index pages. Iteration walks the directory and its
 //! pages in ascending id order, so every `*_scan` differential twin and
 //! every auditor walk observes exactly the order the `BTreeMap`s used to
 //! give.
@@ -46,8 +50,8 @@ const EMPTY: u64 = u64::MAX;
 pub const INDEX_PAGE: usize = 512;
 
 /// One sparse-index page: the packed refs of [`INDEX_PAGE`] consecutive
-/// ids plus how many of them are live, so the page can be freed the
-/// moment its last id is removed.
+/// ids plus how many of them are live, so the page can leave the
+/// directory the moment its last id is removed.
 #[derive(Clone, Debug)]
 struct IndexPage {
     live: usize,
@@ -93,6 +97,9 @@ pub struct Store<T> {
     /// refs of ids `p * INDEX_PAGE ..`, [`EMPTY`] when absent, and is
     /// `None` while none of those ids is live.
     pages: Vec<Option<Box<IndexPage>>>,
+    /// The last page to empty, all [`EMPTY`], kept for the next page
+    /// the directory needs.
+    spare: Option<Box<IndexPage>>,
     /// Live entries.
     len: usize,
 }
@@ -103,6 +110,7 @@ impl<T> Default for Store<T> {
             slots: Vec::new(),
             free: Vec::new(),
             pages: Vec::new(),
+            spare: None,
             len: 0,
         }
     }
@@ -169,7 +177,8 @@ impl<T> Store<T> {
         let Some(page) = self.pages.get_mut(p) else {
             return Some(val);
         };
-        let page = page.get_or_insert_with(IndexPage::empty);
+        let spare = &mut self.spare;
+        let page = page.get_or_insert_with(|| spare.take().unwrap_or_else(IndexPage::empty));
         let Some(cell) = page.refs.get_mut(off) else {
             return Some(val);
         };
@@ -198,7 +207,8 @@ impl<T> Store<T> {
     /// Removes `id`, returning its value. The slot's generation is
     /// bumped and the slot goes back on the freelist, so any
     /// outstanding [`SlotRef`] to it is invalidated before reuse. The
-    /// id's index page is freed when this was its last live id.
+    /// id's index page leaves the directory when this was its last live
+    /// id, and becomes the spare unless there already is one.
     pub fn remove(&mut self, id: u64) -> Option<T> {
         let (p, off) = Self::locate(id)?;
         let dir_entry = self.pages.get_mut(p)?;
@@ -215,7 +225,10 @@ impl<T> Store<T> {
         *cell = EMPTY;
         page.live -= 1;
         if page.live == 0 {
-            *dir_entry = None;
+            let emptied = dir_entry.take();
+            if self.spare.is_none() {
+                self.spare = emptied;
+            }
         }
         self.free.push(slot);
         self.len -= 1;
@@ -301,22 +314,28 @@ impl<T> Store<T> {
         self.slots.len()
     }
 
-    /// Sparse-index pages currently allocated (each holds at least one
-    /// live id).
+    /// Sparse-index pages in the directory (each holds at least one
+    /// live id). The spare is not among them.
     pub fn index_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
+    /// True while an emptied index page is kept as the spare.
+    pub fn has_spare_page(&self) -> bool {
+        self.spare.is_some()
+    }
+
     /// Heap bytes held by the store's arrays (capacity-based, so this
     /// is retained footprint, not instantaneous live bytes). Counts the
-    /// slot arena, the freelist, the page directory, and the allocated
-    /// index pages; `T`'s own heap allocations (e.g. a `Vec` inside)
-    /// are not visible here.
+    /// slot arena, the freelist, the page directory, the index pages in
+    /// it and the spare page; `T`'s own heap allocations (e.g. a `Vec`
+    /// inside) are not visible here.
     pub fn storage_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<T>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
             + self.pages.capacity() * std::mem::size_of::<Option<Box<IndexPage>>>()
-            + self.index_pages() * std::mem::size_of::<IndexPage>()
+            + (self.index_pages() + usize::from(self.has_spare_page()))
+                * std::mem::size_of::<IndexPage>()
     }
 }
 
@@ -523,16 +542,27 @@ mod tests {
             s.insert(id, id);
         }
         assert_eq!(s.index_pages(), 3);
+        assert!(!s.has_spare_page());
         let with_middle = s.storage_bytes();
         assert_eq!(s.remove(page + 7), Some(page + 7));
-        assert_eq!(s.index_pages(), 2, "emptied page is freed");
-        assert!(s.storage_bytes() < with_middle);
+        assert_eq!(s.index_pages(), 2, "emptied page leaves the directory");
+        assert!(s.has_spare_page(), "and is kept as the spare");
+        // The spare is counted (the freelist may have grown as well).
+        assert!(s.storage_bytes() >= with_middle, "the spare is counted");
         assert_eq!(s.get(page + 7), None);
-        // Refilling the freed page allocates it again.
+        // Only one spare is kept: the next emptied page is freed.
+        assert_eq!(s.remove(2 * page), Some(2 * page));
+        assert_eq!(s.index_pages(), 1);
+        assert!(s.storage_bytes() < with_middle);
+        let one_page = s.storage_bytes();
+        // Refilling an emptied page takes the spare instead of
+        // allocating, and the spare comes back all empty.
         s.insert(page + 8, 8);
-        assert_eq!(s.index_pages(), 3);
+        assert_eq!(s.index_pages(), 2);
+        assert!(!s.has_spare_page());
+        assert_eq!(s.storage_bytes(), one_page);
         let ids: Vec<u64> = s.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![1, page - 1, page + 8, 2 * page]);
+        assert_eq!(ids, vec![1, page - 1, page + 8]);
     }
 
     #[test]

@@ -367,10 +367,13 @@ proptest! {
     /// The paged sparse index against a `BTreeMap` model. Ids cluster at
     /// the edges of four adjacent index pages, and the run alternates
     /// fill-biased and drain-biased blocks, so pages fill, empty, are
-    /// freed, and are refilled. Every insert/remove/get result and the
-    /// id-ordered iteration match the model, exactly the pages holding a
-    /// live id stay allocated, and freeing a page lowers
-    /// `storage_bytes`.
+    /// released, and are refilled. Every insert/remove/get result and
+    /// the id-ordered iteration match the model, and exactly the pages
+    /// holding a live id stay in the directory. The accounting rule:
+    /// `storage_bytes` counts the one spare page, so a release lowers it
+    /// unless the released page became the spare, a refill takes the
+    /// spare, and the store never holds more than its live pages plus
+    /// one.
     #[test]
     fn paged_index_agrees_with_map_model(
         seed in any::<u64>(),
@@ -381,6 +384,7 @@ proptest! {
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = Rng::new(seed);
         let (mut released, mut refilled) = (0u32, 0u32);
+        let (mut kept, mut reused) = (0u32, 0u32);
         let mut freed_pages: BTreeSet<u64> = BTreeSet::new();
         for step in 0..steps as u64 {
             // Four ids at each end of a page, so every id on the page is
@@ -396,36 +400,54 @@ proptest! {
             let insert_odds = if filling { 3 } else { 1 };
             match rng.below(5) {
                 r if r < insert_odds => {
-                    let pages_before = store.index_pages();
+                    let (pages_before, spare_before) =
+                        (store.index_pages(), store.has_spare_page());
                     prop_assert_eq!(store.insert(id, step), model.insert(id, step));
-                    if store.index_pages() > pages_before && freed_pages.remove(&p) {
-                        refilled += 1;
+                    if store.index_pages() > pages_before {
+                        prop_assert!(!store.has_spare_page(), "a new page takes the spare");
+                        if freed_pages.remove(&p) {
+                            refilled += 1;
+                            reused += u32::from(spare_before);
+                        }
                     }
                 }
                 4 => prop_assert_eq!(store.get(id), model.get(&id)),
                 _ => {
-                    let (pages_before, bytes_before) =
-                        (store.index_pages(), store.storage_bytes());
+                    let (pages_before, bytes_before, spare_before) =
+                        (store.index_pages(), store.storage_bytes(), store.has_spare_page());
                     prop_assert_eq!(store.remove(id), model.remove(&id));
                     if store.index_pages() < pages_before {
                         released += 1;
                         freed_pages.insert(p);
-                        prop_assert!(
-                            store.storage_bytes() < bytes_before,
-                            "releasing page {} kept {} bytes",
-                            p,
-                            bytes_before
-                        );
+                        prop_assert!(store.has_spare_page(), "a release leaves a spare");
+                        if spare_before {
+                            prop_assert!(
+                                store.storage_bytes() < bytes_before,
+                                "releasing page {} beside a spare kept {} bytes",
+                                p,
+                                bytes_before
+                            );
+                        } else {
+                            // Counted as the spare; the freelist may
+                            // have grown as well.
+                            kept += 1;
+                            prop_assert!(store.storage_bytes() >= bytes_before);
+                        }
                     }
                 }
             }
             let live_pages: BTreeSet<u64> = model.keys().map(|id| id / page).collect();
             prop_assert_eq!(store.index_pages(), live_pages.len());
+            prop_assert!(
+                store.index_pages() + usize::from(store.has_spare_page()) <= live_pages.len() + 1
+            );
             prop_assert_eq!(store.len(), model.len());
         }
         prop_assert!(store.iter().eq(model.iter().map(|(&k, v)| (k, v))));
         prop_assert!(released > 0, "no page was ever released");
         prop_assert!(refilled > 0, "no released page was ever refilled");
+        prop_assert!(kept > 0, "no released page was ever kept as the spare");
+        prop_assert!(reused > 0, "no refill ever took the spare");
     }
 
     /// The interval tree against a `BTreeMap` model: insert/remove/

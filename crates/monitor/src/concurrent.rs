@@ -7,6 +7,15 @@
 //!   read side of the inner monitor's `RwLock`: no shard lock, and no
 //!   copy of the engine. Read-only calls on different cores proceed
 //!   together; they wait only while a mutation holds the write side.
+//!   Each core keeps one `(generation, actor, count)` slot, filled by
+//!   the last successful enumeration with the generation read under
+//!   the same read guard. A repeat by the same actor while `live_gen`
+//!   still equals the slot's generation is answered from the slot
+//!   without the inner lock; any committed mutation, on any core, moves
+//!   `live_gen` and so empties every slot. A hit emits the same
+//!   `HyperEnter`, `SnapRead` and `HyperExit` events and charges the
+//!   same trap cost as a miss, so traces and model cycles do not show
+//!   which one ran.
 //! - **Fast transitions** (`Enter` through a `NONE`-policy transition
 //!   capability, and the matching `Return`) touch only per-core state:
 //!   a validated entry is cached per core and keyed on the engine
@@ -148,6 +157,9 @@ struct SmpCore {
     /// `(engine generation, actor, cap)` → `(target, entry)`; valid only
     /// while the generation matches.
     cache: Option<(u64, DomainId, CapId, DomainId, u64)>,
+    /// `(engine generation, actor)` → how many resources `Enumerate`
+    /// reported; valid only while the generation matches.
+    enumerated: Option<(u64, DomainId, u64)>,
     /// Involved-set scratch, reused by every mutation this core serves.
     involved: Involved,
     /// A ring drain's union of involved domains and of shootdown
@@ -255,6 +267,8 @@ pub struct SmpStats {
     pub mutations: AtomicU64,
     /// Fast (per-core, no-lock) transitions, one per one-way switch.
     pub fast_transitions: AtomicU64,
+    /// `Enumerate` calls answered from the core's slot.
+    pub enumerate_hits: AtomicU64,
     /// Domain invalidations queued for shootdown (pre-coalescing).
     pub shootdowns_requested: AtomicU64,
     /// Remote IPIs actually sent (post-coalescing).
@@ -380,6 +394,7 @@ impl ConcurrentMonitor {
                     current: monitor.current_domain(core),
                     stack: Vec::new(),
                     cache: None,
+                    enumerated: None,
                     involved: Involved::default(),
                     batch_domains: Vec::new(),
                     batch_losers: Vec::new(),
@@ -487,24 +502,44 @@ impl ConcurrentMonitor {
     }
 
     /// Read tier: enumerate on the live engine under the inner lock's
-    /// read side. Charges the trap cost to the calling core's clock;
-    /// takes no shard lock and never copies the engine.
+    /// read side, or answer a repeat from the core's slot while the
+    /// generation it was filled at is still live. Charges the trap cost
+    /// to the calling core's clock either way; takes no shard lock and
+    /// never copies the engine.
     fn serve_enumerate(&self, core: usize) -> Result<CallResult, Status> {
         let start = self.clocks.now(core);
         self.clocks.charge(core, self.trap_cost);
-        let actor = mutex_lock(self.core_state(core)?).current;
+        let mut state = mutex_lock(self.core_state(core)?);
+        let actor = state.current;
         let leaf = MonitorCall::Enumerate.encode().0;
         self.trace
             .emit(core as u32, EventKind::HyperEnter { leaf, actor: actor.0 });
-        let res = {
-            let inner = read_lock(&self.inner);
-            self.trace.emit(
-                core as u32,
-                EventKind::SnapRead {
-                    gen: inner.engine.generation(),
-                },
-            );
-            inner.engine.enumerate(actor).map_err(crate::monitor::cap_status)
+        let live = self.live_gen.load(Ordering::Acquire);
+        let res = match state.enumerated {
+            Some((g, a, count)) if g == live && a == actor => {
+                SmpStats::bump(&self.stats.enumerate_hits);
+                #[cfg(debug_assertions)]
+                self.recheck_enumerated(actor, g, count);
+                self.trace
+                    .emit(core as u32, EventKind::SnapRead { gen: live });
+                Ok(count)
+            }
+            _ => {
+                // The generation is read under the same guard, so the
+                // slot is keyed to exactly the state it counted.
+                let inner = read_lock(&self.inner);
+                let gen = inner.engine.generation();
+                self.trace.emit(core as u32, EventKind::SnapRead { gen });
+                let res = inner
+                    .engine
+                    .enumerate(actor)
+                    .map(|resources| resources.len() as u64)
+                    .map_err(crate::monitor::cap_status);
+                if let Ok(count) = res {
+                    state.enumerated = Some((gen, actor, count));
+                }
+                res
+            }
         };
         let code = match &res {
             Ok(_) => 0,
@@ -513,7 +548,18 @@ impl ConcurrentMonitor {
         let cycles = self.clocks.now(core).saturating_sub(start);
         self.trace
             .emit(core as u32, EventKind::HyperExit { leaf, code, cycles });
-        res.map(|resources| CallResult::Count(resources.len() as u64))
+        res.map(CallResult::Count)
+    }
+
+    /// Debug builds re-enumerate every slot hit whose generation is
+    /// still the engine's and require the same count.
+    #[cfg(debug_assertions)]
+    fn recheck_enumerated(&self, actor: DomainId, gen: u64, count: u64) {
+        let inner = read_lock(&self.inner);
+        if inner.engine.generation() == gen {
+            let fresh = inner.engine.enumerate(actor).map(|r| r.len() as u64);
+            assert_eq!(fresh, Ok(count), "stale enumerate slot for {actor} at {gen}");
+        }
     }
 
     fn core_state(&self, core: usize) -> Result<&Mutex<SmpCore>, Status> {
@@ -1080,6 +1126,143 @@ mod tests {
         let vmfunc = tyche_hw::cycles::CostModel::default_model().vmfunc_switch;
         assert_eq!(cm.clocks().now(0), 2 * vmfunc);
         assert_eq!(cm.clocks().now(1), before_other, "core 1 untouched");
+    }
+
+    /// `Enumerate` as whoever runs on `core`, as a count.
+    fn count(cm: &ConcurrentMonitor, core: usize) -> u64 {
+        match cm.serve(core, MonitorCall::Enumerate) {
+            Ok(CallResult::Count(n)) => n,
+            other => panic!("enumerate on core {core}: {other:?}"),
+        }
+    }
+
+    /// What the live engine reports for `actor`, bypassing every slot.
+    fn engine_count(cm: &ConcurrentMonitor, actor: DomainId) -> u64 {
+        cm.with_inner(|m| m.engine.enumerate(actor).map(|r| r.len() as u64))
+            .unwrap()
+    }
+
+    fn enumerate_hits(cm: &ConcurrentMonitor) -> u64 {
+        SmpStats::get(&cm.stats.enumerate_hits)
+    }
+
+    #[test]
+    fn enumerate_burst_hits_seven_of_eight() {
+        let (cm, doms) = smp_fixture();
+        let (d0, cap0) = doms[0];
+        let expected = engine_count(&cm, d0);
+        cm.trace.enable(cm.cores());
+        let mut brackets = Vec::new();
+        for _ in 0..8 {
+            cm.serve(0, MonitorCall::Enter { cap: cap0 }).unwrap();
+            cm.trace.drain();
+            assert_eq!(count(&cm, 0), expected);
+            brackets.push(
+                cm.trace
+                    .drain()
+                    .events()
+                    .iter()
+                    .map(|e| (e.core, e.kind))
+                    .collect::<Vec<_>>(),
+            );
+            cm.serve(0, MonitorCall::Return).unwrap();
+        }
+        cm.trace.disable();
+        assert_eq!(enumerate_hits(&cm), 7, "one miss per visit, then hits");
+        // A hit leaves the same trace and charges the same cycles as
+        // the miss that filled the slot.
+        let gen = cm.live_gen.load(Ordering::Acquire);
+        assert!(matches!(
+            brackets[0].as_slice(),
+            [
+                (0, EventKind::HyperEnter { .. }),
+                (0, EventKind::SnapRead { gen: g }),
+                (0, EventKind::HyperExit { code: 0, .. }),
+            ] if *g == gen
+        ));
+        assert!(brackets.iter().all(|b| *b == brackets[0]), "{brackets:?}");
+        assert_eq!(SmpStats::get(&cm.stats.mutations), 0);
+    }
+
+    #[test]
+    fn mutation_on_another_core_invalidates_the_slot() {
+        let (cm, doms) = smp_fixture();
+        let root = cm.with_inner(|m| m.engine.root().unwrap());
+        let ram = cm.with_inner(|m| {
+            m.engine
+                .caps_of(root)
+                .iter()
+                .find(|c| c.active && matches!(c.resource, Resource::Memory(_)))
+                .map(|c| c.id)
+                .unwrap()
+        });
+        let before = count(&cm, 0);
+        assert_eq!(count(&cm, 0), before);
+        assert_eq!(enumerate_hits(&cm), 1);
+        // A share to the actor, served on core 1, adds a resource.
+        let page = match cm.serve(
+            1,
+            MonitorCall::Share {
+                cap: ram,
+                target: root,
+                sub: Some((0x1000, 0x2000)),
+                rights: Rights::RW,
+                policy: RevocationPolicy::NONE,
+            },
+        ) {
+            Ok(CallResult::Cap(c)) => c,
+            other => panic!("share: {other:?}"),
+        };
+        assert_eq!(count(&cm, 0), before + 1, "share seen");
+        assert_eq!(count(&cm, 0), before + 1);
+        assert_eq!(enumerate_hits(&cm), 2);
+        // A revoke on core 1 takes it away again.
+        cm.serve(1, MonitorCall::Revoke { cap: page }).unwrap();
+        assert_eq!(count(&cm, 0), before, "revoke seen");
+        assert_eq!(enumerate_hits(&cm), 2);
+        // A kill on core 1 changes the actor's transition capabilities.
+        let (d2, _) = doms[2];
+        cm.serve(1, MonitorCall::Kill { domain: d2 }).unwrap();
+        let after_kill = count(&cm, 0);
+        assert_eq!(enumerate_hits(&cm), 2, "kill invalidated the slot");
+        assert_eq!(after_kill, engine_count(&cm, root));
+        assert_ne!(after_kill, before, "the kill is visible in the count");
+    }
+
+    #[test]
+    fn two_actors_on_one_core_never_share_a_slot() {
+        let (cm, doms) = smp_fixture();
+        let (d0, cap0) = doms[0];
+        let root = cm.with_inner(|m| m.engine.root().unwrap());
+        let (root_n, d0_n) = (engine_count(&cm, root), engine_count(&cm, d0));
+        assert_ne!(root_n, d0_n, "the fixture tells the actors apart");
+        for _ in 0..3 {
+            assert_eq!(count(&cm, 0), root_n);
+            cm.serve(0, MonitorCall::Enter { cap: cap0 }).unwrap();
+            assert_eq!(count(&cm, 0), d0_n);
+            cm.serve(0, MonitorCall::Return).unwrap();
+        }
+        assert_eq!(enumerate_hits(&cm), 0, "alternating actors always miss");
+        assert_eq!(count(&cm, 0), root_n);
+        assert_eq!(count(&cm, 0), root_n);
+        assert_eq!(enumerate_hits(&cm), 1, "a repeat by the same actor hits");
+    }
+
+    #[test]
+    fn enumerate_errors_are_not_cached() {
+        let (cm, doms) = smp_fixture();
+        let (d0, cap0) = doms[0];
+        cm.serve(0, MonitorCall::Enter { cap: cap0 }).unwrap();
+        assert_eq!(count(&cm, 0), engine_count(&cm, d0));
+        let filled = mutex_lock(&cm.cores[0]).enumerated;
+        // Root kills the running domain from core 1: enumerating as it
+        // now fails, and keeps failing without touching the slot.
+        cm.serve(1, MonitorCall::Kill { domain: d0 }).unwrap();
+        for _ in 0..2 {
+            assert_eq!(cm.serve(0, MonitorCall::Enumerate), Err(Status::NotFound));
+        }
+        assert_eq!(mutex_lock(&cm.cores[0]).enumerated, filled);
+        assert_eq!(enumerate_hits(&cm), 0);
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! `with_inner` must audit clean, and the engine generations one reader
 //! sees must never run backwards.
 //!
+//! A third test races `Enumerate` against revocations of the reading
+//! domain's own pages issued on other cores. Every count a reader gets,
+//! whether served from its core's slot or from the engine, must equal
+//! what a sequential replay of the mutations reports for that domain at
+//! the generation the call's `SnapRead` names.
+//!
 //! The seed comes from `TYCHE_STRESS_SEED` (default 1) and the shard
 //! count from `TYCHE_STRESS_SHARDS` (default [`SHARDS`]) so CI can
 //! sweep a fixed set of seeds crossed with shard counts. Run with
@@ -34,6 +40,7 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -343,6 +350,222 @@ fn readers_see_monotone_audited_states_across_revoke_storm() {
         "final audit failed (seed {seed})"
     );
     assert!(monitor.audit_hardware().is_empty());
+}
+
+const PAIRS: usize = 2;
+const READER_PAGES: u64 = 32;
+const READER_SAMPLES: usize = 50_000;
+
+/// `PAIRS` writer cores running root, then `PAIRS` reader cores, each
+/// running a sealed domain that root gave [`READER_PAGES`] one-page
+/// shares and the reader core. Returns each reader with its page caps.
+/// Deterministic: two calls build `==` engines.
+fn enumerate_race_setup() -> (Monitor, Vec<(DomainId, Vec<CapId>)>) {
+    let mut cfg = tyche_monitor::BootConfig::default();
+    cfg.machine.cores = 2 * PAIRS;
+    let mut m = tyche_monitor::boot_x86(cfg);
+    let root = m.engine.root().unwrap();
+    let root_cap = |m: &Monitor, want: &dyn Fn(&Resource) -> bool| {
+        m.engine
+            .caps_of(root)
+            .iter()
+            .find(|c| c.active && want(&c.resource))
+            .map(|c| c.id)
+            .unwrap()
+    };
+    let mut readers = Vec::new();
+    for k in 0..PAIRS {
+        let core = PAIRS + k;
+        let base = window_base(k, WINDOW);
+        let ram = root_cap(
+            &m,
+            &|r| matches!(r, Resource::Memory(mr) if mr.start <= base && base + WINDOW <= mr.end),
+        );
+        let (reader, gate) = m.engine.create_domain(root).unwrap();
+        let pages = (0..READER_PAGES)
+            .map(|i| {
+                let page = base + i * 0x1000;
+                m.engine
+                    .share(
+                        root,
+                        ram,
+                        reader,
+                        Some(MemRegion::new(page, page + 0x1000)),
+                        Rights::RW,
+                        RevocationPolicy::NONE,
+                    )
+                    .unwrap()
+            })
+            .collect();
+        let core_cap = root_cap(&m, &|r| *r == Resource::CpuCore(core));
+        m.engine
+            .share(
+                root,
+                core_cap,
+                reader,
+                None,
+                Rights::USE,
+                RevocationPolicy::NONE,
+            )
+            .unwrap();
+        m.engine.set_entry(root, reader, base).unwrap();
+        m.engine.seal(root, reader, SealPolicy::strict()).unwrap();
+        m.sync_effects().unwrap();
+        m.call(core, MonitorCall::Enter { cap: gate }).unwrap();
+        readers.push((reader, pages));
+    }
+    (m, readers)
+}
+
+#[test]
+fn enumerate_counts_match_replay_at_their_generation() {
+    let seed = seed_from_env();
+    let (m, readers) = enumerate_race_setup();
+    let trace = m.trace().clone();
+    trace.enable(2 * PAIRS);
+    let cm = Arc::new(ConcurrentMonitor::with_config(
+        m,
+        shards_from_env(),
+        ConcurrentMonitor::DEFAULT_RING_DEPTH,
+    ));
+    let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(std::sync::Barrier::new(2 * PAIRS));
+    let reader_threads: Vec<_> = (0..PAIRS)
+        .map(|k| {
+            let (cm, stop, start) = (Arc::clone(&cm), Arc::clone(&stop), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let core = PAIRS + k;
+                let mut got = Vec::new();
+                start.wait();
+                loop {
+                    let done = stop.load(Ordering::Acquire);
+                    if got.len() < READER_SAMPLES || done {
+                        got.push(cm.serve(core, MonitorCall::Enumerate));
+                    }
+                    if done {
+                        // Nothing mutates any more: this repeat hits.
+                        got.push(cm.serve(core, MonitorCall::Enumerate));
+                        return got;
+                    }
+                }
+            })
+        })
+        .collect();
+    let writer_threads: Vec<_> = readers
+        .iter()
+        .enumerate()
+        .map(|(core, (_, pages))| {
+            let (cm, start) = (Arc::clone(&cm), Arc::clone(&start));
+            let mut pages = pages.clone();
+            std::thread::spawn(move || {
+                let mut rng = Rng::new(seed ^ (core as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut log: Vec<(MonitorCall, Outcome)> = Vec::new();
+                let mut serve = |call: MonitorCall| {
+                    let out = cm.serve(core, call);
+                    log.push((call, out.clone()));
+                    out
+                };
+                start.wait();
+                while !pages.is_empty() {
+                    let cap = pages.swap_remove(rng.below(pages.len() as u64) as usize);
+                    if rng.below(2) == 0 {
+                        // Unrelated churn: every mutation bumps the
+                        // generation, whoever it touches.
+                        match serve(MonitorCall::CreateDomain) {
+                            Ok(CallResult::NewDomain { domain, .. }) => {
+                                serve(MonitorCall::Kill { domain }).expect("kill");
+                            }
+                            other => panic!("create: {other:?}"),
+                        }
+                    }
+                    serve(MonitorCall::Revoke { cap }).expect("revoke the reader's page");
+                    cm.sync_shootdowns(core);
+                }
+                log
+            })
+        })
+        .collect();
+    let logs: Vec<Vec<(MonitorCall, Outcome)>> = writer_threads
+        .into_iter()
+        .map(|w| w.join().unwrap())
+        .collect();
+    stop.store(true, Ordering::Release);
+    let counts: Vec<Vec<Outcome>> = reader_threads
+        .into_iter()
+        .map(|r| r.join().unwrap())
+        .collect();
+    let cm = Arc::try_unwrap(cm).ok().expect("threads joined");
+    assert!(
+        SmpStats::get(&cm.stats.enumerate_hits) >= PAIRS as u64,
+        "every reader's last repeat is served from its slot"
+    );
+    let final_monitor = cm.finish();
+
+    // Writers' calls in lock order; each reader's `SnapRead`s in call order.
+    let events = trace.drain();
+    let mut order = Vec::new();
+    let mut snaps: Vec<Vec<u64>> = vec![Vec::new(); PAIRS];
+    for e in events.events() {
+        let core = e.core as usize;
+        match e.kind {
+            EventKind::HyperEnter { .. } if core < PAIRS => order.push(core),
+            EventKind::SnapRead { gen } if core >= PAIRS => snaps[core - PAIRS].push(gen),
+            _ => {}
+        }
+    }
+    assert_eq!(order.len(), logs.iter().map(Vec::len).sum::<usize>());
+
+    // Sequential replay: every reader's count at every generation a
+    // committed call leaves behind.
+    let (mut replay, _) = enumerate_race_setup();
+    let mut at_gen: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut record = |m: &Monitor| {
+        let n = readers
+            .iter()
+            .map(|(r, _)| m.engine.enumerate(*r).map(|v| v.len() as u64).unwrap())
+            .collect();
+        at_gen.insert(m.engine.generation(), n);
+    };
+    record(&replay);
+    let mut next = [0usize; PAIRS];
+    for &core in &order {
+        let (call, recorded) = &logs[core][next[core]];
+        next[core] += 1;
+        assert_eq!(
+            &replay.call(core, *call),
+            recorded,
+            "replay diverged (seed {seed})"
+        );
+        record(&replay);
+    }
+    assert!(
+        replay.engine == final_monitor.engine,
+        "replay does not reproduce the engine"
+    );
+
+    for (k, (gens, got)) in snaps.iter().zip(&counts).enumerate() {
+        assert_eq!(
+            gens.len(),
+            got.len(),
+            "one SnapRead per Enumerate on reader {k}"
+        );
+        for (gen, result) in gens.iter().zip(got) {
+            let want = at_gen
+                .get(gen)
+                .unwrap_or_else(|| panic!("reader {k} saw gen {gen}, which no call left behind"))
+                [k];
+            assert_eq!(
+                result,
+                &Ok(CallResult::Count(want)),
+                "reader {k} at gen {gen} (seed {seed})"
+            );
+        }
+        assert_eq!(
+            got.last(),
+            Some(&Ok(CallResult::Count(1))),
+            "every page revoked: only the core is left"
+        );
+    }
 }
 
 /// A random live child domain of `mgr`.

@@ -8,15 +8,19 @@
 //! constructs — on comment/literal-stripped text. Everything else is
 //! skipped.
 //!
-//! The model over-approximates on purpose: call edges resolve by simple
-//! name to *every* same-named function in the TCB, which is the
-//! conservative direction for reachability lints (extra edges can only
-//! add findings), and guard lifetimes follow a lexical model — a
-//! let-bound guard is held until its enclosing block closes or an
-//! explicit `drop(var)`, an unbound guard (a temporary inside a larger
-//! expression) is released at its own statement. Guards owned by `for`
-//! scrutinees are treated as temporaries, which under-approximates one
-//! hold in `TraceSink::drain` but cannot invent a violation.
+//! The model over-approximates on purpose, and the call graph resolves
+//! by the call's syntax, not by types: a method call `x.name(..)`
+//! reaches every same-named function with a `self` receiver, a path
+//! call `Type::name(..)` (or `Self::name(..)`) reaches that impl's
+//! function when the model has one, and any other call reaches every
+//! same-named function in the TCB. Extra edges are the conservative
+//! direction for reachability lints (they can only add findings).
+//! Guard lifetimes follow a lexical model — a let-bound guard is held
+//! until its enclosing block closes or an explicit `drop(var)`, an
+//! unbound guard (a temporary inside a larger expression) is released
+//! at its own statement. Guards owned by `for` scrutinees are treated
+//! as temporaries, which under-approximates one hold in
+//! `TraceSink::drain` but cannot invent a violation.
 
 use crate::lex;
 use crate::loc::{self, LineClass};
@@ -61,11 +65,26 @@ const KEYWORDS: &[&str] = &[
     "type", "dyn", "pub", "mod", "trait", "await", "async", "yield",
 ];
 
+/// How a call token names its callee, which bounds what it resolves
+/// to (see [`WorkspaceModel::callees`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CallKind {
+    /// `name(..)`, or `Self::name(..)` outside an impl.
+    Bare,
+    /// `receiver.name(..)`: only functions taking `self` can be meant.
+    Method,
+    /// `Qualifier::name(..)`, with `Self` replaced by the enclosing
+    /// impl's type.
+    Path(String),
+}
+
 /// One `name(...)` (or turbofished) call token inside a function body.
 #[derive(Clone, Debug)]
 pub struct CallSite {
-    /// Simple callee name; resolution is by-name across the model.
+    /// Simple callee name.
     pub name: String,
+    /// How the callee was named.
+    pub kind: CallKind,
     /// 1-based line.
     pub line: usize,
     /// Byte offset in the stripped file (orders events within a body).
@@ -149,6 +168,8 @@ pub struct Function {
     pub is_pub: bool,
     /// First parameter is `&mut self`.
     pub has_mut_self: bool,
+    /// First parameter is a `self` receiver of any form.
+    pub has_self: bool,
     /// Call tokens, in body order.
     pub calls: Vec<CallSite>,
     /// Guard acquisitions, in body order.
@@ -197,7 +218,8 @@ pub struct WorkspaceModel {
     /// Files parsed.
     pub files: usize,
     by_name: BTreeMap<String, Vec<usize>>,
-    by_qname: BTreeMap<String, usize>,
+    by_method: BTreeMap<String, Vec<usize>>,
+    by_qname: BTreeMap<String, Vec<usize>>,
 }
 
 impl WorkspaceModel {
@@ -235,7 +257,10 @@ impl WorkspaceModel {
             for f in parsed.functions {
                 let idx = model.functions.len();
                 model.by_name.entry(f.name.clone()).or_default().push(idx);
-                model.by_qname.entry(f.qname.clone()).or_insert(idx);
+                if f.has_self {
+                    model.by_method.entry(f.name.clone()).or_default().push(idx);
+                }
+                model.by_qname.entry(f.qname.clone()).or_default().push(idx);
                 model.functions.push(f);
             }
         }
@@ -249,7 +274,22 @@ impl WorkspaceModel {
 
     /// Index of the (first) function with this qualified name.
     pub fn find_qname(&self, qname: &str) -> Option<usize> {
-        self.by_qname.get(qname).copied()
+        self.by_qname.get(qname).and_then(|v| v.first()).copied()
+    }
+
+    /// The functions `call` may reach: for a method call, the same-named
+    /// functions taking `self`; for a path call, that impl's functions
+    /// when the model has any; otherwise every same-named function.
+    pub fn callees(&self, call: &CallSite) -> &[usize] {
+        let found = match &call.kind {
+            CallKind::Method => self.by_method.get(&call.name),
+            CallKind::Path(ty) => self
+                .by_qname
+                .get(&format!("{ty}::{}", call.name))
+                .or_else(|| self.by_name.get(&call.name)),
+            CallKind::Bare => self.by_name.get(&call.name),
+        };
+        found.map_or(&[], Vec::as_slice)
     }
 
     /// Total resolved call edges (call tokens that name at least one
@@ -258,7 +298,7 @@ impl WorkspaceModel {
         self.functions
             .iter()
             .flat_map(|f| &f.calls)
-            .map(|c| self.functions_named(&c.name).len())
+            .map(|c| self.callees(c).len())
             .sum()
     }
 
@@ -275,7 +315,7 @@ impl WorkspaceModel {
         }
         while let Some(cur) = queue.pop() {
             for call in &self.functions[cur].calls {
-                for &next in self.functions_named(&call.name) {
+                for &next in self.callees(call) {
                     if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(next) {
                         e.insert(cur);
                         queue.push(next);
@@ -502,6 +542,7 @@ fn parse_fn(
                 .split(',')
                 .next()
                 .is_some_and(|p| p.trim() == "&mut self"),
+        has_self: takes_self(params),
         calls: Vec::new(),
         locks: Vec::new(),
         releases: Vec::new(),
@@ -645,6 +686,7 @@ fn handle_call(
 
     func.calls.push(CallSite {
         name: word.to_string(),
+        kind: call_kind(bytes, ident_pos, &func.qname),
         line,
         offset: ident_pos,
     });
@@ -683,6 +725,52 @@ fn handle_call(
                 });
             }
         }
+    }
+}
+
+/// True when a parameter list opens with a `self` receiver: `self`,
+/// `mut self`, `&self`, `&'a mut self`, `self: Box<Self>`, ...
+fn takes_self(params: &str) -> bool {
+    let first = params.split(',').next().unwrap_or("").trim();
+    let mut rest = first.strip_prefix('&').unwrap_or(first).trim_start();
+    if rest.starts_with('\'') {
+        rest = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r).trim_start();
+    }
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
+    rest == "self" || rest.starts_with("self:") || rest.starts_with("self ")
+}
+
+/// Classifies the call whose callee identifier starts at `ident_pos`
+/// inside the function `caller_qname`: a `.` before it makes a method
+/// call, a `Qualifier::` a path call (`Self` becomes the caller's impl
+/// type).
+fn call_kind(bytes: &[u8], ident_pos: usize, caller_qname: &str) -> CallKind {
+    let mut i = ident_pos;
+    while i > 0 && bytes[i - 1].is_ascii_whitespace() {
+        i -= 1;
+    }
+    if i > 0 && bytes[i - 1] == b'.' {
+        return CallKind::Method;
+    }
+    if i < 2 || &bytes[i - 2..i] != b"::" {
+        return CallKind::Bare;
+    }
+    let end = i - 2;
+    let mut start = end;
+    while start > 0 && lex::is_ident_byte(bytes[start - 1]) {
+        start -= 1;
+    }
+    let qualifier = String::from_utf8_lossy(&bytes[start..end]).into_owned();
+    if qualifier == "Self" {
+        return match caller_qname.rsplit_once("::") {
+            Some((ty, _)) => CallKind::Path(ty.to_string()),
+            None => CallKind::Bare,
+        };
+    }
+    if qualifier.is_empty() {
+        CallKind::Bare
+    } else {
+        CallKind::Path(qualifier)
     }
 }
 
@@ -1024,6 +1112,32 @@ mod tests {
         assert_eq!(f.releases[0].var, "g");
         assert!(f.releases[0].offset > f.locks[0].offset);
         assert!(f.releases[0].offset < f.locks[1].offset);
+    }
+
+    #[test]
+    fn call_kinds_and_self_receivers() {
+        let m = model(
+            "impl T {\n\
+                 fn a(&'a mut self) { self.b(); x.c(); Self::d(); aead::e(); f(); }\n\
+                 fn d(n: u8) {}\n\
+             }\n\
+             fn g(self: Box<Self>) {}\n",
+        );
+        let a = &m.functions[m.find_qname("T::a").unwrap()];
+        let kinds: Vec<(&str, CallKind)> =
+            a.calls.iter().map(|c| (c.name.as_str(), c.kind.clone())).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                ("b", CallKind::Method),
+                ("c", CallKind::Method),
+                ("d", CallKind::Path("T".into())),
+                ("e", CallKind::Path("aead".into())),
+                ("f", CallKind::Bare),
+            ]
+        );
+        assert!(a.has_self && m.functions[m.find_qname("g").unwrap()].has_self);
+        assert!(!m.functions[m.find_qname("T::d").unwrap()].has_self);
     }
 
     #[test]

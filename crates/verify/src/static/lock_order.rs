@@ -152,7 +152,7 @@ pub fn check(model: &WorkspaceModel) -> Vec<StaticFinding> {
             if held.is_empty() {
                 continue;
             }
-            for &callee in model.functions_named(&call.name) {
+            for &callee in model.callees(call) {
                 if callee == fi {
                     continue;
                 }
@@ -224,7 +224,7 @@ fn transitive_acquisitions(model: &WorkspaceModel) -> Vec<BTreeMap<u8, Witness>>
         for fi in 0..n {
             let mut add: Vec<(u8, Witness)> = Vec::new();
             for call in &model.functions[fi].calls {
-                for &callee in model.functions_named(&call.name) {
+                for &callee in model.callees(call) {
                     if callee == fi {
                         continue;
                     }

@@ -364,6 +364,81 @@ fn entrypoint_rot_is_caught() {
     assert!(findings[0].message.contains("entrypoint table rot"), "{}", findings[0].message);
 }
 
+// ------------------------------------------------------ call resolution
+
+/// A crypto module with a free `tag` that panics through `block`, a
+/// backend method also named `tag`, and two impls that each define
+/// `pure`: what a by-name call graph conflates.
+const AEAD: &str = r#"
+pub fn tag(key: &[u8], data: &[u8]) -> usize { block(key).len() + data.len() }
+pub fn block(key: &[u8]) -> [u8; 4] { [key[0]; 4] }
+"#;
+const CALLERS: &str = r#"
+impl Backend {
+    pub fn tag(&self, domain: u64) -> u64 { domain }
+}
+impl Monitor {
+    pub fn domain_tag(&self, domain: u64) -> u64 { self.backend.tag(domain) }
+    pub fn seal_frame(&self, key: &[u8]) -> usize { aead::tag(key, key) }
+    pub fn own_helper(&self) -> u64 { Self::pure(1) }
+    fn pure(x: u64) -> u64 { x }
+}
+impl Other {
+    fn pure(x: &[u64]) -> u64 { x[0] }
+}
+"#;
+
+fn resolution_model() -> WorkspaceModel {
+    WorkspaceModel::from_sources(&[
+        ("crypto", "crates/crypto/src/aead.rs", AEAD),
+        ("monitor", "crates/monitor/src/monitor.rs", CALLERS),
+    ])
+}
+
+fn reached_from(model: &WorkspaceModel, seed: &str) -> Vec<String> {
+    let parents = model.reachable(&[model.find_qname(seed).unwrap()]);
+    parents.keys().map(|&i| model.functions[i].qname.clone()).collect()
+}
+
+#[test]
+fn method_call_reaches_only_self_receivers() {
+    let model = resolution_model();
+    assert_eq!(
+        reached_from(&model, "Monitor::domain_tag"),
+        vec!["Backend::tag".to_string(), "Monitor::domain_tag".to_string()],
+        "`.tag(` cannot call the free `aead::tag`"
+    );
+    let entries: &[(&str, &[&str])] = &[("DomainTag", &["Monitor::domain_tag"])];
+    let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
+    assert!(findings.is_empty(), "spurious `tag -> block` chain: {findings:?}");
+}
+
+#[test]
+fn qualified_free_call_keeps_its_real_edge() {
+    let model = resolution_model();
+    let entries: &[(&str, &[&str])] = &[("SealFrame", &["Monitor::seal_frame"])];
+    let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(
+        findings[0].path,
+        ["Monitor::seal_frame", "tag", "block", "crates/crypto/src/aead.rs:3"],
+        "`aead::tag(` names no impl, so it still reaches the free `tag`"
+    );
+}
+
+#[test]
+fn self_path_call_resolves_to_its_own_impl() {
+    let model = resolution_model();
+    assert_eq!(
+        reached_from(&model, "Monitor::own_helper"),
+        vec!["Monitor::own_helper".to_string(), "Monitor::pure".to_string()],
+        "`Self::pure` stays inside `impl Monitor`"
+    );
+    let entries: &[(&str, &[&str])] = &[("OwnHelper", &["Monitor::own_helper"])];
+    let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
+    assert!(findings.is_empty(), "`Other`'s panics reached: {findings:?}");
+}
+
 // ----------------------------------------------------------------- atomics
 
 #[test]
