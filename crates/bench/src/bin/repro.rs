@@ -650,11 +650,11 @@ fn f1() {
         format!("{denied}"),
     ]);
     // Judiciary: the TPM-rooted chain verifies monitor + domain.
-    let verifier = Verifier {
-        tpm_key: m.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: m.report_key(),
-    };
+    let verifier = Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        m.report_key(),
+    );
     let qn = [3u8; 32];
     let quote = m.machine_quote(qn).expect("quote");
     let rn = [4u8; 32];
@@ -1234,11 +1234,11 @@ fn c8() {
     );
     let mut m = boot();
     let (enclave, _) = spawn_sealed(&mut m, 0, 0x10_0000, 0x1000, &[0], SealPolicy::strict());
-    let verifier = Verifier {
-        tpm_key: m.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: m.report_key(),
-    };
+    let verifier = Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        m.report_key(),
+    );
     let qn = [1u8; 32];
     let rn = [2u8; 32];
     let quote = m.machine_quote(qn).expect("quote");
@@ -1277,11 +1277,11 @@ fn c8() {
         ..Default::default()
     });
     let (evil_dom, _) = spawn_sealed(&mut evil, 0, 0x10_0000, 0x1000, &[0], SealPolicy::strict());
-    let evil_verifier = Verifier {
-        tpm_key: evil.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: evil.report_key(),
-    };
+    let evil_verifier = Verifier::new(
+        evil.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        evil.report_key(),
+    );
     let eq = evil.machine_quote(qn).expect("quote");
     let es = evil.attest_domain(evil_dom, rn).expect("report");
     t.row(&[
@@ -1319,11 +1319,11 @@ fn c8() {
             rn[0] = i as u8;
             let signed = m.attest_domain(d, rn).expect("report");
             bytes = signed.report.canonical_bytes().len();
-            let verifier = Verifier {
-                tpm_key: m.machine.tpm.attestation_key(),
-                expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-                monitor_key: m.report_key(),
-            };
+            let verifier = Verifier::new(
+                m.machine.tpm.attestation_key(),
+                expected_monitor_pcr(MONITOR_VERSION),
+                m.report_key(),
+            );
             let quote = m.machine_quote(rn).expect("quote");
             verifier
                 .verify(&quote, &rn, &signed, &rn, None)
@@ -1700,11 +1700,11 @@ fn e2() {
         &["deployment", "verifier outcome"],
     );
     let mut f = tyche_bench::scenarios::fig2_without_net();
-    let verifier = Verifier {
-        tpm_key: f.monitor.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: f.monitor.report_key(),
-    };
+    let verifier = Verifier::new(
+        f.monitor.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        f.monitor.report_key(),
+    );
     let qn = [1u8; 32];
     let rn = [2u8; 32];
     let quote = f.monitor.machine_quote(qn).expect("quote");
@@ -1865,11 +1865,11 @@ fn e5() {
     let quote_b = mb.machine_quote(qn).expect("quote");
     let report_b = mb.attest_domain(db, rn).expect("report b");
     let report_a = ma.attest_domain(da, rn).expect("report a");
-    let verifier = Verifier {
-        tpm_key: mb.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: mb.report_key(),
-    };
+    let verifier = Verifier::new(
+        mb.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        mb.report_key(),
+    );
     let mut conn =
         RdmaConnection::establish(&verifier, &quote_b, &qn, &report_b, &rn, &report_a, None)
             .expect("establish");

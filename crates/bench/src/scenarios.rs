@@ -241,11 +241,11 @@ fn share_core(client: &mut libtyche::TycheClient<'_>, target: DomainId, core: us
 /// would proceed to provision the key.
 pub fn fig2_customer_verifies(f: &mut Fig2) -> bool {
     use layout::*;
-    let verifier = Verifier {
-        tpm_key: f.monitor.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: f.monitor.report_key(),
-    };
+    let verifier = Verifier::new(
+        f.monitor.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        f.monitor.report_key(),
+    );
     let qn = [1u8; 32];
     let quote = f.monitor.machine_quote(qn).expect("quote");
     let rn = [2u8; 32];

@@ -61,19 +61,29 @@ impl DomainReport {
     /// Canonical byte encoding — what the monitor signs. Any change to the
     /// domain's resources, rights, or reference counts changes these bytes.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        // Exact size: 72-byte header, 35 bytes per resource, then the
-        // content count and 48 bytes per content measurement.
-        let mut out = Vec::with_capacity(
-            72 + self.resources.len() * 35 + 8 + self.content_measurements.len() * 48,
-        );
-        out.extend_from_slice(b"tyche-report-v1");
-        out.extend_from_slice(&self.domain.0.to_le_bytes());
-        out.extend_from_slice(self.measurement.as_bytes());
-        out.push(self.seal_policy);
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        out.extend_from_slice(&(self.resources.len() as u64).to_le_bytes());
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_canonical(|piece| out.extend_from_slice(piece));
+        out
+    }
+
+    /// Length of [`Self::canonical_bytes`]: a 72-byte header, 35 bytes
+    /// per resource, then the content count and 48 bytes per content
+    /// measurement.
+    pub fn encoded_len(&self) -> usize {
+        72 + self.resources.len() * 35 + 8 + self.content_measurements.len() * 48
+    }
+
+    /// Feeds the canonical encoding to `put` piece by piece, so a hash or
+    /// MAC can absorb it without collecting it first. The concatenated
+    /// pieces are exactly [`Self::canonical_bytes`].
+    pub fn write_canonical(&self, mut put: impl FnMut(&[u8])) {
+        put(b"tyche-report-v1");
+        put(&self.domain.0.to_le_bytes());
+        put(self.measurement.as_bytes());
+        put(&[self.seal_policy]);
+        put(&self.entry.to_le_bytes());
+        put(&(self.resources.len() as u64).to_le_bytes());
         for r in &self.resources {
-            out.push(r.resource.type_tag());
             let (a, b) = match r.resource {
                 Resource::Memory(m) => (m.start, m.end),
                 Resource::CpuCore(n) => (n as u64, 0),
@@ -81,30 +91,32 @@ impl DomainReport {
                 Resource::Transition(t) => (t.0, 0),
                 Resource::Interrupt(v) => (v as u64, 0),
             };
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
-            out.push(r.rights.0);
-            out.push(match r.kind {
+            put(&[r.resource.type_tag()]);
+            put(&a.to_le_bytes());
+            put(&b.to_le_bytes());
+            let kind = match r.kind {
                 CapKind::Root => 0,
                 CapKind::Shared => 1,
                 CapKind::Granted => 2,
                 CapKind::Carved => 3,
-            });
-            out.extend_from_slice(&(r.refcount.max as u64).to_le_bytes());
-            out.extend_from_slice(&(r.refcount.min as u64).to_le_bytes());
+            };
+            put(&[r.rights.0, kind]);
+            put(&(r.refcount.max as u64).to_le_bytes());
+            put(&(r.refcount.min as u64).to_le_bytes());
         }
-        out.extend_from_slice(&(self.content_measurements.len() as u64).to_le_bytes());
+        put(&(self.content_measurements.len() as u64).to_le_bytes());
         for (s, e, d) in &self.content_measurements {
-            out.extend_from_slice(&s.to_le_bytes());
-            out.extend_from_slice(&e.to_le_bytes());
-            out.extend_from_slice(d.as_bytes());
+            put(&s.to_le_bytes());
+            put(&e.to_le_bytes());
+            put(d.as_bytes());
         }
-        out
     }
 
     /// Digest of the canonical encoding.
     pub fn digest(&self) -> Digest {
-        tyche_crypto::hash(&self.canonical_bytes())
+        let mut h = tyche_crypto::Sha256::new();
+        self.write_canonical(|piece| h.update(piece));
+        h.finalize()
     }
 
     /// Convenience for verifiers: true when every memory resource in the
@@ -214,5 +226,9 @@ mod tests {
         let b = DomainReport::build(&e, enc).unwrap();
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());
+        // The streamed digest and the reserved size match the collected
+        // encoding.
+        assert_eq!(a.digest(), tyche_crypto::hash(&a.canonical_bytes()));
+        assert_eq!(a.canonical_bytes().len(), a.encoded_len());
     }
 }

@@ -23,6 +23,13 @@ impl Signature {
     }
 }
 
+/// The tag of the message `write` feeds into a copy of the keyed `mac`.
+fn streamed_tag(mac: &HmacSha256, write: impl FnOnce(&mut dyn FnMut(&[u8]))) -> Digest {
+    let mut mac = mac.clone();
+    write(&mut |piece| mac.update(piece));
+    mac.finalize()
+}
+
 /// A signing key held by a root of trust or monitor.
 ///
 /// Holds the keyed HMAC state (key material, see [`crate::hmac`]) rather
@@ -48,6 +55,13 @@ impl SigningKey {
     /// Signs a message.
     pub fn sign(&self, msg: &[u8]) -> Signature {
         Signature(self.mac.tag(msg))
+    }
+
+    /// Signs the message `write` feeds, piece by piece, to the sink it
+    /// is handed: the same signature as [`Self::sign`] over the pieces
+    /// concatenated, without collecting them.
+    pub fn sign_streamed(&self, write: impl FnOnce(&mut dyn FnMut(&[u8]))) -> Signature {
+        Signature(streamed_tag(&self.mac, write))
     }
 
     /// Returns the matching verifying key.
@@ -78,6 +92,16 @@ impl VerifyingKey {
     /// Verifies `sig` over `msg` in constant time.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         self.mac.check(msg, &sig.0)
+    }
+
+    /// [`Self::verify`] over the message `write` feeds piece by piece
+    /// (see [`SigningKey::sign_streamed`]), in constant time.
+    pub fn verify_streamed(
+        &self,
+        write: impl FnOnce(&mut dyn FnMut(&[u8])),
+        sig: &Signature,
+    ) -> bool {
+        crate::ct::eq(streamed_tag(&self.mac, write).as_bytes(), sig.0.as_bytes())
     }
 }
 
@@ -129,6 +153,25 @@ mod tests {
         );
         let raw = hkdf::derive_key32(b"tyche-sign", b"root", b"attest");
         assert_eq!(sk.sign(b"report").0, HmacSha256::mac(&raw, b"report"));
+    }
+
+    #[test]
+    fn streamed_signature_equals_one_shot() {
+        let sk = SigningKey::derive(b"root", "attest");
+        let vk = sk.verifying_key();
+        let msg: Vec<u8> = (0..200u8).collect();
+        for cut in [0usize, 1, 55, 64, 119, 200] {
+            let (a, b) = msg.split_at(cut);
+            let sig = sk.sign_streamed(|put| {
+                put(a);
+                put(b);
+            });
+            assert_eq!(sig, sk.sign(&msg), "cut at {cut}");
+            assert!(vk.verify_streamed(|put| put(&msg), &sig));
+            let mut bad = sig;
+            bad.0 .0[31] ^= 1;
+            assert!(!vk.verify_streamed(|put| put(&msg), &bad));
+        }
     }
 
     #[test]

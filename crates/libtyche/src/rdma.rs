@@ -461,11 +461,11 @@ mod tests {
     }
 
     fn verifier_for(m: &Monitor) -> Verifier {
-        Verifier {
-            tpm_key: m.machine.tpm.attestation_key(),
-            expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-            monitor_key: m.report_key(),
-        }
+        Verifier::new(
+            m.machine.tpm.attestation_key(),
+            expected_monitor_pcr(MONITOR_VERSION),
+            m.report_key(),
+        )
     }
 
     /// Full two-machine setup: attested connection + remote MR.
@@ -919,11 +919,11 @@ mod tests {
         };
         // The verifier expects the *good* monitor's PCR but evil's TPM key
         // (the machine is real; its software stack is not).
-        let verifier = Verifier {
-            tpm_key: evil.machine.tpm.attestation_key(),
-            expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-            monitor_key: evil.report_key(),
-        };
+        let verifier = Verifier::new(
+            evil.machine.tpm.attestation_key(),
+            expected_monitor_pcr(MONITOR_VERSION),
+            evil.report_key(),
+        );
         let err = RdmaConnection::establish(&verifier, &quote, &qn, &report, &rn, &my_report, None)
             .unwrap_err();
         assert!(matches!(

@@ -14,6 +14,18 @@
 //! it), and the monitor's report-verification key (distributed alongside
 //! the quote, as a certificate would be). `verify` checks the whole chain
 //! and returns an [`AttestedDomain`] the relying party can query.
+//!
+//! A relying party appraises a machine once and then checks many domain
+//! reports against that appraisal, so a verifier runs tier 1 once per
+//! piece of evidence and tier 2 once per report. It keeps the first
+//! `(quote, quote nonce)` pair that passed tier 1, and a later `verify`
+//! presenting a bit-equal pair skips straight to tier 2. That is sound
+//! because the trust anchors the pair was appraised under are private
+//! and immutable, only successes are kept, and any quote that differs
+//! in a single bit — another nonce, another machine, a tampered copy —
+//! is appraised in full, every time.
+
+use std::sync::OnceLock;
 
 use tyche_core::attest::DomainReport;
 use tyche_core::ids::DomainId;
@@ -33,10 +45,22 @@ pub struct SignedReport {
 }
 
 impl SignedReport {
-    /// The exact bytes the monitor signs.
+    /// Feeds the exact bytes the monitor signs to `put`, piece by piece:
+    /// what [`SigningKey::sign_streamed`](tyche_crypto::sign::SigningKey::sign_streamed)
+    /// and [`VerifyingKey::verify_streamed`] absorb without collecting it.
+    pub(crate) fn write_signed(
+        report: &DomainReport,
+        nonce: &[u8; 32],
+        put: &mut dyn FnMut(&[u8]),
+    ) {
+        report.write_canonical(&mut *put);
+        put(nonce);
+    }
+
+    /// The exact bytes the monitor signs, collected.
     pub fn signed_bytes(report: &DomainReport, nonce: &[u8; 32]) -> Vec<u8> {
-        let mut msg = report.canonical_bytes();
-        msg.extend_from_slice(nonce);
+        let mut msg = Vec::with_capacity(report.encoded_len() + nonce.len());
+        Self::write_signed(report, nonce, &mut |piece| msg.extend_from_slice(piece));
         msg
     }
 }
@@ -107,17 +131,36 @@ impl AttestedDomain {
     }
 }
 
-/// A remote verifier's trust anchors.
+/// A remote verifier's trust anchors, and the one piece of tier-1
+/// evidence it has already appraised under them.
 pub struct Verifier {
     /// TPM attestation (quote) verification key.
-    pub tpm_key: VerifyingKey,
+    tpm_key: VerifyingKey,
     /// Expected PCR 17 value: `extend(0, H(monitor image))`.
-    pub expected_monitor_pcr: Digest,
+    expected_monitor_pcr: Digest,
     /// The monitor's report-verification key.
-    pub monitor_key: VerifyingKey,
+    monitor_key: VerifyingKey,
+    /// The first `(quote, quote nonce)` that passed [`Self::appraise`].
+    /// Only a success is ever stored, and never replaced.
+    appraised: OnceLock<(Quote, [u8; 32])>,
 }
 
 impl Verifier {
+    /// A verifier trusting quotes signed under `tpm_key` whose PCR 17 is
+    /// `expected_monitor_pcr`, and reports signed under `monitor_key`.
+    pub fn new(
+        tpm_key: VerifyingKey,
+        expected_monitor_pcr: Digest,
+        monitor_key: VerifyingKey,
+    ) -> Self {
+        Verifier {
+            tpm_key,
+            expected_monitor_pcr,
+            monitor_key,
+            appraised: OnceLock::new(),
+        }
+    }
+
     /// Verifies the full two-tier chain:
     ///
     /// 1. the quote is signed by the TPM and fresh (`quote_nonce`);
@@ -125,6 +168,9 @@ impl Verifier {
     /// 3. the report is signed by that monitor and fresh (`report_nonce`);
     /// 4. if `expected_measurement` is given, the domain measurement
     ///    matches.
+    ///
+    /// Steps 1–2 are skipped when `(quote, quote_nonce)` is bit-equal to
+    /// the pair this verifier already appraised; steps 3–4 always run.
     pub fn verify(
         &self,
         quote: &Quote,
@@ -133,6 +179,24 @@ impl Verifier {
         report_nonce: &[u8; 32],
         expected_measurement: Option<Digest>,
     ) -> Result<AttestedDomain, VerifyError> {
+        let known = self
+            .appraised
+            .get()
+            .is_some_and(|(q, n)| q == quote && n == quote_nonce);
+        if !known {
+            self.appraise(quote, quote_nonce)?;
+            if self.appraised.get().is_none() {
+                // A concurrent first success may have won; either pair
+                // passed tier 1 under these same anchors.
+                let _ = self.appraised.set((quote.clone(), *quote_nonce));
+            }
+        }
+        self.check_report(signed, report_nonce, expected_measurement)
+    }
+
+    /// Tier 1: the quote is signed by the TPM and fresh, covers PCRs 17
+    /// and 18, and PCR 17 is the expected monitor.
+    fn appraise(&self, quote: &Quote, quote_nonce: &[u8; 32]) -> Result<(), VerifyError> {
         if !quote.verify(&self.tpm_key, quote_nonce) {
             return Err(VerifyError::BadQuote);
         }
@@ -148,11 +212,25 @@ impl Verifier {
                 expected: self.expected_monitor_pcr,
             });
         }
+        Ok(())
+    }
+
+    /// Tier 2: the report is fresh, signed by the monitor, and carries
+    /// the expected measurement when one is given.
+    fn check_report(
+        &self,
+        signed: &SignedReport,
+        report_nonce: &[u8; 32],
+        expected_measurement: Option<Digest>,
+    ) -> Result<AttestedDomain, VerifyError> {
         if &signed.nonce != report_nonce {
             return Err(VerifyError::BadReportSignature);
         }
-        let msg = SignedReport::signed_bytes(&signed.report, &signed.nonce);
-        if !self.monitor_key.verify(&msg, &signed.signature) {
+        let authentic = self.monitor_key.verify_streamed(
+            |put| SignedReport::write_signed(&signed.report, &signed.nonce, put),
+            &signed.signature,
+        );
+        if !authentic {
             return Err(VerifyError::BadReportSignature);
         }
         if let Some(expected) = expected_measurement {
@@ -209,11 +287,11 @@ impl MachineRoots {
     /// only monitors whose image measures to the named `version` (see
     /// `boot::expected_monitor_pcr`).
     pub fn verifier(&self, version: &str) -> Verifier {
-        Verifier {
-            tpm_key: self.tpm_key.clone(),
-            expected_monitor_pcr: crate::boot::expected_monitor_pcr(version),
-            monitor_key: self.monitor_key.clone(),
-        }
+        Verifier::new(
+            self.tpm_key.clone(),
+            crate::boot::expected_monitor_pcr(version),
+            self.monitor_key.clone(),
+        )
     }
 }
 
@@ -380,5 +458,279 @@ impl Verifier {
             }
         }
         Ok(attested)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tyche_core::engine::EnumeratedResource;
+    use tyche_core::refcount::RefCount;
+    use tyche_core::{CapId, CapKind, MemRegion, Resource, Rights};
+    use tyche_crypto::sign::SigningKey;
+    use tyche_crypto::ChaChaRng;
+    use tyche_hw::tpm::Tpm;
+
+    /// A booted machine reduced to what attestation needs: a TPM that
+    /// measured a monitor and the monitor's report-signing key.
+    struct Machine {
+        tpm: Tpm,
+        monitor: SigningKey,
+    }
+
+    fn machine(seed: u64) -> Machine {
+        let mut tpm = Tpm::new_with_seed(seed);
+        tpm.extend(PCR_MONITOR, "monitor", tyche_crypto::hash(b"monitor-image"));
+        tpm.extend(PCR_CONFIG, "config", tyche_crypto::hash(b"cost-model"));
+        Machine {
+            tpm,
+            monitor: SigningKey::derive(&seed.to_le_bytes(), "monitor-report"),
+        }
+    }
+
+    impl Machine {
+        fn verifier(&self) -> Verifier {
+            Verifier::new(
+                self.tpm.attestation_key(),
+                self.tpm.read_pcr(PCR_MONITOR),
+                self.monitor.verifying_key(),
+            )
+        }
+
+        fn quote(&self, nonce: [u8; 32]) -> Quote {
+            self.tpm.quote(&[PCR_MONITOR, PCR_CONFIG], nonce).unwrap()
+        }
+
+        fn sign(&self, report: DomainReport, nonce: [u8; 32]) -> SignedReport {
+            let signature = self
+                .monitor
+                .sign_streamed(|put| SignedReport::write_signed(&report, &nonce, put));
+            SignedReport {
+                report,
+                nonce,
+                signature,
+            }
+        }
+    }
+
+    /// A report with `resources` random resources of every kind and
+    /// `contents` random content measurements.
+    fn random_report(rng: &mut ChaChaRng, resources: usize, contents: usize) -> DomainReport {
+        let mut digest = || tyche_crypto::hash(&rng.next_bytes32());
+        let measurement = digest();
+        let content_measurements = (0..contents as u64)
+            .map(|i| (i << 12, (i + 1) << 12, digest()))
+            .collect();
+        let resources = (0..resources)
+            .map(|i| {
+                let x = rng.next_u64();
+                let resource = match i % 5 {
+                    0 => Resource::Memory(MemRegion::new((x >> 20) << 12, ((x >> 20) + 1) << 12)),
+                    1 => Resource::CpuCore(x as usize % 64),
+                    2 => Resource::Device(x as u16),
+                    3 => Resource::Transition(tyche_core::DomainId(x)),
+                    _ => Resource::Interrupt(x as u32),
+                };
+                EnumeratedResource {
+                    cap: CapId(x >> 8),
+                    resource,
+                    rights: Rights(x as u8 & 0x1f),
+                    kind: [
+                        CapKind::Root,
+                        CapKind::Shared,
+                        CapKind::Granted,
+                        CapKind::Carved,
+                    ][(x >> 5) as usize % 4],
+                    refcount: RefCount {
+                        max: 1 + (x >> 9) as usize % 4,
+                        min: 1,
+                    },
+                }
+            })
+            .collect();
+        DomainReport {
+            domain: tyche_core::DomainId(rng.next_u64()),
+            measurement,
+            seal_policy: rng.next_u32() as u8,
+            entry: rng.next_u64(),
+            resources,
+            content_measurements,
+        }
+    }
+
+    const QN: [u8; 32] = [1u8; 32];
+    const RN: [u8; 32] = [2u8; 32];
+
+    fn good(m: &Machine) -> (Quote, SignedReport) {
+        let mut rng = ChaChaRng::from_seed(7);
+        (m.quote(QN), m.sign(random_report(&mut rng, 3, 1), RN))
+    }
+
+    #[test]
+    fn streamed_report_tag_equals_one_shot() {
+        let m = machine(1);
+        let v = m.verifier();
+        let quote = m.quote(QN);
+        let mut rng = ChaChaRng::from_seed(0x5eed);
+        for resources in [0usize, 1, 2, 5, 17, 40] {
+            for contents in [0usize, 1, 3] {
+                let report = random_report(&mut rng, resources, contents);
+                let nonce = rng.next_bytes32();
+                let bytes = SignedReport::signed_bytes(&report, &nonce);
+                assert_eq!(bytes.len(), report.encoded_len() + 32);
+                let mut expect = report.canonical_bytes();
+                expect.extend_from_slice(&nonce);
+                assert_eq!(bytes, expect);
+                let signed = m.sign(report, nonce);
+                assert_eq!(
+                    signed.signature,
+                    m.monitor.sign(&bytes),
+                    "{resources}/{contents}"
+                );
+                assert!(v.verify(&quote, &QN, &signed, &nonce, None).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn stored_quote_does_not_cover_altered_evidence() {
+        let m = machine(2);
+        let v = m.verifier();
+        let (quote, signed) = good(&m);
+        assert!(v.verify(&quote, &QN, &signed, &RN, None).is_ok());
+        assert!(v.appraised.get().is_some());
+
+        let mut pcr = quote.clone();
+        pcr.pcr_values[0].0[0] ^= 1;
+        assert_eq!(
+            v.verify(&pcr, &QN, &signed, &RN, None).unwrap_err(),
+            VerifyError::BadQuote
+        );
+        let mut sig = quote.clone();
+        sig.signature.0 .0[31] ^= 0x80;
+        assert_eq!(
+            v.verify(&sig, &QN, &signed, &RN, None).unwrap_err(),
+            VerifyError::BadQuote
+        );
+        let other = [3u8; 32];
+        assert_eq!(
+            v.verify(&quote, &other, &signed, &RN, None).unwrap_err(),
+            VerifyError::BadQuote
+        );
+        // A fresh quote under the other nonce is appraised in full and
+        // accepted, and the stored pair stays the first one.
+        assert!(v
+            .verify(&m.quote(other), &other, &signed, &RN, None)
+            .is_ok());
+        assert_eq!(v.appraised.get(), Some(&(quote.clone(), QN)));
+        assert!(v.verify(&quote, &QN, &signed, &RN, None).is_ok());
+    }
+
+    #[test]
+    fn failed_appraisal_is_never_stored() {
+        let m = machine(3);
+        let v = m.verifier();
+        let (quote, signed) = good(&m);
+        let mut bad = quote.clone();
+        bad.pcr_values[1].0[5] ^= 4;
+        for _ in 0..2 {
+            assert_eq!(
+                v.verify(&bad, &QN, &signed, &RN, None).unwrap_err(),
+                VerifyError::BadQuote
+            );
+            assert!(v.appraised.get().is_none(), "a failure filled the slot");
+        }
+        assert!(v.verify(&quote, &QN, &signed, &RN, None).is_ok());
+        assert_eq!(
+            v.verify(&bad, &QN, &signed, &RN, None).unwrap_err(),
+            VerifyError::BadQuote
+        );
+        // Evidence that authenticates but names another monitor is a
+        // failure too, before and after a success.
+        let rogue = machine(4);
+        let wrong = rogue.tpm.quote(&[PCR_MONITOR, PCR_CONFIG], QN).unwrap();
+        let v2 = Verifier::new(
+            rogue.tpm.attestation_key(),
+            tyche_crypto::hash(b"another monitor"),
+            m.monitor.verifying_key(),
+        );
+        for _ in 0..2 {
+            assert!(matches!(
+                v2.verify(&wrong, &QN, &signed, &RN, None),
+                Err(VerifyError::WrongMonitor { .. })
+            ));
+            assert!(v2.appraised.get().is_none());
+        }
+    }
+
+    #[test]
+    fn other_anchors_never_accept_the_stored_pair() {
+        let m = machine(5);
+        let rogue = machine(6);
+        let (quote, signed) = good(&m);
+        let trusting = m.verifier();
+        let other_tpm = Verifier::new(
+            rogue.tpm.attestation_key(),
+            m.tpm.read_pcr(PCR_MONITOR),
+            m.monitor.verifying_key(),
+        );
+        let other_pcr = Verifier::new(
+            m.tpm.attestation_key(),
+            tyche_crypto::hash(b"another monitor"),
+            m.monitor.verifying_key(),
+        );
+        for _ in 0..2 {
+            assert!(trusting.verify(&quote, &QN, &signed, &RN, None).is_ok());
+            assert_eq!(
+                other_tpm
+                    .verify(&quote, &QN, &signed, &RN, None)
+                    .unwrap_err(),
+                VerifyError::BadQuote
+            );
+            assert!(matches!(
+                other_pcr.verify(&quote, &QN, &signed, &RN, None),
+                Err(VerifyError::WrongMonitor { .. })
+            ));
+        }
+        assert!(other_tpm.appraised.get().is_none() && other_pcr.appraised.get().is_none());
+    }
+
+    #[test]
+    fn tier_two_runs_under_a_stored_quote() {
+        let m = machine(7);
+        let v = m.verifier();
+        let (quote, signed) = good(&m);
+        assert!(v.verify(&quote, &QN, &signed, &RN, None).is_ok());
+
+        let mut forged = signed.clone();
+        forged.report.entry ^= 1;
+        assert_eq!(
+            v.verify(&quote, &QN, &forged, &RN, None).unwrap_err(),
+            VerifyError::BadReportSignature
+        );
+        let mut forged = signed.clone();
+        forged.signature.0 .0[0] ^= 1;
+        assert_eq!(
+            v.verify(&quote, &QN, &forged, &RN, None).unwrap_err(),
+            VerifyError::BadReportSignature
+        );
+        let rogue = machine(8).sign(signed.report.clone(), RN);
+        assert_eq!(
+            v.verify(&quote, &QN, &rogue, &RN, None).unwrap_err(),
+            VerifyError::BadReportSignature
+        );
+        assert_eq!(
+            v.verify(&quote, &QN, &signed, &[9u8; 32], None)
+                .unwrap_err(),
+            VerifyError::BadReportSignature
+        );
+        assert!(matches!(
+            v.verify(&quote, &QN, &signed, &RN, Some(Digest::ZERO)),
+            Err(VerifyError::WrongDomainMeasurement { .. })
+        ));
+        let att = v
+            .verify(&quote, &QN, &signed, &RN, Some(signed.report.measurement))
+            .unwrap();
+        assert_eq!(att.report, signed.report);
     }
 }

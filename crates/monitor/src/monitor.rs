@@ -473,8 +473,9 @@ impl Monitor {
         self.machine
             .cycles
             .charge(self.machine.cost.hash_page * (1 + report.resources.len() as u64 / 16));
-        let msg = SignedReport::signed_bytes(&report, &nonce);
-        let signature = self.sign_key.sign(&msg);
+        let signature = self
+            .sign_key
+            .sign_streamed(|put| SignedReport::write_signed(&report, &nonce, put));
         Ok(SignedReport {
             report,
             nonce,

@@ -94,11 +94,11 @@ fn setup_with_enclave() -> (Monitor, DomainId, tyche_crypto::Digest) {
 }
 
 fn verifier_for(m: &Monitor) -> Verifier {
-    Verifier {
-        tpm_key: m.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: m.report_key(),
-    }
+    Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        m.report_key(),
+    )
 }
 
 #[test]
@@ -142,9 +142,12 @@ fn full_chain_verifies() {
 #[test]
 fn wrong_monitor_detected() {
     let (mut m, child, _) = setup_with_enclave();
-    let mut verifier = verifier_for(&m);
     // The verifier expects a different monitor version.
-    verifier.expected_monitor_pcr = expected_monitor_pcr("tyche-repro-monitor v9.9.9");
+    let verifier = Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr("tyche-repro-monitor v9.9.9"),
+        m.report_key(),
+    );
     let quote = m.machine_quote([1u8; 32]).unwrap();
     let signed = m.attest_domain(child, [2u8; 32]).unwrap();
     assert!(matches!(

@@ -55,13 +55,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Mean heap allocations allowed per lifecycle: 12.01 are reached in
-/// release and 19.01 in debug builds, whose differential checks
+/// Mean heap allocations allowed per lifecycle: 10.01 are reached in
+/// release and 17.01 in debug builds, whose differential checks
 /// allocate their scan twins.
 #[cfg(not(debug_assertions))]
-const BUDGET: f64 = 12.5;
+const BUDGET: f64 = 10.5;
 #[cfg(debug_assertions)]
-const BUDGET: f64 = 19.5;
+const BUDGET: f64 = 17.5;
 const TENANTS: u64 = 2_000;
 const MANAGERS: usize = 2;
 const LIFECYCLES: u64 = 1_000;

@@ -12,8 +12,10 @@
 //! by the call's syntax, not by types: a method call `x.name(..)`
 //! reaches every same-named function with a `self` receiver, a path
 //! call `Type::name(..)` (or `Self::name(..)`) reaches that impl's
-//! function when the model has one, and any other call reaches every
-//! same-named function in the TCB. Extra edges are the conservative
+//! function when the model has one, a path call on a CamelCase
+//! qualifier the model neither declares nor implements (`Vec::new(..)`,
+//! `OnceLock::new(..)`) reaches nothing, and any other call reaches
+//! every same-named function in the TCB. Extra edges are the conservative
 //! direction for reachability lints (they can only add findings).
 //! Guard lifetimes follow a lexical model — a let-bound guard is held
 //! until its enclosing block closes or an explicit `drop(var)`, an
@@ -25,7 +27,7 @@
 use crate::lex;
 use crate::loc::{self, LineClass};
 use crate::static_audit;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// The workspace's poison-recovering lock helpers. Every guard the TCB
@@ -206,6 +208,12 @@ pub struct ParsedFile {
     pub functions: Vec<Function>,
     /// All relaxed-ok markers in the file (production or not).
     pub annotations: Vec<Annotation>,
+    /// Types and traits the file declares (`struct`, `enum`, `union`,
+    /// `trait`) or names in an `impl` header.
+    pub type_names: Vec<String>,
+    /// `type Alias = path::Target<..>;` as `(Alias, Target)`, with an
+    /// empty target for a tuple or array alias.
+    pub aliases: Vec<(String, String)>,
 }
 
 /// The whole-workspace model.
@@ -217,6 +225,8 @@ pub struct WorkspaceModel {
     pub annotations: Vec<Annotation>,
     /// Files parsed.
     pub files: usize,
+    type_names: BTreeSet<String>,
+    aliases: BTreeMap<String, String>,
     by_name: BTreeMap<String, Vec<usize>>,
     by_method: BTreeMap<String, Vec<usize>>,
     by_qname: BTreeMap<String, Vec<usize>>,
@@ -254,6 +264,8 @@ impl WorkspaceModel {
             let parsed = parse_source(krate, file, text);
             model.files += 1;
             model.annotations.extend(parsed.annotations);
+            model.type_names.extend(parsed.type_names);
+            model.aliases.extend(parsed.aliases);
             for f in parsed.functions {
                 let idx = model.functions.len();
                 model.by_name.entry(f.name.clone()).or_default().push(idx);
@@ -279,14 +291,21 @@ impl WorkspaceModel {
 
     /// The functions `call` may reach: for a method call, the same-named
     /// functions taking `self`; for a path call, that impl's functions
-    /// when the model has any; otherwise every same-named function.
+    /// when the model has any, and none when the qualifier is a type
+    /// foreign to the model; otherwise every same-named function.
     pub fn callees(&self, call: &CallSite) -> &[usize] {
         let found = match &call.kind {
             CallKind::Method => self.by_method.get(&call.name),
-            CallKind::Path(ty) => self
-                .by_qname
-                .get(&format!("{ty}::{}", call.name))
-                .or_else(|| self.by_name.get(&call.name)),
+            CallKind::Path(ty) => {
+                let ty = self.aliases.get(ty).unwrap_or(ty);
+                let own = self.by_qname.get(&format!("{ty}::{}", call.name));
+                // A module path (`aead::tag`) may name any same-named
+                // function; a type the model neither declares nor
+                // implements (`Vec`, `OnceLock`, a tuple) names none.
+                let foreign = !ty.starts_with(|c: char| c.is_ascii_lowercase())
+                    && !self.type_names.contains(ty);
+                own.or_else(|| (!foreign).then(|| self.by_name.get(&call.name)).flatten())
+            }
             CallKind::Bare => self.by_name.get(&call.name),
         };
         found.map_or(&[], Vec::as_slice)
@@ -384,9 +403,25 @@ pub fn parse_source(krate: &str, file: &str, src: &str) -> ParsedFile {
         } else if b.is_ascii_alphabetic() || b == b'_' {
             let (word, j) = read_ident(&stripped, i);
             if word == "impl" {
-                let (name, stop) = impl_header(&stripped, j);
+                let (name, trait_name, stop) = impl_header(&stripped, j);
+                out.type_names
+                    .extend(name.iter().chain(&trait_name).cloned());
                 pending_impl = name;
                 i = stop;
+            } else if matches!(word, "struct" | "enum" | "union" | "trait") {
+                let (name, stop) = read_ident(&stripped, skip_ws(bytes, j));
+                if name.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    out.type_names.push(name.to_string());
+                }
+                i = stop.max(j);
+            } else if word == "type" {
+                let (name, stop) = read_ident(&stripped, skip_ws(bytes, j));
+                let decl = stripped[stop..].split(';').next().unwrap_or("");
+                if let Some((_, target)) = decl.split_once('=') {
+                    let target = simple_name(target).unwrap_or_default();
+                    out.aliases.push((name.to_string(), target));
+                }
+                i = stop.max(j);
             } else if word == "fn" {
                 let ctx = impls.last().map(|(_, n)| n.as_str());
                 match parse_fn(&stripped, &classes, i, j, ctx, krate, file, &file_panics, &out.annotations) {
@@ -422,9 +457,10 @@ fn scan_annotations(file: &str, src: &str) -> Vec<Annotation> {
     out
 }
 
-/// Extracts the implemented type's simple name from an `impl` header
-/// and returns the offset of the body `{` (not consumed).
-fn impl_header(stripped: &str, from: usize) -> (Option<String>, usize) {
+/// Extracts the simple names of the implemented type and, for a trait
+/// impl, of the trait from an `impl` header, and returns the offset of
+/// the body `{` (not consumed).
+fn impl_header(stripped: &str, from: usize) -> (Option<String>, Option<String>, usize) {
     let bytes = stripped.as_bytes();
     let mut header = String::new();
     let mut i = from;
@@ -432,7 +468,7 @@ fn impl_header(stripped: &str, from: usize) -> (Option<String>, usize) {
     while i < bytes.len() {
         match bytes[i] {
             b'{' if angle == 0 => break,
-            b';' if angle == 0 => return (None, i),
+            b';' if angle == 0 => return (None, None, i),
             b'<' => angle += 1,
             b'>' => angle = (angle - 1).max(0),
             b'-' if bytes.get(i + 1) == Some(&b'>') => {
@@ -447,18 +483,51 @@ fn impl_header(stripped: &str, from: usize) -> (Option<String>, usize) {
     }
     // `impl<...> Trait for Type<...>` takes the segment after `for`;
     // plain `impl Type` takes the whole header.
-    let target = match header.rfind(" for ") {
-        Some(pos) => &header[pos + 5..],
-        None => header.as_str(),
+    let (trait_seg, target) = match header.rfind(" for ") {
+        Some(pos) => (Some(&header[..pos]), &header[pos + 5..]),
+        None => (None, header.as_str()),
     };
-    let target = target.trim();
-    let target = target.split('<').next().unwrap_or(target);
-    let target = target.rsplit("::").next().unwrap_or(target).trim();
-    let name = target
+    let trait_name = trait_seg.map(skip_impl_generics).and_then(simple_name);
+    (simple_name(target), trait_name, i)
+}
+
+/// The trait segment of an impl header after the impl's own generics
+/// (`<T: Bound<U>> Trait` → ` Trait`).
+fn skip_impl_generics(segment: &str) -> &str {
+    let segment = segment.trim_start();
+    if !segment.starts_with('<') {
+        return segment;
+    }
+    let bytes = segment.as_bytes();
+    let mut depth = 0usize;
+    let mut k = 0;
+    while k < bytes.len() {
+        match bytes[k] {
+            b'-' if bytes.get(k + 1) == Some(&b'>') => k += 1,
+            b'<' => depth += 1,
+            b'>' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &segment[k + 1..];
+                }
+            }
+            _ => {}
+        }
+        k += 1;
+    }
+    ""
+}
+
+/// `path::Name<Args>` → `Name`; `None` when no identifier leads.
+fn simple_name(segment: &str) -> Option<String> {
+    let segment = segment.trim();
+    let segment = segment.split('<').next().unwrap_or(segment);
+    let segment = segment.rsplit("::").next().unwrap_or(segment).trim();
+    let name = segment
         .chars()
         .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
         .collect::<String>();
-    ((!name.is_empty()).then_some(name), i)
+    (!name.is_empty()).then_some(name)
 }
 
 enum FnOutcome {
@@ -1112,6 +1181,28 @@ mod tests {
         assert_eq!(f.releases[0].var, "g");
         assert!(f.releases[0].offset > f.locks[0].offset);
         assert!(f.releases[0].offset < f.locks[1].offset);
+    }
+
+    #[test]
+    fn impl_headers_and_declarations_name_model_types() {
+        let parsed = parse_source(
+            "core",
+            "crates/core/src/x.rs",
+            "impl<F: Fn() -> u8, T: Bound<U>> ops::Trait<T> for Foo<T> where T: Copy {}\n\
+             impl Bar {}\n\
+             pub struct Baz;\n\
+             enum Qux { A }\n\
+             pub type View = std::collections::BTreeMap<u64, u8>;\n\
+             type Key = (u8, u64);\n",
+        );
+        assert_eq!(parsed.type_names, ["Foo", "Trait", "Bar", "Baz", "Qux"]);
+        assert_eq!(
+            parsed.aliases,
+            [
+                ("View".to_string(), "BTreeMap".to_string()),
+                ("Key".to_string(), String::new())
+            ]
+        );
     }
 
     #[test]

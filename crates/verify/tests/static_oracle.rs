@@ -439,6 +439,66 @@ fn self_path_call_resolves_to_its_own_impl() {
     assert!(findings.is_empty(), "`Other`'s panics reached: {findings:?}");
 }
 
+/// Path calls on std types (one behind an alias) next to a model type
+/// (one behind an alias), a model `impl Default`, and a free `new` that
+/// panics: the by-name fallback would let `Vec::new(` and
+/// `OnceLock::new(` reach that `new`.
+const FOREIGN: &str = r#"
+pub fn new(n: usize) -> u8 { slots[n] }
+pub type View = BTreeMap<u64, u8>;
+pub type Grid = Table;
+impl Verifier {
+    pub fn fresh() -> Verifier { Verifier { seen: Vec::new(), slot: OnceLock::new(), v: View::new() } }
+    pub fn with_table() -> Table { Grid::new(0) }
+    pub fn defaulted() -> Config { Default::default() }
+}
+impl Table {
+    pub fn new(n: usize) -> Table { Table { row: rows[n] } }
+}
+impl Default for Config {
+    fn default() -> Config { loaded.expect("config") }
+}
+"#;
+
+fn foreign_model() -> WorkspaceModel {
+    WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/attest.rs", FOREIGN)])
+}
+
+#[test]
+fn foreign_type_path_call_has_no_edge() {
+    let model = foreign_model();
+    assert_eq!(
+        reached_from(&model, "Verifier::fresh"),
+        vec!["Verifier::fresh".to_string()],
+        "`Vec::new(`, `OnceLock::new(` and `View::new(` name no function of the model"
+    );
+    let entries: &[(&str, &[&str])] = &[("Fresh", &["Verifier::fresh"])];
+    let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
+    assert!(findings.is_empty(), "std constructor reached a TCB `new`: {findings:?}");
+}
+
+#[test]
+fn model_type_and_trait_impl_are_still_reached() {
+    let model = foreign_model();
+    assert_eq!(
+        reached_from(&model, "Verifier::with_table"),
+        vec!["Verifier::with_table".to_string(), "Table::new".to_string()],
+        "a model type's `T::new(`, also through an alias, keeps its edge and only that one"
+    );
+    assert_eq!(
+        reached_from(&model, "Verifier::defaulted"),
+        vec!["Verifier::defaulted".to_string(), "Config::default".to_string()],
+        "`Default` is implemented in the model, so `Default::default(` reaches it"
+    );
+    let entries: &[(&str, &[&str])] = &[("Defaulted", &["Verifier::defaulted"])];
+    let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(
+        findings[0].path,
+        ["Verifier::defaulted", "Config::default", "crates/monitor/src/attest.rs:14"]
+    );
+}
+
 // ----------------------------------------------------------------- atomics
 
 #[test]

@@ -43,11 +43,11 @@ fn main() {
     let quote_b = mb.machine_quote(qn).expect("quote");
     let report_b = mb.attest_domain(tee_b, rn).expect("report B");
     let report_a = ma.attest_domain(tee_a, rn).expect("report A");
-    let verifier = Verifier {
-        tpm_key: mb.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: mb.report_key(),
-    };
+    let verifier = Verifier::new(
+        mb.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        mb.report_key(),
+    );
     let mut conn =
         RdmaConnection::establish(&verifier, &quote_b, &qn, &report_b, &rn, &report_a, None)
             .expect("machine B attests clean");

@@ -64,11 +64,11 @@ fn main() {
 
     // 5. A remote verifier checks the whole chain: TPM quote -> expected
     //    monitor -> monitor-signed domain report -> exclusive refcounts.
-    let verifier = Verifier {
-        tpm_key: m.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: m.report_key(),
-    };
+    let verifier = Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        m.report_key(),
+    );
     let qn = [1u8; 32];
     let rn = [2u8; 32];
     let quote = m.machine_quote(qn).expect("quote");

@@ -95,11 +95,11 @@ fn judiciary_oversees_monitor_and_domains() {
     // in memory still hashes to it.
     assert!(monitor_image_intact(&m));
     // Tier 2: a remote verifier accepts the full chain...
-    let verifier = Verifier {
-        tpm_key: m.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: m.report_key(),
-    };
+    let verifier = Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        m.report_key(),
+    );
     let qn = [5u8; 32];
     let rn = [6u8; 32];
     let quote = m.machine_quote(qn).expect("quote");

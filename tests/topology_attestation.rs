@@ -32,11 +32,11 @@ fn fig2_spec() -> TopologySpec {
 }
 
 fn verifier_for(m: &tyche_monitor::Monitor) -> Verifier {
-    Verifier {
-        tpm_key: m.machine.tpm.attestation_key(),
-        expected_monitor_pcr: expected_monitor_pcr(MONITOR_VERSION),
-        monitor_key: m.report_key(),
-    }
+    Verifier::new(
+        m.machine.tpm.attestation_key(),
+        expected_monitor_pcr(MONITOR_VERSION),
+        m.report_key(),
+    )
 }
 
 #[test]
