@@ -1246,6 +1246,7 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
             if doc.get("pass").and_then(Json::as_bool) != Some(true) {
                 failures.push("static audit did not pass".into());
             }
+            check_c1(doc, &mut failures);
         }
         "tyche-fuzz/v1" => {
             check_mode_full(doc, &mut failures);
@@ -1271,6 +1272,37 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
         other => failures.push(format!("unknown artifact schema {other:?}")),
     }
     failures
+}
+
+/// The paper's Claim 1 bound: the TCB is "less than 10K lines".
+const C1_BOUND: u64 = 10_000;
+
+/// `STATIC.json`'s C1 block: per-file lines that sum to the total, and
+/// a total below [`C1_BOUND`].
+fn check_c1(doc: &Json, failures: &mut Vec<String>) {
+    let c1 = doc.get("c1");
+    let total = c1.and_then(|c| c.get("total")).and_then(Json::as_u64);
+    let files = c1.and_then(|c| c.get("files")).and_then(Json::as_arr);
+    let (Some(total), Some(files)) = (total, files) else {
+        failures.push("no c1 block with per-file lines and a total".into());
+        return;
+    };
+    let lines: Option<Vec<u64>> = files
+        .iter()
+        .map(|f| f.get("lines").and_then(Json::as_u64))
+        .collect();
+    match lines.map(|l| l.iter().sum::<u64>()) {
+        None => failures.push("a c1 file row has no lines count".into()),
+        Some(sum) if sum != total => failures.push(format!(
+            "c1 per-file lines sum to {sum}, but the total says {total}"
+        )),
+        Some(_) => {}
+    }
+    if total >= C1_BOUND {
+        failures.push(format!(
+            "C1 is {total} lines, not below the {C1_BOUND}-line claim"
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -1403,6 +1435,30 @@ mod tests {
         )
         .unwrap();
         assert!(check_artifact(&trace).iter().any(|f| f.contains("overhead")));
+    }
+
+    #[test]
+    fn static_check_gates_the_c1_ledger() {
+        let doc = |total: u64, lines: [u64; 2]| {
+            json::parse(&format!(
+                r#"{{"schema": "tyche-static/v1", "pass": true, "c1": {{"total": {total}, "files": [
+                    {{"file": "crates/core/src/a.rs", "lines": {}}},
+                    {{"file": "crates/monitor/src/b.rs", "lines": {}}}]}}}}"#,
+                lines[0], lines[1]
+            ))
+            .unwrap()
+        };
+        assert!(check_artifact(&doc(7_000, [4_000, 3_000])).is_empty());
+        let off = check_artifact(&doc(7_001, [4_000, 3_000]));
+        assert!(off.iter().any(|f| f.contains("sum to 7000")), "{off:?}");
+        let over = check_artifact(&doc(10_000, [6_000, 4_000]));
+        assert!(over.iter().any(|f| f.contains("10000 lines")), "{over:?}");
+        let bare = json::parse(r#"{"schema": "tyche-static/v1", "pass": true}"#).unwrap();
+        let missing = check_artifact(&bare);
+        assert!(
+            missing.iter().any(|f| f.contains("no c1 block")),
+            "{missing:?}"
+        );
     }
 
     #[test]

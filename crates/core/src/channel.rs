@@ -394,7 +394,6 @@ mod tests {
         assert!(t.is_quarantined(7));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn violations_emit_teardown_events() {
         let sink = TraceSink::new();

@@ -62,6 +62,15 @@ pub struct EnumeratedResource {
     pub refcount: RefCount,
 }
 
+/// The two ways [`CapEngine::derive`] makes a child capability. `Root`
+/// and `Carved` capabilities come only from `endow`, `make_transition`
+/// and `split`, so the type admits no other derivation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Derivation {
+    Share,
+    Grant,
+}
+
 /// The capability engine.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CapEngine {
@@ -102,10 +111,6 @@ pub struct CapEngine {
     /// `owns_core`/`owns_device` look at the queried domain's own
     /// capabilities only, however many co-tenants share the unit.
     holders: HolderIndex,
-    /// Set once a corruption hook hands out mutable internals: the
-    /// indexes may be stale, so every query falls back to the scan path
-    /// (corruption hooks exist only for mutation tests).
-    indexes_poisoned: bool,
     /// Bumped on every mutation (see `tick()`) and by the corruption
     /// hooks. The monitor's fast-path cache and its published snapshots
     /// key their validity on this counter.
@@ -209,9 +214,6 @@ impl CapEngine {
 
     /// All capabilities owned by `domain`.
     pub fn caps_of(&self, domain: DomainId) -> Vec<&Capability> {
-        if self.indexes_poisoned {
-            return self.caps_of_scan(domain);
-        }
         let out: Vec<&Capability> = self.owned_caps(domain, true).collect();
         #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
         {
@@ -258,24 +260,32 @@ impl CapEngine {
     // directly. Hidden from docs; never call these outside tests.
     // ------------------------------------------------------------------
 
-    /// Test-only mutable access to a capability record. Poisons the
-    /// secondary indexes: the caller can rewrite owner/resource/active
-    /// behind their back, so queries fall back to full scans.
+    /// Test-only rewrite of a capability record through `f` (which must
+    /// not change its `id`). The record leaves the secondary indexes
+    /// before `f` runs and re-enters them after, so every indexed query
+    /// stays exact whatever `f` rewrites: owner, resource, `active` or
+    /// lineage. False when `cap` does not exist.
     #[doc(hidden)]
-    pub fn corrupt_cap(&mut self, cap: CapId) -> Option<&mut Capability> {
-        self.indexes_poisoned = true;
+    pub fn corrupt_cap(&mut self, cap: CapId, f: impl FnOnce(&mut Capability)) -> bool {
         self.generation += 1;
         self.trace.emit_engine(EventKind::GenBump {
             gen: self.generation,
         });
-        self.caps.get_mut(cap.0)
+        let Some(mut c) = self.caps.get(cap.0).cloned() else {
+            return false;
+        };
+        self.index_remove(&c);
+        f(&mut c);
+        self.index_insert(&c);
+        self.caps.insert(cap.0, c);
+        true
     }
 
-    /// Test-only mutable access to a domain record. Poisons the indexes
-    /// and invalidates cached transition validations.
+    /// Test-only mutable access to a domain record. No index is keyed
+    /// on a domain's fields, so this only invalidates cached transition
+    /// validations.
     #[doc(hidden)]
     pub fn corrupt_domain(&mut self, domain: DomainId) -> Option<&mut Domain> {
-        self.indexes_poisoned = true;
         self.generation += 1;
         self.trace.emit_engine(EventKind::GenBump {
             gen: self.generation,
@@ -681,19 +691,12 @@ impl CapEngine {
         let already = dom.quarantined;
         dom.quarantined = true;
         if !already {
-            let transitions: Vec<CapId> = if self.indexes_poisoned {
-                self.caps
-                    .values()
-                    .filter(|c| matches!(c.resource, Resource::Transition(t) if t == domain))
-                    .map(|c| c.id)
-                    .collect()
-            } else {
-                self.res_index
-                    .get(&(3, domain.0))
-                    .into_iter()
-                    .flat_map(|ids| ids.iter().copied())
-                    .collect()
-            };
+            let transitions: Vec<CapId> = self
+                .res_index
+                .get(&(3, domain.0))
+                .into_iter()
+                .flat_map(|ids| ids.iter().copied())
+                .collect();
             for cap in transitions {
                 if self.caps.get(cap.0).map(|c| c.active).unwrap_or(false) {
                     self.set_cap_active(cap, false);
@@ -723,7 +726,7 @@ impl CapEngine {
         rights: Rights,
         policy: RevocationPolicy,
     ) -> Result<CapId, CapError> {
-        self.derive(actor, cap, target, sub, rights, policy, CapKind::Shared)
+        self.derive(actor, cap, target, sub, rights, policy, Derivation::Share)
     }
 
     /// Grants a whole capability to `target`: exclusive, revocable
@@ -749,26 +752,7 @@ impl CapEngine {
                 None => return Err(CapError::SubrangeOnNonMemory),
             }
         }
-        self.derive(actor, cap, target, None, rights, policy, CapKind::Granted)
-    }
-
-    /// Drives [`derive`](Self::derive) with an arbitrary kind, including
-    /// the `Root`/`Carved` kinds the public API can never produce.
-    /// Regression hook for the panic that used to sit at the end of
-    /// `derive`; a refused kind must leave the engine untouched.
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn derive_raw(
-        &mut self,
-        actor: DomainId,
-        cap: CapId,
-        target: DomainId,
-        sub: Option<MemRegion>,
-        rights: Rights,
-        policy: RevocationPolicy,
-        kind: CapKind,
-    ) -> Result<CapId, CapError> {
-        self.derive(actor, cap, target, sub, rights, policy, kind)
+        self.derive(actor, cap, target, None, rights, policy, Derivation::Grant)
     }
 
     /// Splits an active memory capability at address `at`, producing two
@@ -1011,9 +995,6 @@ impl CapEngine {
     /// itself holds on the unit: `O(log n)` plus those, however many
     /// co-tenants share it.
     fn owns_unit(&self, domain: DomainId, unit: Resource) -> bool {
-        if self.indexes_poisoned {
-            return self.owns_unit_scan(domain, unit);
-        }
         let out = Self::unit_key(&unit).is_some_and(|key| {
             self.holders
                 .caps_of(key, domain)
@@ -1041,9 +1022,6 @@ impl CapEngine {
 
     /// All active `(domain, region)` memory coverage pairs.
     pub fn active_mem_coverage(&self) -> Vec<(DomainId, MemRegion)> {
-        if self.indexes_poisoned {
-            return self.active_mem_coverage_scan();
-        }
         let out: Vec<(DomainId, MemRegion)> = self
             .mem_index
             .iter()
@@ -1107,9 +1085,6 @@ impl CapEngine {
     /// only capabilities whose interval can overlap `region` (via the
     /// `(start, cap)`-keyed index), not every capability in the system.
     pub fn refcount_mem_full(&self, region: MemRegion) -> RefCount {
-        if self.indexes_poisoned {
-            return self.refcount_mem_full_scan(region);
-        }
         // The interval tree prunes subtrees by `max_end`, visiting only
         // intervals that actually overlap `region` (plus the O(log n)
         // search spine). `mem_refcount` ignores non-overlapping entries,
@@ -1139,9 +1114,6 @@ impl CapEngine {
     /// Enumerates `domain`'s active resources with rights and reference
     /// counts — the attestation view (§3.4).
     pub fn enumerate(&self, domain: DomainId) -> Result<Vec<EnumeratedResource>, CapError> {
-        if self.indexes_poisoned {
-            return self.enumerate_impl(domain, false);
-        }
         let out = self.enumerate_impl(domain, true)?;
         #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
         {
@@ -1348,15 +1320,8 @@ impl CapEngine {
         sub: Option<MemRegion>,
         rights: Rights,
         policy: RevocationPolicy,
-        kind: CapKind,
+        how: Derivation,
     ) -> Result<CapId, CapError> {
-        // Only shares and grants derive; a `Root` or `Carved` kind here
-        // would corrupt the lineage bookkeeping. Validated before any
-        // mutation, so a bad request leaves the engine untouched (this
-        // used to be an `unreachable!` *after* the child was inserted).
-        if !matches!(kind, CapKind::Shared | CapKind::Granted) {
-            return Err(CapError::InvalidDerivation);
-        }
         let c = self.caps.get(cap.0).ok_or(CapError::NoSuchCap(cap))?;
         if c.owner != actor {
             return Err(CapError::NotOwner { cap, actor });
@@ -1399,12 +1364,15 @@ impl CapEngine {
         // branch needs it after `insert_child`, and reading it now avoids
         // a second (fallible) lookup of a capability we already hold.
         let (parent_owner, parent_res) = (c.owner, c.resource);
+        let kind = match how {
+            Derivation::Share => CapKind::Shared,
+            Derivation::Grant => CapKind::Granted,
+        };
         let child = self.insert_child(cap, target, actor, resource, rights, kind, policy)?;
         let child_cap = self.caps.get(child.0).expect("just inserted").clone();
-        if matches!(kind, CapKind::Shared) {
+        if how == Derivation::Share {
             self.emit_gain(&child_cap);
         } else {
-            // Granted (the only other kind past the entry validation).
             // Suspend the granter's capability and its hardware access.
             // The grant may take a core or transition target out from
             // under a cached fast-path validation; `tick()` below
@@ -1420,10 +1388,9 @@ impl CapEngine {
         }
         self.tick();
         self.trace.emit_engine(EventKind::CapOp {
-            op: if matches!(kind, CapKind::Shared) {
-                CapOpKind::Share
-            } else {
-                CapOpKind::Grant
+            op: match how {
+                Derivation::Share => CapOpKind::Share,
+                Derivation::Grant => CapOpKind::Grant,
             },
             actor: actor.0,
             subject: cap.0,
@@ -1535,13 +1502,6 @@ impl CapEngine {
 
     /// The smallest live capability id `>= from` owned by `domain`.
     fn next_owned(&self, domain: DomainId, from: CapId) -> Option<CapId> {
-        if self.indexes_poisoned {
-            return self
-                .caps
-                .values()
-                .find(|c| c.owner == domain && c.id >= from)
-                .map(|c| c.id);
-        }
         self.by_owner
             .get(domain.0)?
             .range(from..)
@@ -1552,15 +1512,6 @@ impl CapEngine {
     /// The smallest live transition capability id `>= from` into
     /// `domain`.
     fn next_transition_into(&self, domain: DomainId, from: CapId) -> Option<CapId> {
-        if self.indexes_poisoned {
-            return self
-                .caps
-                .values()
-                .find(|c| {
-                    c.id >= from && matches!(c.resource, Resource::Transition(t) if t == domain)
-                })
-                .map(|c| c.id);
-        }
         self.res_index
             .get(&(3, domain.0))?
             .range(from..)
@@ -1698,10 +1649,7 @@ impl CapEngine {
         let mut small = [(0u8, 0u64, 0u64, 0u8, 0u8); MEASURE_INLINE];
         let mut spill = Vec::new();
         let mut n = 0;
-        for c in self
-            .owned_caps(domain, !self.indexes_poisoned)
-            .filter(|c| c.active)
-        {
+        for c in self.owned_caps(domain, true).filter(|c| c.active) {
             let (a, b) = match c.resource {
                 Resource::Memory(r) => (r.start, r.end),
                 Resource::CpuCore(n) => (n as u64, 0),

@@ -67,10 +67,6 @@ pub enum CapError {
     /// The domain is quarantined: its backing hardware faulted, so it is
     /// killable and enumerable but not enterable.
     Quarantined(DomainId),
-    /// A derivation was requested with a kind that cannot be derived
-    /// (only `Shared` and `Granted` children exist; `Root`/`Carved` would
-    /// corrupt the lineage bookkeeping).
-    InvalidDerivation,
 }
 
 impl core::fmt::Display for CapError {
@@ -103,9 +99,6 @@ impl core::fmt::Display for CapError {
             }
             CapError::Quarantined(d) => {
                 write!(f, "domain {d} is quarantined after a hardware fault")
-            }
-            CapError::InvalidDerivation => {
-                f.write_str("capability derivation must be a share or a grant")
             }
         }
     }

@@ -13,8 +13,7 @@
 //! 1. **Zero perturbation.** Tracing consumes no randomness and charges no
 //!    simulated cycles, so a traced run and an untraced run produce
 //!    bit-identical engine state and fuzz digests. When the sink is
-//!    disabled (the default) an emission is a single relaxed atomic load;
-//!    with the `trace` cargo feature off the sink compiles to nothing.
+//!    disabled (the default) an emission is a single atomic load.
 //! 2. **Zero allocation on the hot path.** Events buffer into fixed-capacity
 //!    per-core lanes (ring-buffer discipline: pre-reserved `Vec`s that are
 //!    drained, not reallocated) and spill to an append-only log only when a
@@ -27,6 +26,8 @@
 //! time; [`TraceSink::drain`] merges the lanes and sorts by it, giving a
 //! total order consistent with each thread's program order.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tyche_crypto::{hash_parts, Digest};
 
 /// Sentinel `core` id for events emitted by the engine itself, which has
@@ -420,195 +421,137 @@ impl TraceLog {
     }
 }
 
-#[cfg(feature = "trace")]
-mod sink {
-    use super::{EventKind, TraceEvent, TraceLog};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+/// Fixed per-core lane capacity. A lane that fills spills to the
+/// append-only log in one batch; steady state allocates nothing.
+const LANE_CAPACITY: usize = 256;
 
-    /// Fixed per-core lane capacity. A lane that fills spills to the
-    /// append-only log in one batch; steady state allocates nothing.
-    const LANE_CAPACITY: usize = 256;
+#[derive(Debug, Default)]
+struct Shared {
+    /// Fast-path gate; emissions are one relaxed load when false.
+    enabled: AtomicBool,
+    /// Global sequence counter (total event order).
+    seq: AtomicU64,
+    /// Per-core lanes plus one trailing lane for engine-internal
+    /// events. Sized by `enable`.
+    lanes: RwLock<Vec<Mutex<Vec<TraceEvent>>>>,
+    /// The append-only spill log.
+    log: Mutex<Vec<TraceEvent>>,
+}
 
-    #[derive(Debug, Default)]
-    struct Shared {
-        /// Fast-path gate; emissions are one relaxed load when false.
-        enabled: AtomicBool,
-        /// Global sequence counter (total event order).
-        seq: AtomicU64,
-        /// Per-core lanes plus one trailing lane for engine-internal
-        /// events. Sized by `enable`.
-        lanes: RwLock<Vec<Mutex<Vec<TraceEvent>>>>,
-        /// The append-only spill log.
-        log: Mutex<Vec<TraceEvent>>,
-    }
-
-    fn lock_mutex<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        // Trace state is only touched by these non-panicking methods; a
-        // poisoned lock (panicking test thread) must not wedge the sink.
-        match m.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn read_lanes<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-        match l.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write_lanes<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-        match l.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Shared handle to a machine-wide trace sink.
-    ///
-    /// Cloning shares the underlying buffers (every layer on one machine
-    /// records into the same log). The default handle is disabled; all
-    /// emissions are dropped until [`TraceSink::enable`].
-    #[derive(Clone, Debug, Default)]
-    pub struct TraceSink {
-        shared: Arc<Shared>,
-    }
-
-    /// Equality is intentionally vacuous: the sink is observability-only
-    /// state, and engine/monitor equality (replay checks, the
-    /// zero-perturbation gate) must not depend on what was recorded.
-    impl PartialEq for TraceSink {
-        fn eq(&self, _other: &Self) -> bool {
-            true
-        }
-    }
-
-    impl Eq for TraceSink {}
-
-    impl TraceSink {
-        /// Creates a disabled sink.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Starts recording, with one lane per core (plus the engine
-        /// lane). Clears anything previously recorded and restarts the
-        /// sequence counter.
-        pub fn enable(&self, cores: usize) {
-            let mut lanes = write_lanes(&self.shared.lanes);
-            lanes.clear();
-            for _ in 0..cores.saturating_add(1) {
-                lanes.push(Mutex::new(Vec::with_capacity(LANE_CAPACITY)));
-            }
-            drop(lanes);
-            lock_mutex(&self.shared.log).clear();
-            // verify: relaxed-ok reset is published by the Release store to enabled on the next line
-            self.shared.seq.store(0, Ordering::Relaxed);
-            self.shared.enabled.store(true, Ordering::Release);
-        }
-
-        /// Stops recording. Buffered events stay drainable.
-        pub fn disable(&self) {
-            self.shared.enabled.store(false, Ordering::Release);
-        }
-
-        /// True while the sink is recording.
-        pub fn is_enabled(&self) -> bool {
-            self.shared.enabled.load(Ordering::Acquire)
-        }
-
-        /// Records `kind` as emitted by `core` (use [`super::CORE_NONE`]
-        /// for engine-internal events). A no-op unless enabled.
-        pub fn emit(&self, core: u32, kind: EventKind) {
-            if !self.shared.enabled.load(Ordering::Acquire) {
-                return;
-            }
-            // verify: relaxed-ok ticket draw only needs atomicity; per-event ordering is the RV replayer's job
-            let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-            let event = TraceEvent { seq, core, kind };
-            let lanes = read_lanes(&self.shared.lanes);
-            let idx = (core as usize).min(lanes.len().saturating_sub(1));
-            let Some(lane) = lanes.get(idx) else { return };
-            let mut buf = lock_mutex(lane);
-            buf.push(event);
-            if buf.len() >= LANE_CAPACITY {
-                lock_mutex(&self.shared.log).append(&mut buf);
-            }
-        }
-
-        /// Shorthand for engine-internal emission.
-        pub fn emit_engine(&self, kind: EventKind) {
-            self.emit(super::CORE_NONE, kind);
-        }
-
-        /// Takes everything recorded so far — spill log plus lane
-        /// residues — merged into global sequence order. Recording state
-        /// (enabled, lanes) is preserved; the buffers restart empty.
-        pub fn drain(&self) -> TraceLog {
-            let mut events = std::mem::take(&mut *lock_mutex(&self.shared.log));
-            for lane in read_lanes(&self.shared.lanes).iter() {
-                events.append(&mut lock_mutex(lane));
-            }
-            events.sort_by_key(|e| e.seq);
-            TraceLog::from_events(events)
-        }
+fn lock_mutex<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Trace state is only touched by these non-panicking methods; a
+    // poisoned lock (panicking test thread) must not wedge the sink.
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod sink {
-    use super::{EventKind, TraceLog};
-
-    /// Compiled-out trace sink: the same API surface as the `trace`
-    /// feature's sink, with every method a no-op. Keeps call sites
-    /// unconditional while guaranteeing zero cost and zero state.
-    #[derive(Clone, Debug, Default)]
-    pub struct TraceSink;
-
-    /// Vacuous, matching the real sink.
-    impl PartialEq for TraceSink {
-        fn eq(&self, _other: &Self) -> bool {
-            true
-        }
-    }
-
-    impl Eq for TraceSink {}
-
-    impl TraceSink {
-        /// Creates the inert sink.
-        pub fn new() -> Self {
-            TraceSink
-        }
-
-        /// No-op.
-        pub fn enable(&self, _cores: usize) {}
-
-        /// No-op.
-        pub fn disable(&self) {}
-
-        /// Always false.
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// Dropped.
-        pub fn emit(&self, _core: u32, _kind: EventKind) {}
-
-        /// Dropped.
-        pub fn emit_engine(&self, _kind: EventKind) {}
-
-        /// Always empty.
-        pub fn drain(&self) -> TraceLog {
-            TraceLog::default()
-        }
+fn read_lanes<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    match l.read() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-pub use sink::TraceSink;
+fn write_lanes<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    match l.write() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
 
-#[cfg(all(test, feature = "trace"))]
+/// Shared handle to a machine-wide trace sink.
+///
+/// Cloning shares the underlying buffers (every layer on one machine
+/// records into the same log). The default handle is disabled; all
+/// emissions are dropped until [`TraceSink::enable`].
+#[derive(Clone, Debug, Default)]
+pub struct TraceSink {
+    shared: Arc<Shared>,
+}
+
+/// Equality is intentionally vacuous: the sink is observability-only
+/// state, and engine/monitor equality (replay checks, the
+/// zero-perturbation gate) must not depend on what was recorded.
+impl PartialEq for TraceSink {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for TraceSink {}
+
+impl TraceSink {
+    /// Creates a disabled sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts recording, with one lane per core (plus the engine
+    /// lane). Clears anything previously recorded and restarts the
+    /// sequence counter.
+    pub fn enable(&self, cores: usize) {
+        let mut lanes = write_lanes(&self.shared.lanes);
+        lanes.clear();
+        for _ in 0..cores.saturating_add(1) {
+            lanes.push(Mutex::new(Vec::with_capacity(LANE_CAPACITY)));
+        }
+        drop(lanes);
+        lock_mutex(&self.shared.log).clear();
+        // verify: relaxed-ok reset is published by the Release store to enabled on the next line
+        self.shared.seq.store(0, Ordering::Relaxed);
+        self.shared.enabled.store(true, Ordering::Release);
+    }
+
+    /// Stops recording. Buffered events stay drainable.
+    pub fn disable(&self) {
+        self.shared.enabled.store(false, Ordering::Release);
+    }
+
+    /// True while the sink is recording.
+    pub fn is_enabled(&self) -> bool {
+        self.shared.enabled.load(Ordering::Acquire)
+    }
+
+    /// Records `kind` as emitted by `core` (use [`CORE_NONE`]
+    /// for engine-internal events). A no-op unless enabled.
+    pub fn emit(&self, core: u32, kind: EventKind) {
+        if !self.shared.enabled.load(Ordering::Acquire) {
+            return;
+        }
+        // verify: relaxed-ok ticket draw only needs atomicity; per-event ordering is the RV replayer's job
+        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
+        let event = TraceEvent { seq, core, kind };
+        let lanes = read_lanes(&self.shared.lanes);
+        let idx = (core as usize).min(lanes.len().saturating_sub(1));
+        let Some(lane) = lanes.get(idx) else { return };
+        let mut buf = lock_mutex(lane);
+        buf.push(event);
+        if buf.len() >= LANE_CAPACITY {
+            lock_mutex(&self.shared.log).append(&mut buf);
+        }
+    }
+
+    /// Shorthand for engine-internal emission.
+    pub fn emit_engine(&self, kind: EventKind) {
+        self.emit(CORE_NONE, kind);
+    }
+
+    /// Takes everything recorded so far — spill log plus lane
+    /// residues — merged into global sequence order. Recording state
+    /// (enabled, lanes) is preserved; the buffers restart empty.
+    pub fn drain(&self) -> TraceLog {
+        let mut events = std::mem::take(&mut *lock_mutex(&self.shared.log));
+        for lane in read_lanes(&self.shared.lanes).iter() {
+            events.append(&mut lock_mutex(lane));
+        }
+        events.sort_by_key(|e| e.seq);
+        TraceLog::from_events(events)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -630,11 +573,10 @@ mod tests {
         let log = sink.drain();
         let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(log.events().iter().map(|e| e.core).collect::<Vec<_>>(), vec![
-            0,
-            1,
-            CORE_NONE
-        ]);
+        assert_eq!(
+            log.events().iter().map(|e| e.core).collect::<Vec<_>>(),
+            vec![0, 1, CORE_NONE]
+        );
     }
 
     #[test]

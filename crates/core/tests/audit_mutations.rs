@@ -49,7 +49,7 @@ fn dangling_parent_is_reported() {
     let shared = share(&mut e, root, ram, child, Some(PAGE), Rights::RW);
     assert!(audit(&e).is_empty(), "sound before corruption");
 
-    e.corrupt_cap(shared).unwrap().parent = Some(CapId(0xDEAD));
+    assert!(e.corrupt_cap(shared, |c| c.parent = Some(CapId(0xDEAD))));
     assert_eq!(audit(&e), vec![Violation::DanglingParent(shared)]);
 }
 
@@ -59,7 +59,7 @@ fn broken_child_link_is_reported() {
     let shared = share(&mut e, root, ram, child, Some(PAGE), Rights::RW);
     assert!(audit(&e).is_empty());
 
-    e.corrupt_cap(ram).unwrap().children.clear();
+    assert!(e.corrupt_cap(ram, |c| c.children.clear()));
     assert_eq!(
         audit(&e),
         vec![Violation::BrokenChildLink {
@@ -77,8 +77,10 @@ fn lineage_cycle_is_reported() {
     let shared = share(&mut e, root, ram, child, None, Rights::RWX);
     assert!(audit(&e).is_empty());
 
-    e.corrupt_cap(ram).unwrap().parent = Some(shared);
-    e.corrupt_cap(shared).unwrap().children.insert(ram);
+    assert!(e.corrupt_cap(ram, |c| c.parent = Some(shared)));
+    assert!(e.corrupt_cap(shared, |c| {
+        c.children.insert(ram);
+    }));
     let violations = audit(&e);
     assert!(
         violations
@@ -98,7 +100,7 @@ fn rights_escalation_is_reported() {
 
     // Attenuation is checked against the parent, so the escalation must
     // exceed the parent's RWX — add the USE bit the endowment never had.
-    e.corrupt_cap(shared).unwrap().rights = Rights(Rights::RWX.0 | Rights::U);
+    assert!(e.corrupt_cap(shared, |c| c.rights = Rights(Rights::RWX.0 | Rights::U)));
     assert_eq!(audit(&e), vec![Violation::RightsEscalation(shared)]);
 }
 
@@ -109,7 +111,8 @@ fn region_escape_is_reported() {
     assert!(audit(&e).is_empty());
 
     // Grow the child one page past its parent's endowment.
-    e.corrupt_cap(shared).unwrap().resource = Resource::mem(RAM.start, RAM.end + 0x1000);
+    assert!(e.corrupt_cap(shared, |c| c.resource =
+        Resource::mem(RAM.start, RAM.end + 0x1000)));
     assert_eq!(audit(&e), vec![Violation::RegionEscape(shared)]);
 }
 
@@ -122,7 +125,7 @@ fn active_while_granted_is_reported() {
 
     // Reactivate the suspended parent while its grant is outstanding —
     // exclusivity is broken.
-    e.corrupt_cap(ram).unwrap().active = true;
+    assert!(e.corrupt_cap(ram, |c| c.active = true));
     assert_eq!(audit(&e), vec![Violation::ActiveWhileGranted(ram)]);
 }
 
@@ -180,6 +183,6 @@ fn transition_into_quarantined_is_reported() {
     // unsound state needs a forged reactivation afterwards.
     e.quarantine(child).expect("quarantine");
     assert!(audit(&e).is_empty(), "quarantine itself is sound");
-    e.corrupt_cap(tcap).unwrap().active = true;
+    assert!(e.corrupt_cap(tcap, |c| c.active = true));
     assert_eq!(audit(&e), vec![Violation::TransitionIntoQuarantined(tcap)]);
 }

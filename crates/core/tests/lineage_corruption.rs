@@ -1,12 +1,12 @@
 //! Regression tests for the checked revoke-authorization walk and the
-//! poisoned-index fallback.
+//! corruption hook's re-indexing.
 //!
 //! The revoke lineage walk used to `.expect("lineage parents exist")`:
 //! a dangling parent id — reachable only through memory corruption or an
 //! engine bug, i.e. exactly the states `audit()` exists to catch — would
 //! panic the TCB instead of returning a typed refusal. These tests pin
 //! the new contract: corruption yields `CapError`, never a panic, and
-//! every indexed query falls back to the linear-scan twin once a
+//! every indexed query still agrees with its linear-scan twin after a
 //! corruption hook has fired.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -44,7 +44,7 @@ fn engine_with_chain() -> (CapEngine, DomainId, DomainId, DomainId, CapId, CapId
 fn revoke_with_dangling_parent_errors_instead_of_panicking() {
     let (mut e, root, _a, _b, _ca, cb) = engine_with_chain();
     let bogus = CapId(0xDEAD);
-    e.corrupt_cap(cb).unwrap().parent = Some(bogus);
+    assert!(e.corrupt_cap(cb, |c| c.parent = Some(bogus)));
     // Root is not the granter of cb, so authorization needs the lineage
     // walk — which must now report the dangling link, not unwrap it.
     assert_eq!(e.revoke(root, cb), Err(CapError::NoSuchCap(bogus)));
@@ -57,14 +57,14 @@ fn revoke_with_parent_cycle_terminates_with_error() {
     // authorizing ancestor. The hop bound turns it into a refusal. Root
     // neither granted nor owns any link of the cycle, so the walk must
     // run until the bound trips.
-    e.corrupt_cap(cb).unwrap().parent = Some(cb);
+    assert!(e.corrupt_cap(cb, |c| c.parent = Some(cb)));
     assert!(matches!(e.revoke(root, cb), Err(CapError::NoSuchCap(_))));
 }
 
 #[test]
 fn revoke_by_granter_survives_corrupt_lineage() {
     let (mut e, _root, a, _b, _ca, cb) = engine_with_chain();
-    e.corrupt_cap(cb).unwrap().parent = Some(CapId(0xDEAD));
+    assert!(e.corrupt_cap(cb, |c| c.parent = Some(CapId(0xDEAD))));
     // The granter check short-circuits before the lineage walk, so the
     // direct granter can still clean up a corrupted capability.
     assert_eq!(e.revoke(a, cb), Ok(()));
@@ -72,27 +72,52 @@ fn revoke_by_granter_survives_corrupt_lineage() {
 }
 
 #[test]
-fn poisoned_indexes_fall_back_to_scan() {
-    let (mut e, root, a, b, _ca, _cb) = engine_with_chain();
-    // Redirect ownership behind the indexes' back: the by_owner/res/mem
-    // indexes still reflect the old owner, the scan sees the new one.
+fn corruption_keeps_the_indexes_exact() {
+    let (mut e, root, a, b, ca, _cb) = engine_with_chain();
+    // Redirect ownership, shrink a region and suspend a capability
+    // through the hook: each rewrite re-indexes the record, so every
+    // indexed query answers for the corrupted state, exactly as its
+    // scan twin does.
     let moved = e
         .caps_of(b)
         .iter()
         .find(|c| c.is_memory())
         .map(|c| c.id)
         .unwrap();
-    e.corrupt_cap(moved).unwrap().owner = a;
-    // Every indexed query must now answer from the scan twin.
+    assert!(e.corrupt_cap(moved, |c| c.owner = a));
+    assert!(e.corrupt_cap(ca, |c| c.resource = Resource::mem(0x1000, 0x1800)));
     let ids = |v: Vec<&Capability>| {
         let mut ids: Vec<CapId> = v.into_iter().map(|c| c.id).collect();
         ids.sort_unstable();
         ids
     };
-    assert_eq!(ids(e.caps_of(a)), ids(e.caps_of_scan(a)));
-    assert_eq!(ids(e.caps_of(b)), ids(e.caps_of_scan(b)));
-    assert!(e.caps_of(a).iter().any(|c| c.id == moved));
-    assert_eq!(e.refcount_mem_full(PAGE), e.refcount_mem_full_scan(PAGE));
-    assert_eq!(e.enumerate(a), e.enumerate_scan(a));
-    assert_eq!(e.enumerate(root), e.enumerate_scan(root));
+    assert!(
+        e.caps_of(a).iter().any(|c| c.id == moved),
+        "owner index followed"
+    );
+    assert!(!e.caps_of(b).iter().any(|c| c.id == moved));
+    let half = MemRegion::new(0x1800, 0x2000);
+    assert_eq!(e.refcount_mem_full(half).max, 2, "root + moved, not ca");
+    assert!(e.corrupt_cap(moved, |c| c.active = false));
+    assert_eq!(
+        e.refcount_mem_full(half).max,
+        1,
+        "suspension left the index"
+    );
+    for d in [root, a, b] {
+        assert_eq!(ids(e.caps_of(d)), ids(e.caps_of_scan(d)));
+        assert_eq!(e.enumerate(d), e.enumerate_scan(d));
+    }
+    for region in [PAGE, half, RAM] {
+        assert_eq!(
+            e.refcount_mem_full(region),
+            e.refcount_mem_full_scan(region)
+        );
+    }
+    let key = |v: &(DomainId, MemRegion)| (v.0, v.1.start, v.1.end);
+    let mut coverage = e.active_mem_coverage();
+    let mut scan = e.active_mem_coverage_scan();
+    coverage.sort_by_key(key);
+    scan.sort_by_key(key);
+    assert_eq!(coverage, scan);
 }

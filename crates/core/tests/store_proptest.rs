@@ -15,6 +15,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::{BTreeMap, BTreeSet};
 use tyche_core::audit::audit;
 use tyche_core::engine::EFFECTS_RETAIN;
@@ -23,10 +24,13 @@ use tyche_core::interval::IntervalTree;
 use tyche_core::prelude::*;
 use tyche_core::store::{Store, INDEX_PAGE};
 
-/// Domains per property case. Large enough that slot reuse, lineage
+/// Domains per scale case. Large enough that slot reuse, lineage
 /// compaction, and the interval tree's rebalancing all happen in bulk;
 /// small enough that a handful of cases stays in test-suite budget.
 const POPULATION: usize = 10_000;
+/// Domains per corruption case: each rewrite is followed by a full
+/// round of twin checks, so the population is smaller.
+const CORRUPTED_POPULATION: usize = 1_000;
 /// One 8 KiB lane per domain inside the root endowment.
 const LANE: u64 = 0x2000;
 /// Cores, devices and interrupt vectors in the root endowment: few
@@ -54,7 +58,7 @@ impl Rng {
     }
 }
 
-/// Grows a population of `POPULATION` domains under seeded churn:
+/// Grows a population of `population` domains under seeded churn:
 /// every domain may get a page of the root endowment shared into its
 /// lane and a core, device or interrupt shared to it (one in four
 /// without the use right), and a sliding window of older domains is
@@ -62,13 +66,13 @@ impl Rng {
 /// reuses freed slots. Unit capabilities are also granted onward —
 /// suspending the granter's until a revoke or kill reactivates it —
 /// and some domains are quarantined.
-fn churned_population(seed: u64) -> (CapEngine, DomainId, Vec<DomainId>) {
+fn churned_population(seed: u64, population: usize) -> (CapEngine, DomainId, Vec<DomainId>) {
     let mut e = CapEngine::new();
     let root = e.create_root_domain();
     let ram = e
         .endow(
             root,
-            Resource::mem(0, POPULATION as u64 * LANE),
+            Resource::mem(0, population as u64 * LANE),
             Rights::RWX,
         )
         .unwrap();
@@ -87,7 +91,7 @@ fn churned_population(seed: u64) -> (CapEngine, DomainId, Vec<DomainId>) {
     let mut shared_caps: Vec<CapId> = Vec::new();
     let mut unit_caps: Vec<CapId> = Vec::new();
     let (mut granted, mut reactivated, mut quarantined) = (0usize, 0usize, 0usize);
-    for i in 0..POPULATION {
+    for i in 0..population {
         let (d, _gate) = e.create_domain(root).unwrap();
         if rng.below(4) == 0 {
             let unit = units[rng.below(units.len() as u64) as usize];
@@ -178,6 +182,70 @@ fn churned_population(seed: u64) -> (CapEngine, DomainId, Vec<DomainId>) {
     (e, root, live)
 }
 
+/// Requires every indexed engine query to equal its scan twin: the
+/// whole coverage view, each of `domains`' capabilities, enumeration
+/// and core/device ownership, and 64 random refcount windows across a
+/// `population`-lane endowment. True when some enumerated unit resource
+/// was shared (refcount above one).
+fn twins_agree(
+    e: &CapEngine,
+    domains: &[DomainId],
+    rng: &mut Rng,
+    population: usize,
+) -> Result<bool, TestCaseError> {
+    let key = |v: &(DomainId, MemRegion)| (v.0, v.1.start, v.1.end);
+    let mut coverage = e.active_mem_coverage();
+    let mut scan = e.active_mem_coverage_scan();
+    coverage.sort_by_key(key);
+    scan.sort_by_key(key);
+    prop_assert_eq!(coverage, scan);
+    let mut shared_unit_seen = false;
+    for &d in domains {
+        let indexed: Vec<CapId> = e.caps_of(d).iter().map(|c| c.id).collect();
+        let scanned: Vec<CapId> = e.caps_of_scan(d).iter().map(|c| c.id).collect();
+        prop_assert_eq!(indexed, scanned, "caps_of diverged for {:?}", d);
+        let listed = e.enumerate(d).ok();
+        prop_assert_eq!(
+            &listed,
+            &e.enumerate_scan(d).ok(),
+            "enumerate diverged for {:?}",
+            d
+        );
+        shared_unit_seen |= listed.into_iter().flatten().any(|r| {
+            !matches!(r.resource, Resource::Memory(_) | Resource::Transition(_))
+                && r.refcount.max > 1
+        });
+        for u in 0..UNITS {
+            prop_assert_eq!(
+                e.owns_core(d, u as usize),
+                e.owns_core_scan(d, u as usize),
+                "owns_core diverged for {:?} on core {}",
+                d,
+                u
+            );
+            prop_assert_eq!(
+                e.owns_device(d, u as u16),
+                e.owns_device_scan(d, u as u16),
+                "owns_device diverged for {:?} on device {}",
+                d,
+                u
+            );
+        }
+    }
+    for _ in 0..64 {
+        let start = rng.below(population as u64) * LANE;
+        let len = (1 + rng.below(64)) * 0x1000;
+        let region = MemRegion::new(start, start + len);
+        prop_assert_eq!(
+            e.refcount_mem_full(region),
+            e.refcount_mem_full_scan(region),
+            "refcount diverged on {:?}",
+            region
+        );
+    }
+    Ok(shared_unit_seen)
+}
+
 proptest! {
     // Each case builds a 10k-domain engine; a few seeds is plenty.
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -186,11 +254,8 @@ proptest! {
     /// with its naive scan twin, and the audit stays clean.
     #[test]
     fn indexed_queries_match_scan_twins_at_scale(seed in any::<u64>()) {
-        let (e, root, live) = churned_population(seed);
+        let (mut e, root, live) = churned_population(seed, POPULATION);
         prop_assert!(audit(&e).is_empty());
-
-        // Whole-engine twins: the interval tree's coverage view.
-        prop_assert_eq!(e.active_mem_coverage(), e.active_mem_coverage_scan());
 
         // Per-domain twins on a sample (plus root, the busiest owner).
         let mut rng = Rng::new(seed ^ 0xDEAD_BEEF);
@@ -204,53 +269,12 @@ proptest! {
             })
             .collect();
         sample.push(root);
-        let mut shared_unit_seen = false;
-        for &d in &sample {
-            let indexed: Vec<CapId> = e.caps_of(d).iter().map(|c| c.id).collect();
-            let scanned: Vec<CapId> = e.caps_of_scan(d).iter().map(|c| c.id).collect();
-            prop_assert_eq!(indexed, scanned, "caps_of diverged for {:?}", d);
-            let listed = e.enumerate(d).ok();
-            prop_assert_eq!(&listed, &e.enumerate_scan(d).ok(), "enumerate diverged for {:?}", d);
-            shared_unit_seen |= listed.into_iter().flatten().any(|r| {
-                !matches!(r.resource, Resource::Memory(_) | Resource::Transition(_))
-                    && r.refcount.max > 1
-            });
-            for u in 0..UNITS {
-                prop_assert_eq!(
-                    e.owns_core(d, u as usize),
-                    e.owns_core_scan(d, u as usize),
-                    "owns_core diverged for {:?} on core {}",
-                    d,
-                    u
-                );
-                prop_assert_eq!(
-                    e.owns_device(d, u as u16),
-                    e.owns_device_scan(d, u as u16),
-                    "owns_device diverged for {:?} on device {}",
-                    d,
-                    u
-                );
-            }
-        }
+        let shared_unit_seen = twins_agree(&e, &sample, &mut rng, POPULATION)?;
         prop_assert!(shared_unit_seen, "no enumerated unit resource was shared");
 
-        // Refcount twins on random windows (interval overlap queries).
-        for _ in 0..64 {
-            let start = rng.below(POPULATION as u64) * LANE;
-            let len = (1 + rng.below(64)) * 0x1000;
-            let region = MemRegion::new(start, start + len);
-            prop_assert_eq!(
-                e.refcount_mem_full(region),
-                e.refcount_mem_full_scan(region),
-                "refcount diverged on {:?}",
-                region
-            );
-        }
-
-        // Rewrite a shared core capability's owner behind the holder
-        // index's back: the stale index would still credit the old
-        // owner, so every query must fall back to the scans.
-        let mut e = e;
+        // Rewrite a shared core capability's owner through the hook: the
+        // holder index follows the record, so the new owner is credited
+        // and the old one is not.
         let (cap, old, core) = e
             .caps()
             .find_map(|c| match c.resource {
@@ -265,11 +289,40 @@ proptest! {
             .copied()
             .find(|&d| d != old && !e.owns_core(d, core))
             .expect("a sampled domain without that core");
-        e.corrupt_cap(cap).unwrap().owner = new;
-        prop_assert!(e.owns_core(new, core), "stale holder index answered");
+        prop_assert!(e.corrupt_cap(cap, |c| c.owner = new));
+        prop_assert!(e.owns_core(new, core), "holder index missed the new owner");
         for d in [old, new, root] {
             prop_assert_eq!(e.owns_core(d, core), e.owns_core_scan(d, core));
             prop_assert_eq!(e.enumerate(d).ok(), e.enumerate_scan(d).ok());
+        }
+    }
+
+    /// Corruption keeps the indexes exact: random capabilities get their
+    /// owner, memory region or `active` flag rewritten through the
+    /// closure hook, and after every rewrite each indexed query still
+    /// equals its scan twin for the domains involved.
+    #[test]
+    fn corrupted_caps_keep_indexed_queries_exact(seed in any::<u64>()) {
+        let (mut e, root, live) = churned_population(seed, CORRUPTED_POPULATION);
+        let mut rng = Rng::new(seed ^ 0x0BAD_CAFE);
+        let ids: Vec<CapId> = e.caps().map(|c| c.id).collect();
+        let mem_ids: Vec<CapId> = e.caps().filter(|c| c.is_memory()).map(|c| c.id).collect();
+        for round in 0..48 {
+            // Rotate through the three rewrites; a region rewrite picks
+            // a memory capability (the others keep it one).
+            let field = round % 3;
+            let pool = if field == 1 { &mem_ids } else { &ids };
+            let cap = pool[rng.below(pool.len() as u64) as usize];
+            let old_owner = e.cap(cap).expect("live cap").owner;
+            let owner = live[rng.below(live.len() as u64) as usize];
+            let start = rng.below(CORRUPTED_POPULATION as u64) * LANE;
+            let end = start + (1 + rng.below(4)) * 0x1000;
+            prop_assert!(e.corrupt_cap(cap, |c| match field {
+                0 => c.owner = owner,
+                1 => c.resource = Resource::mem(start, end),
+                _ => c.active = !c.active,
+            }));
+            twins_agree(&e, &[old_owner, owner, root], &mut rng, CORRUPTED_POPULATION)?;
         }
     }
 

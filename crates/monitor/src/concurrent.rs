@@ -1409,9 +1409,7 @@ mod tests {
         // have observed mid-computation) changes the answer, proving
         // the per-cap re-read really could tear the set...
         let mut tampered = snap.clone();
-        if let Some(c) = tampered.corrupt_cap(cap) {
-            c.owner = root;
-        }
+        assert!(tampered.corrupt_cap(cap, |c| c.owner = root));
         let torn = involved_sets(&tampered, root, &call);
         assert_ne!(before, torn, "a different generation gives a different set");
         // ...while the held snapshot still answers as before.

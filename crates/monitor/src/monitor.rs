@@ -529,61 +529,37 @@ impl Monitor {
     /// mediated path, paying the full trap cost. The RISC-V backend has
     /// no equivalent.
     pub fn enter_fast(&mut self, core: usize, cap: CapId) -> Result<DomainId, Status> {
-        self.enter_fast_inner(core, cap, true)
-    }
-
-    /// Cache-ablated variant of [`enter_fast`](Self::enter_fast):
-    /// revalidates through the engine on every call. Benchmark "before"
-    /// path.
-    #[doc(hidden)]
-    pub fn enter_fast_uncached(&mut self, core: usize, cap: CapId) -> Result<DomainId, Status> {
-        self.enter_fast_inner(core, cap, false)
-    }
-
-    fn enter_fast_inner(
-        &mut self,
-        core: usize,
-        cap: CapId,
-        use_cache: bool,
-    ) -> Result<DomainId, Status> {
         if self.arch != Arch::X86 {
             return Err(Status::BackendFailure);
         }
         let actor = self.current[core];
-        if use_cache && self.fast_cache_gen != self.engine.generation() {
+        if self.fast_cache_gen != self.engine.generation() {
             self.fast_cache.clear();
             self.fast_cache_gen = self.engine.generation();
         }
         let key = (core, actor, cap);
-        let hit = if use_cache {
-            self.fast_cache.get(&key).copied()
-        } else {
-            None
-        };
-        if hit.is_some() {
-            self.trace.emit(
-                core as u32,
-                EventKind::CacheHit {
-                    actor: actor.0,
-                    cap: cap.0,
-                    gen: self.fast_cache_gen,
-                },
-            );
-        }
-        let (target, entry, slot) = match hit {
-            Some(v) => v,
+        let (target, entry, slot) = match self.fast_cache.get(&key).copied() {
+            Some(v) => {
+                self.trace.emit(
+                    core as u32,
+                    EventKind::CacheHit {
+                        actor: actor.0,
+                        cap: cap.0,
+                        gen: self.fast_cache_gen,
+                    },
+                );
+                v
+            }
             None => {
                 let (target, entry, policy) = self
                     .engine
                     .can_enter(actor, cap, core)
                     .map_err(cap_status)?;
                 if policy != RevocationPolicy::NONE {
-                    // Flush policies need the monitor in the loop: take
-                    // the mediated path instead, paying the trap cost the
-                    // hardware would charge for the vm exit.
-                    self.metrics.bump(Counter::MonitorCalls);
-                    self.machine.cycles.charge(self.machine.cost.vmexit_roundtrip);
-                    return match self.enter_mediated(core, cap)? {
+                    // Flush policies need the monitor in the loop: the
+                    // entry becomes the `Enter` hypercall, trap cost and
+                    // trace bracket included.
+                    return match self.call(core, MonitorCall::Enter { cap })? {
                         CallResult::Entered { target, .. } => Ok(target),
                         _ => Err(Status::BackendFailure),
                     };
@@ -593,17 +569,15 @@ impl Monitor {
                     .as_ref()
                     .and_then(|b| b.vmfunc_slot(target))
                     .ok_or(Status::BackendFailure)?;
-                if use_cache {
-                    self.fast_cache.insert(key, (target, entry, slot));
-                    self.trace.emit(
-                        core as u32,
-                        EventKind::CacheFill {
-                            actor: actor.0,
-                            cap: cap.0,
-                            gen: self.fast_cache_gen,
-                        },
-                    );
-                }
+                self.fast_cache.insert(key, (target, entry, slot));
+                self.trace.emit(
+                    core as u32,
+                    EventKind::CacheFill {
+                        actor: actor.0,
+                        cap: cap.0,
+                        gen: self.fast_cache_gen,
+                    },
+                );
                 (target, entry, slot)
             }
         };

@@ -266,12 +266,28 @@ fn fast_path_with_flush_policy_falls_back_to_mediated() {
     // refusing outright. The entry succeeds, is counted as mediated, and
     // pays at least the vm-exit trap cost.
     let calls = m.stats().calls;
+    m.trace().enable(m.machine.cores);
     let before = m.machine.cycles.now();
     assert_eq!(m.enter_fast(0, flushing), Ok(child));
     assert!(m.machine.cycles.since(before) >= m.machine.cost.vmexit_roundtrip);
     assert_eq!(m.stats().transitions_fast, 0);
     assert_eq!(m.stats().transitions_mediated, 1);
     assert_eq!(m.stats().calls, calls + 1, "fallback is a monitor call");
+    // It is the `Enter` hypercall in the trace too: exactly one
+    // hyper-enter/hyper-exit bracket, around the mediated entry.
+    let log = m.trace().drain();
+    let shape: Vec<&str> = log
+        .events()
+        .iter()
+        .map(|e| e.kind.name())
+        .filter(|n| matches!(*n, "hyper-enter" | "hyper-exit" | "enter"))
+        .collect();
+    assert_eq!(shape, ["hyper-enter", "enter", "hyper-exit"]);
+    let enter_leaf = MonitorCall::Enter { cap: flushing }.encode().0;
+    assert!(log.events().iter().any(|e| matches!(
+        e.kind,
+        tyche_core::trace::EventKind::HyperEnter { leaf, .. } if leaf == enter_leaf
+    )));
     // The frame is a normal mediated frame: Return works and re-applies
     // the flush policy on the way back.
     assert_eq!(
@@ -330,19 +346,50 @@ fn fast_path_cache_invalidated_by_kill() {
 }
 
 #[test]
-fn fast_path_cached_matches_uncached() {
-    // The cached and revalidating fast paths agree on results and end
-    // state; only the validation work differs.
+fn fast_path_hit_miss_and_mediated_agree() {
+    // A cache miss (which validates through the engine), a cache hit and
+    // the mediated `Enter` all switch the same caller into the same
+    // domain; only the mechanism and its counters differ.
     let mut m = x86();
     let (child, tcap) = spawn_sealed(&mut m, 0x76_0000);
-    assert_eq!(m.enter_fast(0, tcap), Ok(child));
-    m.ret_fast(0).unwrap();
-    assert_eq!(m.enter_fast_uncached(0, tcap), Ok(child));
-    m.ret_fast(0).unwrap();
-    assert_eq!(m.enter_fast(0, tcap), Ok(child));
-    m.ret_fast(0).unwrap();
-    assert_eq!(m.stats().transitions_fast, 6);
-    assert_eq!(m.stats().transitions_mediated, 0);
+    let os = m.engine.root().unwrap();
+    let entry = m.engine.domain(child).unwrap().entry.unwrap();
+    m.trace().enable(m.machine.cores);
+    for _ in 0..2 {
+        assert_eq!(m.enter_fast(0, tcap), Ok(child));
+        assert_eq!(m.ret_fast(0), Ok(os));
+    }
+    assert_eq!(
+        m.call(0, MonitorCall::Enter { cap: tcap }),
+        Ok(CallResult::Entered {
+            target: child,
+            entry
+        })
+    );
+    m.call(0, MonitorCall::Return).unwrap();
+    let log = m.trace().drain();
+    let names: Vec<&str> = log.events().iter().map(|e| e.kind.name()).collect();
+    let fills = names.iter().filter(|n| **n == "cache-fill").count();
+    let hits = names.iter().filter(|n| **n == "cache-hit").count();
+    assert_eq!((fills, hits), (1, 1), "one miss, then one hit");
+    let enters: Vec<(u64, u64, bool)> = log
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            tyche_core::trace::EventKind::Enter { from, to, fast } => Some((from, to, fast)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        enters,
+        [
+            (os.0, child.0, true),
+            (os.0, child.0, true),
+            (os.0, child.0, false)
+        ]
+    );
+    assert_eq!(m.stats().transitions_fast, 4);
+    assert_eq!(m.stats().transitions_mediated, 2);
 }
 
 #[test]

@@ -225,6 +225,9 @@ pub struct WorkspaceModel {
     pub annotations: Vec<Annotation>,
     /// Files parsed.
     pub files: usize,
+    /// Each parsed file with its C1 code lines ([`loc::count_source`]),
+    /// in parse order.
+    pub file_loc: Vec<(String, usize)>,
     type_names: BTreeSet<String>,
     aliases: BTreeMap<String, String>,
     by_name: BTreeMap<String, Vec<usize>>,
@@ -263,6 +266,9 @@ impl WorkspaceModel {
         for (krate, file, text) in sources {
             let parsed = parse_source(krate, file, text);
             model.files += 1;
+            model
+                .file_loc
+                .push((file.to_string(), loc::count_source(text).code));
             model.annotations.extend(parsed.annotations);
             model.type_names.extend(parsed.type_names);
             model.aliases.extend(parsed.aliases);

@@ -23,7 +23,8 @@
 //!    budget.
 //! 4. [`trace_complete`] — every public mutating engine op emits a
 //!    trace event (the static dual of the RV checkers' assumption that
-//!    the trace is complete).
+//!    the trace is complete), and no hypercall leaf or serving tier
+//!    reaches a `corrupt_*` tampering hook.
 
 pub mod atomics;
 pub mod lock_order;
@@ -160,12 +161,19 @@ pub struct StaticReport {
     pub leaves: Vec<EntryEvidence>,
     /// Per-serving-tier evidence.
     pub tiers: Vec<EntryEvidence>,
+    /// C1 code lines per TCB source file (workspace-relative path).
+    pub c1_files: Vec<(String, usize)>,
 }
 
 impl StaticReport {
     /// True when all four lints passed.
     pub fn passed(&self) -> bool {
         self.findings.is_empty()
+    }
+
+    /// C1: the TCB's code lines, summed over [`c1_files`](Self::c1_files).
+    pub fn c1_total(&self) -> usize {
+        self.c1_files.iter().map(|(_, n)| n).sum()
     }
 
     /// Human-readable summary.
@@ -183,6 +191,11 @@ impl StaticReport {
         out.push_str(&format!(
             "  trace-complete: {} mutating engine ops all emit\n",
             self.traced_ops
+        ));
+        out.push_str(&format!(
+            "  C1: {} code lines over {} TCB files\n",
+            self.c1_total(),
+            self.c1_files.len()
         ));
         out.push_str("  panic-reachability evidence (allowlisted sites only):\n");
         for ev in self.leaves.iter().chain(self.tiers.iter()) {
@@ -231,6 +244,21 @@ impl StaticReport {
             self.relaxed_ok_used, self.relaxed_ok_budget
         ));
         s.push_str(&format!("  \"traced_ops\": {},\n", self.traced_ops));
+        let files: Vec<String> = self
+            .c1_files
+            .iter()
+            .map(|(f, n)| {
+                format!(
+                    "\n      {{ \"file\": \"{}\", \"lines\": {n} }}",
+                    json_escape(f)
+                )
+            })
+            .collect();
+        s.push_str(&format!(
+            "  \"c1\": {{ \"total\": {}, \"files\": [{}\n    ] }},\n",
+            self.c1_total(),
+            files.join(",")
+        ));
         s.push_str(&format!("  \"findings\": [{}],\n", json_findings(&self.findings)));
         s.push_str(&format!("  \"leaves\": [{}],\n", json_entries(&self.leaves)));
         s.push_str(&format!("  \"tiers\": [{}]\n", json_entries(&self.tiers)));
@@ -343,6 +371,7 @@ pub fn run_on_model(
         lock_sites: model.functions.iter().map(|f| f.locks.len()).sum(),
         atomic_sites: model.functions.iter().map(|f| f.atomics.len()).sum(),
         relaxed_ok_budget,
+        c1_files: model.file_loc.clone(),
         ..StaticReport::default()
     };
 

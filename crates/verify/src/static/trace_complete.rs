@@ -7,11 +7,17 @@
 //! explicitly exempted non-mutating plumbing and the adversarial
 //! corruption hooks (which are *defined* as invisible tampering — the
 //! RV suite exists to catch their effects, not their calls).
+//!
+//! The hooks' exemption holds only while they stay off every hypercall
+//! path, so the lint also proves that no hypercall leaf or serving tier
+//! reaches a `corrupt_*` engine method.
 
+use super::panic_reach::{HYPERCALL_LEAVES, SERVING_TIERS};
 use super::{Lint, StaticFinding};
 use crate::parse::WorkspaceModel;
 
-/// Engine methods excused from emitting, with the reason.
+/// Engine methods excused from emitting, with the reason. The
+/// `corrupt_*` entries are the tampering-hook list.
 pub const EXEMPT: &[(&str, &str)] = &[
     ("set_trace", "installs the sink itself; nothing to record yet"),
     ("drain_effects", "hardware-effect queue handoff, not a capability mutation"),
@@ -80,6 +86,31 @@ pub fn check(model: &WorkspaceModel) -> TraceResult {
                 ),
                 path: vec![func.qname.clone()],
             });
+        }
+    }
+    // Tampering hooks on a hypercall path would be invisible mutations
+    // the RV suite cannot see coming. Seeds the model lacks are skipped
+    // here; the panic-reachability lint reports them as table rot.
+    for (entry, seeds) in HYPERCALL_LEAVES.iter().chain(SERVING_TIERS) {
+        let seeds: Vec<usize> = seeds.iter().filter_map(|s| model.find_qname(s)).collect();
+        let parents = model.reachable(&seeds);
+        for &fi in parents.keys() {
+            let func = &model.functions[fi];
+            let hook = func.qname.starts_with("CapEngine::")
+                && func.name.starts_with("corrupt_")
+                && EXEMPT.iter().any(|(n, _)| *n == func.name);
+            if hook {
+                findings.push(StaticFinding {
+                    lint: Lint::TraceComplete,
+                    file: func.file.clone(),
+                    line: func.line,
+                    message: format!(
+                        "`{entry}` reaches tampering hook {}: an invisible mutation on a hypercall path",
+                        func.qname
+                    ),
+                    path: model.path_to(&parents, fi),
+                });
+            }
         }
     }
     TraceResult {

@@ -698,12 +698,15 @@ const EXEMPT_STUBS: &str = r#"
     pub fn corrupt_sealed_at(&mut self, id: DomainId) { self.tamper_domain(id); }
 "#;
 
-fn engine_fixture(ops: &str) -> WorkspaceModel {
-    let src = format!(
+fn engine_source(ops: &str) -> String {
+    format!(
         "impl CapEngine {{\n{EXEMPT_STUBS}\n{ops}\n}}\n\
          impl TraceSink {{ pub fn emit(&self, core: u32, kind: EventKind) {{ record(kind); }} }}\n"
-    );
-    WorkspaceModel::from_sources(&[("core", "crates/core/src/engine.rs", &src)])
+    )
+}
+
+fn engine_fixture(ops: &str) -> WorkspaceModel {
+    WorkspaceModel::from_sources(&[("core", "crates/core/src/engine.rs", &engine_source(ops))])
 }
 
 #[test]
@@ -765,4 +768,55 @@ fn exemption_table_rot_is_caught() {
         result.findings
     );
     assert_eq!(result.findings.len(), trace_complete::EXEMPT.len());
+}
+
+/// A hypercall handler that calls a corruption hook: the hook's
+/// exemption from emitting no longer holds, so the lint flags the path.
+#[test]
+fn hypercall_reaching_a_tampering_hook_is_caught() {
+    let engine = engine_source("");
+    let monitor = r#"
+impl Monitor {
+    fn enter_mediated(&mut self, core: usize, cap: CapId) -> Result<CallResult, Status> {
+        self.engine.corrupt_cap(cap);
+        Ok(CallResult::Unit)
+    }
+}
+"#;
+    let model = WorkspaceModel::from_sources(&[
+        ("core", "crates/core/src/engine.rs", &engine),
+        ("monitor", "crates/monitor/src/monitor.rs", monitor),
+    ]);
+    let result = trace_complete::check(&model);
+    assert_eq!(result.findings.len(), 1, "{:?}", result.findings);
+    let f = &result.findings[0];
+    assert_eq!(f.lint, Lint::TraceComplete);
+    assert!(
+        f.message
+            .contains("`Enter` reaches tampering hook CapEngine::corrupt_cap"),
+        "{}",
+        f.message
+    );
+    assert_eq!(
+        f.path,
+        ["Monitor::enter_mediated", "CapEngine::corrupt_cap"]
+    );
+}
+
+/// The real TCB: the hooks exist, every hypercall leaf and serving tier
+/// is walked, and none of them reaches a hook.
+#[test]
+fn real_workspace_reaches_no_tampering_hook() {
+    let ws = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let tcb = AuditConfig::tyche_defaults(ws).tcb_crates;
+    let model = WorkspaceModel::build(ws, &tcb).expect("parse the TCB");
+    assert!(
+        model.find_qname("CapEngine::corrupt_cap").is_some(),
+        "the lint has hooks to look for"
+    );
+    let result = trace_complete::check(&model);
+    assert!(result.findings.is_empty(), "{:#?}", result.findings);
 }

@@ -243,7 +243,7 @@ fn quarantine_bypass_is_caught_at_the_entry() {
     // engine-level containment evaporates, so the (honest) monitor now
     // lets the entry through. Only the trace still knows.
     m.engine.corrupt_domain(d).unwrap().quarantined = false;
-    m.engine.corrupt_cap(gate).unwrap().active = true;
+    assert!(m.engine.corrupt_cap(gate, |c| c.active = true));
     m.call(0, MonitorCall::Enter { cap: gate }).unwrap();
     m.call(0, MonitorCall::Return).unwrap();
     let log = m.trace().drain();
