@@ -314,7 +314,8 @@ mod tests {
         assert!(m.read(PhysAddr::new(0), &mut out).is_ok());
         assert!(matches!(
             m.write(PhysAddr::new(1), &[0u8; 16]).and_then(|_| {
-                let r = PhysRange::new(PhysAddr::new(u64::MAX - PAGE_SIZE), PhysAddr::new(u64::MAX));
+                let r =
+                    PhysRange::new(PhysAddr::new(u64::MAX - PAGE_SIZE), PhysAddr::new(u64::MAX));
                 m.zero_range(r)
             }),
             Err(MemError::OutOfBounds { .. })

@@ -197,8 +197,13 @@ impl Nic {
         clocks.advance_to(core, frame.sent_at);
         let bytes = frame.payload.len() as u64;
         clocks.charge(core, cost.nic_recv + bytes * cost.nic_byte);
-        self.trace
-            .emit(core as u32, EventKind::NicRecv { from: frame.src, bytes });
+        self.trace.emit(
+            core as u32,
+            EventKind::NicRecv {
+                from: frame.src,
+                bytes,
+            },
+        );
         self.stats.received += 1;
         Some(frame)
     }

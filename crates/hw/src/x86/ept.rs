@@ -472,8 +472,14 @@ mod tests {
         let (mut mem, mut alloc) = setup();
         let ept = Ept::new(&mut mem, &mut alloc).unwrap();
         let gpa = GuestPhysAddr::new(0x40_0000);
-        ept.map(&mut mem, &mut alloc, gpa, PhysAddr::new(0x10_0000), EptFlags::RW)
-            .unwrap();
+        ept.map(
+            &mut mem,
+            &mut alloc,
+            gpa,
+            PhysAddr::new(0x10_0000),
+            EptFlags::RW,
+        )
+        .unwrap();
         mem.faults().arm(FaultPlan::once(FaultSite::EptWalk));
         let v = ept.translate(&mem, gpa, Access::Read).unwrap_err();
         assert_eq!(v.level, 4, "aborts before walking");

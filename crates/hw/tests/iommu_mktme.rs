@@ -141,7 +141,11 @@ fn cross_page_dma_stops_at_the_unmapped_page_with_partial_progress() {
     let start = GuestPhysAddr::new(0x1000 + PAGE_SIZE - 32);
     let fault = iommu.dma_write(&mut mem, dev, start, &data).unwrap_err();
     assert!(fault.write);
-    assert_eq!(fault.addr, GuestPhysAddr::new(0x2000), "faulting page pinned");
+    assert_eq!(
+        fault.addr,
+        GuestPhysAddr::new(0x2000),
+        "faulting page pinned"
+    );
     assert_eq!(iommu.take_faults().len(), 1);
 
     let mut prefix = [0u8; 32];
@@ -236,7 +240,8 @@ fn force_tag_after_scrub_leaves_no_recoverable_secret() {
     mc.retag(&mut mem, page, k_old).unwrap();
     mc.write(&mut mem, page, b"old owner secret").unwrap();
 
-    mem.zero_range(PhysRange::from_len(page, PAGE_SIZE)).unwrap();
+    mem.zero_range(PhysRange::from_len(page, PAGE_SIZE))
+        .unwrap();
     let k_new = mc.new_key();
     mc.force_tag(page, k_new);
 

@@ -38,7 +38,7 @@ pub mod concurrent;
 pub mod monitor;
 
 pub use abi::{MonitorCall, Status};
-pub use concurrent::{ConcurrentMonitor, RingOutcome, SmpStats};
 pub use attest::{AttestedDomain, MachineRoots, Verifier};
 pub use boot::{boot_riscv, boot_x86, BootConfig};
+pub use concurrent::{ConcurrentMonitor, RingOutcome, SmpStats};
 pub use monitor::{Arch, Fault, Monitor};

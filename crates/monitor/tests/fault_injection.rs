@@ -32,7 +32,10 @@ fn child_with_page(m: &mut Monitor, base: u64) -> (DomainId, CapId) {
         .find(|c| c.active && c.is_memory())
         .map(|c| c.id)
         .unwrap();
-    let (_lo, hi) = match m.call(0, MonitorCall::Split { cap: ram, at: base }).unwrap() {
+    let (_lo, hi) = match m
+        .call(0, MonitorCall::Split { cap: ram, at: base })
+        .unwrap()
+    {
         CallResult::Caps(a, b) => (a, b),
         other => panic!("unexpected {other:?}"),
     };
