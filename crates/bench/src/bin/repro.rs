@@ -35,6 +35,7 @@ use tyche_core::metrics::Counter;
 use tyche_core::prelude::*;
 use tyche_core::trace::EventKind;
 use tyche_fleet::{Fleet, FleetConfig};
+use tyche_hw::cycles::SmpClocks;
 use tyche_hw::faults::{FaultPlan, FaultSite};
 use tyche_verify::rv;
 use tyche_monitor::abi::MonitorCall;
@@ -2921,8 +2922,8 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
         + 1;
     let lanes: Vec<SmpLane> = (0..threads)
         .map(|core| {
-            let want = ConcurrentMonitor::shard_of_n(DomainId(core as u64), nshards);
-            while ConcurrentMonitor::shard_of_n(DomainId(next_id), nshards) != want {
+            let want = SmpClocks::shard_of_n(DomainId(core as u64), nshards);
+            while SmpClocks::shard_of_n(DomainId(next_id), nshards) != want {
                 next_id = m
                     .engine
                     .make_transition(os, os, RevocationPolicy::NONE)
@@ -2933,7 +2934,7 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
             let base = lane_base(core);
             let (tenant, gate) = m.engine.create_domain(os).expect("tenant");
             assert_eq!(
-                ConcurrentMonitor::shard_of_n(tenant, nshards),
+                SmpClocks::shard_of_n(tenant, nshards),
                 want,
                 "tenant off its shard"
             );

@@ -6,8 +6,12 @@
 //! published measurements of the corresponding hardware operation, and
 //! experiments report *simulated cycles* next to host wall-time. The
 //! constants live in one place so the ablation benches can vary them.
+//! [`SmpClocks`] places the calls of an SMP machine in model time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use tyche_core::ids::DomainId;
 
 /// Cycle costs of architectural events, loosely calibrated to published
 /// numbers for recent Intel server parts.
@@ -205,6 +209,96 @@ impl PerCoreClocks {
     }
 }
 
+/// The SMP contention model: the per-core clocks plus one simulated
+/// clock per domain *shard*.
+///
+/// A call over a set of domains starts when its core *and* every
+/// involved shard are free, plus one `lock_handoff` if a shard made it
+/// wait. It runs for the cycles it was charged and leaves the core and
+/// every involved shard busy until it ends. Cores working on distinct
+/// domains never share a shard clock and overlap in model time; cores
+/// hammering one domain serialize on its shard like a contended lock.
+/// Callers serialize each [`start`](Self::start)/[`finish`](Self::finish)
+/// pair (the SMP monitor holds its engine write lock across it), so the
+/// clocks are a function of the call order.
+#[derive(Debug)]
+pub struct SmpClocks {
+    cores: Arc<PerCoreClocks>,
+    shards: Vec<CycleCounter>,
+    lock_handoff: u64,
+}
+
+/// When a call may start, from [`SmpClocks::start`].
+#[must_use]
+pub struct Start {
+    at: u64,
+    /// The lowest busiest involved shard, if one was ahead of the core.
+    pub waited_on: Option<usize>,
+}
+
+impl SmpClocks {
+    /// `nshards` shard clocks (at least one, rounded up to a power of
+    /// two) next to `cores`; a start that waits pays `lock_handoff`.
+    pub fn new(cores: Arc<PerCoreClocks>, nshards: usize, lock_handoff: u64) -> Self {
+        let shards = (0..nshards.max(1).next_power_of_two()).map(|_| CycleCounter::new());
+        let shards = shards.collect();
+        SmpClocks {
+            cores,
+            shards,
+            lock_handoff,
+        }
+    }
+
+    /// The shard a domain routes to in a table of `nshards` shards,
+    /// rounded up like the table itself: `domain & (next_pow2(nshards) -
+    /// 1)`. A pure function of the id, so two domains meet in the same
+    /// shards in the same order whichever side initiates a call.
+    pub fn shard_of_n(domain: DomainId, nshards: usize) -> usize {
+        let mask = nshards.max(1).next_power_of_two() - 1;
+        (domain.0 & mask as u64) as usize
+    }
+
+    /// The per-core clocks.
+    pub fn cores(&self) -> &PerCoreClocks {
+        &self.cores
+    }
+
+    /// The machine makespan so far: the latest core clock.
+    pub fn makespan(&self) -> u64 {
+        self.cores.max_now()
+    }
+
+    /// When `core` may start a call over `domains`: its own clock, or,
+    /// if an involved shard is ahead of it, that shard's clock plus one
+    /// `lock_handoff`, reported as a wait on the lowest busiest shard
+    /// (the one an ascending walk would block on).
+    pub fn start(&self, core: usize, domains: &[DomainId]) -> Start {
+        let (mut shard_free, mut busiest) = (0, 0);
+        for &d in domains {
+            let i = Self::shard_of_n(d, self.shards.len());
+            let now = self.shards[i].now();
+            if now > shard_free || (now == shard_free && now > 0 && i < busiest) {
+                (shard_free, busiest) = (now, i);
+            }
+        }
+        let core_now = self.cores.now(core);
+        let waited_on = (shard_free > core_now).then_some(busiest);
+        let at = core_now.max(shard_free) + waited_on.map_or(0, |_| self.lock_handoff);
+        Start { at, waited_on }
+    }
+
+    /// Ends a call that `start` placed and that was charged `charged`
+    /// cycles: the core and every involved shard are busy until
+    /// `start + charged`. No clock moves backwards.
+    pub fn finish(&self, start: Start, core: usize, domains: &[DomainId], charged: u64) {
+        let end = start.at + charged;
+        self.cores.advance_to(core, end);
+        for &d in domains {
+            self.shards[Self::shard_of_n(d, self.shards.len())].advance_to(end);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,5 +383,108 @@ mod tests {
         clocks.advance_to(99, 1);
         assert_eq!(clocks.now(99), 0);
         assert_eq!(clocks.max_now(), 300);
+    }
+
+    fn smp(cores: usize, nshards: usize) -> SmpClocks {
+        SmpClocks::new(Arc::new(PerCoreClocks::new(cores)), nshards, 60)
+    }
+
+    #[test]
+    fn shard_order_is_global() {
+        use tyche_core::shared::SHARDS;
+        // Routing is a pure function of the id: two domains always map
+        // to the same pair of shards in the same order, whichever side
+        // initiates the cross-domain operation.
+        let a = DomainId(3);
+        let b = DomainId(7);
+        assert_eq!(SmpClocks::shard_of_n(a, SHARDS), 3);
+        assert_eq!(SmpClocks::shard_of_n(b, SHARDS), 7);
+        assert_eq!(
+            SmpClocks::shard_of_n(DomainId(3 + SHARDS as u64), SHARDS),
+            SmpClocks::shard_of_n(a, SHARDS)
+        );
+    }
+
+    #[test]
+    fn small_shard_tables_fold_ids() {
+        let clocks = smp(2, 4);
+        assert_eq!(clocks.shards.len(), 4);
+        assert_eq!(SmpClocks::shard_of_n(DomainId(7), clocks.shards.len()), 3);
+        assert_eq!(SmpClocks::shard_of_n(DomainId(11), clocks.shards.len()), 3);
+        // Folded ids share a clock: a call on 7 makes one on 11 wait.
+        let d = [DomainId(7)];
+        clocks.finish(clocks.start(0, &d), 0, &d, 100);
+        assert_eq!(clocks.start(1, &[DomainId(11)]).waited_on, Some(3));
+        // Degenerate counts clamp to one shard instead of dividing by 0.
+        assert_eq!(SmpClocks::shard_of_n(DomainId(9), 0), 0);
+        let clocks = smp(1, 0);
+        assert_eq!(clocks.shards.len(), 1);
+        let d = [DomainId(9)];
+        clocks.finish(clocks.start(0, &d), 0, &d, 100);
+        assert_eq!(clocks.makespan(), 100);
+    }
+
+    #[test]
+    fn shard_counts_round_up_to_powers_of_two() {
+        let clocks = smp(1, 7);
+        assert_eq!(clocks.shards.len(), 8, "7 rounds up to 8");
+        // The table routes exactly like the pure helper at the
+        // requested (unrounded) count.
+        for raw in [0u64, 1, 7, 8, 9, 1023] {
+            assert_eq!(
+                SmpClocks::shard_of_n(DomainId(raw), clocks.shards.len()),
+                SmpClocks::shard_of_n(DomainId(raw), 7)
+            );
+        }
+        assert_eq!(SmpClocks::shard_of_n(DomainId(9), 7), 1);
+    }
+
+    #[test]
+    fn lock_handoff_is_charged_only_behind_a_busy_shard() {
+        let clocks = smp(3, 8);
+        let (a, b) = (DomainId(1), DomainId(2));
+        // Core 0 runs a call over {a, b} from 0 to 500.
+        let start = clocks.start(0, &[a, b]);
+        assert_eq!(start.waited_on, None, "idle shards never charge");
+        clocks.finish(start, 0, &[a, b], 500);
+        assert_eq!(clocks.cores().now(0), 500);
+        // A core at or ahead of every involved shard starts at its own
+        // clock, without a hand-off.
+        clocks.cores().advance_to(1, 500);
+        let start = clocks.start(1, &[b]);
+        assert_eq!(start.waited_on, None, "level with the shard");
+        clocks.finish(start, 1, &[b], 10);
+        assert_eq!(clocks.cores().now(1), 510);
+        clocks.cores().advance_to(2, 2_000);
+        let start = clocks.start(2, &[a, b]);
+        assert_eq!(start.waited_on, None, "ahead of both shards");
+        clocks.finish(start, 2, &[a, b], 10);
+        assert_eq!(clocks.cores().now(2), 2_010);
+        // Core 0 is now behind shards 1 and 2 (both at 2,010): exactly
+        // one hand-off, reported on the lowest busiest shard.
+        let start = clocks.start(0, &[a, b]);
+        assert_eq!(start.waited_on, Some(1));
+        clocks.finish(start, 0, &[a, b], 40);
+        assert_eq!(clocks.cores().now(0), 2_010 + 60 + 40);
+        // An uninvolved shard stays put, and a finish never rewinds a
+        // clock that is already ahead.
+        let c = [DomainId(3)];
+        assert_eq!(clocks.start(1, &c).waited_on, None);
+        clocks.cores().advance_to(1, 5_000);
+        clocks.finish(
+            Start {
+                at: 0,
+                waited_on: None,
+            },
+            1,
+            &c,
+            1,
+        );
+        assert_eq!(clocks.cores().now(1), 5_000, "core not rewound");
+        let start = clocks.start(2, &[a]);
+        assert_eq!(start.waited_on, Some(1), "shard 1 kept 2,110");
+        clocks.finish(start, 2, &[a], 0);
+        assert_eq!(clocks.cores().now(2), 2_110 + 60);
+        assert_eq!(clocks.makespan(), 5_000);
     }
 }

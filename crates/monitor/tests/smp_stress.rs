@@ -18,7 +18,9 @@
 //! non-linearizable interleaving shows up as a replay divergence; any
 //! invariant break shows up in `audit()`. The log must hold exactly one
 //! `HyperEnter` per issued call, so a build with tracing compiled out
-//! fails here instead of replaying nothing.
+//! fails here instead of replaying nothing. A ring variant runs the
+//! same race with half the threads submitting through their core's
+//! ring, each drain's results matched to its calls in submission order.
 //!
 //! A second test races read-only observers against a share/revoke
 //! storm from three writers: every state a reader observes through
@@ -50,7 +52,7 @@ use tyche_core::prelude::*;
 use tyche_core::shared::SHARDS;
 use tyche_core::trace::EventKind;
 use tyche_monitor::monitor::CallResult;
-use tyche_monitor::{ConcurrentMonitor, Monitor, MonitorCall, SmpStats, Status};
+use tyche_monitor::{ConcurrentMonitor, Monitor, MonitorCall, RingOutcome, SmpStats, Status};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 100;
@@ -147,6 +149,31 @@ fn next_call(
 
 #[test]
 fn concurrent_mutations_linearize_and_audit_clean() {
+    linearize_and_replay(|_| false);
+}
+
+/// The same race with every odd thread submitting through its core's
+/// ring: a drain serves its batch in submission order under one write
+/// lock, so the k-th `HyperEnter` on a ring core is still its k-th call.
+#[test]
+fn ring_submissions_linearize_and_audit_clean() {
+    linearize_and_replay(|tid| tid % 2 == 1);
+}
+
+/// Fills the oldest unanswered log entries, in order, with a drain's
+/// results; a drain answers exactly the calls still queued.
+fn settle(log: &mut [(MonitorCall, Option<Outcome>)], results: Vec<Outcome>) {
+    let waiting = log.iter().filter(|(_, r)| r.is_none()).count();
+    assert_eq!(results.len(), waiting, "a drain answers every queued call");
+    let first = log.len() - waiting;
+    for ((_, slot), result) in log[first..].iter_mut().zip(results) {
+        *slot = Some(result);
+    }
+}
+
+/// Races `THREADS` workers (those `ring` picks submit through their ring,
+/// the rest `serve`), then replays the trace's linearization.
+fn linearize_and_replay(ring: impl Fn(usize) -> bool) {
     let seed = seed_from_env();
     let shards = shards_from_env();
     let (m, tenants) = setup();
@@ -162,19 +189,34 @@ fn concurrent_mutations_linearize_and_audit_clean() {
         .map(|tid| {
             let cm = Arc::clone(&cm);
             let tenants = tenants.clone();
+            let ring = ring(tid);
             std::thread::spawn(move || {
                 let mut rng = Rng::new(seed ^ (tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let (me, my_window) = tenants[tid];
                 let (peer, _) = tenants[(tid + 1) % THREADS];
-                let mut log: Vec<(MonitorCall, Outcome)> = Vec::with_capacity(OPS_PER_THREAD);
+                let mut log: Vec<(MonitorCall, Option<Outcome>)> =
+                    Vec::with_capacity(OPS_PER_THREAD);
                 for i in 0..OPS_PER_THREAD {
                     let call =
                         cm.with_inner(|m| next_call(&m.engine, &mut rng, tid, me, my_window, peer));
-                    log.push((call, cm.serve(tid, call)));
-                    // Periodically flush this core's shootdowns and audit
-                    // the live engine: every committed prefix of the
-                    // linearization must be invariant-clean.
+                    if ring {
+                        log.push((call, None));
+                        match cm.submit(tid, call) {
+                            RingOutcome::Queued(_) => {}
+                            RingOutcome::Drained(results) => settle(&mut log, results),
+                            RingOutcome::Completed(result) => settle(&mut log, vec![result]),
+                        }
+                    } else {
+                        log.push((call, Some(cm.serve(tid, call))));
+                    }
+                    // Periodically drain the ring, flush this core's
+                    // shootdowns and audit the live engine: every
+                    // committed prefix of the linearization must be
+                    // invariant-clean.
                     if i % 16 == 0 {
+                        if ring {
+                            settle(&mut log, cm.ring_doorbell(tid));
+                        }
                         cm.sync_shootdowns(tid);
                         assert!(
                             cm.with_inner(|m| audit(&m.engine).is_empty()),
@@ -182,7 +224,10 @@ fn concurrent_mutations_linearize_and_audit_clean() {
                         );
                     }
                 }
-                log
+                settle(&mut log, cm.ring_doorbell(tid));
+                log.into_iter()
+                    .map(|(call, result)| (call, result.expect("every submitted call drained")))
+                    .collect::<Vec<_>>()
             })
         })
         .collect();
@@ -193,6 +238,12 @@ fn concurrent_mutations_linearize_and_audit_clean() {
     assert_eq!(
         SmpStats::get(&cm.stats.mutations),
         (THREADS * OPS_PER_THREAD) as u64
+    );
+    let ring_threads = (0..THREADS).filter(|&tid| ring(tid)).count();
+    assert_eq!(
+        SmpStats::get(&cm.stats.ring_submitted),
+        (ring_threads * OPS_PER_THREAD) as u64,
+        "every ring thread's call went through its ring"
     );
     let final_monitor = cm.finish();
     assert!(

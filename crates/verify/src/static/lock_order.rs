@@ -3,22 +3,23 @@
 //! DESIGN.md fixes one global acquisition order for every sleeping lock
 //! in the monitor:
 //!
-//! > submission ring → per-core state → inner engine →
-//! > pending-shootdown set
+//! > per-core state → inner engine
 //!
 //! plus the cross-machine channel table and NIC queue, and the
 //! trace-sink locks that sit after everything (channel code emits trace
 //! events while holding its guard). This module is that sentence made
 //! machine-checked: every guard acquisition parsed out of the TCB is
-//! classified into one of the nine ranked classes of [`HIERARCHY`]
+//! classified into one of the seven ranked classes of [`HIERARCHY`]
 //! (`static_oracle` requires every real acquisition to classify), and
 //! an acquisition of a lower-ranked (or same-ranked) class while a
 //! guard is held is a finding — directly in a body, or transitively
 //! through a call while guards are held, reported with the call chain.
 //!
-//! Domain shards are not locks: the mutating tier serializes on the
-//! inner engine's write lock alone, and each shard keeps only the
-//! simulated clock that models its contention.
+//! A core's submission ring and pending-shootdown batch live in its
+//! state, behind its one lock, so they are not classes of their own.
+//! Domain shards are not locks either: the mutating tier serializes on
+//! the inner engine's write lock alone, and the shard clocks that model
+//! contention belong to the simulator.
 
 use super::{Lint, StaticFinding};
 use crate::parse::{Function, LockSite, WorkspaceModel};
@@ -27,23 +28,18 @@ use std::collections::BTreeMap;
 /// The ranked lock classes, lowest-first. The rank order *is* the legal
 /// acquisition order.
 pub const HIERARCHY: &[(&str, u8)] = &[
-    ("submission-ring", 0),
-    ("core-state", 1),
-    ("engine-inner", 2),
-    ("pending-shootdown", 3),
-    ("channel-table", 4),
-    ("nic-queue", 5),
-    ("trace-lanes", 6),
-    ("trace-lane", 7),
-    ("trace-spill-log", 8),
+    ("core-state", 0),
+    ("engine-inner", 1),
+    ("channel-table", 2),
+    ("nic-queue", 3),
+    ("trace-lanes", 4),
+    ("trace-lane", 5),
+    ("trace-spill-log", 6),
 ];
 
 /// Substring → class rules, checked in order against the argument text
-/// and then the statement context. First match wins — `ring` comes
-/// first so ring cells are never swallowed by the broader patterns
-/// below.
+/// and then the statement context. First match wins.
 const PATTERNS: &[(&str, &str)] = &[
-    ("ring", "submission-ring"),
     // `nic_queue`, not bare `nic`: the latter is a substring of `panic`,
     // which shows up in plenty of statement contexts.
     ("nic_queue", "nic-queue"),
@@ -52,8 +48,6 @@ const PATTERNS: &[(&str, &str)] = &[
     ("slot", "core-state"),
     ("engine", "engine-inner"),
     ("inner", "engine-inner"),
-    ("pending", "pending-shootdown"),
-    ("batch", "pending-shootdown"),
     ("lanes", "trace-lanes"),
     ("lane", "trace-lane"),
     ("log", "trace-spill-log"),

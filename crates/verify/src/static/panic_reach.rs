@@ -53,11 +53,7 @@ pub const SERVING_TIERS: &[(&str, &[&str])] = &[
     ),
     (
         "smp-ring",
-        &[
-            "ConcurrentMonitor::submit",
-            "ConcurrentMonitor::ring_doorbell",
-            "ConcurrentMonitor::serve_batch",
-        ],
+        &["ConcurrentMonitor::submit", "ConcurrentMonitor::ring_doorbell"],
     ),
 ];
 

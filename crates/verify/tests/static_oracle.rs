@@ -32,8 +32,8 @@ impl Serving {
     pub fn ascending(&self) {
         let state = mutex_lock(&self.core_slot);
         let eng = write_lock(&self.engine);
-        let batch = mutex_lock(&self.pending);
-        consume(&state, &eng, &batch);
+        let channels = mutex_lock(&self.channels);
+        consume(&state, &eng, &channels);
     }
     pub fn drop_then_redescend(&self) {
         let eng = write_lock(&self.engine);
@@ -42,9 +42,9 @@ impl Serving {
         consume(&state);
     }
     pub fn temporary_then_lower(&self) {
-        let affected = std::mem::take(&mut *mutex_lock(&self.pending));
+        let gen = read_lock(&self.engine).generation();
         let state = mutex_lock(&self.core_slot);
-        consume(&affected, &state);
+        consume(gen, &state);
     }
 }
 "#;
@@ -131,20 +131,26 @@ impl Serving {
     assert!(findings[0].message.contains("acquires `core-state` twice"), "{}", findings[0].message);
 }
 
-/// A ring drain's lock shape: the submission ring first (and dropped),
-/// then core state, the engine, the pending-shootdown batch, and the
-/// channel table last. Everything the hierarchy allows.
+/// A ring drain's lock shape. The ring and the pending-shootdown batch
+/// live in the core's state, so the drain takes that one lock, then
+/// the engine and the channel table, and drops its state before a sync
+/// takes its own batch out (a temporary) and visits the other cores one
+/// at a time. Everything the hierarchy allows.
 const RING_LOCKS_OK: &str = r#"
 impl Drain {
     pub fn drain_and_gather(&self, gen: u64) {
-        let queued = mutex_lock(&self.ring_cell);
-        drop(queued);
         let state = mutex_lock(&self.core_slot);
         let eng = write_lock(&self.engine);
-        let batch = mutex_lock(&self.pending);
-        drop(batch);
         let channels = mutex_lock(&self.channels);
         consume(&state, &eng, &channels);
+        drop(channels);
+        drop(eng);
+        drop(state);
+        let affected = std::mem::take(&mut mutex_lock(&self.core_slot).pending);
+        for other_core in &self.cores {
+            let remote = mutex_lock(other_core);
+            consume(&affected, &remote);
+        }
     }
 }
 "#;
@@ -157,38 +163,49 @@ fn conforming_ring_to_channel_locks_pass() {
     assert!(findings.is_empty(), "clean ring fixture flagged: {findings:?}");
 }
 
-/// Both inversions a ring drain must avoid: taking the ring while core
-/// state is held, and taking a core's state while still holding the
-/// pending-shootdown batch (why a sync takes its batch out before it
-/// looks at the other cores).
+/// Both inversions a ring drain must avoid, on the classes that hold
+/// the ring and the batch: taking the ring's core state while the
+/// engine is held, and a sync taking a remote core's state while still
+/// holding its own batch (why it takes the batch out as a temporary
+/// before it looks at the other cores).
 #[test]
 fn ring_and_core_state_inversions_are_caught() {
     let src = r#"
 impl Drain {
-    pub fn ring_after_core(&self) {
-        let state = mutex_lock(&self.core_slot);
-        let queued = mutex_lock(&self.ring_cell);
-        consume(&state, &queued);
+    pub fn ring_after_engine(&self) {
+        let eng = write_lock(&self.engine);
+        let queued = mutex_lock(&self.core_slot);
+        consume(&eng, &queued);
     }
-    pub fn core_after_pending(&self) {
-        let held = mutex_lock(&self.pending);
-        let remote = mutex_lock(&self.core_slot);
-        consume(&held, &remote);
+    pub fn remote_core_while_pending(&self) {
+        let pending = mutex_lock(&self.core_slot);
+        let remote = mutex_lock(&self.other_core);
+        consume(&pending, &remote);
     }
 }
 "#;
     let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/ring_bad.rs", src)]);
     let findings = lock_order::check(&model);
     assert_eq!(findings.len(), 2, "{findings:?}");
+    let ring = findings
+        .iter()
+        .find(|f| f.path == ["Drain::ring_after_engine"])
+        .expect("ring-after-engine inversion missed");
+    assert_eq!(ring.line, 5, "site is the ring's core-state acquisition");
     assert!(
-        findings.iter().any(|f| f.message.contains("acquires `submission-ring`")
-            && f.message.contains("`core-state`")),
-        "ring-after-core inversion missed: {findings:?}"
+        ring.message.contains("acquires `core-state`") && ring.message.contains("`engine-inner`"),
+        "{}",
+        ring.message
     );
+    let sync = findings
+        .iter()
+        .find(|f| f.path == ["Drain::remote_core_while_pending"])
+        .expect("remote-core-while-pending inversion missed");
+    assert_eq!(sync.line, 10, "site is the remote core's acquisition");
     assert!(
-        findings.iter().any(|f| f.message.contains("acquires `core-state`")
-            && f.message.contains("`pending-shootdown`")),
-        "core-after-pending inversion missed: {findings:?}"
+        sync.message.contains("acquires `core-state` twice"),
+        "{}",
+        sync.message
     );
 }
 
