@@ -123,7 +123,11 @@ pub fn audit(engine: &CapEngine) -> Vec<Violation> {
         // point into a quarantined domain.
         if cap.active {
             if let Resource::Transition(t) = cap.resource {
-                if engine.domain(t).map(|d| d.is_quarantined()).unwrap_or(false) {
+                if engine
+                    .domain(t)
+                    .map(|d| d.is_quarantined())
+                    .unwrap_or(false)
+                {
                     out.push(Violation::TransitionIntoQuarantined(cap.id));
                 }
             }

@@ -282,9 +282,7 @@ impl ChannelTable {
 
     /// The current key epoch for `peer` (0 when never established).
     pub fn epoch(&self, peer: u64) -> u64 {
-        mutex_lock(&self.channels)
-            .get(&peer)
-            .map_or(0, |s| s.epoch)
+        mutex_lock(&self.channels).get(&peer).map_or(0, |s| s.epoch)
     }
 
     /// Inbound frames presented so far by `peer` (accepted + rejected):
@@ -403,13 +401,21 @@ mod tests {
         t.note_send(3).unwrap();
         t.accept_recv(3, 0, 1).unwrap();
         t.accept_recv(3, 0, 1).unwrap_err();
-        let names: Vec<&str> = sink.drain().events().iter().map(|e| e.kind.name()).collect();
-        assert_eq!(names, vec![
-            "chan-establish",
-            "chan-send",
-            "chan-recv",
-            "chan-violation",
-            "chan-teardown"
-        ]);
+        let names: Vec<&str> = sink
+            .drain()
+            .events()
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                "chan-establish",
+                "chan-send",
+                "chan-recv",
+                "chan-violation",
+                "chan-teardown"
+            ]
+        );
     }
 }

@@ -86,7 +86,12 @@ pub struct IntervalTree {
 
 impl Default for IntervalTree {
     fn default() -> Self {
-        IntervalTree { nodes: Vec::new(), free: Vec::new(), root: NIL, len: 0 }
+        IntervalTree {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            root: NIL,
+            len: 0,
+        }
     }
 }
 
@@ -373,7 +378,12 @@ impl IntervalTree {
         let (start, cap, end, owner) = (n.start, n.cap, n.end, n.owner);
         self.visit_overlaps(left, qstart, qend, f, depth + 1);
         if start < qend && end > qstart {
-            f(IntervalEntry { start, cap: CapId(cap), end, owner: DomainId(owner) });
+            f(IntervalEntry {
+                start,
+                cap: CapId(cap),
+                end,
+                owner: DomainId(owner),
+            });
         }
         if start < qend {
             self.visit_overlaps(right, qstart, qend, f, depth + 1);
@@ -451,7 +461,13 @@ mod tests {
     fn inorder_matches_btreemap_order() {
         let mut t = IntervalTree::new();
         let mut m = std::collections::BTreeMap::new();
-        let ranges = [(0x3000u64, 9u64), (0x1000, 4), (0x3000, 2), (0x2000, 7), (0x0, 1)];
+        let ranges = [
+            (0x3000u64, 9u64),
+            (0x1000, 4),
+            (0x3000, 2),
+            (0x2000, 7),
+            (0x0, 1),
+        ];
         for &(start, cap) in &ranges {
             t.insert(start, CapId(cap), start + 0x1000, DomainId(cap));
             m.insert((start, cap), (start + 0x1000, cap));
@@ -467,23 +483,35 @@ mod tests {
         let mut x = 12345u64;
         let mut all = Vec::new();
         for cap in 0..500u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let start = (x >> 33) % 0x10_0000;
             let len = 1 + (x % 0x800);
             t.insert(start, CapId(cap), start + len, DomainId(cap));
             all.push((start, cap, start + len));
         }
         all.sort_unstable();
-        for &(qs, qe) in &[(0u64, 0x10u64), (0x8000, 0x9000), (0, 0x20_0000), (0xF_FF00, 0x10_0000)]
-        {
-            let got: Vec<(u64, u64)> =
-                t.overlapping(qs, qe).into_iter().map(|e| (e.start, e.cap.0)).collect();
+        for &(qs, qe) in &[
+            (0u64, 0x10u64),
+            (0x8000, 0x9000),
+            (0, 0x20_0000),
+            (0xF_FF00, 0x10_0000),
+        ] {
+            let got: Vec<(u64, u64)> = t
+                .overlapping(qs, qe)
+                .into_iter()
+                .map(|e| (e.start, e.cap.0))
+                .collect();
             let want: Vec<(u64, u64)> = all
                 .iter()
                 .filter(|&&(s, _, e)| s < qe && e > qs)
                 .map(|&(s, c, _)| (s, c))
                 .collect();
-            assert_eq!(got, want, "overlap [{qs:#x},{qe:#x}) matches the filter scan");
+            assert_eq!(
+                got, want,
+                "overlap [{qs:#x},{qe:#x}) matches the filter scan"
+            );
         }
     }
 
@@ -537,14 +565,27 @@ mod tests {
             }
             let n = &t.nodes[i as usize];
             let k = (n.start, n.cap);
-            assert!(lo.is_none_or(|lo| lo < k), "key order: {k:?} not above {lo:?}");
-            assert!(hi.is_none_or(|hi| k < hi), "key order: {k:?} not below {hi:?}");
+            assert!(
+                lo.is_none_or(|lo| lo < k),
+                "key order: {k:?} not above {lo:?}"
+            );
+            assert!(
+                hi.is_none_or(|hi| k < hi),
+                "key order: {k:?} not below {hi:?}"
+            );
             assert!(n.prio <= parent_prio, "heap order broken at {k:?}");
-            assert_eq!(n.prio, prio_for(n.start, n.cap), "priority is the key's hash");
+            assert_eq!(
+                n.prio,
+                prio_for(n.start, n.cap),
+                "priority is the key's hash"
+            );
             let (lc, lmax) = walk(t, n.left, lo, Some(k), n.prio);
             let (rc, rmax) = walk(t, n.right, Some(k), hi, n.prio);
             let max = n.end.max(lmax).max(rmax);
-            assert_eq!(n.max_end, max, "max_end at {k:?} is not the subtree maximum");
+            assert_eq!(
+                n.max_end, max,
+                "max_end at {k:?} is not the subtree maximum"
+            );
             (lc + rc + 1, max)
         }
         let (count, _) = walk(t, t.root, None, None, u64::MAX);
@@ -601,8 +642,10 @@ mod tests {
                     model.get(&(start, cap)).map(|&(e, o)| (e, DomainId(o)))
                 );
                 if step % 64 == 0 {
-                    let got: Vec<_> =
-                        t.iter().map(|e| ((e.start, e.cap.0), (e.end, e.owner.0))).collect();
+                    let got: Vec<_> = t
+                        .iter()
+                        .map(|e| ((e.start, e.cap.0), (e.end, e.owner.0)))
+                        .collect();
                     let want: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
                     assert_eq!(got, want, "in-order iteration is the model's key order");
                 }
@@ -610,8 +653,11 @@ mod tests {
                     let q = next();
                     let qs = (q % 300) * PAGE;
                     let qe = qs + ((q >> 32) % 64 + 1) * PAGE;
-                    let got: Vec<_> =
-                        t.overlapping(qs, qe).into_iter().map(|e| (e.start, e.cap.0)).collect();
+                    let got: Vec<_> = t
+                        .overlapping(qs, qe)
+                        .into_iter()
+                        .map(|e| (e.start, e.cap.0))
+                        .collect();
                     let want: Vec<_> = model
                         .iter()
                         .filter(|(&(s, _), &(e, _))| s < qe && e > qs)
@@ -620,7 +666,10 @@ mod tests {
                     assert_eq!(got, want, "overlap [{qs:#x},{qe:#x}) at step {step}");
                 }
             }
-            assert!(inserts > 1000 && replaces > 1000 && removes > 1000, "{inserts}/{replaces}/{removes}");
+            assert!(
+                inserts > 1000 && replaces > 1000 && removes > 1000,
+                "{inserts}/{replaces}/{removes}"
+            );
             // A tree rebuilt from the model in another order is equal.
             let mut rebuilt = IntervalTree::new();
             for (&(s, c), &(e, o)) in model.iter().rev() {

@@ -191,7 +191,10 @@ impl<T> Store<T> {
             }
             None => {
                 let s = self.slots.len() as u32;
-                self.slots.push(Slot { gen: 0, val: Some(val) });
+                self.slots.push(Slot {
+                    gen: 0,
+                    val: Some(val),
+                });
                 s
             }
         };
@@ -249,7 +252,9 @@ impl<T> Store<T> {
     /// Mutable lookup of `id`.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
         let (slot, _gen) = self.entry(id)?;
-        self.slots.get_mut(slot as usize).and_then(|s| s.val.as_mut())
+        self.slots
+            .get_mut(slot as usize)
+            .and_then(|s| s.val.as_mut())
     }
 
     /// The generation-tagged slot reference currently backing `id`.
@@ -476,7 +481,11 @@ mod tests {
         s.insert(4, 40);
         s.insert(8, 80);
         let ids: Vec<u64> = s.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![0, 4, 5, 7, 8], "ascending id order survives reuse");
+        assert_eq!(
+            ids,
+            vec![0, 4, 5, 7, 8],
+            "ascending id order survives reuse"
+        );
     }
 
     #[test]

@@ -559,7 +559,11 @@ fn drain_effects_returns_backlog_and_sheds_capacity() {
     let mut e = CapEngine::new();
     let root = e.create_root_domain();
     let ram = e
-        .endow(root, Resource::mem(0, 8 * EFFECTS_RETAIN as u64 * 0x1000), Rights::RWX)
+        .endow(
+            root,
+            Resource::mem(0, 8 * EFFECTS_RETAIN as u64 * 0x1000),
+            Rights::RWX,
+        )
         .unwrap();
     let mut caps = Vec::new();
     for i in 0..2 * EFFECTS_RETAIN as u64 {

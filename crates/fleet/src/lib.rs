@@ -520,10 +520,30 @@ impl Fleet {
 
         // Challenges: each side's TPM DRBG supplies the nonces the
         // *other* side must quote/report over.
-        let qn_a = mb.monitor.machine.tpm.fresh_nonce().map_err(FleetError::Tpm)?;
-        let rn_a = mb.monitor.machine.tpm.fresh_nonce().map_err(FleetError::Tpm)?;
-        let qn_b = ma.monitor.machine.tpm.fresh_nonce().map_err(FleetError::Tpm)?;
-        let rn_b = ma.monitor.machine.tpm.fresh_nonce().map_err(FleetError::Tpm)?;
+        let qn_a = mb
+            .monitor
+            .machine
+            .tpm
+            .fresh_nonce()
+            .map_err(FleetError::Tpm)?;
+        let rn_a = mb
+            .monitor
+            .machine
+            .tpm
+            .fresh_nonce()
+            .map_err(FleetError::Tpm)?;
+        let qn_b = ma
+            .monitor
+            .machine
+            .tpm
+            .fresh_nonce()
+            .map_err(FleetError::Tpm)?;
+        let rn_b = ma
+            .monitor
+            .machine
+            .tpm
+            .fresh_nonce()
+            .map_err(FleetError::Tpm)?;
 
         let quote_a = ma.monitor.machine_quote(qn_a).map_err(FleetError::Tpm)?;
         let report_a = ma
@@ -775,8 +795,18 @@ impl Fleet {
             return Err(FleetError::Refused(ViolationReason::NoChannel));
         }
         let (ma, mb) = self.pair_mut(a, b)?;
-        let qn = ma.monitor.machine.tpm.fresh_nonce().map_err(FleetError::Tpm)?;
-        let rn = ma.monitor.machine.tpm.fresh_nonce().map_err(FleetError::Tpm)?;
+        let qn = ma
+            .monitor
+            .machine
+            .tpm
+            .fresh_nonce()
+            .map_err(FleetError::Tpm)?;
+        let rn = ma
+            .monitor
+            .machine
+            .tpm
+            .fresh_nonce()
+            .map_err(FleetError::Tpm)?;
         let quote_b = mb.monitor.machine_quote(qn).map_err(FleetError::Tpm)?;
         let report_b = mb
             .monitor
@@ -932,7 +962,9 @@ fn spawn_tee(m: &mut Monitor) -> Result<(DomainId, CapId), FleetError> {
     client
         .share(core0, d, None, Rights::USE, RevocationPolicy::NONE)
         .map_err(FleetError::Monitor)?;
-    client.set_entry(d, TEE_MEM.0).map_err(FleetError::Monitor)?;
+    client
+        .set_entry(d, TEE_MEM.0)
+        .map_err(FleetError::Monitor)?;
     client
         .seal(d, SealPolicy::strict())
         .map_err(FleetError::Monitor)?;
@@ -1039,7 +1071,8 @@ mod tests {
         let mut f = two();
         let mut sess = f.rdma_connect(0, 1).unwrap();
         f.enter_tee(0, 0).unwrap();
-        f.tee_write(0, 0, TEE_MEM.0 + 0x100, b"fleet rdma secret").unwrap();
+        f.tee_write(0, 0, TEE_MEM.0 + 0x100, b"fleet rdma secret")
+            .unwrap();
         f.rdma_write(&mut sess, 0, 1, 0, TEE_MEM.0 + 0x100, 17, 0)
             .unwrap();
         f.exit_tee(0, 0).unwrap();
