@@ -403,7 +403,7 @@ fn harness_child(args: &[String]) {
         "revocation" => {
             let (e, hist) = measure_revocation(p("fanout", 16), p("storms", 5));
             let det = vec![
-                ("before_cycles".to_string(), e.before),
+                ("before_cycles".to_string(), e.before.unwrap_or(0)),
                 ("after_cycles".to_string(), e.after),
             ];
             (hotpath_row(&e), det, vec![("op".to_string(), hist)])
@@ -423,10 +423,21 @@ fn harness_child(args: &[String]) {
         "flush_policy" => {
             let (e, hist) = bench_flush_policy(p("iters", 2000), false);
             let det = vec![
-                ("obfuscate_cycles".to_string(), e.before),
+                ("obfuscate_cycles".to_string(), e.before.unwrap_or(0)),
                 ("none_cycles".to_string(), e.after),
                 ("zero_cycles".to_string(), e.detail[0].1),
             ];
+            (hotpath_row(&e), det, vec![("op".to_string(), hist)])
+        }
+        "grant_revoke" => {
+            let arch = harness::param(&params, "arch").unwrap_or("x86");
+            let (e, hist) = bench_grant_revoke(arch == "riscv", p("ram_mib", 64) as u64, p("iters", 2000));
+            let det = e
+                .detail
+                .iter()
+                .filter(|(k, _)| k.ends_with("_work") || k.ends_with("_cycles"))
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect();
             (hotpath_row(&e), det, vec![("op".to_string(), hist)])
         }
         "mutations" => {
@@ -1936,17 +1947,16 @@ fn m_enter_read(m: &mut tyche_monitor::Monitor, gate: CapId, addr: u64, out: &mu
 struct HotpathEntry {
     name: &'static str,
     fanout: usize,
+    /// `(arch, RAM MiB)` for rows swept over machine size.
+    machine: Option<(&'static str, u64)>,
     metric: &'static str,
-    before: u64,
+    /// The path the row improves on, when it has one.
+    before: Option<u64>,
     after: u64,
     detail: Vec<(&'static str, u64)>,
 }
 
 impl HotpathEntry {
-    fn improvement(&self) -> f64 {
-        self.before as f64 / (self.after.max(1)) as f64
-    }
-
     fn to_json(&self) -> String {
         let detail = self
             .detail
@@ -1954,17 +1964,21 @@ impl HotpathEntry {
             .map(|(k, v)| format!("\"{k}\": {v}"))
             .collect::<Vec<_>>()
             .join(", ");
+        let machine = self
+            .machine
+            .map(|(arch, ram_mib)| format!("\"arch\": \"{arch}\", \"ram_mib\": {ram_mib}, "))
+            .unwrap_or_default();
+        let before = self
+            .before
+            .map(|b| {
+                let improvement = b as f64 / (self.after.max(1)) as f64;
+                format!("\"before\": {b}, \"after\": {}, \"improvement\": {improvement:.2}", self.after)
+            })
+            .unwrap_or_else(|| format!("\"after\": {}", self.after));
         format!(
-            "    {{\"name\": \"{}\", \"fanout\": {}, \"metric\": \"{}\", \
-             \"before\": {}, \"after\": {}, \"improvement\": {:.2}, \
-             \"detail\": {{{}}}}}",
-            self.name,
-            self.fanout,
-            self.metric,
-            self.before,
-            self.after,
-            self.improvement(),
-            detail
+            "    {{\"name\": \"{}\", \"fanout\": {}, {machine}\"metric\": \"{}\", \
+             {before}, \"detail\": {{{}}}}}",
+            self.name, self.fanout, self.metric, detail
         )
     }
 }
@@ -1988,8 +2002,9 @@ fn measure_revocation(fanout: usize, storms: usize) -> (HotpathEntry, Histogram)
                 entry = Some(HotpathEntry {
                     name: "revocation",
                     fanout,
+                    machine: None,
                     metric: "simulated_cycles",
-                    before: before_cycles,
+                    before: Some(before_cycles),
                     after: after_cycles,
                     detail: vec![
                         (
@@ -2008,7 +2023,7 @@ fn measure_revocation(fanout: usize, storms: usize) -> (HotpathEntry, Histogram)
             Some(first) => {
                 assert_eq!(
                     (first.before, first.after),
-                    (before_cycles, after_cycles),
+                    (Some(before_cycles), after_cycles),
                     "revocation cycle metrics drifted between storms"
                 );
             }
@@ -2134,8 +2149,9 @@ fn bench_capability_ops(fanout: usize, iters: usize) -> (HotpathEntry, Histogram
         HotpathEntry {
             name: "capability_ops",
             fanout,
+            machine: None,
             metric: "wall_ns_per_op",
-            before: caps_scan,
+            before: Some(caps_scan),
             after: caps_idx,
             detail: vec![
                 ("refcount_scan_ns", rc_scan),
@@ -2212,8 +2228,9 @@ fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
         HotpathEntry {
             name: "transitions",
             fanout: 1,
+            machine: None,
             metric: "wall_ns_per_roundtrip",
-            before: med_ns,
+            before: Some(med_ns),
             after: cached_ns,
             detail: vec![
                 ("mediated_wall_ns", med_ns),
@@ -2268,10 +2285,98 @@ fn bench_flush_policy(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
         HotpathEntry {
             name: "flush_policy",
             fanout: 1,
+            machine: None,
             metric: "simulated_cycles_per_roundtrip",
-            before: obfuscate,
+            before: Some(obfuscate),
             after: none,
             detail: vec![("zero_cycles", zero)],
+        },
+        hist,
+    )
+}
+
+/// One-page `Grant` and `Revoke` between the root and a fresh domain on
+/// a machine of `ram_mib` MiB (the root holds all of it but the monitor
+/// reservation), repeated `iters` times on one page carved by two
+/// `Split`s. Host ns per call, model cycles per call and the backends'
+/// `backend.work_units` per call; the cycles and work units are asserted
+/// identical on every iteration. The histogram samples one
+/// `Grant`+`Revoke` pair (the row's `after`).
+fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry, Histogram) {
+    let config = BootConfig {
+        machine: tyche_hw::machine::MachineConfig {
+            ram_bytes: ram_mib << 20,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut m = if riscv { boot_riscv(config) } else { boot_x86(config) };
+    let child = match m.call(0, MonitorCall::CreateDomain).expect("create") {
+        CallResult::NewDomain { domain, .. } => domain,
+        other => panic!("unexpected {other:?}"),
+    };
+    let os = m.engine.root().expect("root");
+    let ram = m
+        .engine
+        .caps_of(os)
+        .iter()
+        .find(|c| c.active && c.is_memory())
+        .map(|c| c.id)
+        .expect("root RAM cap");
+    let at = 0x10_0000;
+    let rest = match m.call(0, MonitorCall::Split { cap: ram, at }).expect("split") {
+        CallResult::Caps(_, hi) => hi,
+        other => panic!("unexpected {other:?}"),
+    };
+    let page = match m.call(0, MonitorCall::Split { cap: rest, at: at + 0x1000 }).expect("split") {
+        CallResult::Caps(lo, _) => lo,
+        other => panic!("unexpected {other:?}"),
+    };
+    let work = |m: &tyche_monitor::Monitor| m.machine.metrics.get(Counter::BackendWork);
+    let mut hist = Histogram::new();
+    let (mut grant_ns, mut revoke_ns) = (0u64, 0u64);
+    let mut per_call: Option<[u64; 4]> = None;
+    for _ in 0..iters.max(1) {
+        let (c0, w0, t0) = (m.machine.cycles.now(), work(&m), Instant::now());
+        let granted = match m
+            .call(
+                0,
+                MonitorCall::Grant { cap: page, target: child, rights: Rights::RW, policy: RevocationPolicy::ZERO },
+            )
+            .expect("grant")
+        {
+            CallResult::Cap(c) => c,
+            other => panic!("unexpected {other:?}"),
+        };
+        let (c1, w1, t1) = (m.machine.cycles.now(), work(&m), Instant::now());
+        m.call(0, MonitorCall::Revoke { cap: granted }).expect("revoke");
+        let (c2, w2, t2) = (m.machine.cycles.now(), work(&m), Instant::now());
+        let ns = |d: std::time::Duration| timing::total_ns(d).unwrap_or_else(|e| panic!("grant_revoke timing: {e}"));
+        grant_ns += ns(t1 - t0);
+        revoke_ns += ns(t2 - t1);
+        hist.record_n(ns(t2 - t0), 1);
+        let this = [c1 - c0, c2 - c1, w1 - w0, w2 - w1];
+        assert_eq!(*per_call.get_or_insert(this), this, "grant/revoke model figures drifted");
+    }
+    let [grant_cycles, revoke_cycles, grant_work, revoke_work] = per_call.expect("one iteration");
+    let n = iters.max(1) as u64;
+    let (grant_ns, revoke_ns) = (grant_ns / n, revoke_ns / n);
+    (
+        HotpathEntry {
+            name: "grant_revoke",
+            fanout: 1,
+            machine: Some((if riscv { "riscv" } else { "x86" }, ram_mib)),
+            metric: "wall_ns_per_grant_revoke",
+            before: None,
+            after: grant_ns + revoke_ns,
+            detail: vec![
+                ("grant_ns", grant_ns),
+                ("revoke_ns", revoke_ns),
+                ("grant_cycles", grant_cycles),
+                ("revoke_cycles", revoke_cycles),
+                ("grant_work", grant_work),
+                ("revoke_work", revoke_work),
+            ],
         },
         hist,
     )
@@ -3675,7 +3780,7 @@ fn tracing_overhead_gate() -> bool {
         (
             "flush_policy.obfuscate_cycles",
             committed_field("flush_policy", "before"),
-            Some(flush.before),
+            flush.before,
         ),
         (
             "flush_policy.none_cycles",

@@ -170,6 +170,21 @@ pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
                 &[("iters", iters)],
                 inv,
             ));
+            // Item 11's RAM axis: a one-page grant must not cost more on a
+            // bigger machine.
+            let rams: &[usize] = if smoke { &[64] } else { &[64, 256, 1024] };
+            for arch in ["x86", "riscv"] {
+                for &ram in rams {
+                    let mut s = spec(
+                        format!("hotpath/grant_revoke/{arch}/ram_mib={ram}"),
+                        "grant_revoke",
+                        &[("ram_mib", ram), ("iters", iters)],
+                        inv,
+                    );
+                    s.params.push(("arch".into(), arch.into()));
+                    specs.push(s);
+                }
+            }
             specs
         }
         Family::Smp => {
@@ -835,6 +850,10 @@ const HOTPATH_METRICS: &[MetricSpec] = &[
     metric("after", Gate::LowerIsBetter, Clock::RowMetric),
     metric("latency.p50", Gate::LowerIsBetter, Clock::Host),
     metric("latency.p99", Gate::LowerIsBetter, Clock::Host),
+    metric("detail.grant_work", Gate::Exact, Clock::Model),
+    metric("detail.revoke_work", Gate::Exact, Clock::Model),
+    metric("detail.grant_cycles", Gate::Exact, Clock::Model),
+    metric("detail.revoke_cycles", Gate::Exact, Clock::Model),
 ];
 const SMP_METRICS: &[MetricSpec] = &[
     metric("ops", Gate::Exact, Clock::Model),
@@ -859,15 +878,19 @@ const SCALE_METRICS: &[MetricSpec] = &[
     metric("revoke_storm_ns_per_op", Gate::LowerIsBetter, Clock::Host),
 ];
 
-/// True for SMP rows whose model output cannot depend on how the host
-/// interleaves threads: a single thread, fast transitions (no shard
+/// True for rows whose model output cannot depend on how the host
+/// interleaves threads: every single-threaded hot-path row, and SMP rows
+/// with a single thread, fast transitions (no shard
 /// clock), distinct-domain calls with at most one thread per shard, and
 /// ring rows whose threads each drain exactly one batch (identical
 /// batches commute). Serve-per-call contention on one domain, distinct
 /// threads folded onto shared shards, and ring rows with several
 /// batches per thread race on a shard clock — two full runs of one
 /// build differ there — so those rows keep only the threshold gates.
-fn deterministic_row(row: &Json) -> bool {
+fn deterministic_row(family: Family, row: &Json) -> bool {
+    if family == Family::Hotpath {
+        return true;
+    }
     let field = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
     let workload = row.get("workload").and_then(Json::as_str).unwrap_or("");
     let (threads, shards) = (field("threads"), field("shards"));
@@ -892,11 +915,18 @@ fn family_of_schema(schema: &str) -> Option<Family> {
 
 fn row_key(family: Family, row: &Json) -> String {
     match family {
-        Family::Hotpath => format!(
-            "{}/fanout={}",
-            row.get("name").and_then(Json::as_str).unwrap_or("?"),
-            row.get("fanout").and_then(Json::as_u64).unwrap_or(0)
-        ),
+        Family::Hotpath => match row.get("arch").and_then(Json::as_str) {
+            Some(arch) => format!(
+                "{}/{arch}/ram_mib={}",
+                row.get("name").and_then(Json::as_str).unwrap_or("?"),
+                row.get("ram_mib").and_then(Json::as_u64).unwrap_or(0)
+            ),
+            None => format!(
+                "{}/fanout={}",
+                row.get("name").and_then(Json::as_str).unwrap_or("?"),
+                row.get("fanout").and_then(Json::as_u64).unwrap_or(0)
+            ),
+        },
         Family::Smp => format!(
             "{}/t{}/s{}/r{}",
             row.get("workload").and_then(Json::as_str).unwrap_or("?"),
@@ -989,7 +1019,7 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
         };
         matched_new.insert(new_idx);
         for metric in metrics {
-            if metric.gate == Gate::Exact && !deterministic_row(old_row) {
+            if metric.gate == Gate::Exact && !deterministic_row(family, old_row) {
                 continue;
             }
             let (Some(o), Some(n)) = (
@@ -1122,7 +1152,7 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
             check_mode_full(doc, &mut failures);
             check_manifest(doc, &mut failures);
             let rows = doc.get("benches").and_then(Json::as_arr).unwrap_or(&[]);
-            for name in ["revocation", "transitions", "flush_policy", "capability_ops"] {
+            for name in ["revocation", "transitions", "flush_policy", "capability_ops", "grant_revoke"] {
                 if !rows.iter().any(|r| r.get("name").and_then(Json::as_str) == Some(name)) {
                     failures.push(format!("bench {name:?} missing"));
                 }
@@ -1477,12 +1507,12 @@ mod tests {
 
     #[test]
     fn suite_specs_cover_the_artifact_matrices() {
-        assert_eq!(suite_specs(Family::Hotpath, false).len(), 10);
+        assert_eq!(suite_specs(Family::Hotpath, false).len(), 16);
         assert_eq!(suite_specs(Family::Smp, false).len(), 32);
         assert_eq!(suite_specs(Family::Scale, false).len(), 4);
         assert_eq!(suite_specs(Family::Fleet, false).len(), 5);
         // Smoke keeps every scenario kind but shrinks the matrix.
-        assert_eq!(suite_specs(Family::Hotpath, true).len(), 4);
+        assert_eq!(suite_specs(Family::Hotpath, true).len(), 6);
         assert_eq!(suite_specs(Family::Smp, true).len(), 4);
         assert_eq!(suite_specs(Family::Scale, true).len(), 2);
         assert_eq!(suite_specs(Family::Fleet, true).len(), 3);

@@ -464,7 +464,7 @@ fn end_to_end_smoke_orchestration_writes_checkable_artifact() {
         Some("harness")
     );
     let benches = parsed.get("benches").and_then(Json::as_arr).expect("benches");
-    assert_eq!(benches.len(), 4);
+    assert_eq!(benches.len(), 6);
     for row in benches {
         let p50 = row.path("latency.p50").and_then(Json::as_u64);
         let p999 = row.path("latency.p999").and_then(Json::as_u64);
@@ -472,7 +472,7 @@ fn end_to_end_smoke_orchestration_writes_checkable_artifact() {
         assert!(p999 >= p50, "p999 below p50");
     }
     let children = parsed.path("manifest.children").and_then(Json::as_arr).expect("children");
-    assert_eq!(children.len(), 8, "4 scenarios x 2 invocations");
+    assert_eq!(children.len(), 12, "6 scenarios x 2 invocations");
 
     // A smoke artifact must fail `report --check` (mode gate)...
     let check = repro().args(["report", "--check", path.to_str().unwrap()]).output().unwrap();

@@ -25,7 +25,8 @@ pub enum Counter {
     TransitionsMediated = 1,
     /// Domain transitions served by the VMFUNC-style fast path.
     TransitionsFast = 2,
-    /// Failed effect applications healed by a synthetic resync.
+    /// Monitor calls whose effects the backend refused, so the operation
+    /// was rolled back and each implicated domain resynced in full.
     Compensations = 3,
     /// Domains quarantined after a failed compensation.
     Quarantines = 4,
@@ -37,10 +38,15 @@ pub enum Counter {
     IrqInjectedDrops = 7,
     /// Interrupts duplicated by injected faults.
     IrqInjectedDups = 8,
+    /// Work units a backend visited applying memory effects: one per page
+    /// of an applied region on x86, one per active memory capability of
+    /// the resynced domain on RISC-V. Deterministic, so a change that
+    /// makes a one-page effect scale with the domain's RAM shows exactly.
+    BackendWork = 9,
 }
 
 /// Number of registered counters (slots in the registry).
-pub const COUNTERS: usize = 9;
+pub const COUNTERS: usize = 10;
 
 impl Counter {
     /// Every counter, in slot order.
@@ -54,6 +60,7 @@ impl Counter {
         Counter::IrqRaised,
         Counter::IrqInjectedDrops,
         Counter::IrqInjectedDups,
+        Counter::BackendWork,
     ];
 
     /// The counter's stable dotted name. These are exported (by
@@ -69,6 +76,7 @@ impl Counter {
             Counter::IrqRaised => "irq.raised",
             Counter::IrqInjectedDrops => "irq.injected_drops",
             Counter::IrqInjectedDups => "irq.injected_dups",
+            Counter::BackendWork => "backend.work_units",
         }
     }
 }

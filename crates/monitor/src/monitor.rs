@@ -13,7 +13,7 @@ use crate::abi::{MonitorCall, Status};
 use crate::attest::SignedReport;
 use crate::backend::riscv::RiscvBackend;
 use crate::backend::x86::X86Backend;
-use crate::backend::BackendError;
+use crate::backend::{merge_regions, BackendError};
 use std::collections::{BTreeSet, HashMap};
 use tyche_core::attest::DomainReport;
 use tyche_core::metrics::{Counter, Metrics};
@@ -157,6 +157,10 @@ pub struct Monitor {
     /// Coalescing scratch: the batch position of each domain's last
     /// effect of each [`coalesce_key`] kind.
     last_effect: HashMap<(DomainId, u8), usize>,
+    /// Coalescing scratch: each domain's union of the batch's memory
+    /// effect regions, sorted by domain (see
+    /// [`coalesce_effects`](Self::coalesce_effects)).
+    mem_unions: Vec<(DomainId, MemRegion)>,
 }
 
 /// Coalesced effect kinds: a mem resync, a TLB flush, a cache flush.
@@ -221,6 +225,7 @@ impl Monitor {
             trace,
             effect_buf: Vec::new(),
             last_effect: HashMap::new(),
+            mem_unions: Vec::new(),
         }
     }
 
@@ -293,12 +298,27 @@ impl Monitor {
     /// backend cannot realize the new state (PMP layout overflow) —
     /// rolls the operation back and reports [`Status::BackendFailure`].
     pub fn call(&mut self, core: usize, call: MonitorCall) -> Result<CallResult, Status> {
-        let leaf = call.encode().0;
+        self.trapped(core, call.encode().0, |m| m.call_inner(core, call))
+    }
+
+    /// Runs `body` as hypercall `leaf` on `core`: inside the
+    /// hyper-enter/hyper-exit trace bracket, counted, and charged the
+    /// architectural trap cost.
+    fn trapped(
+        &mut self,
+        core: usize,
+        leaf: u64,
+        body: impl FnOnce(&mut Self) -> Result<CallResult, Status>,
+    ) -> Result<CallResult, Status> {
         let actor = self.current.get(core).map(|d| d.0).unwrap_or(u64::MAX);
         let start = self.machine.cycles.now();
         self.trace
             .emit(core as u32, EventKind::HyperEnter { leaf, actor });
-        let res = self.call_inner(core, call);
+        self.metrics.bump(Counter::MonitorCalls);
+        self.machine
+            .cycles
+            .charge(self.arch.trap_cost(&self.machine.cost));
+        let res = body(self);
         let code = match &res {
             Ok(_) => 0,
             Err(s) => *s as u64,
@@ -309,13 +329,8 @@ impl Monitor {
         res
     }
 
-    /// The dispatch body of [`call`](Self::call), inside the
-    /// hyper-enter/hyper-exit trace bracket.
+    /// The dispatch body of [`call`](Self::call), inside its trap.
     fn call_inner(&mut self, core: usize, call: MonitorCall) -> Result<CallResult, Status> {
-        self.metrics.bump(Counter::MonitorCalls);
-        self.machine
-            .cycles
-            .charge(self.arch.trap_cost(&self.machine.cost));
         let actor = self.current[core];
         match call {
             MonitorCall::CreateDomain => {
@@ -491,14 +506,26 @@ impl Monitor {
     // Transitions
     // ------------------------------------------------------------------
 
-    /// Mediated transition (the VMCALL path): full validation, flush
-    /// policies applied, stack frame pushed.
+    /// Mediated transition (the VMCALL path): full validation, then
+    /// [`enter_validated`](Self::enter_validated).
     fn enter_mediated(&mut self, core: usize, cap: CapId) -> Result<CallResult, Status> {
         let actor = self.current[core];
-        let (target, entry, policy) = self
+        let validated = self
             .engine
             .can_enter(actor, cap, core)
             .map_err(cap_status)?;
+        self.enter_validated(core, actor, validated)
+    }
+
+    /// Completes a mediated transition of `actor` (running on `core`)
+    /// that `can_enter` has approved as `(target, entry, policy)`: flush
+    /// policies applied, hardware switched, stack frame pushed.
+    fn enter_validated(
+        &mut self,
+        core: usize,
+        actor: DomainId,
+        (target, entry, policy): (DomainId, u64, RevocationPolicy),
+    ) -> Result<CallResult, Status> {
         self.apply_flushes(core, actor, policy);
         self.switch_hw(core, target, entry)
             .map_err(|_| Status::BackendFailure)?;
@@ -555,15 +582,19 @@ impl Monitor {
                 v
             }
             None => {
-                let (target, entry, policy) = self
+                let validated = self
                     .engine
                     .can_enter(actor, cap, core)
                     .map_err(cap_status)?;
+                let (target, entry, policy) = validated;
                 if policy != RevocationPolicy::NONE {
                     // Flush policies need the monitor in the loop: the
                     // entry becomes the `Enter` hypercall, trap cost and
-                    // trace bracket included.
-                    return match self.call(core, MonitorCall::Enter { cap })? {
+                    // trace bracket included, on the validation above.
+                    let leaf = MonitorCall::Enter { cap }.encode().0;
+                    return match self
+                        .trapped(core, leaf, |m| m.enter_validated(core, actor, validated))?
+                    {
                         CallResult::Entered { target, .. } => Ok(target),
                         _ => Err(Status::BackendFailure),
                     };
@@ -873,7 +904,7 @@ impl Monitor {
     #[doc(hidden)]
     pub fn sync_effects_uncoalesced(&mut self) -> Result<(), Status> {
         let effects = self.engine.drain_effects();
-        self.apply_list(&effects)
+        self.apply_list(&effects, None)
             .map_err(|_| Status::BackendFailure)
     }
 
@@ -1020,24 +1051,17 @@ impl Monitor {
                 // hardware, and the rollback may have emitted nothing at
                 // all (revoke/kill/seal roll back by doing nothing) — so
                 // even a clean re-apply can leave an implicated domain's
-                // translations stale. Force a full resync of each one:
-                // the backends rebuild a domain's entire state from the
-                // engine on any memory effect (the synthetic region is
-                // irrelevant). A domain whose resync fails too is
-                // quarantined — it stays killable and enumerable but is
-                // never entered on untrusted translations — instead of
-                // panicking the TCB.
+                // translations stale, on pages no later effect names.
+                // Rebuild each one whole from the engine. A domain whose
+                // resync fails too is quarantined — it stays killable and
+                // enumerable but is never entered on untrusted
+                // translations — instead of panicking the TCB.
                 for d in implicated {
                     let alive = self.engine.domain(d).map(|x| x.is_alive()).unwrap_or(false);
                     if !alive {
                         continue;
                     }
-                    let healed = self
-                        .apply_list(&[Effect::UnmapMem {
-                            domain: d,
-                            region: MemRegion::new(0, 4096),
-                        }])
-                        .is_ok();
+                    let healed = self.resync_domain(d).is_ok();
                     if !healed && self.engine.quarantine(d).is_ok() {
                         self.metrics.bump(Counter::Quarantines);
                     }
@@ -1049,32 +1073,46 @@ impl Monitor {
 
     fn apply_all(&mut self) -> Result<(), (BackendError, BTreeSet<DomainId>)> {
         let mut effects = std::mem::take(&mut self.effect_buf);
+        let mut unions = std::mem::take(&mut self.mem_unions);
         self.engine.drain_effects_into(&mut effects);
-        Self::coalesce_effects(&mut effects, &mut self.last_effect);
-        let res = self.apply_list(&effects);
+        Self::coalesce_effects(&mut effects, &mut self.last_effect, &mut unions);
+        let res = self.apply_list(&effects, Some(&unions));
         self.effect_buf = effects;
+        self.mem_unions = unions;
         res
     }
 
     /// Coalesces a drained effect batch in place before backend
     /// application.
     ///
-    /// The backends resync a domain's *entire* translation state from the
-    /// engine on every `MapMem`/`UnmapMem` (the engine is the authority),
-    /// so only the last mem effect per domain needs applying — earlier
-    /// ones would program intermediate states the final resync overwrites.
-    /// A resync ends in a TLB shootdown for the domain, so standalone
-    /// `FlushTlb` effects for a resynced domain are redundant; otherwise
-    /// one flush per (domain, batch) suffices, as flushes are idempotent.
-    /// Everything else is preserved in emission order. `last` is scratch
-    /// kept by the caller so steady batches allocate nothing.
-    fn coalesce_effects(effects: &mut Vec<Effect>, last: &mut HashMap<(DomainId, u8), usize>) {
+    /// A domain's `MapMem`/`UnmapMem` effects become one application over
+    /// the union of their regions (left in `unions`, sorted by domain),
+    /// at the position of the domain's last mem effect: the backends
+    /// recompute each page of an applied region from the engine's final
+    /// state, so one pass over the union is what applying them all would
+    /// leave, with one TLB shootdown instead of one per effect. Because
+    /// that apply ends in the shootdown, standalone `FlushTlb` effects for
+    /// a domain with mem effects are redundant; otherwise one flush per
+    /// (domain, batch) suffices, as flushes are idempotent. Everything
+    /// else is preserved in emission order. `last` and `unions` are
+    /// scratch kept by the caller so steady batches allocate nothing.
+    fn coalesce_effects(
+        effects: &mut Vec<Effect>,
+        last: &mut HashMap<(DomainId, u8), usize>,
+        unions: &mut Vec<(DomainId, MemRegion)>,
+    ) {
         last.clear();
+        unions.clear();
         for (i, fx) in effects.iter().enumerate() {
             if let Some(key) = coalesce_key(fx) {
                 last.insert(key, i);
             }
+            if let Effect::MapMem { domain, region, .. } | Effect::UnmapMem { domain, region } = fx
+            {
+                unions.push((*domain, *region));
+            }
         }
+        merge_regions(unions);
         let mut at = 0;
         effects.retain(|fx| {
             let i = at;
@@ -1087,28 +1125,53 @@ impl Monitor {
                 Some(key) => last.get(&key) == Some(&i),
             }
         });
-        // A storm's batch must not leave a ballooned map behind.
+        // A storm's batch must not leave ballooned scratch behind.
         if last.capacity() > tyche_core::engine::EFFECTS_RETAIN {
             *last = HashMap::new();
+        }
+        if unions.capacity() > tyche_core::engine::EFFECTS_RETAIN {
+            *unions = Vec::new();
         }
     }
 
     /// Applies every effect in order and returns the *first* failure,
     /// paired with the set of domains the failures implicate (several
-    /// resyncs can fail in one batch — e.g. a persistent DRAM fault
+    /// applies can fail in one batch — e.g. a persistent DRAM fault
     /// breaks every table write). Application is best-effort: a fault on
     /// one domain's translation update must not strand the remaining
-    /// domains' hardware state, so later effects still run.
-    fn apply_list(&mut self, effects: &[Effect]) -> Result<(), (BackendError, BTreeSet<DomainId>)> {
+    /// domains' hardware state, so later effects still run. With
+    /// `unions` (a coalesced batch), a mem effect applies its domain's
+    /// union of regions; without, its own region.
+    fn apply_list(
+        &mut self,
+        effects: &[Effect],
+        unions: Option<&[(DomainId, MemRegion)]>,
+    ) -> Result<(), (BackendError, BTreeSet<DomainId>)> {
         let mut first: Option<BackendError> = None;
         let mut implicated = BTreeSet::new();
         for fx in effects {
-            let res = match self.arch {
-                Arch::X86 => match self.x86.as_mut() {
+            let res = match (self.arch, fx, unions) {
+                (
+                    Arch::X86,
+                    Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. },
+                    Some(unions),
+                ) => {
+                    let from = unions.partition_point(|(d, _)| d < domain);
+                    let regions = unions
+                        .iter()
+                        .skip(from)
+                        .take_while(|(d, _)| d == domain)
+                        .map(|&(_, r)| r);
+                    match self.x86.as_mut() {
+                        Some(b) => b.apply_mem(&mut self.machine, &self.engine, *domain, regions),
+                        None => Err(BackendError::Hardware("x86 backend missing".into())),
+                    }
+                }
+                (Arch::X86, ..) => match self.x86.as_mut() {
                     Some(b) => b.apply(&mut self.machine, &self.engine, fx),
                     None => Err(BackendError::Hardware("x86 backend missing".into())),
                 },
-                Arch::RiscV => match self.riscv.as_mut() {
+                (Arch::RiscV, ..) => match self.riscv.as_mut() {
                     Some(b) => b.apply(&mut self.machine, &self.engine, fx),
                     None => Err(BackendError::Hardware("riscv backend missing".into())),
                 },
@@ -1125,9 +1188,64 @@ impl Monitor {
             }
         }
         match first {
-            None => Ok(()),
+            None => {
+                #[cfg(debug_assertions)]
+                for fx in effects {
+                    if let Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. } = fx {
+                        self.check_view(*domain);
+                    }
+                }
+                Ok(())
+            }
             Some(e) => Err((e, implicated)),
         }
+    }
+
+    /// Rebuilds `domain`'s whole translation state from the engine — the
+    /// heal path, where what the hardware holds is unknown.
+    fn resync_domain(&mut self, domain: DomainId) -> Result<(), BackendError> {
+        let res = match self.arch {
+            Arch::X86 => match self.x86.as_mut() {
+                Some(b) => b.resync_domain(&mut self.machine, &self.engine, domain),
+                None => Err(BackendError::Hardware("x86 backend missing".into())),
+            },
+            Arch::RiscV => match self.riscv.as_mut() {
+                Some(b) => b.resync_domain(&mut self.machine, &self.engine, domain),
+                None => Err(BackendError::Hardware("riscv backend missing".into())),
+            },
+        };
+        #[cfg(debug_assertions)]
+        if res.is_ok() {
+            self.check_view(domain);
+        }
+        res
+    }
+
+    /// Debug oracle: after a successful apply, a live, unquarantined
+    /// domain's hardware state must be exactly the engine's page view.
+    #[cfg(debug_assertions)]
+    fn check_view(&self, domain: DomainId) {
+        if !self
+            .engine
+            .domain(domain)
+            .is_some_and(|d| d.is_alive() && !d.is_quarantined())
+        {
+            return;
+        }
+        let matches = match self.arch {
+            Arch::X86 => self
+                .x86
+                .as_ref()
+                .is_some_and(|b| b.matches_view(&self.engine, domain)),
+            Arch::RiscV => self
+                .riscv
+                .as_ref()
+                .is_some_and(|b| b.matches_view(&self.engine, domain)),
+        };
+        assert!(
+            matches,
+            "{domain}: hardware diverged from the engine's page view"
+        );
     }
 }
 

@@ -298,6 +298,49 @@ fn fast_path_with_flush_policy_falls_back_to_mediated() {
 }
 
 #[test]
+fn flush_policy_fallback_is_exactly_a_direct_enter_call() {
+    // Two identical machines; one enters through the fast path's
+    // flush-policy fallback, the other with the `Enter` hypercall. The
+    // fallback reuses its own validation, so nothing may tell them apart:
+    // same result, same trace events, same model cycles.
+    let run = |fast: bool| {
+        let mut m = x86();
+        let (child, _tcap) = spawn_sealed(&mut m, 0x50_0000);
+        let os = m.engine.root().unwrap();
+        let gate = m
+            .engine
+            .make_transition(os, child, RevocationPolicy::OBFUSCATE)
+            .unwrap();
+        m.sync_effects().unwrap();
+        m.trace().enable(m.machine.cores);
+        let before = m.machine.cycles.now();
+        let entered = if fast {
+            m.enter_fast(0, gate)
+        } else {
+            match m.call(0, MonitorCall::Enter { cap: gate }) {
+                Ok(CallResult::Entered { target, .. }) => Ok(target),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let cycles = m.machine.cycles.since(before);
+        let stats = m.stats();
+        let counts = (
+            stats.calls,
+            stats.transitions_mediated,
+            stats.transitions_fast,
+        );
+        (entered, cycles, m.trace().drain().events().to_vec(), counts)
+    };
+    let (fast, direct) = (run(true), run(false));
+    assert!(fast.0.is_ok());
+    assert_eq!(fast.0, direct.0);
+    assert_eq!(fast.1, direct.1, "model cycles");
+    assert!(!fast.2.is_empty());
+    assert_eq!(fast.2, direct.2, "trace events");
+    assert_eq!(fast.3, direct.3, "counters");
+}
+
+#[test]
 fn fast_path_cache_invalidated_by_revoke() {
     let mut m = x86();
     let (child, tcap) = spawn_sealed(&mut m, 0x70_0000);

@@ -5,11 +5,11 @@
 //!
 //! > per-core state → inner engine
 //!
-//! plus the cross-machine channel table and NIC queue, and the
-//! trace-sink locks that sit after everything (channel code emits trace
-//! events while holding its guard). This module is that sentence made
-//! machine-checked: every guard acquisition parsed out of the TCB is
-//! classified into one of the seven ranked classes of [`HIERARCHY`]
+//! plus the cross-machine channel table, and the trace-sink locks that
+//! sit after everything (channel code emits trace events while holding
+//! its guard). This module is that sentence made machine-checked: every
+//! guard acquisition parsed out of the TCB is classified into one of the
+//! six ranked classes of [`HIERARCHY`]
 //! (`static_oracle` requires every real acquisition to classify), and
 //! an acquisition of a lower-ranked (or same-ranked) class while a
 //! guard is held is a finding — directly in a body, or transitively
@@ -19,7 +19,9 @@
 //! state, behind its one lock, so they are not classes of their own.
 //! Domain shards are not locks either: the mutating tier serializes on
 //! the inner engine's write lock alone, and the shard clocks that model
-//! contention belong to the simulator.
+//! contention belong to the simulator. The NIC inbox queue lives in the
+//! simulated hardware, outside the audited crates, so no TCB lock ranks
+//! it.
 
 use super::{Lint, StaticFinding};
 use crate::parse::{Function, LockSite, WorkspaceModel};
@@ -31,18 +33,14 @@ pub const HIERARCHY: &[(&str, u8)] = &[
     ("core-state", 0),
     ("engine-inner", 1),
     ("channel-table", 2),
-    ("nic-queue", 3),
-    ("trace-lanes", 4),
-    ("trace-lane", 5),
-    ("trace-spill-log", 6),
+    ("trace-lanes", 3),
+    ("trace-lane", 4),
+    ("trace-spill-log", 5),
 ];
 
 /// Substring → class rules, checked in order against the argument text
 /// and then the statement context. First match wins.
 const PATTERNS: &[(&str, &str)] = &[
-    // `nic_queue`, not bare `nic`: the latter is a substring of `panic`,
-    // which shows up in plenty of statement contexts.
-    ("nic_queue", "nic-queue"),
     ("channel", "channel-table"),
     ("core", "core-state"),
     ("slot", "core-state"),

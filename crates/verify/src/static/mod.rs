@@ -7,9 +7,9 @@
 //! observability arguments rest on:
 //!
 //! 1. [`lock_order`] — every nested guard acquisition respects the
-//!    DESIGN.md hierarchy of seven classes (per-core state → engine
-//!    inner → channel table → NIC queue → trace lanes → trace lane →
-//!    trace spill log), intra- and inter-procedurally, with the
+//!    DESIGN.md hierarchy of six classes (per-core state → engine
+//!    inner → channel table → trace lanes → trace lane → trace spill
+//!    log), intra- and inter-procedurally, with the
 //!    offending call chain as evidence.
 //! 2. [`panic_reach`] — no panic-capable construct is reachable on the
 //!    call graph from the 14 hypercall leaves or the SMP serving tiers

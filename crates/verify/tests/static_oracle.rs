@@ -234,9 +234,9 @@ fn every_real_tcb_acquisition_is_classified() {
     assert!(unclassified.is_empty(), "unranked acquisitions: {unclassified:#?}");
 }
 
-/// The fleet layer's lock shape: the channel table (which emits trace
-/// events while held — trace lanes rank above it), and the NIC inbox
-/// queue after the table. Everything the extended hierarchy allows.
+/// The fleet layer's lock shape: the channel table, taken after the
+/// engine and before the trace lanes (channel code emits trace events
+/// while holding it). Everything the hierarchy allows.
 const CHANNEL_LOCKS_OK: &str = r#"
 impl Channels {
     pub fn judge_and_emit(&self, peer: u64) {
@@ -244,16 +244,16 @@ impl Channels {
         let lanes = read_lanes(&self.sink);
         consume(&channels, &lanes);
     }
-    pub fn route_inbound(&self, peer: u64) {
+    pub fn open_under_engine(&self, peer: u64) {
+        let eng = write_lock(&self.engine);
         let channels = mutex_lock(&self.channels);
-        let inbox = mutex_lock(&self.nic_queue);
-        consume(&channels, &inbox);
+        consume(&eng, &channels);
     }
 }
 "#;
 
 #[test]
-fn conforming_channel_and_nic_locks_pass() {
+fn conforming_channel_locks_pass() {
     let model = WorkspaceModel::from_sources(&[(
         "core",
         "crates/core/src/channel_ok.rs",
@@ -264,13 +264,13 @@ fn conforming_channel_and_nic_locks_pass() {
 }
 
 #[test]
-fn channel_and_nic_inversions_are_caught() {
+fn channel_inversions_are_caught() {
     let src = r#"
 impl Channels {
-    pub fn channel_after_nic(&self) {
-        let inbox = mutex_lock(&self.nic_queue);
+    pub fn channel_after_lanes(&self) {
+        let lanes = read_lanes(&self.sink);
         let channels = mutex_lock(&self.channels);
-        consume(&inbox, &channels);
+        consume(&lanes, &channels);
     }
     pub fn engine_after_channel(&self) {
         let channels = mutex_lock(&self.channels);
@@ -285,14 +285,38 @@ impl Channels {
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(
         findings.iter().any(|f| f.message.contains("acquires `channel-table`")
-            && f.message.contains("`nic-queue`")),
-        "channel-after-nic inversion missed: {findings:?}"
+            && f.message.contains("`trace-lanes`")),
+        "channel-after-lanes inversion missed: {findings:?}"
     );
     assert!(
         findings.iter().any(|f| f.message.contains("acquires `engine-inner`")
             && f.message.contains("`channel-table`")),
         "engine-after-channel inversion missed: {findings:?}"
     );
+}
+
+/// No hierarchy class is dead weight: each one ranks a lock the real
+/// TCB takes somewhere.
+#[test]
+fn every_tcb_lock_class_is_taken() {
+    let ws = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let tcb = AuditConfig::tyche_defaults(ws).tcb_crates;
+    let model = WorkspaceModel::build(ws, &tcb).expect("parse the TCB");
+    let taken: std::collections::BTreeSet<&str> = model
+        .functions
+        .iter()
+        .flat_map(|f| f.locks.iter())
+        .filter_map(|l| lock_order::classify(l).map(|(class, _)| class))
+        .collect();
+    let unused: Vec<&str> = lock_order::HIERARCHY
+        .iter()
+        .map(|(class, _)| *class)
+        .filter(|class| !taken.contains(class))
+        .collect();
+    assert!(unused.is_empty(), "ranked classes no TCB lock takes: {unused:?}");
 }
 
 // ------------------------------------------------------------- panic reach
