@@ -219,7 +219,10 @@ const MANIFEST_MAGIC: &[u8] = b"tyche-manifest-wire-v1";
 /// `slice::split_at` that errors instead of panicking on short input.
 fn split_at_checked(bytes: &[u8], mid: usize) -> Result<(&[u8], &[u8]), String> {
     if bytes.len() < mid {
-        Err(format!("truncated manifest: need {mid} bytes, have {}", bytes.len()))
+        Err(format!(
+            "truncated manifest: need {mid} bytes, have {}",
+            bytes.len()
+        ))
     } else {
         Ok(bytes.split_at(mid))
     }
@@ -304,7 +307,10 @@ mod tests {
         assert!(Manifest::from_bytes(b"").is_err());
         assert!(Manifest::from_bytes(b"not a manifest").is_err());
         let good = Manifest::enclave_default(2).to_bytes();
-        assert!(Manifest::from_bytes(&good[..good.len() - 1]).is_err(), "truncated");
+        assert!(
+            Manifest::from_bytes(&good[..good.len() - 1]).is_err(),
+            "truncated"
+        );
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(Manifest::from_bytes(&trailing).is_err(), "trailing bytes");

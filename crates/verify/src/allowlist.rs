@@ -48,13 +48,19 @@ pub fn parse(text: &str) -> Result<Vec<AllowEntry>, String> {
             continue;
         }
         if line.starts_with('[') {
-            return Err(format!("line {lineno}: unknown table {line:?}; only [[allow]] is supported"));
+            return Err(format!(
+                "line {lineno}: unknown table {line:?}; only [[allow]] is supported"
+            ));
         }
         let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("line {lineno}: expected `key = value`, got {line:?}"));
+            return Err(format!(
+                "line {lineno}: expected `key = value`, got {line:?}"
+            ));
         };
         let Some(entry) = current.as_mut() else {
-            return Err(format!("line {lineno}: {key:?} outside any [[allow]] table"));
+            return Err(format!(
+                "line {lineno}: {key:?} outside any [[allow]] table"
+            ));
         };
         entry.set(key.trim(), value.trim(), lineno)?;
     }
@@ -134,7 +140,9 @@ impl PartialEntry {
                 .construct
                 .ok_or_else(|| format!("{at}: missing `construct`"))?,
             count: self.count.ok_or_else(|| format!("{at}: missing `count`"))?,
-            reason: self.reason.ok_or_else(|| format!("{at}: missing `reason`"))?,
+            reason: self
+                .reason
+                .ok_or_else(|| format!("{at}: missing `reason`"))?,
         })
     }
 }
@@ -186,10 +194,16 @@ reason = "ABI contract violation is unrecoverable"
 
     #[test]
     fn rejects_unknown_keys_and_stray_values() {
-        assert!(parse("[[allow]]\nfoo = \"bar\"\n").unwrap_err().contains("unknown key"));
-        assert!(parse("file = \"x.rs\"\n").unwrap_err().contains("outside any"));
+        assert!(parse("[[allow]]\nfoo = \"bar\"\n")
+            .unwrap_err()
+            .contains("unknown key"));
+        assert!(parse("file = \"x.rs\"\n")
+            .unwrap_err()
+            .contains("outside any"));
         assert!(parse("[badtable]\n").unwrap_err().contains("unknown table"));
-        assert!(parse("[[allow]]\ncount = \"three\"\n").unwrap_err().contains("integer"));
+        assert!(parse("[[allow]]\ncount = \"three\"\n")
+            .unwrap_err()
+            .contains("integer"));
     }
 
     #[test]

@@ -62,9 +62,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = match root.or_else(|| {
-        locate_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-    }) {
+    let root = match root.or_else(|| locate_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))) {
         Some(r) => r,
         None => {
             eprintln!("tcb-audit: cannot locate a workspace root; pass --root");

@@ -28,7 +28,9 @@
 use crate::model::RefModel;
 use std::collections::{HashSet, VecDeque};
 use tyche_core::audit;
-use tyche_core::{CapEngine, CapId, CapKind, DomainId, MemRegion, Resource, RevocationPolicy, Rights, SealPolicy};
+use tyche_core::{
+    CapEngine, CapId, CapKind, DomainId, MemRegion, Resource, RevocationPolicy, Rights, SealPolicy,
+};
 
 /// One domain as the checker sees it.
 #[derive(Clone, Copy, Debug)]
@@ -181,7 +183,10 @@ impl Explore for CapEngine {
     }
 
     fn audit_violations(&self) -> Vec<String> {
-        audit::audit(self).iter().map(|v| format!("{v:?}")).collect()
+        audit::audit(self)
+            .iter()
+            .map(|v| format!("{v:?}"))
+            .collect()
     }
 
     fn fingerprint(&self) -> Vec<u8> {
@@ -196,7 +201,11 @@ impl Explore for CapEngine {
         let mut stamps: Vec<u64> = cap_ids
             .iter()
             .filter_map(|&c| self.cap_created_at(CapId(c)))
-            .chain(dom_ids.iter().filter_map(|&d| self.domain_sealed_at(DomainId(d))))
+            .chain(
+                dom_ids
+                    .iter()
+                    .filter_map(|&d| self.domain_sealed_at(DomainId(d))),
+            )
             .collect();
         stamps.sort_unstable();
         stamps.dedup();
@@ -210,7 +219,10 @@ impl Explore for CapEngine {
         for id in &dom_ids {
             let d = self.domain(DomainId(*id)).expect("listed");
             push(&mut out, dom_rank(*id));
-            push(&mut out, d.manager.map(|m| dom_rank(m.0)).unwrap_or(u64::MAX));
+            push(
+                &mut out,
+                d.manager.map(|m| dom_rank(m.0)).unwrap_or(u64::MAX),
+            );
             out.push(d.is_alive() as u8);
             out.push(d.is_sealed() as u8);
             out.push(d.seal_policy.encode());
@@ -223,7 +235,10 @@ impl Explore for CapEngine {
             push(&mut out, cap_rank(*id));
             push(&mut out, dom_rank(c.owner.0));
             push(&mut out, dom_rank(c.granter.0));
-            push(&mut out, c.parent.map(|p| cap_rank(p.0)).unwrap_or(u64::MAX));
+            push(
+                &mut out,
+                c.parent.map(|p| cap_rank(p.0)).unwrap_or(u64::MAX),
+            );
             out.push(c.rights.0);
             out.push(match c.kind {
                 CapKind::Root => 0,
@@ -358,11 +373,30 @@ pub fn tyche_initial(config: &BmcConfig) -> (CapEngine, RefModel) {
 /// One candidate operation.
 #[derive(Clone, Debug)]
 enum Op {
-    Share { actor: u64, cap: u64, target: u64 },
-    Grant { actor: u64, cap: u64, target: u64 },
-    Carve { actor: u64, cap: u64, at: u64 },
-    Seal { actor: u64, domain: u64, strict: bool },
-    Revoke { actor: u64, cap: u64 },
+    Share {
+        actor: u64,
+        cap: u64,
+        target: u64,
+    },
+    Grant {
+        actor: u64,
+        cap: u64,
+        target: u64,
+    },
+    Carve {
+        actor: u64,
+        cap: u64,
+        at: u64,
+    },
+    Seal {
+        actor: u64,
+        domain: u64,
+        strict: bool,
+    },
+    Revoke {
+        actor: u64,
+        cap: u64,
+    },
 }
 
 impl Op {
@@ -371,8 +405,15 @@ impl Op {
             Op::Share { actor, cap, target } => format!("d{actor}: share cap{cap} -> d{target}"),
             Op::Grant { actor, cap, target } => format!("d{actor}: grant cap{cap} -> d{target}"),
             Op::Carve { actor, cap, at } => format!("d{actor}: carve cap{cap} @ {at:#x}"),
-            Op::Seal { actor, domain, strict } => {
-                format!("d{actor}: seal d{domain} ({})", if *strict { "strict" } else { "nestable" })
+            Op::Seal {
+                actor,
+                domain,
+                strict,
+            } => {
+                format!(
+                    "d{actor}: seal d{domain} ({})",
+                    if *strict { "strict" } else { "nestable" }
+                )
             }
             Op::Revoke { actor, cap } => format!("d{actor}: revoke cap{cap}"),
         }
@@ -392,13 +433,25 @@ fn candidate_ops<E: Explore>(state: &E, config: &BmcConfig) -> Vec<Op> {
             // Only the owner can share/grant/carve; other actors are
             // refused unconditionally, so generating them adds nothing.
             for &target in &alive {
-                ops.push(Op::Share { actor: c.owner, cap: c.id, target });
-                ops.push(Op::Grant { actor: c.owner, cap: c.id, target });
+                ops.push(Op::Share {
+                    actor: c.owner,
+                    cap: c.id,
+                    target,
+                });
+                ops.push(Op::Grant {
+                    actor: c.owner,
+                    cap: c.id,
+                    target,
+                });
             }
             let (start, end) = c.region;
             let mut at = start + PAGE;
             while at < end {
-                ops.push(Op::Carve { actor: c.owner, cap: c.id, at });
+                ops.push(Op::Carve {
+                    actor: c.owner,
+                    cap: c.id,
+                    at,
+                });
                 at += PAGE;
             }
         }
@@ -411,10 +464,17 @@ fn candidate_ops<E: Explore>(state: &E, config: &BmcConfig) -> Vec<Op> {
         }
     }
     if config.explore_seal {
-        for d in domains.iter().filter(|d| d.alive && !d.sealed && d.has_entry) {
+        for d in domains
+            .iter()
+            .filter(|d| d.alive && !d.sealed && d.has_entry)
+        {
             if let Some(manager) = d.manager {
                 for strict in [false, true] {
-                    ops.push(Op::Seal { actor: manager, domain: d.id, strict });
+                    ops.push(Op::Seal {
+                        actor: manager,
+                        domain: d.id,
+                        strict,
+                    });
                 }
             }
         }
@@ -428,7 +488,11 @@ fn candidate_ops<E: Explore>(state: &E, config: &BmcConfig) -> Vec<Op> {
 fn apply<E: Explore>(state: &mut E, model: &mut RefModel, op: &Op) -> Result<bool, String> {
     match *op {
         Op::Share { actor, cap, target } => {
-            let region = state.mem_caps().iter().find(|c| c.id == cap).map(|c| c.region);
+            let region = state
+                .mem_caps()
+                .iter()
+                .find(|c| c.id == cap)
+                .map(|c| c.region);
             if let Some(child) = state.share(actor, cap, target) {
                 let region = region.ok_or("share of unknown cap accepted")?;
                 model.share(cap, child, target, region);
@@ -437,7 +501,11 @@ fn apply<E: Explore>(state: &mut E, model: &mut RefModel, op: &Op) -> Result<boo
             Ok(false)
         }
         Op::Grant { actor, cap, target } => {
-            let region = state.mem_caps().iter().find(|c| c.id == cap).map(|c| c.region);
+            let region = state
+                .mem_caps()
+                .iter()
+                .find(|c| c.id == cap)
+                .map(|c| c.region);
             if let Some(child) = state.grant(actor, cap, target) {
                 let region = region.ok_or("grant of unknown cap accepted")?;
                 model.grant(cap, child, target, region);
@@ -452,7 +520,11 @@ fn apply<E: Explore>(state: &mut E, model: &mut RefModel, op: &Op) -> Result<boo
             }
             Ok(false)
         }
-        Op::Seal { actor, domain, strict } => Ok(state.seal_domain(actor, domain, strict)),
+        Op::Seal {
+            actor,
+            domain,
+            strict,
+        } => Ok(state.seal_domain(actor, domain, strict)),
         Op::Revoke { actor, cap } => {
             let before = state.mem_caps().len();
             if state.revoke(actor, cap) {
@@ -511,7 +583,10 @@ pub fn explore<E: Explore>(initial: E, model: RefModel, config: &BmcConfig) -> B
     let mut initial = initial;
     initial.drain();
     for v in check_state(&initial, &model, config) {
-        result.violations.push(BmcViolation { message: v, trace: vec![] });
+        result.violations.push(BmcViolation {
+            message: v,
+            trace: vec![],
+        });
     }
     seen.insert(initial.fingerprint());
     let mut queue: VecDeque<(E, RefModel, usize, usize)> = VecDeque::new();
@@ -611,14 +686,22 @@ mod tests {
             "only {} deduped states explored",
             result.states
         );
-        assert!(result.violations.is_empty(), "{:?}", result.violations.first());
+        assert!(
+            result.violations.is_empty(),
+            "{:?}",
+            result.violations.first()
+        );
     }
 
     #[test]
     fn small_scope_is_clean_and_exhaustive() {
         let result = run(&small());
         assert!(result.exhaustive, "{result:?}");
-        assert!(result.violations.is_empty(), "{:?}", result.violations.first());
+        assert!(
+            result.violations.is_empty(),
+            "{:?}",
+            result.violations.first()
+        );
         assert!(result.states > 50, "explored {} states", result.states);
         assert!(result.refused > 0, "refusal paths exercised");
     }
@@ -638,14 +721,25 @@ mod tests {
             .find(|d| d.manager.is_some())
             .unwrap()
             .id;
-        let op = Op::Share { actor: caps[0].owner, cap: caps[0].id, target };
+        let op = Op::Share {
+            actor: caps[0].owner,
+            cap: caps[0].id,
+            target,
+        };
         assert_eq!(apply(&mut e2, &mut m2, &op), Ok(true));
         assert_ne!(e2.fingerprint(), fp0);
         let new_cap = e2.mem_caps().iter().find(|c| !c.is_root).unwrap().id;
-        let op = Op::Revoke { actor: caps[0].owner, cap: new_cap };
+        let op = Op::Revoke {
+            actor: caps[0].owner,
+            cap: new_cap,
+        };
         assert_eq!(apply(&mut e2, &mut m2, &op), Ok(true));
         e2.drain();
-        assert_eq!(e2.fingerprint(), fp0, "share+revoke is identity up to isomorphism");
+        assert_eq!(
+            e2.fingerprint(),
+            fp0,
+            "share+revoke is identity up to isomorphism"
+        );
     }
 
     /// A wrapper around the real engine whose refcount is off by one —

@@ -217,7 +217,11 @@ pub fn word_offsets(text: &str, word: &str) -> Vec<usize> {
 
 /// 1-based line number of byte offset `pos`.
 pub fn line_of(text: &str, pos: usize) -> usize {
-    text.as_bytes()[..pos].iter().filter(|&&b| b == b'\n').count() + 1
+    text.as_bytes()[..pos]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
+        + 1
 }
 
 #[cfg(test)]
@@ -304,7 +308,10 @@ mod tests {
     fn char_literal_vs_lifetime_disambiguation() {
         let src = "fn f<'a>(x: &'a u8) { let c = 'a'; let e = '\\u{1F600}'; let b = b'u'; }";
         let stripped = strip_noncode(src);
-        assert!(stripped.contains("fn f<'a>(x: &'a u8)"), "lifetimes survive");
+        assert!(
+            stripped.contains("fn f<'a>(x: &'a u8)"),
+            "lifetimes survive"
+        );
         assert!(!stripped.contains("= 'a'"), "char literal blanked");
         assert!(!stripped.contains("1F600"), "escaped char blanked");
         assert!(!stripped.contains("b'u'"), "byte-char blanked");

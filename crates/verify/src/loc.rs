@@ -119,8 +119,7 @@ pub fn count_source(src: &str) -> FileLoc {
 
 /// Counts one file on disk.
 pub fn count_file(path: &Path) -> Result<FileLoc, String> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+    let src = std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     Ok(count_source(&src))
 }
 

@@ -430,7 +430,17 @@ pub fn parse_source(krate: &str, file: &str, src: &str) -> ParsedFile {
                 i = stop.max(j);
             } else if word == "fn" {
                 let ctx = impls.last().map(|(_, n)| n.as_str());
-                match parse_fn(&stripped, &classes, i, j, ctx, krate, file, &file_panics, &out.annotations) {
+                match parse_fn(
+                    &stripped,
+                    &classes,
+                    i,
+                    j,
+                    ctx,
+                    krate,
+                    file,
+                    &file_panics,
+                    &out.annotations,
+                ) {
                     FnOutcome::Item(func, resume) => {
                         out.functions.push(*func);
                         i = resume;
@@ -809,7 +819,10 @@ fn takes_self(params: &str) -> bool {
     let first = params.split(',').next().unwrap_or("").trim();
     let mut rest = first.strip_prefix('&').unwrap_or(first).trim_start();
     if rest.starts_with('\'') {
-        rest = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r).trim_start();
+        rest = rest
+            .split_once(char::is_whitespace)
+            .map_or("", |(_, r)| r)
+            .trim_start();
     }
     let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
     rest == "self" || rest.starts_with("self:") || rest.starts_with("self ")
@@ -1112,7 +1125,10 @@ mod tests {
                        use_it(events);\n\
                    }\n";
         let m = model(src);
-        assert!(!m.functions[0].locks[0].bound, "guard inside take() is a temporary");
+        assert!(
+            !m.functions[0].locks[0].bound,
+            "guard inside take() is a temporary"
+        );
     }
 
     #[test]
@@ -1158,7 +1174,11 @@ mod tests {
         assert_eq!(f.atomics[0].orderings, vec!["Release"]);
         assert!(f.atomics[0].annotation.is_none());
         assert_eq!(f.atomics[1].field, "seq");
-        assert!(f.atomics[1].annotation.as_deref().unwrap().contains("monotonic"));
+        assert!(f.atomics[1]
+            .annotation
+            .as_deref()
+            .unwrap()
+            .contains("monotonic"));
         assert_eq!(f.atomics[2].field, "slots");
     }
 
@@ -1221,8 +1241,11 @@ mod tests {
              fn g(self: Box<Self>) {}\n",
         );
         let a = &m.functions[m.find_qname("T::a").unwrap()];
-        let kinds: Vec<(&str, CallKind)> =
-            a.calls.iter().map(|c| (c.name.as_str(), c.kind.clone())).collect();
+        let kinds: Vec<(&str, CallKind)> = a
+            .calls
+            .iter()
+            .map(|c| (c.name.as_str(), c.kind.clone()))
+            .collect();
         assert_eq!(
             kinds,
             vec![

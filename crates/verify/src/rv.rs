@@ -62,7 +62,11 @@ pub struct Finding {
 
 impl core::fmt::Display for Finding {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "[{}] event {}: {}", self.checker, self.index, self.message)
+        write!(
+            f,
+            "[{}] event {}: {}",
+            self.checker, self.index, self.message
+        )
     }
 }
 
@@ -355,19 +359,18 @@ pub fn check_transition_stack(events: &[TraceEvent]) -> Vec<Finding> {
             EventKind::Enter { from, to, .. } => {
                 stacks.entry(ev.core).or_default().push((from, to));
             }
-            EventKind::Return { from, to, .. } => {
-                match stacks.entry(ev.core).or_default().pop() {
-                    None => findings.push(Finding {
-                        checker: "transition-stack",
-                        index: i,
-                        message: format!(
-                            "core {} returned {from} -> {to} with no open transition frame",
-                            ev.core
-                        ),
-                    }),
-                    Some((f_from, f_to)) => {
-                        if from != f_to || to != f_from {
-                            findings.push(Finding {
+            EventKind::Return { from, to, .. } => match stacks.entry(ev.core).or_default().pop() {
+                None => findings.push(Finding {
+                    checker: "transition-stack",
+                    index: i,
+                    message: format!(
+                        "core {} returned {from} -> {to} with no open transition frame",
+                        ev.core
+                    ),
+                }),
+                Some((f_from, f_to)) => {
+                    if from != f_to || to != f_from {
+                        findings.push(Finding {
                                 checker: "transition-stack",
                                 index: i,
                                 message: format!(
@@ -375,34 +378,31 @@ pub fn check_transition_stack(events: &[TraceEvent]) -> Vec<Finding> {
                                     ev.core
                                 ),
                             });
-                        }
                     }
                 }
-            }
+            },
             EventKind::HyperEnter { leaf, .. } => {
                 hyper.entry(ev.core).or_default().push(leaf);
             }
-            EventKind::HyperExit { leaf, .. } => {
-                match hyper.entry(ev.core).or_default().pop() {
-                    None => findings.push(Finding {
-                        checker: "transition-stack",
-                        index: i,
-                        message: format!(
-                            "core {} exited hypercall leaf {leaf} with no matching enter",
-                            ev.core
-                        ),
-                    }),
-                    Some(open) if open != leaf => findings.push(Finding {
-                        checker: "transition-stack",
-                        index: i,
-                        message: format!(
-                            "core {} exited hypercall leaf {leaf} but leaf {open} was open",
-                            ev.core
-                        ),
-                    }),
-                    Some(_) => {}
-                }
-            }
+            EventKind::HyperExit { leaf, .. } => match hyper.entry(ev.core).or_default().pop() {
+                None => findings.push(Finding {
+                    checker: "transition-stack",
+                    index: i,
+                    message: format!(
+                        "core {} exited hypercall leaf {leaf} with no matching enter",
+                        ev.core
+                    ),
+                }),
+                Some(open) if open != leaf => findings.push(Finding {
+                    checker: "transition-stack",
+                    index: i,
+                    message: format!(
+                        "core {} exited hypercall leaf {leaf} but leaf {open} was open",
+                        ev.core
+                    ),
+                }),
+                Some(_) => {}
+            },
             _ => {}
         }
     }
@@ -471,7 +471,12 @@ pub fn check_channel_seq(events: &[TraceEvent]) -> Vec<Finding> {
         match ev.kind {
             EventKind::ChanEstablish { epoch, .. } => {
                 if c.violated {
-                    flag(i, format!("peer {peer}: re-established after a violation (quarantine not sticky)"));
+                    flag(
+                        i,
+                        format!(
+                            "peer {peer}: re-established after a violation (quarantine not sticky)"
+                        ),
+                    );
                 }
                 if epoch <= c.epoch {
                     flag(
@@ -494,16 +499,16 @@ pub fn check_channel_seq(events: &[TraceEvent]) -> Vec<Finding> {
                 if epoch != c.epoch {
                     flag(
                         i,
-                        format!("peer {peer}: send under epoch {epoch}, channel is at {}", c.epoch),
+                        format!(
+                            "peer {peer}: send under epoch {epoch}, channel is at {}",
+                            c.epoch
+                        ),
                     );
                 }
                 if seq != c.send_next {
                     flag(
                         i,
-                        format!(
-                            "peer {peer}: send sequence {seq}, expected {}",
-                            c.send_next
-                        ),
+                        format!("peer {peer}: send sequence {seq}, expected {}", c.send_next),
                     );
                 }
                 c.send_next = seq + 1;
@@ -540,7 +545,10 @@ pub fn check_channel_seq(events: &[TraceEvent]) -> Vec<Finding> {
             }
             EventKind::ChanTeardown { .. } => {
                 if !c.open {
-                    flag(i, format!("peer {peer}: teardown of a channel that was not open"));
+                    flag(
+                        i,
+                        format!("peer {peer}: teardown of a channel that was not open"),
+                    );
                 }
                 c.open = false;
                 c.expect_teardown = false;
@@ -575,7 +583,14 @@ mod tests {
             ev(0, 0, EventKind::ShootQueue { domain: 3 }),
             ev(1, 0, EventKind::ShootQueue { domain: 4 }),
             ev(2, 0, EventKind::Ipi { to: 1 }),
-            ev(3, 0, EventKind::ShootBatch { drained: 2, ipis: 1 }),
+            ev(
+                3,
+                0,
+                EventKind::ShootBatch {
+                    drained: 2,
+                    ipis: 1,
+                },
+            ),
             ev(4, 0, EventKind::PhaseEnd { phase: 0 }),
         ]);
         assert!(check_all(&log).is_empty());
@@ -653,7 +668,14 @@ mod tests {
         let log = TraceLog::from_events(vec![
             ev(0, 1, EventKind::Ipi { to: 0 }),
             ev(1, 1, EventKind::Ipi { to: 2 }),
-            ev(2, 1, EventKind::ShootBatch { drained: 0, ipis: 1 }),
+            ev(
+                2,
+                1,
+                EventKind::ShootBatch {
+                    drained: 0,
+                    ipis: 1,
+                },
+            ),
         ]);
         let f = check_ipi_accounting(log.events());
         assert_eq!(f.len(), 1);
@@ -747,15 +769,55 @@ mod tests {
     fn clean_channel_lifecycle_passes() {
         let log = TraceLog::from_events(vec![
             ev(0, 0, EventKind::ChanEstablish { peer: 1, epoch: 1 }),
-            ev(1, 0, EventKind::ChanSend { peer: 1, seq: 0, epoch: 1 }),
-            ev(2, 0, EventKind::ChanRecv { peer: 1, seq: 0, epoch: 1 }),
-            ev(3, 0, EventKind::ChanSend { peer: 1, seq: 1, epoch: 1 }),
+            ev(
+                1,
+                0,
+                EventKind::ChanSend {
+                    peer: 1,
+                    seq: 0,
+                    epoch: 1,
+                },
+            ),
+            ev(
+                2,
+                0,
+                EventKind::ChanRecv {
+                    peer: 1,
+                    seq: 0,
+                    epoch: 1,
+                },
+            ),
+            ev(
+                3,
+                0,
+                EventKind::ChanSend {
+                    peer: 1,
+                    seq: 1,
+                    epoch: 1,
+                },
+            ),
             // Re-key: epoch advances, sequence windows reset.
             ev(4, 0, EventKind::ChanEstablish { peer: 1, epoch: 2 }),
-            ev(5, 0, EventKind::ChanRecv { peer: 1, seq: 0, epoch: 2 }),
+            ev(
+                5,
+                0,
+                EventKind::ChanRecv {
+                    peer: 1,
+                    seq: 0,
+                    epoch: 2,
+                },
+            ),
             // A different peer violates and is promptly torn down.
             ev(6, 0, EventKind::ChanEstablish { peer: 2, epoch: 1 }),
-            ev(7, 0, EventKind::ChanViolation { peer: 2, reason: 1, seq: 0 }),
+            ev(
+                7,
+                0,
+                EventKind::ChanViolation {
+                    peer: 2,
+                    reason: 1,
+                    seq: 0,
+                },
+            ),
             ev(8, 0, EventKind::ChanTeardown { peer: 2, epoch: 1 }),
         ]);
         assert!(check_channel_seq(log.events()).is_empty());
@@ -766,8 +828,24 @@ mod tests {
     fn channel_sequence_gap_is_flagged() {
         let log = TraceLog::from_events(vec![
             ev(0, 0, EventKind::ChanEstablish { peer: 3, epoch: 1 }),
-            ev(1, 0, EventKind::ChanRecv { peer: 3, seq: 0, epoch: 1 }),
-            ev(2, 0, EventKind::ChanRecv { peer: 3, seq: 2, epoch: 1 }),
+            ev(
+                1,
+                0,
+                EventKind::ChanRecv {
+                    peer: 3,
+                    seq: 0,
+                    epoch: 1,
+                },
+            ),
+            ev(
+                2,
+                0,
+                EventKind::ChanRecv {
+                    peer: 3,
+                    seq: 2,
+                    epoch: 1,
+                },
+            ),
         ]);
         let f = check_channel_seq(log.events());
         assert_eq!(f.len(), 1, "{f:?}");
@@ -778,9 +856,25 @@ mod tests {
     fn traffic_after_teardown_is_flagged() {
         let log = TraceLog::from_events(vec![
             ev(0, 0, EventKind::ChanEstablish { peer: 4, epoch: 1 }),
-            ev(1, 0, EventKind::ChanViolation { peer: 4, reason: 2, seq: 1 }),
+            ev(
+                1,
+                0,
+                EventKind::ChanViolation {
+                    peer: 4,
+                    reason: 2,
+                    seq: 1,
+                },
+            ),
             ev(2, 0, EventKind::ChanTeardown { peer: 4, epoch: 1 }),
-            ev(3, 0, EventKind::ChanSend { peer: 4, seq: 0, epoch: 1 }),
+            ev(
+                3,
+                0,
+                EventKind::ChanSend {
+                    peer: 4,
+                    seq: 0,
+                    epoch: 1,
+                },
+            ),
         ]);
         let f = check_channel_seq(log.events());
         assert_eq!(f.len(), 1, "{f:?}");
@@ -791,7 +885,15 @@ mod tests {
     fn reestablish_after_violation_is_flagged() {
         let log = TraceLog::from_events(vec![
             ev(0, 0, EventKind::ChanEstablish { peer: 6, epoch: 1 }),
-            ev(1, 0, EventKind::ChanViolation { peer: 6, reason: 1, seq: 0 }),
+            ev(
+                1,
+                0,
+                EventKind::ChanViolation {
+                    peer: 6,
+                    reason: 1,
+                    seq: 0,
+                },
+            ),
             ev(2, 0, EventKind::ChanTeardown { peer: 6, epoch: 1 }),
             ev(3, 0, EventKind::ChanEstablish { peer: 6, epoch: 2 }),
         ]);
@@ -804,8 +906,24 @@ mod tests {
     fn violation_without_teardown_is_flagged() {
         let log = TraceLog::from_events(vec![
             ev(0, 0, EventKind::ChanEstablish { peer: 7, epoch: 1 }),
-            ev(1, 0, EventKind::ChanViolation { peer: 7, reason: 3, seq: 2 }),
-            ev(2, 0, EventKind::ChanSend { peer: 7, seq: 0, epoch: 1 }),
+            ev(
+                1,
+                0,
+                EventKind::ChanViolation {
+                    peer: 7,
+                    reason: 3,
+                    seq: 2,
+                },
+            ),
+            ev(
+                2,
+                0,
+                EventKind::ChanSend {
+                    peer: 7,
+                    seq: 0,
+                    epoch: 1,
+                },
+            ),
         ]);
         let f = check_channel_seq(log.events());
         // The missing teardown and the post-violation send both flag.

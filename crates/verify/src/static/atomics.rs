@@ -22,8 +22,14 @@ use crate::parse::WorkspaceModel;
 /// Fields with required Acquire/Release pairing, with the argument the
 /// finding cites.
 pub const REQUIRED_PAIRING: &[(&str, &str)] = &[
-    ("live_gen", "seqlock generation: snapshot validation needs Acquire/Release pairing"),
-    ("enabled", "trace-sink gate: publication of sink state needs Acquire/Release pairing"),
+    (
+        "live_gen",
+        "seqlock generation: snapshot validation needs Acquire/Release pairing",
+    ),
+    (
+        "enabled",
+        "trace-sink gate: publication of sink state needs Acquire/Release pairing",
+    ),
 ];
 
 /// Lint output.
@@ -74,9 +80,7 @@ pub fn check(model: &WorkspaceModel, budget: usize) -> AtomicsResult {
                         lint: Lint::AtomicOrder,
                         file: func.file.clone(),
                         line: op.line,
-                        message: format!(
-                            "`{field}` may not be excused by relaxed-ok: {why}"
-                        ),
+                        message: format!("`{field}` may not be excused by relaxed-ok: {why}"),
                         path: vec![func.qname.clone()],
                     });
                 }
@@ -125,7 +129,10 @@ pub fn check(model: &WorkspaceModel, budget: usize) -> AtomicsResult {
 
     // Stale annotations: markers no Relaxed operation consumed.
     for ann in &model.annotations {
-        if !used_at.iter().any(|(f, l)| *f == ann.file && *l == ann.line) {
+        if !used_at
+            .iter()
+            .any(|(f, l)| *f == ann.file && *l == ann.line)
+        {
             findings.push(StaticFinding {
                 lint: Lint::AtomicOrder,
                 file: ann.file.clone(),

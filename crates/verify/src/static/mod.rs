@@ -78,7 +78,11 @@ pub struct StaticFinding {
 
 impl fmt::Display for StaticFinding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}:{}: {}", self.lint, self.file, self.line, self.message)?;
+        write!(
+            f,
+            "[{}] {}:{}: {}",
+            self.lint, self.file, self.line, self.message
+        )?;
         if !self.path.is_empty() {
             write!(f, " (via {})", self.path.join(" -> "))?;
         }
@@ -258,8 +262,14 @@ impl StaticReport {
             self.c1_total(),
             files.join(",")
         ));
-        s.push_str(&format!("  \"findings\": [{}],\n", json_findings(&self.findings)));
-        s.push_str(&format!("  \"leaves\": [{}],\n", json_entries(&self.leaves)));
+        s.push_str(&format!(
+            "  \"findings\": [{}],\n",
+            json_findings(&self.findings)
+        ));
+        s.push_str(&format!(
+            "  \"leaves\": [{}],\n",
+            json_entries(&self.leaves)
+        ));
         s.push_str(&format!("  \"tiers\": [{}]\n", json_entries(&self.tiers)));
         s.push_str("}\n");
         s

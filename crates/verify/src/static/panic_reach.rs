@@ -22,11 +22,26 @@ use std::collections::BTreeMap;
 /// (`Monitor::call`/`call_inner`) is covered by the `dispatch` serving
 /// tier so per-leaf evidence stays distinguishable.
 pub const HYPERCALL_LEAVES: &[(&str, &[&str])] = &[
-    ("CreateDomain", &["CapEngine::create_domain", "Monitor::apply_or_compensate"]),
-    ("Share", &["CapEngine::share", "Monitor::apply_or_compensate"]),
-    ("Grant", &["CapEngine::grant", "Monitor::apply_or_compensate"]),
-    ("Split", &["CapEngine::split", "Monitor::apply_or_compensate"]),
-    ("Revoke", &["CapEngine::revoke", "Monitor::apply_or_compensate"]),
+    (
+        "CreateDomain",
+        &["CapEngine::create_domain", "Monitor::apply_or_compensate"],
+    ),
+    (
+        "Share",
+        &["CapEngine::share", "Monitor::apply_or_compensate"],
+    ),
+    (
+        "Grant",
+        &["CapEngine::grant", "Monitor::apply_or_compensate"],
+    ),
+    (
+        "Split",
+        &["CapEngine::split", "Monitor::apply_or_compensate"],
+    ),
+    (
+        "Revoke",
+        &["CapEngine::revoke", "Monitor::apply_or_compensate"],
+    ),
     ("Seal", &["CapEngine::seal", "Monitor::apply_or_compensate"]),
     ("SetEntry", &["CapEngine::set_entry"]),
     ("RecordContent", &["CapEngine::record_content"]),
@@ -42,7 +57,13 @@ pub const HYPERCALL_LEAVES: &[(&str, &[&str])] = &[
 pub const SERVING_TIERS: &[(&str, &[&str])] = &[
     ("dispatch", &["Monitor::call", "Monitor::call_inner"]),
     ("smp-read", &["ConcurrentMonitor::serve_enumerate"]),
-    ("smp-fast", &["ConcurrentMonitor::serve_enter", "ConcurrentMonitor::serve_return"]),
+    (
+        "smp-fast",
+        &[
+            "ConcurrentMonitor::serve_enter",
+            "ConcurrentMonitor::serve_return",
+        ],
+    ),
     (
         "smp-mutating",
         &[
@@ -53,7 +74,10 @@ pub const SERVING_TIERS: &[(&str, &[&str])] = &[
     ),
     (
         "smp-ring",
-        &["ConcurrentMonitor::submit", "ConcurrentMonitor::ring_doorbell"],
+        &[
+            "ConcurrentMonitor::submit",
+            "ConcurrentMonitor::ring_doorbell",
+        ],
     ),
 ];
 

@@ -19,14 +19,38 @@ use crate::parse::WorkspaceModel;
 /// Engine methods excused from emitting, with the reason. The
 /// `corrupt_*` entries are the tampering-hook list.
 pub const EXEMPT: &[(&str, &str)] = &[
-    ("set_trace", "installs the sink itself; nothing to record yet"),
-    ("drain_effects", "hardware-effect queue handoff, not a capability mutation"),
-    ("drain_effects_into", "hardware-effect queue handoff, not a capability mutation"),
-    ("corrupt_cap", "adversarial tampering hook: invisible by design, RV must catch it"),
-    ("corrupt_domain", "adversarial tampering hook: invisible by design, RV must catch it"),
-    ("corrupt_generation", "adversarial tampering hook: invisible by design, RV must catch it"),
-    ("corrupt_created_at", "adversarial tampering hook: invisible by design, RV must catch it"),
-    ("corrupt_sealed_at", "adversarial tampering hook: invisible by design, RV must catch it"),
+    (
+        "set_trace",
+        "installs the sink itself; nothing to record yet",
+    ),
+    (
+        "drain_effects",
+        "hardware-effect queue handoff, not a capability mutation",
+    ),
+    (
+        "drain_effects_into",
+        "hardware-effect queue handoff, not a capability mutation",
+    ),
+    (
+        "corrupt_cap",
+        "adversarial tampering hook: invisible by design, RV must catch it",
+    ),
+    (
+        "corrupt_domain",
+        "adversarial tampering hook: invisible by design, RV must catch it",
+    ),
+    (
+        "corrupt_generation",
+        "adversarial tampering hook: invisible by design, RV must catch it",
+    ),
+    (
+        "corrupt_created_at",
+        "adversarial tampering hook: invisible by design, RV must catch it",
+    ),
+    (
+        "corrupt_sealed_at",
+        "adversarial tampering hook: invisible by design, RV must catch it",
+    ),
 ];
 
 /// Lint output.

@@ -75,7 +75,11 @@ pub struct Finding {
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.line {
-            Some(line) => write!(f, "[{}] {}:{}: {}", self.check, self.file, line, self.message),
+            Some(line) => write!(
+                f,
+                "[{}] {}:{}: {}",
+                self.check, self.file, line, self.message
+            ),
             None => write!(f, "[{}] {}: {}", self.check, self.file, self.message),
         }
     }
@@ -182,10 +186,7 @@ pub fn run(config: &AuditConfig) -> Result<Report, String> {
     let mut seen: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
 
     for crate_name in &config.tcb_crates {
-        let crate_root = config
-            .workspace_root
-            .join("crates")
-            .join(crate_name);
+        let crate_root = config.workspace_root.join("crates").join(crate_name);
         let mut crate_loc = FileLoc::default();
 
         check_crate_root_forbids_unsafe(&crate_root, &config.workspace_root, &mut report);
@@ -280,7 +281,9 @@ fn scan_file(
     // will. Occurrences are recorded here and reconciled against the
     // allowlist once all files are scanned.
     for (construct, line) in panic_occurrences(&stripped, &classes) {
-        seen.entry((rel.to_string(), construct)).or_default().push(line);
+        seen.entry((rel.to_string(), construct))
+            .or_default()
+            .push(line);
     }
 }
 
@@ -290,8 +293,7 @@ fn scan_file(
 /// reachability lint so the two can never disagree on what counts.
 pub(crate) fn panic_occurrences(stripped: &str, classes: &[LineClass]) -> Vec<(String, usize)> {
     let mut out = Vec::new();
-    let is_code_line =
-        |line: usize| classes.get(line - 1).is_some_and(|c| *c == LineClass::Code);
+    let is_code_line = |line: usize| classes.get(line - 1).is_some_and(|c| *c == LineClass::Code);
     for word in ["panic", "todo", "unimplemented", "unreachable"] {
         for pos in lex::word_offsets(stripped, word) {
             let after = stripped.as_bytes().get(pos + word.len());
@@ -306,7 +308,11 @@ pub(crate) fn panic_occurrences(stripped: &str, classes: &[LineClass]) -> Vec<(S
             let line = lex::line_of(stripped, pos);
             let rest = stripped[pos + word.len()..].trim_start();
             if rest.starts_with('(') && is_code_line(line) {
-                let construct = if word == "unwrap" { "unwrap()" } else { "expect(" };
+                let construct = if word == "unwrap" {
+                    "unwrap()"
+                } else {
+                    "expect("
+                };
                 out.push((construct.to_string(), line));
             }
         }
@@ -512,14 +518,16 @@ mod tests {
 
     #[test]
     fn indexing_heuristic_skips_attributes_and_types() {
-        let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f(v: &[u8], i: usize) -> u8 { v[i] }\n";
+        let src =
+            "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f(v: &[u8], i: usize) -> u8 { v[i] }\n";
         let (_, seen) = scan_str(src);
         assert_eq!(seen[&("x.rs".into(), "index[".into())], vec![3]);
     }
 
     #[test]
     fn expect_and_macros_recorded() {
-        let src = "fn f(x: Option<u8>) { x.expect(\"m\"); todo!(); unimplemented!(); panic!(\"b\"); }\n";
+        let src =
+            "fn f(x: Option<u8>) { x.expect(\"m\"); todo!(); unimplemented!(); panic!(\"b\"); }\n";
         let (_, seen) = scan_str(src);
         for construct in ["expect(", "todo!", "unimplemented!", "panic!"] {
             assert!(
@@ -571,8 +579,16 @@ mod tests {
         reconcile_allowlist(&allow, &mut seen, &mut report);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].check, Check::StaleAllowlist);
-        assert!(report.findings[0].message.contains("grants 5"), "{}", report.findings[0].message);
-        assert!(report.findings[0].message.contains("contains 2"), "{}", report.findings[0].message);
+        assert!(
+            report.findings[0].message.contains("grants 5"),
+            "{}",
+            report.findings[0].message
+        );
+        assert!(
+            report.findings[0].message.contains("contains 2"),
+            "{}",
+            report.findings[0].message
+        );
     }
 
     #[test]

@@ -69,7 +69,11 @@ impl Serving {
 "#;
     let model = WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/bad.rs", src)]);
     let findings = lock_order::check(&model);
-    assert_eq!(findings.len(), 1, "exactly the seeded violation: {findings:?}");
+    assert_eq!(
+        findings.len(),
+        1,
+        "exactly the seeded violation: {findings:?}"
+    );
     let f = &findings[0];
     assert_eq!(f.lint, Lint::LockOrder);
     assert_eq!(f.line, 5, "site is the core-state acquisition");
@@ -99,7 +103,8 @@ impl Serving {
     let f = &findings[0];
     assert_eq!(f.lint, Lint::LockOrder);
     assert!(
-        f.message.contains("calls helper while holding `engine-inner`"),
+        f.message
+            .contains("calls helper while holding `engine-inner`"),
         "{}",
         f.message
     );
@@ -128,7 +133,11 @@ impl Serving {
     let model = WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/bad.rs", src)]);
     let findings = lock_order::check(&model);
     assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("acquires `core-state` twice"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("acquires `core-state` twice"),
+        "{}",
+        findings[0].message
+    );
 }
 
 /// A ring drain's lock shape. The ring and the pending-shootdown batch
@@ -160,7 +169,10 @@ fn conforming_ring_to_channel_locks_pass() {
     let model =
         WorkspaceModel::from_sources(&[("core", "crates/core/src/ring_ok.rs", RING_LOCKS_OK)]);
     let findings = lock_order::check(&model);
-    assert!(findings.is_empty(), "clean ring fixture flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "clean ring fixture flagged: {findings:?}"
+    );
 }
 
 /// Both inversions a ring drain must avoid, on the classes that hold
@@ -225,13 +237,25 @@ fn every_real_tcb_acquisition_is_classified() {
         .iter()
         .flat_map(|f| f.locks.iter().map(move |l| (f, l)))
         .collect();
-    assert!(sites.len() >= 30, "only {} acquisitions parsed", sites.len());
+    assert!(
+        sites.len() >= 30,
+        "only {} acquisitions parsed",
+        sites.len()
+    );
     let unclassified: Vec<String> = sites
         .iter()
         .filter(|(_, l)| lock_order::classify(l).is_none())
-        .map(|(f, l)| format!("{}:{} in {} ({}({}))", f.file, l.line, f.qname, l.helper, l.arg))
+        .map(|(f, l)| {
+            format!(
+                "{}:{} in {} ({}({}))",
+                f.file, l.line, f.qname, l.helper, l.arg
+            )
+        })
         .collect();
-    assert!(unclassified.is_empty(), "unranked acquisitions: {unclassified:#?}");
+    assert!(
+        unclassified.is_empty(),
+        "unranked acquisitions: {unclassified:#?}"
+    );
 }
 
 /// The fleet layer's lock shape: the channel table, taken after the
@@ -260,7 +284,10 @@ fn conforming_channel_locks_pass() {
         CHANNEL_LOCKS_OK,
     )]);
     let findings = lock_order::check(&model);
-    assert!(findings.is_empty(), "clean channel fixture flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "clean channel fixture flagged: {findings:?}"
+    );
 }
 
 #[test]
@@ -279,18 +306,21 @@ impl Channels {
     }
 }
 "#;
-    let model =
-        WorkspaceModel::from_sources(&[("core", "crates/core/src/channel_bad.rs", src)]);
+    let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/channel_bad.rs", src)]);
     let findings = lock_order::check(&model);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(
-        findings.iter().any(|f| f.message.contains("acquires `channel-table`")
-            && f.message.contains("`trace-lanes`")),
+        findings
+            .iter()
+            .any(|f| f.message.contains("acquires `channel-table`")
+                && f.message.contains("`trace-lanes`")),
         "channel-after-lanes inversion missed: {findings:?}"
     );
     assert!(
-        findings.iter().any(|f| f.message.contains("acquires `engine-inner`")
-            && f.message.contains("`channel-table`")),
+        findings
+            .iter()
+            .any(|f| f.message.contains("acquires `engine-inner`")
+                && f.message.contains("`channel-table`")),
         "engine-after-channel inversion missed: {findings:?}"
     );
 }
@@ -316,7 +346,10 @@ fn every_tcb_lock_class_is_taken() {
         .map(|(class, _)| *class)
         .filter(|class| !taken.contains(class))
         .collect();
-    assert!(unused.is_empty(), "ranked classes no TCB lock takes: {unused:?}");
+    assert!(
+        unused.is_empty(),
+        "ranked classes no TCB lock takes: {unused:?}"
+    );
 }
 
 // ------------------------------------------------------------- panic reach
@@ -348,7 +381,11 @@ fn leaf() { table.expect("checked"); }
     assert_eq!(site.lines, vec![6]);
     assert_eq!(
         site.path,
-        vec!["Gate::entry".to_string(), "middle".to_string(), "leaf".to_string()],
+        vec![
+            "Gate::entry".to_string(),
+            "middle".to_string(),
+            "leaf".to_string()
+        ],
         "evidence is the entrypoint-to-site chain, not a count"
     );
 }
@@ -393,7 +430,10 @@ fn dead_code() { boom.unwrap(); }
 "#;
     let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/gate.rs", src)]);
     let (findings, evidence) = panic_reach::check_entries(&model, ENTRIES, &[]);
-    assert!(findings.is_empty(), "unreachable site flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "unreachable site flagged: {findings:?}"
+    );
     assert!(evidence[0].sites.is_empty());
 }
 
@@ -402,7 +442,11 @@ fn entrypoint_rot_is_caught() {
     let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/gate.rs", "fn x() {}")]);
     let (findings, _) = panic_reach::check_entries(&model, ENTRIES, &[]);
     assert_eq!(findings.len(), 1);
-    assert!(findings[0].message.contains("entrypoint table rot"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("entrypoint table rot"),
+        "{}",
+        findings[0].message
+    );
 }
 
 // ------------------------------------------------------ call resolution
@@ -438,7 +482,10 @@ fn resolution_model() -> WorkspaceModel {
 
 fn reached_from(model: &WorkspaceModel, seed: &str) -> Vec<String> {
     let parents = model.reachable(&[model.find_qname(seed).unwrap()]);
-    parents.keys().map(|&i| model.functions[i].qname.clone()).collect()
+    parents
+        .keys()
+        .map(|&i| model.functions[i].qname.clone())
+        .collect()
 }
 
 #[test]
@@ -446,12 +493,18 @@ fn method_call_reaches_only_self_receivers() {
     let model = resolution_model();
     assert_eq!(
         reached_from(&model, "Monitor::domain_tag"),
-        vec!["Backend::tag".to_string(), "Monitor::domain_tag".to_string()],
+        vec![
+            "Backend::tag".to_string(),
+            "Monitor::domain_tag".to_string()
+        ],
         "`.tag(` cannot call the free `aead::tag`"
     );
     let entries: &[(&str, &[&str])] = &[("DomainTag", &["Monitor::domain_tag"])];
     let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
-    assert!(findings.is_empty(), "spurious `tag -> block` chain: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "spurious `tag -> block` chain: {findings:?}"
+    );
 }
 
 #[test]
@@ -462,7 +515,12 @@ fn qualified_free_call_keeps_its_real_edge() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(
         findings[0].path,
-        ["Monitor::seal_frame", "tag", "block", "crates/crypto/src/aead.rs:3"],
+        [
+            "Monitor::seal_frame",
+            "tag",
+            "block",
+            "crates/crypto/src/aead.rs:3"
+        ],
         "`aead::tag(` names no impl, so it still reaches the free `tag`"
     );
 }
@@ -472,12 +530,18 @@ fn self_path_call_resolves_to_its_own_impl() {
     let model = resolution_model();
     assert_eq!(
         reached_from(&model, "Monitor::own_helper"),
-        vec!["Monitor::own_helper".to_string(), "Monitor::pure".to_string()],
+        vec![
+            "Monitor::own_helper".to_string(),
+            "Monitor::pure".to_string()
+        ],
         "`Self::pure` stays inside `impl Monitor`"
     );
     let entries: &[(&str, &[&str])] = &[("OwnHelper", &["Monitor::own_helper"])];
     let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
-    assert!(findings.is_empty(), "`Other`'s panics reached: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "`Other`'s panics reached: {findings:?}"
+    );
 }
 
 /// Path calls on std types (one behind an alias) next to a model type
@@ -515,7 +579,10 @@ fn foreign_type_path_call_has_no_edge() {
     );
     let entries: &[(&str, &[&str])] = &[("Fresh", &["Verifier::fresh"])];
     let (findings, _) = panic_reach::check_entries(&model, entries, &[]);
-    assert!(findings.is_empty(), "std constructor reached a TCB `new`: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "std constructor reached a TCB `new`: {findings:?}"
+    );
 }
 
 #[test]
@@ -528,7 +595,10 @@ fn model_type_and_trait_impl_are_still_reached() {
     );
     assert_eq!(
         reached_from(&model, "Verifier::defaulted"),
-        vec!["Verifier::defaulted".to_string(), "Config::default".to_string()],
+        vec![
+            "Verifier::defaulted".to_string(),
+            "Config::default".to_string()
+        ],
         "`Default` is implemented in the model, so `Default::default(` reaches it"
     );
     let entries: &[(&str, &[&str])] = &[("Defaulted", &["Verifier::defaulted"])];
@@ -536,7 +606,11 @@ fn model_type_and_trait_impl_are_still_reached() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(
         findings[0].path,
-        ["Verifier::defaulted", "Config::default", "crates/monitor/src/attest.rs:14"]
+        [
+            "Verifier::defaulted",
+            "Config::default",
+            "crates/monitor/src/attest.rs:14"
+        ]
     );
 }
 
@@ -661,13 +735,18 @@ impl Stats {
     let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/stats.rs", src)]);
     let over = atomics::check(&model, 0);
     assert!(
-        over.findings.iter().any(|f| f.message.contains("budget is exactly 0")),
+        over.findings
+            .iter()
+            .any(|f| f.message.contains("budget is exactly 0")),
         "{:?}",
         over.findings
     );
     let under = atomics::check(&model, 2);
     assert!(
-        under.findings.iter().any(|f| f.message.contains("budget is exactly 2")),
+        under
+            .findings
+            .iter()
+            .any(|f| f.message.contains("budget is exactly 2")),
         "{:?}",
         under.findings
     );
@@ -779,7 +858,11 @@ fn silent_mutator_is_caught() {
     let f = &result.findings[0];
     assert_eq!(f.lint, Lint::TraceComplete);
     assert!(f.message.contains("stealth_edit"), "{}", f.message);
-    assert!(f.message.contains("never reaches TraceSink::emit"), "{}", f.message);
+    assert!(
+        f.message.contains("never reaches TraceSink::emit"),
+        "{}",
+        f.message
+    );
 }
 
 #[test]
@@ -804,7 +887,10 @@ fn exemption_table_rot_is_caught() {
     )]);
     let result = trace_complete::check(&model);
     assert!(
-        result.findings.iter().all(|f| f.message.contains("exemption table rot")),
+        result
+            .findings
+            .iter()
+            .all(|f| f.message.contains("exemption table rot")),
         "{:?}",
         result.findings
     );

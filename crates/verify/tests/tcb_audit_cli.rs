@@ -15,10 +15,8 @@ struct Fixture {
 impl Fixture {
     /// Builds a fully compliant minimal tree; tests then break it.
     fn compliant(tag: &str) -> Fixture {
-        let root = std::env::temp_dir().join(format!(
-            "tcb-audit-fixture-{}-{tag}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("tcb-audit-fixture-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let f = Fixture { root };
         f.write(
@@ -99,7 +97,10 @@ fn unsafe_token_fails() {
 #[test]
 fn missing_forbid_attribute_fails() {
     let f = Fixture::compliant("forbid");
-    f.write("crates/monitor/src/lib.rs", "pub fn ok() -> u32 {\n    7\n}\n");
+    f.write(
+        "crates/monitor/src/lib.rs",
+        "pub fn ok() -> u32 {\n    7\n}\n",
+    );
     let (ok, text) = f.audit(&[]);
     assert!(!ok);
     assert!(text.contains("forbid-unsafe"), "{text}");
@@ -114,7 +115,10 @@ fn unapproved_panic_construct_fails() {
     );
     let (ok, text) = f.audit(&[]);
     assert!(!ok);
-    assert!(text.contains("panic-construct") && text.contains("unwrap()"), "{text}");
+    assert!(
+        text.contains("panic-construct") && text.contains("unwrap()"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -151,7 +155,10 @@ fn registry_dependency_fails() {
     );
     let (ok, text) = f.audit(&[]);
     assert!(!ok);
-    assert!(text.contains("dependency") && text.contains("rand"), "{text}");
+    assert!(
+        text.contains("dependency") && text.contains("rand"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -211,10 +218,25 @@ fn real_tree_passes_deep_lints_and_writes_static_json() {
     );
     // Path evidence, not counts: every hypercall leaf row is present.
     for leaf in [
-        "CreateDomain", "Share", "Grant", "Split", "Revoke", "Seal", "SetEntry",
-        "RecordContent", "MakeTransition", "Kill", "Enumerate", "Enter", "Return", "Attest",
+        "CreateDomain",
+        "Share",
+        "Grant",
+        "Split",
+        "Revoke",
+        "Seal",
+        "SetEntry",
+        "RecordContent",
+        "MakeTransition",
+        "Kill",
+        "Enumerate",
+        "Enter",
+        "Return",
+        "Attest",
     ] {
-        assert!(text.contains(leaf), "missing leaf evidence for {leaf}:\n{text}");
+        assert!(
+            text.contains(leaf),
+            "missing leaf evidence for {leaf}:\n{text}"
+        );
     }
     let json = fs::read_to_string(&json_path).expect("STATIC.json written");
     let _ = fs::remove_file(&json_path);

@@ -568,7 +568,9 @@ pub mod prelude {
     pub use crate as prop;
     pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Declares property tests: each `#[test] fn name(pat in strategy, ...)`
@@ -754,8 +756,7 @@ mod tests {
         // 300, 150, 75, 37, 18 and stops (every candidate of 18 is
         // below the threshold). The floor and step count are exact.
         let strat = (0u64..1000,);
-        let (min, steps) =
-            crate::test_runner::minimize(&strat, (600,), |v| v.0 >= 17, 512);
+        let (min, steps) = crate::test_runner::minimize(&strat, (600,), |v| v.0 >= 17, 512);
         assert_eq!(min, (18,));
         assert_eq!(steps, 5);
         // A later component shrinks only after the first is done.
