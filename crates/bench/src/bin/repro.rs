@@ -2301,8 +2301,11 @@ fn bench_flush_policy(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
 /// `Split`s. Host ns per call, model cycles per call and the backends'
 /// `backend.work_units` per call; the cycles and work units are asserted
 /// identical on every iteration. The histogram samples one
-/// `Grant`+`Revoke` pair (the row's `after`).
+/// `Grant`+`Revoke` pair (the row's `after`). `boot_ns` is the host time
+/// of the machine's boot, which maps all of its RAM into the root
+/// (recorded, not gated).
 fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry, Histogram) {
+    let ns = |d: std::time::Duration| timing::total_ns(d).unwrap_or_else(|e| panic!("grant_revoke timing: {e}"));
     let config = BootConfig {
         machine: tyche_hw::machine::MachineConfig {
             ram_bytes: ram_mib << 20,
@@ -2310,7 +2313,9 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
         },
         ..Default::default()
     };
+    let boot_start = Instant::now();
     let mut m = if riscv { boot_riscv(config) } else { boot_x86(config) };
+    let boot_ns = ns(boot_start.elapsed());
     let child = match m.call(0, MonitorCall::CreateDomain).expect("create") {
         CallResult::NewDomain { domain, .. } => domain,
         other => panic!("unexpected {other:?}"),
@@ -2351,7 +2356,6 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
         let (c1, w1, t1) = (m.machine.cycles.now(), work(&m), Instant::now());
         m.call(0, MonitorCall::Revoke { cap: granted }).expect("revoke");
         let (c2, w2, t2) = (m.machine.cycles.now(), work(&m), Instant::now());
-        let ns = |d: std::time::Duration| timing::total_ns(d).unwrap_or_else(|e| panic!("grant_revoke timing: {e}"));
         grant_ns += ns(t1 - t0);
         revoke_ns += ns(t2 - t1);
         hist.record_n(ns(t2 - t0), 1);
@@ -2376,6 +2380,7 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
                 ("revoke_cycles", revoke_cycles),
                 ("grant_work", grant_work),
                 ("revoke_work", revoke_work),
+                ("boot_ns", boot_ns),
             ],
         },
         hist,

@@ -647,12 +647,6 @@ fn row_with_percentiles(family: Family, merged: &MergedScenario) -> Json {
 }
 
 fn manifest_block(m: &Manifest) -> String {
-    let host = Json::Obj(vec![
-        ("cores".into(), Json::Num(m.host.cores.to_string())),
-        ("arch".into(), Json::Str(m.host.arch.clone())),
-        ("os".into(), Json::Str(m.host.os.clone())),
-        ("rustc".into(), Json::Str(m.host.rustc.clone())),
-    ]);
     let seeds = Json::Arr(m.seeds.iter().map(|s| Json::Num(s.to_string())).collect());
     let children = m
         .children
@@ -679,7 +673,7 @@ fn manifest_block(m: &Manifest) -> String {
         seeds.to_compact(),
         m.config_hash,
         m.invocations,
-        host.to_compact(),
+        m.host.to_json().to_compact(),
         children
     )
 }
@@ -992,6 +986,12 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
     let smoke = [old, new]
         .iter()
         .any(|d| d.get("mode").and_then(Json::as_str) == Some("smoke"));
+    let host = |doc: &Json| Some(Manifest::parse(doc.get("manifest")?).ok()?.host);
+    if let (Some(o), Some(n)) = (host(old), host(new)) {
+        if o.differs_from(&n) {
+            println!("hosts differ: old ran on {o}, new on {n} — host-clock deltas mix host and code");
+        }
+    }
 
     let mut t = Table::new(
         &format!(

@@ -5,7 +5,7 @@
 //! Every harness run captures the git commit (plus a dirty flag — a
 //! number from an uncommitted tree says so), the seed set handed to the
 //! child processes, a hash of the scenario configuration, a host
-//! fingerprint (core count, arch/OS, rustc version), and the digest of
+//! fingerprint (CPU model, core count, arch/OS, rustc version), and the digest of
 //! every child invocation's histograms. `repro report --check` refuses
 //! artifacts without one.
 
@@ -17,6 +17,9 @@ use crate::json::Json;
 /// Hardware/toolchain identity of the machine that produced a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostFingerprint {
+    /// The `model name` of `/proc/cpuinfo`, or `"unknown"` where there is
+    /// none; `None` in artifacts written before it was recorded.
+    pub cpu_model: Option<String>,
     /// Available parallelism (logical cores visible to the process).
     pub cores: usize,
     /// Target architecture (`std::env::consts::ARCH`).
@@ -41,12 +44,54 @@ impl HostFingerprint {
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| "unknown".to_string());
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .filter_map(|line| line.split_once(':'))
+                    .find(|(key, _)| key.trim() == "model name")
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
         Self {
+            cpu_model: Some(cpu_model),
             cores,
             arch: std::env::consts::ARCH.to_string(),
             os: std::env::consts::OS.to_string(),
             rustc,
         }
+    }
+
+    /// Whether `other` is another machine: the core count, arch or OS
+    /// differ, or both record CPU models and they differ. (`rustc` is the
+    /// toolchain, not the host.)
+    pub fn differs_from(&self, other: &Self) -> bool {
+        let models = (&self.cpu_model, &other.cpu_model);
+        matches!(models, (Some(a), Some(b)) if a != b)
+            || (self.cores, &self.arch, &self.os) != (other.cores, &other.arch, &other.os)
+    }
+
+    /// The `host` object of a manifest (order-stable).
+    pub fn to_json(&self) -> Json {
+        let mut fields = Vec::new();
+        if let Some(model) = &self.cpu_model {
+            fields.push(("cpu_model".into(), Json::Str(model.clone())));
+        }
+        fields.extend([
+            ("cores".into(), Json::Num(self.cores.to_string())),
+            ("arch".into(), Json::Str(self.arch.clone())),
+            ("os".into(), Json::Str(self.os.clone())),
+            ("rustc".into(), Json::Str(self.rustc.clone())),
+        ]);
+        Json::Obj(fields)
+    }
+}
+
+impl std::fmt::Display for HostFingerprint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let model = self.cpu_model.as_deref().unwrap_or("unrecorded CPU");
+        write!(f, "{model} ({} cores, {}/{})", self.cores, self.arch, self.os)
     }
 }
 
@@ -138,15 +183,7 @@ impl Manifest {
             ),
             ("config_hash".into(), Json::Str(self.config_hash.clone())),
             ("invocations".into(), Json::Num(self.invocations.to_string())),
-            (
-                "host".into(),
-                Json::Obj(vec![
-                    ("cores".into(), Json::Num(self.host.cores.to_string())),
-                    ("arch".into(), Json::Str(self.host.arch.clone())),
-                    ("os".into(), Json::Str(self.host.os.clone())),
-                    ("rustc".into(), Json::Str(self.host.rustc.clone())),
-                ]),
-            ),
+            ("host".into(), self.host.to_json()),
             (
                 "children".into(),
                 Json::Arr(
@@ -215,6 +252,7 @@ impl Manifest {
                 .and_then(Json::as_u64)
                 .ok_or("manifest missing invocations")? as usize,
             host: HostFingerprint {
+                cpu_model: host.get("cpu_model").and_then(Json::as_str).map(str::to_string),
                 cores: host.get("cores").and_then(Json::as_u64).ok_or("host missing cores")?
                     as usize,
                 arch: host
@@ -264,6 +302,7 @@ mod tests {
             config_hash: "ff".repeat(32),
             invocations: 2,
             host: HostFingerprint {
+                cpu_model: Some("Example CPU @ 2.00GHz".into()),
                 cores: 8,
                 arch: "x86_64".into(),
                 os: "linux".into(),
@@ -277,6 +316,21 @@ mod tests {
         let encoded = m.to_json().to_compact();
         let back = Manifest::parse(&crate::json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn manifests_without_cpu_model_still_parse() {
+        let m = Manifest::capture(Path::new("."), "harness", vec![1], "a", 1, vec![]);
+        assert!(m.host.cpu_model.as_deref().is_some_and(|s| !s.is_empty()));
+        let mut old = m.clone();
+        old.host.cpu_model = None;
+        let back = Manifest::parse(&crate::json::parse(&old.to_json().to_compact()).unwrap());
+        assert_eq!(back.unwrap(), old);
+        // An unrecorded model is not a host change; a different one is.
+        assert!(!old.host.differs_from(&m.host));
+        let mut other = m.host.clone();
+        other.cpu_model = Some("Another CPU".into());
+        assert!(other.differs_from(&m.host));
     }
 
     #[test]

@@ -1223,8 +1223,9 @@ impl Monitor {
 
     /// Debug oracle: after a successful apply, a live, unquarantined
     /// domain's hardware state must be exactly the engine's page view.
+    /// Panics where it is not.
     #[cfg(debug_assertions)]
-    fn check_view(&self, domain: DomainId) {
+    pub fn check_view(&self, domain: DomainId) {
         if !self
             .engine
             .domain(domain)
