@@ -37,7 +37,6 @@ use tyche_core::trace::EventKind;
 use tyche_fleet::{Fleet, FleetConfig};
 use tyche_hw::cycles::SmpClocks;
 use tyche_hw::faults::{FaultPlan, FaultSite};
-use tyche_verify::rv;
 use tyche_monitor::abi::MonitorCall;
 use tyche_monitor::attest::Verifier;
 use tyche_monitor::boot::{expected_monitor_pcr, MONITOR_VERSION};
@@ -45,6 +44,7 @@ use tyche_monitor::monitor::CallResult;
 use tyche_monitor::{
     boot_riscv, boot_x86, BootConfig, ConcurrentMonitor, RingOutcome, SmpStats, Status,
 };
+use tyche_verify::rv;
 
 fn main() {
     // Paths (after `--out`, or the operands of `report`) must survive
@@ -293,7 +293,10 @@ fn report_main(args: &[String]) {
         }
         let mut pass = true;
         for file in files {
-            let doc = match std::fs::read_to_string(file).map_err(|e| e.to_string()).and_then(|s| json::parse(&s)) {
+            let doc = match std::fs::read_to_string(file)
+                .map_err(|e| e.to_string())
+                .and_then(|s| json::parse(&s))
+            {
                 Ok(d) => d,
                 Err(e) => {
                     println!("CHECK {file}: unreadable ({e})");
@@ -318,10 +321,12 @@ fn report_main(args: &[String]) {
         return;
     }
     let threshold = flag_value(args, "--threshold")
-        .map(|t| t.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("report: bad --threshold {t:?}");
-            std::process::exit(2);
-        }))
+        .map(|t| {
+            t.parse::<f64>().unwrap_or_else(|_| {
+                eprintln!("report: bad --threshold {t:?}");
+                std::process::exit(2);
+            })
+        })
         .unwrap_or(10.0);
     let positional: Vec<&String> = {
         let mut skip_next = false;
@@ -352,8 +357,8 @@ fn report_main(args: &[String]) {
                 std::process::exit(2);
             })
     };
-    let outcome = harness::report_diff(&load(old_path), &load(new_path), threshold)
-        .unwrap_or_else(|e| {
+    let outcome =
+        harness::report_diff(&load(old_path), &load(new_path), threshold).unwrap_or_else(|e| {
             eprintln!("report: {e}");
             std::process::exit(2);
         });
@@ -431,7 +436,8 @@ fn harness_child(args: &[String]) {
         }
         "grant_revoke" => {
             let arch = harness::param(&params, "arch").unwrap_or("x86");
-            let (e, hist) = bench_grant_revoke(arch == "riscv", p("ram_mib", 64) as u64, p("iters", 2000));
+            let (e, hist) =
+                bench_grant_revoke(arch == "riscv", p("ram_mib", 64) as u64, p("iters", 2000));
             let det = e
                 .detail
                 .iter()
@@ -463,7 +469,8 @@ fn harness_child(args: &[String]) {
             (smp_row(&e), det, vec![("call".to_string(), hist)])
         }
         "population" => {
-            let (e, hists) = scale_population(p("population", 1_000), p("neighbors", 64), p("depth", 1024));
+            let (e, hists) =
+                scale_population(p("population", 1_000), p("neighbors", 64), p("depth", 1024));
             (scale_row(&e), Vec::new(), hists)
         }
         "fleet" => fleet_bench(
@@ -478,7 +485,13 @@ fn harness_child(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let line = harness::ChildLine { id, seed, det, row, hists };
+    let line = harness::ChildLine {
+        id,
+        seed,
+        det,
+        row,
+        hists,
+    };
     println!("{}", line.emit());
 }
 
@@ -489,7 +502,10 @@ fn harness_child(args: &[String]) {
 fn smp_det(e: &SmpEntry) -> Vec<(String, u64)> {
     let mut det = vec![("ops".to_string(), e.ops)];
     for (k, v) in &e.detail {
-        if matches!(*k, "shootdowns_requested" | "ring_submitted" | "fast_transitions") {
+        if matches!(
+            *k,
+            "shootdowns_requested" | "ring_submitted" | "fast_transitions"
+        ) {
             det.push((k.to_string(), *v));
         }
     }
@@ -560,18 +576,22 @@ fn verify() -> bool {
     t.row(&[
         "C1 LOC budget".into(),
         format!("{} / {} lines", report.tcb_loc, report.loc_budget),
-        pass_fail(!report
-            .findings
-            .iter()
-            .any(|f| f.check == tyche_verify::static_audit::Check::LocBudget)),
+        pass_fail(
+            !report
+                .findings
+                .iter()
+                .any(|f| f.check == tyche_verify::static_audit::Check::LocBudget),
+        ),
     ]);
     t.row(&[
         "dependency closure (workspace-only)".into(),
         "TCB manifests".into(),
-        pass_fail(!report
-            .findings
-            .iter()
-            .any(|f| f.check == tyche_verify::static_audit::Check::Dependency)),
+        pass_fail(
+            !report
+                .findings
+                .iter()
+                .any(|f| f.check == tyche_verify::static_audit::Check::Dependency),
+        ),
     ]);
     let lint_rows: &[(&str, tyche_verify::static_lints::Lint, String)] = &[
         (
@@ -622,7 +642,10 @@ fn verify() -> bool {
         println!("  static-lint finding: {finding}");
     }
     for violation in result.violations.iter().take(5) {
-        println!("  bmc violation: {} (trace: {:?})", violation.message, violation.trace);
+        println!(
+            "  bmc violation: {} (trace: {:?})",
+            violation.message, violation.trace
+        );
     }
 
     let doc = deep.to_json();
@@ -634,7 +657,11 @@ fn verify() -> bool {
 }
 
 fn pass_fail(ok: bool) -> String {
-    if ok { "PASS".into() } else { "FAIL".into() }
+    if ok {
+        "PASS".into()
+    } else {
+        "FAIL".into()
+    }
 }
 
 /// F1 — the separation of powers: legislative (domain defines policy),
@@ -1972,7 +1999,10 @@ impl HotpathEntry {
             .before
             .map(|b| {
                 let improvement = b as f64 / (self.after.max(1)) as f64;
-                format!("\"before\": {b}, \"after\": {}, \"improvement\": {improvement:.2}", self.after)
+                format!(
+                    "\"before\": {b}, \"after\": {}, \"improvement\": {improvement:.2}",
+                    self.after
+                )
             })
             .unwrap_or_else(|| format!("\"after\": {}", self.after));
         format!(
@@ -2180,20 +2210,22 @@ fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
                      enter: &mut dyn FnMut(&mut tyche_monitor::Monitor)| {
         // Warm one roundtrip so cache-fill cost is not in the timing.
         enter(m);
-        m.ret_fast(0).or_else(|_| {
-            m.call(0, MonitorCall::Return)
-                .map(|_| m.engine.root().expect("root"))
-        })
-        .expect("warm return");
+        m.ret_fast(0)
+            .or_else(|_| {
+                m.call(0, MonitorCall::Return)
+                    .map(|_| m.engine.root().expect("root"))
+            })
+            .expect("warm return");
         let c0 = m.machine.cycles.now();
         let t0 = Instant::now();
         for _ in 0..iters {
             enter(m);
-            m.ret_fast(0).or_else(|_| {
-                m.call(0, MonitorCall::Return)
-                    .map(|_| m.engine.root().expect("root"))
-            })
-            .expect("return");
+            m.ret_fast(0)
+                .or_else(|_| {
+                    m.call(0, MonitorCall::Return)
+                        .map(|_| m.engine.root().expect("root"))
+                })
+                .expect("return");
         }
         let ns = timing::per_op_ns(t0.elapsed(), iters)
             .unwrap_or_else(|e| panic!("transition timing: {e}"));
@@ -2201,7 +2233,9 @@ fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
         (ns, cycles)
     };
     let (med_ns, med_cycles) = roundtrip(&mut m, &mut |m| {
-        m.call(0, MonitorCall::Enter { cap: gate }).map(|_| ()).expect("enter");
+        m.call(0, MonitorCall::Enter { cap: gate })
+            .map(|_| ())
+            .expect("enter");
     });
     let (cached_ns, fast_cycles) = roundtrip(&mut m, &mut |m| {
         m.enter_fast(0, gate).map(|_| ()).expect("enter");
@@ -2214,11 +2248,12 @@ fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
         let t0 = Instant::now();
         for _ in 0..batch {
             m.enter_fast(0, gate).expect("enter");
-            m.ret_fast(0).or_else(|_| {
-                m.call(0, MonitorCall::Return)
-                    .map(|_| m.engine.root().expect("root"))
-            })
-            .expect("return");
+            m.ret_fast(0)
+                .or_else(|_| {
+                    m.call(0, MonitorCall::Return)
+                        .map(|_| m.engine.root().expect("root"))
+                })
+                .expect("return");
         }
         let per = timing::per_op_ns(t0.elapsed(), batch)
             .unwrap_or_else(|e| panic!("transition sampling: {e}"));
@@ -2305,7 +2340,9 @@ fn bench_flush_policy(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
 /// of the machine's boot, which maps all of its RAM into the root
 /// (recorded, not gated).
 fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry, Histogram) {
-    let ns = |d: std::time::Duration| timing::total_ns(d).unwrap_or_else(|e| panic!("grant_revoke timing: {e}"));
+    let ns = |d: std::time::Duration| {
+        timing::total_ns(d).unwrap_or_else(|e| panic!("grant_revoke timing: {e}"))
+    };
     let config = BootConfig {
         machine: tyche_hw::machine::MachineConfig {
             ram_bytes: ram_mib << 20,
@@ -2314,7 +2351,11 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
         ..Default::default()
     };
     let boot_start = Instant::now();
-    let mut m = if riscv { boot_riscv(config) } else { boot_x86(config) };
+    let mut m = if riscv {
+        boot_riscv(config)
+    } else {
+        boot_x86(config)
+    };
     let boot_ns = ns(boot_start.elapsed());
     let child = match m.call(0, MonitorCall::CreateDomain).expect("create") {
         CallResult::NewDomain { domain, .. } => domain,
@@ -2329,11 +2370,23 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
         .map(|c| c.id)
         .expect("root RAM cap");
     let at = 0x10_0000;
-    let rest = match m.call(0, MonitorCall::Split { cap: ram, at }).expect("split") {
+    let rest = match m
+        .call(0, MonitorCall::Split { cap: ram, at })
+        .expect("split")
+    {
         CallResult::Caps(_, hi) => hi,
         other => panic!("unexpected {other:?}"),
     };
-    let page = match m.call(0, MonitorCall::Split { cap: rest, at: at + 0x1000 }).expect("split") {
+    let page = match m
+        .call(
+            0,
+            MonitorCall::Split {
+                cap: rest,
+                at: at + 0x1000,
+            },
+        )
+        .expect("split")
+    {
         CallResult::Caps(lo, _) => lo,
         other => panic!("unexpected {other:?}"),
     };
@@ -2346,7 +2399,12 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
         let granted = match m
             .call(
                 0,
-                MonitorCall::Grant { cap: page, target: child, rights: Rights::RW, policy: RevocationPolicy::ZERO },
+                MonitorCall::Grant {
+                    cap: page,
+                    target: child,
+                    rights: Rights::RW,
+                    policy: RevocationPolicy::ZERO,
+                },
             )
             .expect("grant")
         {
@@ -2354,13 +2412,18 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
             other => panic!("unexpected {other:?}"),
         };
         let (c1, w1, t1) = (m.machine.cycles.now(), work(&m), Instant::now());
-        m.call(0, MonitorCall::Revoke { cap: granted }).expect("revoke");
+        m.call(0, MonitorCall::Revoke { cap: granted })
+            .expect("revoke");
         let (c2, w2, t2) = (m.machine.cycles.now(), work(&m), Instant::now());
         grant_ns += ns(t1 - t0);
         revoke_ns += ns(t2 - t1);
         hist.record_n(ns(t2 - t0), 1);
         let this = [c1 - c0, c2 - c1, w1 - w0, w2 - w1];
-        assert_eq!(*per_call.get_or_insert(this), this, "grant/revoke model figures drifted");
+        assert_eq!(
+            *per_call.get_or_insert(this),
+            this,
+            "grant/revoke model figures drifted"
+        );
     }
     let [grant_cycles, revoke_cycles, grant_work, revoke_work] = per_call.expect("one iteration");
     let n = iters.max(1) as u64;
@@ -2576,7 +2639,8 @@ fn scale_population(
         .map(|(j, &(_, d))| {
             (
                 core_caps[j].0,
-                e.make_transition(root, d, RevocationPolicy::NONE).expect("gate"),
+                e.make_transition(root, d, RevocationPolicy::NONE)
+                    .expect("gate"),
             )
         })
         .collect();
@@ -2781,7 +2845,12 @@ fn fleet_bench(
     let honest: Vec<usize> = (0..machines).filter(|&m| Some(m) != byz).collect();
     let pairs: Vec<(usize, usize)> = honest
         .iter()
-        .flat_map(|&a| honest.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+        .flat_map(|&a| {
+            honest
+                .iter()
+                .filter(move |&&b| b != a)
+                .map(move |&b| (a, b))
+        })
         .collect();
     let spray = |fleet: &mut Fleet| {
         if let Some(evil) = byz {
@@ -3017,7 +3086,14 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
         .expect("victim window");
     let vcore_cap = find_core_cap(&m, os, victim_core);
     m.engine
-        .share(os, vcore_cap, victim, None, Rights::USE, RevocationPolicy::NONE)
+        .share(
+            os,
+            vcore_cap,
+            victim,
+            None,
+            Rights::USE,
+            RevocationPolicy::NONE,
+        )
         .expect("share victim core");
     m.engine.set_entry(os, victim, vbase).expect("victim entry");
     m.engine
@@ -3062,14 +3138,25 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
             let core_cap = find_core_cap(&m, os, core);
             let core_share = m
                 .engine
-                .share(os, core_cap, tenant, None, Rights::USE, RevocationPolicy::NONE)
+                .share(
+                    os,
+                    core_cap,
+                    tenant,
+                    None,
+                    Rights::USE,
+                    RevocationPolicy::NONE,
+                )
                 .expect("share core");
             m.engine.set_entry(os, tenant, base).expect("entry");
             m.engine
                 .seal(os, tenant, SealPolicy::nestable())
                 .expect("seal tenant");
             next_id = core_share.0 + 1;
-            SmpLane { tenant, gate, window }
+            SmpLane {
+                tenant,
+                gate,
+                window,
+            }
         })
         .collect();
 
@@ -3147,10 +3234,17 @@ const SMP_WORKLOADS: [(&str, SmpMode); 5] = [
 /// Enters the actors the mode needs: distinct workers run as their
 /// core's tenant; contended modes put the victim on its own core so
 /// revocations have a remote core to shoot down.
-fn smp_enter_actors(m: &mut tyche_monitor::Monitor, fx_lanes: &[SmpLane], mode: SmpMode, victim_core: usize, victim_gate: CapId) {
+fn smp_enter_actors(
+    m: &mut tyche_monitor::Monitor,
+    fx_lanes: &[SmpLane],
+    mode: SmpMode,
+    victim_core: usize,
+    victim_gate: CapId,
+) {
     if mode == SmpMode::Distinct {
         for (core, lane) in fx_lanes.iter().enumerate() {
-            m.call(core, MonitorCall::Enter { cap: lane.gate }).expect("enter tenant");
+            m.call(core, MonitorCall::Enter { cap: lane.gate })
+                .expect("enter tenant");
         }
     } else {
         m.call(victim_core, MonitorCall::Enter { cap: victim_gate })
@@ -3265,7 +3359,8 @@ fn smp_run_mutations(
                                 Ok(CallResult::Cap(c)) => c,
                                 other => panic!("smp share failed: {other:?}"),
                             };
-                            cm.serve(core, MonitorCall::Revoke { cap }).expect("smp revoke");
+                            cm.serve(core, MonitorCall::Revoke { cap })
+                                .expect("smp revoke");
                             // Per-iteration drain. Distinct losers run on the
                             // requesting core itself, so the drain finds no
                             // remote core to interrupt: shootdowns_requested
@@ -3285,7 +3380,8 @@ fn smp_run_mutations(
                                 Ok(CallResult::Cap(_)) => {}
                                 other => panic!("smp make_transition failed: {other:?}"),
                             }
-                            cm.serve(core, MonitorCall::Revoke { cap }).expect("smp revoke");
+                            cm.serve(core, MonitorCall::Revoke { cap })
+                                .expect("smp revoke");
                             // Per-iteration drain: the victim runs on its own
                             // core, so every revocation's queued invalidation
                             // becomes a real IPI here.
@@ -3486,8 +3582,16 @@ fn fuzz_campaign(json: bool, smoke: bool) -> bool {
     let mut t = Table::new(
         "FUZZ — adversarial hypercalls under deterministic fault injection",
         &[
-            "seed", "calls", "ok", "refused", "malformed", "accesses", "faults", "quar",
-            "replay", "trace",
+            "seed",
+            "calls",
+            "ok",
+            "refused",
+            "malformed",
+            "accesses",
+            "faults",
+            "quar",
+            "replay",
+            "trace",
         ],
     );
     let mut pass = true;
@@ -3520,7 +3624,11 @@ fn fuzz_campaign(json: bool, smoke: bool) -> bool {
             r.accesses.to_string(),
             r.faults_fired.to_string(),
             r.quarantines.to_string(),
-            if replayed { "=".into() } else { "DIVERGED".into() },
+            if replayed {
+                "=".into()
+            } else {
+                "DIVERGED".into()
+            },
             r.trace.to_hex()[..16].to_string(),
         ]);
         reports.push((r, replayed));
@@ -3640,12 +3748,7 @@ fn trace_campaign(json: bool, smoke: bool) -> bool {
                 }
             }
             let count = |pred: fn(&EventKind) -> bool| {
-                phase
-                    .log
-                    .events()
-                    .iter()
-                    .filter(|e| pred(&e.kind))
-                    .count()
+                phase.log.events().iter().filter(|e| pred(&e.kind)).count()
             };
             let hyper = count(|k| matches!(k, EventKind::HyperEnter { .. }));
             let enters = count(|k| matches!(k, EventKind::Enter { .. }));
@@ -3658,7 +3761,11 @@ fn trace_campaign(json: bool, smoke: bool) -> bool {
                 enters.to_string(),
                 ipis.to_string(),
                 phase.findings.len().to_string(),
-                if replayed { "=".into() } else { "DIVERGED".into() },
+                if replayed {
+                    "=".into()
+                } else {
+                    "DIVERGED".into()
+                },
                 phase.chain.to_hex()[..16].to_string(),
             ]);
             machines_json.push(format!(
@@ -3689,7 +3796,11 @@ fn trace_campaign(json: bool, smoke: bool) -> bool {
         t.row(&[
             name.to_string(),
             n.to_string(),
-            if n == 0 { "ok".into() } else { "VIOLATED".into() },
+            if n == 0 {
+                "ok".into()
+            } else {
+                "VIOLATED".into()
+            },
         ]);
     }
     t.print();
@@ -3765,12 +3876,8 @@ fn tracing_overhead_gate() -> bool {
     };
     let (trans, _) = bench_transitions(16, true);
     let (flush, _) = bench_flush_policy(16, true);
-    let detail = |e: &HotpathEntry, key: &str| {
-        e.detail
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-    };
+    let detail =
+        |e: &HotpathEntry, key: &str| e.detail.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
     let rows: [(&str, Option<u64>, Option<u64>); 5] = [
         (
             "transitions.mediated_cycles",
@@ -3806,7 +3913,13 @@ fn tracing_overhead_gate() -> bool {
     for (label, committed, traced) in rows {
         let (Some(committed), Some(traced)) = (committed, traced) else {
             pass = false;
-            t.row(&[label.to_string(), "?".into(), "?".into(), "?".into(), "MISSING".into()]);
+            t.row(&[
+                label.to_string(),
+                "?".into(),
+                "?".into(),
+                "?".into(),
+                "MISSING".into(),
+            ]);
             continue;
         };
         let delta = (traced.abs_diff(committed) as f64) * 100.0 / (committed.max(1) as f64);
@@ -3817,7 +3930,11 @@ fn tracing_overhead_gate() -> bool {
             committed.to_string(),
             traced.to_string(),
             format!("{delta:.2}%"),
-            if ok { "ok".into() } else { "OVER BUDGET".into() },
+            if ok {
+                "ok".into()
+            } else {
+                "OVER BUDGET".into()
+            },
         ]);
     }
     t.print();

@@ -37,11 +37,13 @@ use tyche_core::engine::CapEngine;
 use tyche_core::trace::{EventKind, TraceLog};
 use tyche_crypto::{hash_parts, ChaChaRng, Digest};
 use tyche_fleet::{Fleet, FleetConfig};
-use tyche_verify::rv;
 use tyche_hw::faults::{FaultPlan, FaultSite};
 use tyche_monitor::abi::leaf;
 use tyche_monitor::monitor::CallResult;
-use tyche_monitor::{boot_riscv, boot_x86, BootConfig, ConcurrentMonitor, Monitor, MonitorCall, Status};
+use tyche_monitor::{
+    boot_riscv, boot_x86, BootConfig, ConcurrentMonitor, Monitor, MonitorCall, Status,
+};
+use tyche_verify::rv;
 
 /// Every site the injector knows; the fuzzer arms them all.
 const SITES: [FaultSite; 8] = [
@@ -365,9 +367,10 @@ fn drive_monitor(m: &mut Monitor, d: &mut Driver, n: u64, faults: bool, phase: u
     m.machine.faults.clear();
     let hw = m.audit_hardware();
     if !hw.is_empty() && d.report.audit_failures.len() < 8 {
-        d.report
-            .audit_failures
-            .push(format!("seed {} {name} hardware audit: {hw:?}", d.report.seed));
+        d.report.audit_failures.push(format!(
+            "seed {} {name} hardware audit: {hw:?}",
+            d.report.seed
+        ));
     }
 }
 
@@ -475,7 +478,14 @@ fn drive_fleet(d: &mut Driver, traced: bool) -> Vec<(&'static str, TraceLog)> {
         d.record(
             4,
             0xf1ee,
-            &[a as u64, b as u64, step, accepted.len() as u64, rejected.len() as u64, 0],
+            &[
+                a as u64,
+                b as u64,
+                step,
+                accepted.len() as u64,
+                rejected.len() as u64,
+                0,
+            ],
             code,
             reason,
         );
@@ -489,14 +499,22 @@ fn drive_fleet(d: &mut Driver, traced: bool) -> Vec<(&'static str, TraceLog)> {
         quarantined += s.quarantined;
     }
     d.report.quarantines += quarantined;
-    d.record(4, 0xf1e8, &[accepted, violations, quarantined, 0, 0, 0], 0, 0);
+    d.record(
+        4,
+        0xf1e8,
+        &[accepted, violations, quarantined, 0, 0, 0],
+        0,
+        0,
+    );
 
     NAMES
         .iter()
         .enumerate()
         .map(|(i, name)| {
             let m = fleet.machine(i).expect("fleet machine");
-            m.monitor.trace().emit_engine(EventKind::PhaseEnd { phase: 4 });
+            m.monitor
+                .trace()
+                .emit_engine(EventKind::PhaseEnd { phase: 4 });
             (*name, m.monitor.trace().drain())
         })
         .collect()
@@ -667,7 +685,10 @@ mod tests {
         assert_eq!(names, ["x86", "riscv", "fleet-0", "fleet-1", "fleet-2"]);
         // The injected NIC faults must actually bite: violations on the
         // fleet traces resolve to teardown pairs the checkers accept.
-        assert!(outcome.report.quarantines > 0, "fleet faults must quarantine a peer");
+        assert!(
+            outcome.report.quarantines > 0,
+            "fleet faults must quarantine a peer"
+        );
         // Ungated seeds keep the two-machine shape.
         assert_eq!(run_traced(small(11)).phases.len(), 2);
         // And the gated seed still replays bit-identically.

@@ -125,14 +125,20 @@ fn spec(
     ChildSpec {
         id,
         scenario,
-        params: params.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(),
+        params: params
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
         invocations,
     }
 }
 
 /// Looks up a scenario parameter by key.
 pub fn param<'a>(params: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    params
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
 }
 
 /// The scenario matrix for one suite: the only place the hotpath, smp,
@@ -163,7 +169,12 @@ pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
                     inv,
                 ));
             }
-            specs.push(spec("hotpath/transitions".into(), "transitions", &[("iters", iters)], inv));
+            specs.push(spec(
+                "hotpath/transitions".into(),
+                "transitions",
+                &[("iters", iters)],
+                inv,
+            ));
             specs.push(spec(
                 "hotpath/flush_policy".into(),
                 "flush_policy",
@@ -195,7 +206,11 @@ pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
             let depth = tyche_monitor::ConcurrentMonitor::DEFAULT_RING_DEPTH;
             let inv = 2;
             let mut specs = Vec::new();
-            for wl in ["hypercalls_distinct", "hypercalls_contended", "hypercalls_contended_ring"] {
+            for wl in [
+                "hypercalls_distinct",
+                "hypercalls_contended",
+                "hypercalls_contended_ring",
+            ] {
                 for &t in threads {
                     specs.push(ChildSpec {
                         id: format!("smp/{wl}/threads={t}"),
@@ -253,8 +268,11 @@ pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
             specs
         }
         Family::Scale => {
-            let populations: &[usize] =
-                if smoke { &[1_000, 10_000] } else { &[1_000, 10_000, 100_000, 1_000_000] };
+            let populations: &[usize] = if smoke {
+                &[1_000, 10_000]
+            } else {
+                &[1_000, 10_000, 100_000, 1_000_000]
+            };
             let depth = if smoke { 256 } else { 1024 };
             populations
                 .iter()
@@ -353,10 +371,16 @@ impl ChildLine {
     /// computed over the histograms.
     pub fn emit(&self) -> String {
         let det = Json::Obj(
-            self.det.iter().map(|(k, v)| (k.clone(), Json::Num(v.to_string()))).collect(),
+            self.det
+                .iter()
+                .map(|(k, v)| (k.clone(), Json::Num(v.to_string())))
+                .collect(),
         );
         let hists = Json::Obj(
-            self.hists.iter().map(|(k, h)| (k.clone(), h.to_json())).collect(),
+            self.hists
+                .iter()
+                .map(|(k, h)| (k.clone(), h.to_json()))
+                .collect(),
         );
         Json::Obj(vec![
             ("schema".into(), Json::Str(CHILD_SCHEMA.into())),
@@ -384,7 +408,10 @@ impl ChildLine {
             .and_then(Json::as_str)
             .ok_or("child line missing id")?
             .to_string();
-        let seed = doc.get("seed").and_then(Json::as_u64).ok_or("child line missing seed")?;
+        let seed = doc
+            .get("seed")
+            .and_then(Json::as_u64)
+            .ok_or("child line missing seed")?;
         let det = doc
             .get("det")
             .and_then(Json::as_obj)
@@ -415,7 +442,13 @@ impl ChildLine {
                  (claimed {claimed}, recomputed {actual})"
             ));
         }
-        Ok(Self { id, seed, det, row, hists })
+        Ok(Self {
+            id,
+            seed,
+            det,
+            row,
+            hists,
+        })
     }
 }
 
@@ -448,7 +481,10 @@ pub fn merge_invocations(lines: &[ChildLine]) -> Result<MergedScenario, String> 
     });
     for line in &lines[1..] {
         if line.id != first.id {
-            return Err(format!("merging mismatched scenarios {:?} and {:?}", first.id, line.id));
+            return Err(format!(
+                "merging mismatched scenarios {:?} and {:?}",
+                first.id, line.id
+            ));
         }
         if line.det != first.det {
             return Err(format!(
@@ -474,7 +510,12 @@ pub fn merge_invocations(lines: &[ChildLine]) -> Result<MergedScenario, String> 
         });
     }
     hists.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(MergedScenario { id: first.id.clone(), row: first.row.clone(), hists, children })
+    Ok(MergedScenario {
+        id: first.id.clone(),
+        row: first.row.clone(),
+        hists,
+        children,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -484,12 +525,17 @@ pub fn merge_invocations(lines: &[ChildLine]) -> Result<MergedScenario, String> 
 /// Spawns one child invocation and parses its line.
 pub fn run_child(exe: &Path, spec: &ChildSpec, seed: u64) -> Result<ChildLine, String> {
     let mut cmd = Command::new(exe);
-    cmd.arg("harness-child").arg(spec.scenario).arg("--id").arg(&spec.id);
+    cmd.arg("harness-child")
+        .arg(spec.scenario)
+        .arg("--id")
+        .arg(&spec.id);
     cmd.arg(format!("seed={seed}"));
     for (k, v) in &spec.params {
         cmd.arg(format!("{k}={v}"));
     }
-    let out = cmd.output().map_err(|e| format!("spawn {}: {e}", exe.display()))?;
+    let out = cmd
+        .output()
+        .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     if !out.status.success() {
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -503,11 +549,17 @@ pub fn run_child(exe: &Path, spec: &ChildSpec, seed: u64) -> Result<ChildLine, S
     }
     let line = stdout
         .lines()
-        .find(|l| l.trim_start().starts_with("{\"schema\": \"tyche-harness-child/"))
+        .find(|l| {
+            l.trim_start()
+                .starts_with("{\"schema\": \"tyche-harness-child/")
+        })
         .ok_or_else(|| format!("child {} seed {seed} printed no harness line", spec.id))?;
     let parsed = ChildLine::parse(line)?;
     if parsed.id != spec.id {
-        return Err(format!("child answered for {:?}, expected {:?}", parsed.id, spec.id));
+        return Err(format!(
+            "child answered for {:?}, expected {:?}",
+            parsed.id, spec.id
+        ));
     }
     Ok(parsed)
 }
@@ -619,14 +671,21 @@ fn row_with_percentiles(family: Family, merged: &MergedScenario) -> Json {
     };
     match family {
         Family::Hotpath | Family::Smp => {
-            let key = if family == Family::Hotpath { "latency" } else { "call_latency" };
+            let key = if family == Family::Hotpath {
+                "latency"
+            } else {
+                "call_latency"
+            };
             if let Some((_, h)) = merged.hists.first() {
                 members.push((key.into(), latency_json(h)));
             }
         }
         Family::Scale => {
-            let map =
-                merged.hists.iter().map(|(k, h)| (k.clone(), latency_json(h))).collect();
+            let map = merged
+                .hists
+                .iter()
+                .map(|(k, h)| (k.clone(), latency_json(h)))
+                .collect();
             members.push(("percentiles".into(), Json::Obj(map)));
         }
         Family::Fleet => {
@@ -686,8 +745,11 @@ fn f64_field(row: &Json, key: &str) -> f64 {
 /// stamped with generator `"harness"`; `root` anchors the git queries
 /// for the manifest.
 pub fn assemble_artifact(run: &SuiteRun, monitor_version: &str, root: &Path) -> String {
-    let children: Vec<ChildRecord> =
-        run.rows.iter().flat_map(|r| r.children.iter().cloned()).collect();
+    let children: Vec<ChildRecord> = run
+        .rows
+        .iter()
+        .flat_map(|r| r.children.iter().cloned())
+        .collect();
     let manifest = Manifest::capture(
         root,
         "harness",
@@ -726,8 +788,10 @@ pub fn assemble_artifact(run: &SuiteRun, monitor_version: &str, root: &Path) -> 
                     f64_field(&last.row, "speedup")
                 ));
             }
-            if let Some(ring) =
-                run.rows.iter().rfind(|r| r.id.starts_with("smp/hypercalls_contended_ring/"))
+            if let Some(ring) = run
+                .rows
+                .iter()
+                .rfind(|r| r.id.starts_with("smp/hypercalls_contended_ring/"))
             {
                 head.push_str(&format!(
                     "  \"contended_ring_vs_baseline\": {:.2},\n",
@@ -743,9 +807,15 @@ pub fn assemble_artifact(run: &SuiteRun, monitor_version: &str, root: &Path) -> 
             // pair p99 over the same-size healthy fleet's p99. The
             // artifact check caps it at 2x.
             let p99_of = |r: &MergedScenario| {
-                r.hists.first().map(|(_, h)| h.percentile(0.99)).unwrap_or(0)
+                r.hists
+                    .first()
+                    .map(|(_, h)| h.percentile(0.99))
+                    .unwrap_or(0)
             };
-            let byz = run.rows.iter().find(|r| r.id.starts_with("fleet/byzantine/"));
+            let byz = run
+                .rows
+                .iter()
+                .find(|r| r.id.starts_with("fleet/byzantine/"));
             if let Some(byz) = byz {
                 let size = byz.id.rsplit('=').next().unwrap_or("");
                 let healthy = run
@@ -963,8 +1033,14 @@ pub struct ReportOutcome {
 /// `threshold_pct` percent. The caller turns a non-empty
 /// `regressions` list into a non-zero exit.
 pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportOutcome, String> {
-    let old_schema = old.get("schema").and_then(Json::as_str).ok_or("old artifact has no schema")?;
-    let new_schema = new.get("schema").and_then(Json::as_str).ok_or("new artifact has no schema")?;
+    let old_schema = old
+        .get("schema")
+        .and_then(Json::as_str)
+        .ok_or("old artifact has no schema")?;
+    let new_schema = new
+        .get("schema")
+        .and_then(Json::as_str)
+        .ok_or("new artifact has no schema")?;
     let family = family_of_schema(old_schema)
         .ok_or_else(|| format!("unknown artifact schema {old_schema:?}"))?;
     if family_of_schema(new_schema) != Some(family) {
@@ -979,7 +1055,10 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
         Family::Fleet => FLEET_METRICS,
     };
     let rows_of = |doc: &Json| -> Vec<Json> {
-        doc.get(family.rows_key()).and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
+        doc.get(family.rows_key())
+            .and_then(Json::as_arr)
+            .map(<[Json]>::to_vec)
+            .unwrap_or_default()
     };
     let old_rows = rows_of(old);
     let new_rows = rows_of(new);
@@ -989,7 +1068,9 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
     let host = |doc: &Json| Some(Manifest::parse(doc.get("manifest")?).ok()?.host);
     if let (Some(o), Some(n)) = (host(old), host(new)) {
         if o.differs_from(&n) {
-            println!("hosts differ: old ran on {o}, new on {n} — host-clock deltas mix host and code");
+            println!(
+                "hosts differ: old ran on {o}, new on {n} — host-clock deltas mix host and code"
+            );
         }
     }
 
@@ -1010,11 +1091,20 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
     let mut matched_new: BTreeSet<usize> = BTreeSet::new();
     for old_row in &old_rows {
         let key = row_key(family, old_row);
-        let Some((new_idx, new_row)) =
-            new_rows.iter().enumerate().find(|(_, r)| row_key(family, r) == key)
+        let Some((new_idx, new_row)) = new_rows
+            .iter()
+            .enumerate()
+            .find(|(_, r)| row_key(family, r) == key)
         else {
             outcome.unmatched += 1;
-            t.row(&[key, "-".into(), "-".into(), "absent".into(), "-".into(), "unmatched".into()]);
+            t.row(&[
+                key,
+                "-".into(),
+                "-".into(),
+                "absent".into(),
+                "-".into(),
+                "unmatched".into(),
+            ]);
             continue;
         };
         matched_new.insert(new_idx);
@@ -1074,8 +1164,7 @@ pub fn report_diff(old: &Json, new: &Json, threshold_pct: f64) -> Result<ReportO
             ]);
         }
     }
-    outcome.unmatched +=
-        new_rows.len() - matched_new.len();
+    outcome.unmatched += new_rows.len() - matched_new.len();
     t.print();
     println!(
         "report: {} metrics compared, {} regressed, {} improved, {} unmatched rows, \
@@ -1124,12 +1213,7 @@ fn check_mode_full(doc: &Json, failures: &mut Vec<String>) {
     }
 }
 
-fn check_rows_have(
-    rows: &[Json],
-    path: &str,
-    failures: &mut Vec<String>,
-    family: Family,
-) {
+fn check_rows_have(rows: &[Json], path: &str, failures: &mut Vec<String>, family: Family) {
     for row in rows {
         if row.path(path).is_none() {
             failures.push(format!("row {} missing {path}", row_key(family, row)));
@@ -1152,8 +1236,17 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
             check_mode_full(doc, &mut failures);
             check_manifest(doc, &mut failures);
             let rows = doc.get("benches").and_then(Json::as_arr).unwrap_or(&[]);
-            for name in ["revocation", "transitions", "flush_policy", "capability_ops", "grant_revoke"] {
-                if !rows.iter().any(|r| r.get("name").and_then(Json::as_str) == Some(name)) {
+            for name in [
+                "revocation",
+                "transitions",
+                "flush_policy",
+                "capability_ops",
+                "grant_revoke",
+            ] {
+                if !rows
+                    .iter()
+                    .any(|r| r.get("name").and_then(Json::as_str) == Some(name))
+                {
                     failures.push(format!("bench {name:?} missing"));
                 }
             }
@@ -1172,11 +1265,18 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
                 "hypercalls_contended_ringdepth",
                 "transitions_distinct",
             ] {
-                if !rows.iter().any(|r| r.get("workload").and_then(Json::as_str) == Some(wl)) {
+                if !rows
+                    .iter()
+                    .any(|r| r.get("workload").and_then(Json::as_str) == Some(wl))
+                {
                     failures.push(format!("workload {wl:?} missing"));
                 }
             }
-            for key in ["distinct_scaling", "distinct_vs_baseline", "contended_ring_vs_baseline"] {
+            for key in [
+                "distinct_scaling",
+                "distinct_vs_baseline",
+                "contended_ring_vs_baseline",
+            ] {
                 if doc.get(key).is_none() {
                     failures.push(format!("headline field {key:?} missing"));
                 }
@@ -1208,7 +1308,12 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
             }
             check_rows_have(rows, "bytes_per_domain", &mut failures, Family::Scale);
             check_rows_have(rows, "percentiles.create.p50", &mut failures, Family::Scale);
-            check_rows_have(rows, "percentiles.revoke_storm.p999", &mut failures, Family::Scale);
+            check_rows_have(
+                rows,
+                "percentiles.revoke_storm.p999",
+                &mut failures,
+                Family::Scale,
+            );
         }
         "tyche-bench-fleet/v1" => {
             check_mode_full(doc, &mut failures);
@@ -1240,8 +1345,7 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
                 None => failures.push("byzantine containment row missing".into()),
                 Some(byz) => {
                     let machines = byz.get("machines").and_then(Json::as_u64).unwrap_or(0);
-                    let quarantined =
-                        byz.get("quarantined").and_then(Json::as_u64).unwrap_or(0);
+                    let quarantined = byz.get("quarantined").and_then(Json::as_u64).unwrap_or(0);
                     if quarantined < machines.saturating_sub(1) {
                         failures.push(format!(
                             "byzantine row: only {quarantined} of {} honest peers \
@@ -1249,9 +1353,10 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
                             machines.saturating_sub(1)
                         ));
                     }
-                    let peer = rows.iter().filter(healthy).find(|r| {
-                        r.get("machines").and_then(Json::as_u64) == Some(machines)
-                    });
+                    let peer = rows
+                        .iter()
+                        .filter(healthy)
+                        .find(|r| r.get("machines").and_then(Json::as_u64) == Some(machines));
                     if let Some(peer) = peer {
                         let b = f64_field(byz, "latency.p99");
                         let h = f64_field(peer, "latency.p99").max(f64::MIN_POSITIVE);
@@ -1293,7 +1398,9 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
                 failures.push("tracing-overhead gate did not pass".into());
             }
         }
-        "tyche-bench-hotpath/v1" | "tyche-bench-scale/v1" | "tyche-bench-smp/v1"
+        "tyche-bench-hotpath/v1"
+        | "tyche-bench-scale/v1"
+        | "tyche-bench-smp/v1"
         | "tyche-bench-smp/v2" => {
             failures.push(format!(
                 "schema {schema:?} is superseded — regenerate through `repro harness`"
@@ -1401,7 +1508,10 @@ mod tests {
         let mut b = sample_line(2);
         b.det[0].1 = 101; // a simulated-cycle metric that moved
         let err = merge_invocations(&[a, b]).unwrap_err();
-        assert!(err.contains("deterministic fields differ"), "unexpected error: {err}");
+        assert!(
+            err.contains("deterministic fields differ"),
+            "unexpected error: {err}"
+        );
     }
 
     fn hotpath_doc(after: u64, p99: u64) -> Json {
@@ -1419,7 +1529,10 @@ mod tests {
         let old = hotpath_doc(44, 90);
         // +50% on `after`: regression at a 10% threshold.
         let out = report_diff(&old, &hotpath_doc(66, 90), 10.0).unwrap();
-        assert_eq!(out.regressions, vec!["transitions/fanout=1/after".to_string()]);
+        assert_eq!(
+            out.regressions,
+            vec!["transitions/fanout=1/after".to_string()]
+        );
         // +5% stays under a 10% threshold.
         let out = report_diff(&old, &hotpath_doc(46, 92), 10.0).unwrap();
         assert!(out.regressions.is_empty());
@@ -1432,22 +1545,23 @@ mod tests {
     #[test]
     fn report_rejects_cross_family_diffs() {
         let hot = hotpath_doc(44, 90);
-        let scale = json::parse(
-            r#"{"schema": "tyche-bench-scale/v2", "mode": "full", "populations": []}"#,
-        )
-        .unwrap();
+        let scale =
+            json::parse(r#"{"schema": "tyche-bench-scale/v2", "mode": "full", "populations": []}"#)
+                .unwrap();
         assert!(report_diff(&hot, &scale, 10.0).is_err());
     }
 
     #[test]
     fn check_rejects_smoke_missing_manifest_and_old_schemas() {
-        let smoke = json::parse(
-            r#"{"schema": "tyche-bench-hotpath/v2", "mode": "smoke", "benches": []}"#,
-        )
-        .unwrap();
+        let smoke =
+            json::parse(r#"{"schema": "tyche-bench-hotpath/v2", "mode": "smoke", "benches": []}"#)
+                .unwrap();
         let failures = check_artifact(&smoke);
         assert!(failures.iter().any(|f| f.contains("smoke")), "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("manifest")), "{failures:?}");
+        assert!(
+            failures.iter().any(|f| f.contains("manifest")),
+            "{failures:?}"
+        );
 
         let old = json::parse(r#"{"schema": "tyche-bench-hotpath/v1", "mode": "full"}"#).unwrap();
         assert!(check_artifact(&old)[0].contains("superseded"));
@@ -1455,16 +1569,16 @@ mod tests {
 
     #[test]
     fn check_accepts_passing_campaign_artifacts() {
-        let fuzz = json::parse(
-            r#"{"schema": "tyche-fuzz/v1", "mode": "full", "pass": true}"#,
-        )
-        .unwrap();
+        let fuzz =
+            json::parse(r#"{"schema": "tyche-fuzz/v1", "mode": "full", "pass": true}"#).unwrap();
         assert!(check_artifact(&fuzz).is_empty());
         let trace = json::parse(
             r#"{"schema": "tyche-trace/v1", "mode": "full", "pass": true, "overhead_gate": false}"#,
         )
         .unwrap();
-        assert!(check_artifact(&trace).iter().any(|f| f.contains("overhead")));
+        assert!(check_artifact(&trace)
+            .iter()
+            .any(|f| f.contains("overhead")));
     }
 
     #[test]
@@ -1498,7 +1612,10 @@ mod tests {
         let path = dir.join("BENCH_full.json");
         std::fs::write(&path, "{\n  \"mode\": \"full\"\n}\n").unwrap();
         let err = write_artifact(&path, "{}", true).unwrap_err();
-        assert!(err.contains("refusing to overwrite"), "unexpected error: {err}");
+        assert!(
+            err.contains("refusing to overwrite"),
+            "unexpected error: {err}"
+        );
         // Full runs may replace full artifacts; smoke may write fresh paths.
         write_artifact(&path, "{\n  \"mode\": \"full\"\n}\n", false).unwrap();
         write_artifact(&dir.join("fresh.smoke.json"), "{}", true).unwrap();

@@ -192,10 +192,7 @@ impl Histogram {
                     self.buckets
                         .iter()
                         .map(|(&i, &n)| {
-                            Json::Arr(vec![
-                                Json::Num(i.to_string()),
-                                Json::Num(n.to_string()),
-                            ])
+                            Json::Arr(vec![Json::Num(i.to_string()), Json::Num(n.to_string())])
                         })
                         .collect(),
                 ),
@@ -233,8 +230,8 @@ impl Histogram {
             if pair.len() != 2 {
                 return Err("bucket entry is not a pair".into());
             }
-            let index =
-                u32::try_from(pair[0].as_u64().ok_or("bad bucket index")?).map_err(|_| "bad bucket index".to_string())?;
+            let index = u32::try_from(pair[0].as_u64().ok_or("bad bucket index")?)
+                .map_err(|_| "bad bucket index".to_string())?;
             let n = pair[1].as_u64().ok_or("bad bucket count")?;
             if buckets.insert(index, n).is_some() {
                 return Err(format!("duplicate bucket index {index}"));
@@ -246,7 +243,13 @@ impl Histogram {
                 "histogram bucket counts sum to {total} but count field says {count}"
             ));
         }
-        Ok(Self { buckets, count, sum, min, max })
+        Ok(Self {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        })
     }
 }
 
@@ -358,7 +361,10 @@ mod tests {
         // Corrupt one bucket count: 2 samples advertised, 3 present.
         encoded = encoded.replacen("[[", "[[9999, 1], [", 1);
         let err = Histogram::from_json(&crate::json::parse(&encoded).unwrap());
-        assert!(err.is_err(), "corrupted bucket list must not parse: {err:?}");
+        assert!(
+            err.is_err(),
+            "corrupted bucket list must not parse: {err:?}"
+        );
     }
 
     #[test]

@@ -200,7 +200,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         b'f' => parse_literal(bytes, pos, "false", Json::Bool(false)),
         b'n' => parse_literal(bytes, pos, "null", Json::Null),
         b'-' | b'0'..=b'9' => parse_number(bytes, pos),
-        other => Err(format!("unexpected byte {:?} at offset {}", other as char, *pos)),
+        other => Err(format!(
+            "unexpected byte {:?} at offset {}",
+            other as char, *pos
+        )),
     }
 }
 
@@ -240,8 +243,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             *pos += 1;
         }
     }
-    let raw = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| "non-utf8 number".to_string())?;
+    let raw =
+        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
     Ok(Json::Num(raw.to_string()))
 }
 
@@ -295,7 +298,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 let s = std::str::from_utf8(&bytes[start..end])
                     .map_err(|_| "non-utf8 string content".to_string())?;
-                let c = s.chars().next().ok_or_else(|| "empty utf8 run".to_string())?;
+                let c = s
+                    .chars()
+                    .next()
+                    .ok_or_else(|| "empty utf8 run".to_string())?;
                 out.push(c);
                 *pos = start + c.len_utf8();
             }

@@ -34,7 +34,9 @@ pub struct HostFingerprint {
 impl HostFingerprint {
     /// Captures the current host.
     pub fn capture() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         let rustc = Command::new("rustc")
             .arg("--version")
             .output()
@@ -91,7 +93,11 @@ impl HostFingerprint {
 impl std::fmt::Display for HostFingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let model = self.cpu_model.as_deref().unwrap_or("unrecorded CPU");
-        write!(f, "{model} ({} cores, {}/{})", self.cores, self.arch, self.os)
+        write!(
+            f,
+            "{model} ({} cores, {}/{})",
+            self.cores, self.arch, self.os
+        )
     }
 }
 
@@ -179,10 +185,18 @@ impl Manifest {
             ("git_dirty".into(), Json::Bool(self.git_dirty)),
             (
                 "seeds".into(),
-                Json::Arr(self.seeds.iter().map(|s| Json::Num(s.to_string())).collect()),
+                Json::Arr(
+                    self.seeds
+                        .iter()
+                        .map(|s| Json::Num(s.to_string()))
+                        .collect(),
+                ),
             ),
             ("config_hash".into(), Json::Str(self.config_hash.clone())),
-            ("invocations".into(), Json::Num(self.invocations.to_string())),
+            (
+                "invocations".into(),
+                Json::Num(self.invocations.to_string()),
+            ),
             ("host".into(), self.host.to_json()),
             (
                 "children".into(),
@@ -252,15 +266,24 @@ impl Manifest {
                 .and_then(Json::as_u64)
                 .ok_or("manifest missing invocations")? as usize,
             host: HostFingerprint {
-                cpu_model: host.get("cpu_model").and_then(Json::as_str).map(str::to_string),
-                cores: host.get("cores").and_then(Json::as_u64).ok_or("host missing cores")?
-                    as usize,
+                cpu_model: host
+                    .get("cpu_model")
+                    .and_then(Json::as_str)
+                    .map(str::to_string),
+                cores: host
+                    .get("cores")
+                    .and_then(Json::as_u64)
+                    .ok_or("host missing cores")? as usize,
                 arch: host
                     .get("arch")
                     .and_then(Json::as_str)
                     .ok_or("host missing arch")?
                     .to_string(),
-                os: host.get("os").and_then(Json::as_str).ok_or("host missing os")?.to_string(),
+                os: host
+                    .get("os")
+                    .and_then(Json::as_str)
+                    .ok_or("host missing os")?
+                    .to_string(),
                 rustc: host
                     .get("rustc")
                     .and_then(Json::as_str)
@@ -284,7 +307,10 @@ mod tests {
             vec![1, 2, 3],
             "suite=hotpath fanouts=16,64",
             3,
-            vec![ChildRecord { id: "a#seed=1".into(), digest: "00".into() }],
+            vec![ChildRecord {
+                id: "a#seed=1".into(),
+                digest: "00".into(),
+            }],
         );
         assert!(m.host.cores >= 1);
         assert!(!m.host.arch.is_empty());
@@ -309,8 +335,14 @@ mod tests {
                 rustc: "rustc 1.0".into(),
             },
             children: vec![
-                ChildRecord { id: "x#seed=1".into(), digest: "aa".repeat(32) },
-                ChildRecord { id: "x#seed=2".into(), digest: "bb".repeat(32) },
+                ChildRecord {
+                    id: "x#seed=1".into(),
+                    digest: "aa".repeat(32),
+                },
+                ChildRecord {
+                    id: "x#seed=2".into(),
+                    digest: "bb".repeat(32),
+                },
             ],
         };
         let encoded = m.to_json().to_compact();

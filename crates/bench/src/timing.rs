@@ -73,13 +73,19 @@ pub fn per_op_ns(elapsed: Duration, ops: usize) -> Result<u64, TimingError> {
     }
     let quotient = total / ops as u128;
     if quotient == 0 && total > 0 {
-        return Err(TimingError::SubNanosecond { total_ns: total, ops: ops as u128 });
+        return Err(TimingError::SubNanosecond {
+            total_ns: total,
+            ops: ops as u128,
+        });
     }
     if quotient == 0 {
         // A genuinely unmeasurable window (total == 0): the clock did
         // not tick at all. Report it as sub-resolution too — a 0 ns/op
         // claim is exactly the dishonesty this module exists to stop.
-        return Err(TimingError::SubNanosecond { total_ns: total, ops: ops as u128 });
+        return Err(TimingError::SubNanosecond {
+            total_ns: total,
+            ops: ops as u128,
+        });
     }
     u64::try_from(quotient).map_err(|_| TimingError::Saturated { ns: quotient })
 }
@@ -97,13 +103,22 @@ mod tests {
 
     #[test]
     fn zero_ops_is_a_hard_error() {
-        assert_eq!(per_op_ns(Duration::from_secs(1), 0), Err(TimingError::ZeroOps));
+        assert_eq!(
+            per_op_ns(Duration::from_secs(1), 0),
+            Err(TimingError::ZeroOps)
+        );
     }
 
     #[test]
     fn sub_ns_quotient_is_an_error_not_zero() {
         let err = per_op_ns(Duration::from_nanos(3), 10).unwrap_err();
-        assert_eq!(err, TimingError::SubNanosecond { total_ns: 3, ops: 10 });
+        assert_eq!(
+            err,
+            TimingError::SubNanosecond {
+                total_ns: 3,
+                ops: 10
+            }
+        );
         // An untickled clock is also not a 0 ns/op claim.
         assert!(matches!(
             per_op_ns(Duration::from_nanos(0), 10),
@@ -115,7 +130,10 @@ mod tests {
     fn saturation_is_an_error_not_u64_max() {
         // u64::MAX seconds is ~5.8e28 ns, far beyond u64 nanoseconds.
         let huge = Duration::new(u64::MAX, 0);
-        assert!(matches!(per_op_ns(huge, 1), Err(TimingError::Saturated { .. })));
+        assert!(matches!(
+            per_op_ns(huge, 1),
+            Err(TimingError::Saturated { .. })
+        ));
         assert!(matches!(total_ns(huge), Err(TimingError::Saturated { .. })));
         // But dividing it down across enough ops is fine.
         assert!(per_op_ns(huge, 1 << 40).is_ok());

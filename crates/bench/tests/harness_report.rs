@@ -33,7 +33,9 @@ fn percentiles_match_sorted_vector_oracle_across_merge() {
     // Deterministic LCG so the test is reproducible.
     let mut state = 0x2545f4914f6cdd1du64;
     let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         // Spread samples across several orders of magnitude.
         (state >> 33) % 1_000_000 + 1
     };
@@ -144,8 +146,14 @@ fn child_line_digest_catches_seeded_corruption() {
             }
         }
     }
-    assert!(candidates >= 10, "corruption oracle needs digit positions to flip");
-    assert!(caught >= candidates / 2, "digest caught {caught}/{candidates} corruptions");
+    assert!(
+        candidates >= 10,
+        "corruption oracle needs digit positions to flip"
+    );
+    assert!(
+        caught >= candidates / 2,
+        "digest caught {caught}/{candidates} corruptions"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -174,27 +182,62 @@ fn report_exits_nonzero_on_regression_and_zero_on_improvement() {
     std::fs::write(&new_good, hotpath_artifact(700, 400)).unwrap();
 
     // p50 regressed 50% > 10% default threshold: non-zero exit.
-    let bad = repro().arg("report").arg(&old).arg(&new_bad).output().expect("run report");
-    assert!(!bad.status.success(), "50% latency regression must fail the report");
+    let bad = repro()
+        .arg("report")
+        .arg(&old)
+        .arg(&new_bad)
+        .output()
+        .expect("run report");
+    assert!(
+        !bad.status.success(),
+        "50% latency regression must fail the report"
+    );
     let stdout = String::from_utf8_lossy(&bad.stdout);
-    assert!(stdout.contains("REGRESSIONS"), "missing regression banner:\n{stdout}");
+    assert!(
+        stdout.contains("REGRESSIONS"),
+        "missing regression banner:\n{stdout}"
+    );
 
     // Everything improved: clean exit.
-    let good = repro().arg("report").arg(&old).arg(&new_good).output().expect("run report");
-    assert!(good.status.success(), "improvement must pass: {}", String::from_utf8_lossy(&good.stdout));
+    let good = repro()
+        .arg("report")
+        .arg(&old)
+        .arg(&new_good)
+        .output()
+        .expect("run report");
+    assert!(
+        good.status.success(),
+        "improvement must pass: {}",
+        String::from_utf8_lossy(&good.stdout)
+    );
 
     // The threshold is honored in both directions around the same diff:
     // a 50% move passes at --threshold 60 and fails at --threshold 40.
     let loose = repro()
-        .args(["report", old.to_str().unwrap(), new_bad.to_str().unwrap(), "--threshold", "60"])
+        .args([
+            "report",
+            old.to_str().unwrap(),
+            new_bad.to_str().unwrap(),
+            "--threshold",
+            "60",
+        ])
         .output()
         .expect("run report");
     assert!(loose.status.success(), "50% move must pass a 60% threshold");
     let tight = repro()
-        .args(["report", old.to_str().unwrap(), new_bad.to_str().unwrap(), "--threshold", "40"])
+        .args([
+            "report",
+            old.to_str().unwrap(),
+            new_bad.to_str().unwrap(),
+            "--threshold",
+            "40",
+        ])
         .output()
         .expect("run report");
-    assert!(!tight.status.success(), "50% move must fail a 40% threshold");
+    assert!(
+        !tight.status.success(),
+        "50% move must fail a 40% threshold"
+    );
 }
 
 #[test]
@@ -273,18 +316,30 @@ fn smoke_diffs_do_not_gate_host_clock_metrics() {
     let rows = |p99| [smp_row("transitions_distinct", 2, 3488, 0, p99)];
     let slow = rows(2_000);
     let fast = rows(1_000);
-    let out =
-        harness::report_diff(&smp_artifact("smoke", &fast), &smp_artifact("smoke", &slow), 10.0)
-            .unwrap();
+    let out = harness::report_diff(
+        &smp_artifact("smoke", &fast),
+        &smp_artifact("smoke", &slow),
+        10.0,
+    )
+    .unwrap();
     assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-    assert_eq!(out.informational, 1, "call_latency.p99 reported as information");
-    let mixed =
-        harness::report_diff(&smp_artifact("full", &fast), &smp_artifact("smoke", &slow), 10.0)
-            .unwrap();
+    assert_eq!(
+        out.informational, 1,
+        "call_latency.p99 reported as information"
+    );
+    let mixed = harness::report_diff(
+        &smp_artifact("full", &fast),
+        &smp_artifact("smoke", &slow),
+        10.0,
+    )
+    .unwrap();
     assert!(mixed.regressions.is_empty(), "{:?}", mixed.regressions);
-    let full =
-        harness::report_diff(&smp_artifact("full", &fast), &smp_artifact("full", &slow), 10.0)
-            .unwrap();
+    let full = harness::report_diff(
+        &smp_artifact("full", &fast),
+        &smp_artifact("full", &slow),
+        10.0,
+    )
+    .unwrap();
     assert_eq!(
         full.regressions,
         vec!["transitions_distinct/t2/s16/r16/call_latency.p99".to_string()]
@@ -293,7 +348,10 @@ fn smoke_diffs_do_not_gate_host_clock_metrics() {
     // Model fields stay gated in smoke diffs.
     let drift = harness::report_diff(
         &smp_artifact("smoke", &fast),
-        &smp_artifact("smoke", &[smp_row("transitions_distinct", 2, 3489, 0, 1_000)]),
+        &smp_artifact(
+            "smoke",
+            &[smp_row("transitions_distinct", 2, 3489, 0, 1_000)],
+        ),
         10.0,
     )
     .unwrap();
@@ -314,12 +372,25 @@ fn harness_smoke_refuses_to_overwrite_full_artifact() {
     std::fs::write(&path, committed).unwrap();
     // The preflight fires before any child spawns, so this is instant.
     let out = repro()
-        .args(["harness", "--suite", "hotpath", "--smoke", "--out", path.to_str().unwrap()])
+        .args([
+            "harness",
+            "--suite",
+            "hotpath",
+            "--smoke",
+            "--out",
+            path.to_str().unwrap(),
+        ])
         .output()
         .expect("run harness");
-    assert!(!out.status.success(), "smoke harness must refuse a full-artifact path");
+    assert!(
+        !out.status.success(),
+        "smoke harness must refuse a full-artifact path"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("refusing to overwrite"), "unexpected stderr:\n{stderr}");
+    assert!(
+        stderr.contains("refusing to overwrite"),
+        "unexpected stderr:\n{stderr}"
+    );
     assert_eq!(
         std::fs::read_to_string(&path).unwrap(),
         committed,
@@ -335,12 +406,23 @@ fn harness_help_and_unknown_flags_run_nothing() {
     let path = tmp_path("help_probe.json");
     let _ = std::fs::remove_file(&path);
     let out = repro()
-        .args(["harness", "--help", "--suite", "hotpath", "--smoke", "--out", path.to_str().unwrap()])
+        .args([
+            "harness",
+            "--help",
+            "--suite",
+            "hotpath",
+            "--smoke",
+            "--out",
+            path.to_str().unwrap(),
+        ])
         .output()
         .expect("run harness --help");
     assert_eq!(out.status.code(), Some(0), "--help must exit 0");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("usage: repro harness"), "no usage printed:\n{stdout}");
+    assert!(
+        stdout.contains("usage: repro harness"),
+        "no usage printed:\n{stdout}"
+    );
     assert!(!stdout.contains("wrote"), "--help ran a suite:\n{stdout}");
     assert!(!path.exists(), "--help wrote an artifact");
     for bad in [
@@ -356,7 +438,10 @@ fn harness_help_and_unknown_flags_run_nothing() {
         let out = cmd.output().expect("run harness");
         assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage: repro harness"), "{bad:?}: no usage:\n{stderr}");
+        assert!(
+            stderr.contains("usage: repro harness"),
+            "{bad:?}: no usage:\n{stderr}"
+        );
         assert!(!path.exists(), "{bad:?} wrote an artifact");
     }
 }
@@ -376,7 +461,11 @@ fn harness_smoke_without_out_leaves_committed_artifact_untouched() {
         .args(["harness", "--suite", "hotpath", "--smoke"])
         .output()
         .expect("run harness smoke");
-    assert!(out.status.success(), "harness smoke failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "harness smoke failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let smoke_path = workspace.join("target").join("BENCH_hotpath.smoke.json");
     assert!(
@@ -402,10 +491,21 @@ fn harness_smoke_without_out_leaves_committed_artifact_untouched() {
 #[test]
 fn harness_child_emits_a_parseable_verified_line() {
     let out = repro()
-        .args(["harness-child", "transitions", "--id", "hotpath/transitions", "seed=3", "iters=32"])
+        .args([
+            "harness-child",
+            "transitions",
+            "--id",
+            "hotpath/transitions",
+            "seed=3",
+            "iters=32",
+        ])
         .output()
         .expect("spawn child");
-    assert!(out.status.success(), "child failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "child failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout
         .lines()
@@ -414,32 +514,62 @@ fn harness_child_emits_a_parseable_verified_line() {
     let parsed = ChildLine::parse(line).expect("digest-verified parse");
     assert_eq!(parsed.id, "hotpath/transitions");
     assert_eq!(parsed.seed, 3);
-    assert!(parsed.hists.iter().any(|(name, h)| name == "op" && h.count() > 0));
+    assert!(parsed
+        .hists
+        .iter()
+        .any(|(name, h)| name == "op" && h.count() > 0));
     assert!(parsed.det.iter().any(|(k, _)| k == "mediated_cycles"));
 
     // Mutation workloads are matched by exact name: a near miss fails
     // the child instead of running a guessed mode.
     let out = repro()
-        .args(["harness-child", "mutations", "workload=hypercalls_distinct_bogus", "threads=1", "pairs=1"])
+        .args([
+            "harness-child",
+            "mutations",
+            "workload=hypercalls_distinct_bogus",
+            "threads=1",
+            "pairs=1",
+        ])
         .output()
         .expect("spawn child");
-    assert!(!out.status.success(), "an unknown workload must fail the child");
+    assert!(
+        !out.status.success(),
+        "an unknown workload must fail the child"
+    );
 
     // Tenant steering follows the monitor's shard routing at shard
     // counts that are not powers of two, and at zero (clamped to one).
     for shards in ["shards=6", "shards=0"] {
         let out = repro()
-            .args(["harness-child", "mutations", "workload=hypercalls_distinct", "threads=4", "pairs=4", shards, "ring_depth=16"])
+            .args([
+                "harness-child",
+                "mutations",
+                "workload=hypercalls_distinct",
+                "threads=4",
+                "pairs=4",
+                shards,
+                "ring_depth=16",
+            ])
             .output()
             .expect("spawn child");
-        assert!(out.status.success(), "{shards}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{shards}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let stdout = String::from_utf8_lossy(&out.stdout);
         let line = stdout
             .lines()
             .find(|l| l.starts_with("{\"schema\": \"tyche-harness-child/"))
             .expect("child line on stdout");
         let parsed = ChildLine::parse(line).expect("digest-verified parse");
-        assert!(parsed.hists.iter().any(|(name, h)| name == "call" && h.count() > 0), "{shards}");
+        assert!(
+            parsed
+                .hists
+                .iter()
+                .any(|(name, h)| name == "call" && h.count() > 0),
+            "{shards}"
+        );
     }
 }
 
@@ -448,10 +578,21 @@ fn end_to_end_smoke_orchestration_writes_checkable_artifact() {
     let path = tmp_path("smoke_hotpath.json");
     let _ = std::fs::remove_file(&path);
     let out = repro()
-        .args(["harness", "--suite", "hotpath", "--smoke", "--out", path.to_str().unwrap()])
+        .args([
+            "harness",
+            "--suite",
+            "hotpath",
+            "--smoke",
+            "--out",
+            path.to_str().unwrap(),
+        ])
         .output()
         .expect("run harness");
-    assert!(out.status.success(), "harness failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "harness failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let doc = std::fs::read_to_string(&path).expect("artifact written");
     let parsed = json::parse(&doc).expect("artifact parses");
     assert_eq!(
@@ -463,24 +604,44 @@ fn end_to_end_smoke_orchestration_writes_checkable_artifact() {
         parsed.path("manifest.generator").and_then(Json::as_str),
         Some("harness")
     );
-    let benches = parsed.get("benches").and_then(Json::as_arr).expect("benches");
+    let benches = parsed
+        .get("benches")
+        .and_then(Json::as_arr)
+        .expect("benches");
     assert_eq!(benches.len(), 6);
     for row in benches {
         let p50 = row.path("latency.p50").and_then(Json::as_u64);
         let p999 = row.path("latency.p999").and_then(Json::as_u64);
-        assert!(p50.is_some() && p999.is_some(), "row missing percentiles: {}", row.to_compact());
+        assert!(
+            p50.is_some() && p999.is_some(),
+            "row missing percentiles: {}",
+            row.to_compact()
+        );
         assert!(p999 >= p50, "p999 below p50");
     }
-    let children = parsed.path("manifest.children").and_then(Json::as_arr).expect("children");
+    let children = parsed
+        .path("manifest.children")
+        .and_then(Json::as_arr)
+        .expect("children");
     assert_eq!(children.len(), 12, "6 scenarios x 2 invocations");
 
     // A smoke artifact must fail `report --check` (mode gate)...
-    let check = repro().args(["report", "--check", path.to_str().unwrap()]).output().unwrap();
-    assert!(!check.status.success(), "smoke artifact must not pass --check");
+    let check = repro()
+        .args(["report", "--check", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        !check.status.success(),
+        "smoke artifact must not pass --check"
+    );
     // ...but self-diffs clean through `repro report`.
     let diff = repro()
         .args(["report", path.to_str().unwrap(), path.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(diff.status.success(), "self-diff regressed: {}", String::from_utf8_lossy(&diff.stdout));
+    assert!(
+        diff.status.success(),
+        "self-diff regressed: {}",
+        String::from_utf8_lossy(&diff.stdout)
+    );
 }

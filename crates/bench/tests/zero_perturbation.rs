@@ -31,13 +31,19 @@ fn traced_and_untraced_runs_are_the_same_execution() {
     assert_eq!(t.accesses, u.accesses, "access counts diverged");
     assert_eq!(t.faults_fired, u.faults_fired, "fault firings diverged");
     assert_eq!(t.quarantines, u.quarantines, "quarantine counts diverged");
-    assert_eq!(t.audit_failures, u.audit_failures, "audit verdicts diverged");
+    assert_eq!(
+        t.audit_failures, u.audit_failures,
+        "audit verdicts diverged"
+    );
 
     // Same attested digest — the report digest covers the engine's
     // final capability state, so matching digests mean the observer
     // did not perturb the observed.
     assert_eq!(t.trace, u.trace, "state digests diverged");
-    assert_eq!(traced.x86_engine, untraced.x86_engine, "x86 engines diverged");
+    assert_eq!(
+        traced.x86_engine, untraced.x86_engine,
+        "x86 engines diverged"
+    );
     assert_eq!(
         traced.riscv_engine, untraced.riscv_engine,
         "riscv engines diverged"
@@ -47,7 +53,11 @@ fn traced_and_untraced_runs_are_the_same_execution() {
     // the untraced run recorded nothing. Observability is additive.
     assert_eq!(traced.phases.len(), 2, "x86 and riscv phases drained");
     for phase in &traced.phases {
-        assert!(!phase.log.is_empty(), "{} phase recorded events", phase.name);
+        assert!(
+            !phase.log.is_empty(),
+            "{} phase recorded events",
+            phase.name
+        );
         assert!(
             phase.findings.is_empty(),
             "{} phase RV findings: {:?}",
@@ -78,6 +88,10 @@ fn traced_replay_reproduces_event_streams_and_chains() {
             "{} event counts diverged across replays",
             pa.name
         );
-        assert_eq!(pa.chain, pb.chain, "{} chain diverged across replays", pa.name);
+        assert_eq!(
+            pa.chain, pb.chain,
+            "{} chain diverged across replays",
+            pa.name
+        );
     }
 }

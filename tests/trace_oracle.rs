@@ -91,7 +91,11 @@ fn forged_return_frame_is_caught_at_the_return() {
         last_index(&log, |k| matches!(k, EventKind::Return { .. })),
         "caught at the forged return, not before or after: {f}"
     );
-    assert_eq!(m.current_domain(0), d2, "the corruption really redirected control");
+    assert_eq!(
+        m.current_domain(0),
+        d2,
+        "the corruption really redirected control"
+    );
 }
 
 #[test]
@@ -145,7 +149,10 @@ fn conforming_cache_refill_after_mutation_passes() {
         .count();
     assert_eq!(fills, 2, "one fill per validity window");
     let findings = rv::check_all(&log);
-    assert!(findings.is_empty(), "conforming refill flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "conforming refill flagged: {findings:?}"
+    );
 }
 
 #[test]
@@ -192,7 +199,10 @@ fn conforming_mutations_bump_generation_monotonically() {
     assert!(bumps.len() >= 3, "mutations recorded: {bumps:?}");
     assert!(bumps.windows(2).all(|w| w[1] > w[0]), "strictly increasing");
     let findings = rv::check_all(&log);
-    assert!(findings.is_empty(), "conforming bumps flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "conforming bumps flagged: {findings:?}"
+    );
 }
 
 #[test]
@@ -307,7 +317,14 @@ fn traced_smp() -> (
             .map(|c| c.id)
             .unwrap();
         m.engine
-            .share(root, core_cap, child, None, Rights::USE, RevocationPolicy::NONE)
+            .share(
+                root,
+                core_cap,
+                child,
+                None,
+                Rights::USE,
+                RevocationPolicy::NONE,
+            )
             .unwrap();
         m.engine.set_entry(root, child, base).unwrap();
         m.engine.seal(root, child, SealPolicy::strict()).unwrap();
@@ -338,7 +355,10 @@ fn smp_shootdown_cycle_passes_all_checkers() {
         );
     }
     let findings = rv::check_all(&log);
-    assert!(findings.is_empty(), "conforming shootdown flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "conforming shootdown flagged: {findings:?}"
+    );
 }
 
 #[test]
@@ -363,7 +383,11 @@ fn lost_shootdown_is_caught_at_end_of_trace() {
     });
     let tampered = TraceLog::from_events(events);
     let f = only_finding(&tampered, "revoke-shootdown");
-    assert_eq!(f.index, tampered.len() - 1, "leak pinned to end of trace: {f}");
+    assert_eq!(
+        f.index,
+        tampered.len() - 1,
+        "leak pinned to end of trace: {f}"
+    );
     assert_ne!(tampered.chain(), untampered_chain, "attested chain broke");
 }
 
