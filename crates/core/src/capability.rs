@@ -63,6 +63,9 @@ pub struct Capability {
     /// inactive while its resource is granted onward ([`CapKind::Granted`]
     /// child outstanding).
     pub active: bool,
+    /// The engine operation counter at creation (the auditor checks it
+    /// against seal stamps).
+    pub created_at: u64,
 }
 
 impl Capability {
@@ -96,6 +99,7 @@ mod tests {
             children: BTreeSet::new(),
             policy: RevocationPolicy::NONE,
             active: true,
+            created_at: 0,
         };
         assert!(c.is_memory());
         assert_eq!(c.granted_children(), 0);

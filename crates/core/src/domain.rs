@@ -92,6 +92,8 @@ pub struct Domain {
     /// stays alive — killable and enumerable, so its manager can tear it
     /// down and auditors can inspect it — but is never enterable again.
     pub quarantined: bool,
+    /// The engine operation counter at seal time; `None` until sealed.
+    pub sealed_at: Option<u64>,
 }
 
 impl Domain {
@@ -147,6 +149,7 @@ mod tests {
             measurement: None,
             content_measurements: vec![],
             quarantined: false,
+            sealed_at: None,
         };
         assert!(d.is_alive());
         assert!(!d.is_sealed());

@@ -1,34 +1,33 @@
 //! Slab/arena-backed id-keyed storage for million-domain populations.
 //!
-//! The engine's hot maps (`domains`, `caps`, stamp tables, the owner
-//! index) used to be `BTreeMap`s: every lookup on every hypercall paid
-//! `O(log n)` pointer chasing, and a create/revoke storm across 10⁵–10⁶
-//! domains spent most of its time rebalancing. [`Store`] replaces them
-//! with a classic slot-map layout:
+//! The engine's hot maps (`domains`, `caps`, the owner index) used to
+//! be `BTreeMap`s: every lookup on every hypercall paid `O(log n)`
+//! pointer chasing, and a create/revoke storm across 10⁵–10⁶ domains
+//! spent most of its time rebalancing. [`Store`] replaces them with a
+//! slab layout:
 //!
-//! - a **dense slot arena** (`Vec<Slot<T>>`) holding the live values,
+//! - a **dense slot arena** (`Vec<Option<T>>`) holding the live values,
 //!   recycled through a freelist so a revoke storm reuses slots instead
 //!   of leaking them;
-//! - a **generation tag** per slot, bumped on every free, so a stale
-//!   [`SlotRef`] from before a reuse can never alias the new occupant
-//!   (the ABA defense — see [`Store::resolve`]);
-//! - a **two-level sparse index** from the raw external id to the
-//!   packed `(slot, generation)` ref: a page directory indexed by
-//!   `id / INDEX_PAGE` pointing at [`INDEX_PAGE`]-entry pages, making
-//!   insert/lookup/free `O(1)`.
+//! - a **two-level sparse index** from the raw external id to its slot
+//!   number: a page directory indexed by `id / INDEX_PAGE` pointing at
+//!   [`INDEX_PAGE`]-entry pages, making insert/lookup/free `O(1)`.
 //!
 //! External ids are untouched: they come from the engine's shared
 //! monotonic [`IdAllocator`](crate::ids::IdAllocator) and are never
-//! reused. Each index page counts its live entries and leaves the
-//! directory when the last one is removed, so index memory follows the
-//! live ids: a page costs 4 KiB while any of its 512 ids is live, plus
-//! one spare page per store, and the directory costs 8 bytes per 512
-//! ids ever issued. An emptied page becomes the spare unless the store
-//! already has one, and the next page the index needs is the spare: it
-//! is already all [`EMPTY`], so a steady create/kill churn that crosses
-//! page boundaries neither allocates nor re-fills index pages. Iteration walks the directory and its
-//! pages in ascending id order, so every `*_scan` differential twin and
-//! every auditor walk observes exactly the order the `BTreeMap`s used to
+//! reused, so a slot recycled for a new id can never answer for the old
+//! one: the old id's index entry was cleared when it was removed, and
+//! nothing else names a slot. Each index page counts its live entries
+//! and leaves the directory when the last one is removed, so index
+//! memory follows the live ids: a page costs 2 KiB while any of its 512
+//! ids is live, plus one spare page per store, and the directory costs
+//! 8 bytes per 512 ids ever issued. An emptied page becomes the spare
+//! unless the store already has one, and the next page the index needs
+//! is the spare: it is already all [`EMPTY`], so a steady create/kill
+//! churn that crosses page boundaries neither allocates nor re-fills
+//! index pages. Iteration walks the directory and its pages in
+//! ascending id order, so every `*_scan` differential twin and every
+//! auditor walk observes exactly the order the `BTreeMap`s used to
 //! give.
 //!
 //! Equality is **logical**: two stores are `==` when they hold the same
@@ -44,58 +43,40 @@ use crate::capability::CapKind;
 use crate::ids::{CapId, DomainId};
 
 /// Sentinel for "this id has no live slot" in the sparse index.
-const EMPTY: u64 = u64::MAX;
+const EMPTY: u32 = u32::MAX;
 
-/// Ids per sparse-index page: 512 packed refs, 4 KiB.
+/// Ids per sparse-index page: 512 slot numbers, 2 KiB.
 pub const INDEX_PAGE: usize = 512;
 
-/// One sparse-index page: the packed refs of [`INDEX_PAGE`] consecutive
-/// ids plus how many of them are live, so the page can leave the
-/// directory the moment its last id is removed.
+/// One sparse-index page: the slot numbers of [`INDEX_PAGE`]
+/// consecutive ids plus how many of them are live, so the page can
+/// leave the directory the moment its last id is removed.
 #[derive(Clone, Debug)]
 struct IndexPage {
     live: usize,
-    refs: [u64; INDEX_PAGE],
+    slots: [u32; INDEX_PAGE],
 }
 
 impl IndexPage {
     fn empty() -> Box<Self> {
         Box::new(IndexPage {
             live: 0,
-            refs: [EMPTY; INDEX_PAGE],
+            slots: [EMPTY; INDEX_PAGE],
         })
     }
 }
 
-/// One arena slot: the current occupant (if any) and the slot's
-/// generation, bumped every time the slot is freed.
-#[derive(Clone, Debug)]
-struct Slot<T> {
-    gen: u32,
-    val: Option<T>,
-}
-
-/// A generation-tagged reference to a slot: resolving it after the slot
-/// was freed (and possibly reused) yields `None` instead of the new
-/// occupant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotRef {
-    slot: u32,
-    gen: u32,
-}
-
 /// An id-keyed slab store: `O(1)` insert/lookup/free, freelist slot
-/// reuse, generation-tagged slots, id-ordered iteration. See the
-/// module docs for the layout.
+/// reuse, id-ordered iteration. See the module docs for the layout.
 #[derive(Clone)]
 pub struct Store<T> {
-    /// Dense slot arena.
-    slots: Vec<Slot<T>>,
+    /// Dense slot arena; `None` while a slot is on the freelist.
+    slots: Vec<Option<T>>,
     /// Freed slot indices awaiting reuse (LIFO).
     free: Vec<u32>,
-    /// Page directory: entry `p` holds the packed `(gen << 32) | slot`
-    /// refs of ids `p * INDEX_PAGE ..`, [`EMPTY`] when absent, and is
-    /// `None` while none of those ids is live.
+    /// Page directory: entry `p` holds the slot numbers of ids
+    /// `p * INDEX_PAGE ..`, [`EMPTY`] when absent, and is `None` while
+    /// none of those ids is live.
     pages: Vec<Option<Box<IndexPage>>>,
     /// The last page to empty, all [`EMPTY`], kept for the next page
     /// the directory needs.
@@ -132,14 +113,6 @@ impl<T> Store<T> {
         self.len == 0
     }
 
-    fn pack(slot: u32, gen: u32) -> u64 {
-        (u64::from(gen) << 32) | u64::from(slot)
-    }
-
-    fn unpack(packed: u64) -> (u32, u32) {
-        (packed as u32, (packed >> 32) as u32)
-    }
-
     /// `(page, offset)` of `id` in the sparse index; `None` only for
     /// ids past the address space (never on a 64-bit host).
     fn locate(id: u64) -> Option<(usize, usize)> {
@@ -147,15 +120,11 @@ impl<T> Store<T> {
         Some((page, (id % INDEX_PAGE as u64) as usize))
     }
 
-    /// The packed sparse-index entry for `id`, if live.
-    fn entry(&self, id: u64) -> Option<(u32, u32)> {
+    /// The slot backing `id`, if live.
+    fn entry(&self, id: u64) -> Option<usize> {
         let (page, off) = Self::locate(id)?;
-        let packed = *self.pages.get(page)?.as_ref()?.refs.get(off)?;
-        if packed == EMPTY {
-            None
-        } else {
-            Some(Self::unpack(packed))
-        }
+        let slot = *self.pages.get(page)?.as_ref()?.slots.get(off)?;
+        (slot != EMPTY).then_some(slot as usize)
     }
 
     /// Inserts `val` under `id`, returning the previous value if the id
@@ -163,10 +132,8 @@ impl<T> Store<T> {
     /// cannot address (past the address space) is refused by handing
     /// `val` back.
     pub fn insert(&mut self, id: u64, val: T) -> Option<T> {
-        if let Some((slot, _gen)) = self.entry(id) {
-            if let Some(s) = self.slots.get_mut(slot as usize) {
-                return s.val.replace(val);
-            }
+        if let Some(cell) = self.entry(id).and_then(|slot| self.slots.get_mut(slot)) {
+            return cell.replace(val);
         }
         let Some((p, off)) = Self::locate(id) else {
             return Some(val);
@@ -179,52 +146,45 @@ impl<T> Store<T> {
         };
         let spare = &mut self.spare;
         let page = page.get_or_insert_with(|| spare.take().unwrap_or_else(IndexPage::empty));
-        let Some(cell) = page.refs.get_mut(off) else {
+        let Some(cell) = page.slots.get_mut(off) else {
             return Some(val);
         };
         let slot = match self.free.pop() {
             Some(s) => {
                 if let Some(freed) = self.slots.get_mut(s as usize) {
-                    freed.val = Some(val);
+                    *freed = Some(val);
                 }
                 s
             }
             None => {
                 let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    val: Some(val),
-                });
+                self.slots.push(Some(val));
                 s
             }
         };
-        let gen = self.slots.get(slot as usize).map_or(0, |s| s.gen);
         if *cell == EMPTY {
             page.live += 1;
             self.len += 1;
         }
-        *cell = Self::pack(slot, gen);
+        *cell = slot;
         None
     }
 
-    /// Removes `id`, returning its value. The slot's generation is
-    /// bumped and the slot goes back on the freelist, so any
-    /// outstanding [`SlotRef`] to it is invalidated before reuse. The
-    /// id's index page leaves the directory when this was its last live
-    /// id, and becomes the spare unless there already is one.
+    /// Removes `id`, returning its value. The slot goes back on the
+    /// freelist and `id`'s index entry is cleared, so a later occupant
+    /// of the slot is reachable only through its own id. The id's index
+    /// page leaves the directory when this was its last live id, and
+    /// becomes the spare unless there already is one.
     pub fn remove(&mut self, id: u64) -> Option<T> {
         let (p, off) = Self::locate(id)?;
         let dir_entry = self.pages.get_mut(p)?;
         let page = dir_entry.as_mut()?;
-        let cell = page.refs.get_mut(off)?;
+        let cell = page.slots.get_mut(off)?;
         if *cell == EMPTY {
             return None;
         }
-        let (slot, _gen) = Self::unpack(*cell);
-        let val = self.slots.get_mut(slot as usize).and_then(|s| {
-            s.gen = s.gen.wrapping_add(1);
-            s.val.take()
-        })?;
+        let slot = *cell;
+        let val = self.slots.get_mut(slot as usize)?.take()?;
         *cell = EMPTY;
         page.live -= 1;
         if page.live == 0 {
@@ -245,35 +205,13 @@ impl<T> Store<T> {
 
     /// Looks up `id`.
     pub fn get(&self, id: u64) -> Option<&T> {
-        let (slot, _gen) = self.entry(id)?;
-        self.slots.get(slot as usize).and_then(|s| s.val.as_ref())
+        self.slots.get(self.entry(id)?)?.as_ref()
     }
 
     /// Mutable lookup of `id`.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let (slot, _gen) = self.entry(id)?;
-        self.slots
-            .get_mut(slot as usize)
-            .and_then(|s| s.val.as_mut())
-    }
-
-    /// The generation-tagged slot reference currently backing `id`.
-    pub fn handle(&self, id: u64) -> Option<SlotRef> {
-        let (slot, gen) = self.entry(id)?;
-        Some(SlotRef { slot, gen })
-    }
-
-    /// Resolves a [`SlotRef`] taken earlier by [`handle`](Self::handle).
-    /// Returns `None` when the slot has since been freed — even if it
-    /// was reused for a new id, because the generation no longer
-    /// matches (the ABA defense).
-    pub fn resolve(&self, h: SlotRef) -> Option<&T> {
-        let s = self.slots.get(h.slot as usize)?;
-        if s.gen == h.gen {
-            s.val.as_ref()
-        } else {
-            None
-        }
+        let slot = self.entry(id)?;
+        self.slots.get_mut(slot)?.as_mut()
     }
 
     /// Iterates live `(id, value)` pairs in ascending id order — the
@@ -290,15 +228,14 @@ impl<T> Store<T> {
             .filter_map(|(p, page)| page.as_deref().map(|page| (p, page)))
             .flat_map(move |(p, page)| {
                 (p * INDEX_PAGE as u64..)
-                    .zip(page.refs.iter())
-                    .filter_map(move |(id, &packed)| {
-                        if packed == EMPTY {
+                    .zip(page.slots.iter())
+                    .filter_map(move |(id, &slot)| {
+                        if slot == EMPTY {
                             return None;
                         }
-                        let (slot, _gen) = Self::unpack(packed);
                         self.slots
                             .get(slot as usize)
-                            .and_then(|s| s.val.as_ref())
+                            .and_then(Option::as_ref)
                             .map(|v| (id, v))
                     })
             })
@@ -336,7 +273,7 @@ impl<T> Store<T> {
     /// it and the spare page; `T`'s own heap allocations (e.g. a `Vec`
     /// inside) are not visible here.
     pub fn storage_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<T>>()
+        self.slots.capacity() * std::mem::size_of::<Option<T>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
             + self.pages.capacity() * std::mem::size_of::<Option<Box<IndexPage>>>()
             + (self.index_pages() + usize::from(self.has_spare_page()))
@@ -509,20 +446,22 @@ mod tests {
     }
 
     #[test]
-    fn generation_tag_defeats_aba() {
+    fn reused_slot_never_answers_for_the_old_id() {
         let mut s: Store<&'static str> = Store::new();
         s.insert(1, "first");
-        let h = s.handle(1).expect("live");
-        assert_eq!(s.resolve(h), Some(&"first"));
-        s.remove(1);
-        assert_eq!(s.resolve(h), None, "freed slot does not resolve");
-        // The freed slot is reused for a different id: the stale handle
-        // must NOT alias the new occupant.
+        assert_eq!(s.remove(1), Some("first"));
+        // The freed slot is reused for a different id: the old id must
+        // not see the new occupant through it.
         s.insert(2, "second");
+        assert_eq!(s.slot_count(), 1, "the slot was recycled");
         assert_eq!(s.get(2), Some(&"second"));
-        assert_eq!(s.resolve(h), None, "stale handle never sees the reuser");
-        let h2 = s.handle(2).expect("live");
-        assert_eq!(s.resolve(h2), Some(&"second"));
+        assert_eq!(s.get(1), None, "the retired id stays absent");
+        assert!(!s.contains(1));
+        assert_eq!(s.get_mut(1), None);
+        assert_eq!(s.remove(1), None, "removing it again frees nothing");
+        assert_eq!(s.get(2), Some(&"second"), "the new occupant is intact");
+        let live: Vec<(u64, &str)> = s.iter().map(|(id, v)| (id, *v)).collect();
+        assert_eq!(live, vec![(2, "second")]);
     }
 
     #[test]

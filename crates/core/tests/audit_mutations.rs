@@ -153,7 +153,7 @@ fn sealed_extended_is_reported() {
     // state needs a forged stamp: pretend the capability appeared after
     // the owner's seal.
     let sealed = e.domain_sealed_at(child).expect("sealed stamp");
-    e.corrupt_created_at(shared, sealed + 1);
+    assert!(e.corrupt_cap(shared, |c| c.created_at = sealed + 1));
     assert_eq!(audit(&e), vec![Violation::SealedExtended(shared)]);
 }
 
@@ -166,8 +166,9 @@ fn strict_seal_shared_is_reported() {
     // A strictly sealed granter cannot share outward after sealing — and
     // the engine enforces exactly that, so forge the granter's seal to a
     // stamp before the share instead.
-    e.corrupt_domain(root).unwrap().seal_policy = SealPolicy::strict();
-    e.corrupt_sealed_at(root, 0);
+    let granter = e.corrupt_domain(root).unwrap();
+    granter.seal_policy = SealPolicy::strict();
+    granter.sealed_at = Some(0);
     assert_eq!(audit(&e), vec![Violation::StrictSealShared(shared)]);
 }
 

@@ -223,6 +223,99 @@ fn kill_revokes_everything_cascading() {
     assert_sound(&e);
 }
 
+/// Retired ids never answer through a recycled slot. Equal waves of
+/// tenants are created, sealed and killed, so each wave refills exactly
+/// the arena slots the previous one freed; the last wave stays live in
+/// them. Every retired domain and capability id must then be absent
+/// from every lookup, and every live record must keep the stamps it got
+/// when it was created or sealed.
+#[test]
+fn retired_ids_stay_absent_after_slot_reuse() {
+    const WAVE: u64 = 256;
+    const WAVES: usize = 6;
+    let (mut e, os, ram) = boot();
+    // Live records and the stamps they were given.
+    let mut live_domains: Vec<(DomainId, Option<u64>)> = vec![(os, None)];
+    let mut live_caps: Vec<(CapId, u64)> = e
+        .caps()
+        .map(|c| (c.id, e.cap_created_at(c.id).unwrap()))
+        .collect();
+    let mut retired_domains = Vec::new();
+    let mut retired_caps = Vec::new();
+    let mut first_wave_bytes = 0;
+    for wave in 0..WAVES {
+        let mut tenants = Vec::new();
+        for i in 0..WAVE {
+            let (child, tcap) = e.create_domain(os).unwrap();
+            let page = MemRegion::new(i * 0x1000, (i + 1) * 0x1000);
+            let shared = e
+                .share(
+                    os,
+                    ram,
+                    child,
+                    Some(page),
+                    Rights::RW,
+                    RevocationPolicy::NONE,
+                )
+                .unwrap();
+            e.set_entry(os, child, page.start).unwrap();
+            e.seal(os, child, SealPolicy::strict()).unwrap();
+            let sealed = e.domain_sealed_at(child).unwrap();
+            let caps = [tcap, shared].map(|c| (c, e.cap_created_at(c).unwrap()));
+            assert!(caps.iter().all(|&(_, t)| t < sealed));
+            tenants.push((child, sealed, caps));
+        }
+        e.drain_effects();
+        if wave == 0 {
+            first_wave_bytes = e.store_bytes();
+        }
+        if wave + 1 == WAVES {
+            for (child, sealed, caps) in tenants {
+                live_domains.push((child, Some(sealed)));
+                live_caps.extend(caps);
+            }
+        } else {
+            for (child, _, caps) in tenants {
+                e.kill(os, child).unwrap();
+                retired_domains.push(child);
+                retired_caps.extend(caps.map(|(c, _)| c));
+            }
+        }
+    }
+    e.drain_effects();
+    assert_sound(&e);
+    // Without slot reuse the arenas would hold six waves' records.
+    assert!(
+        e.store_bytes() < first_wave_bytes * 3 / 2,
+        "arena grew: {} B after the last wave, {first_wave_bytes} B after the first",
+        e.store_bytes()
+    );
+    for d in retired_domains {
+        assert!(e.domain(d).is_none(), "retired {d} answered");
+        assert_eq!(e.domain_sealed_at(d), None, "retired {d} has a seal stamp");
+    }
+    for c in retired_caps {
+        assert!(e.cap(c).is_none(), "retired {c} answered");
+        assert_eq!(
+            e.cap_created_at(c),
+            None,
+            "retired {c} has a creation stamp"
+        );
+    }
+    for (d, sealed) in live_domains {
+        assert_eq!(e.domain(d).map(|x| x.id), Some(d));
+        assert_eq!(e.domain_sealed_at(d), sealed, "{d} seal stamp moved");
+    }
+    for (c, created) in live_caps {
+        assert_eq!(e.cap(c).map(|x| x.id), Some(c));
+        assert_eq!(
+            e.cap_created_at(c),
+            Some(created),
+            "{c} creation stamp moved"
+        );
+    }
+}
+
 #[test]
 fn kill_requires_manager() {
     let (mut e, os, _) = boot();

@@ -10,8 +10,8 @@
 //! to populations of ten thousand domains — enough churn that the slab
 //! freelists recycle thousands of slots and hundreds of domains share
 //! each core, device and interrupt — and require the indexed answers to
-//! match the scans exactly, plus a slot-reuse/generation-tag regression
-//! so a stale handle can never alias a recycled slot (ABA).
+//! match the scans exactly, plus a slot-reuse regression: a removed id
+//! never answers with the value of whoever recycled its slot (ABA).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
@@ -373,8 +373,8 @@ proptest! {
 
     /// Raw slab semantics against a `BTreeMap` model under randomized
     /// insert/remove/reinsert interleavings: contents, id-ordered
-    /// iteration, and freelist reuse all line up, and no handle taken
-    /// before a removal ever resolves afterwards (ABA regression).
+    /// iteration, and freelist reuse all line up, and no removed id
+    /// answers after its slot is recycled (ABA regression).
     #[test]
     fn store_agrees_with_map_model_and_defeats_aba(
         seed in any::<u64>(),
@@ -382,7 +382,7 @@ proptest! {
     ) {
         let mut store: Store<u64> = Store::default();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut stale = Vec::new();
+        let mut removed = BTreeSet::new();
         let mut rng = Rng::new(seed);
         for step in 0..steps as u64 {
             let id = rng.below(512);
@@ -391,11 +391,11 @@ proptest! {
                     prop_assert_eq!(store.insert(id, step), model.insert(id, step));
                 }
                 1 => {
-                    // Capture the live handle, remove, and remember the
-                    // handle as stale: it must never resolve again even
-                    // after the slot is recycled by a later insert.
-                    if let Some(h) = store.handle(id) {
-                        stale.push(h);
+                    // Remember the removed id: unless reinserted, it must
+                    // never answer again, even after a later insert
+                    // recycles its slot.
+                    if store.contains(id) {
+                        removed.insert(id);
                     }
                     prop_assert_eq!(store.remove(id), model.remove(&id));
                 }
@@ -409,10 +409,11 @@ proptest! {
         // The arena never outgrows peak occupancy: every freed slot is
         // reusable, so slots ≤ live + free.
         prop_assert_eq!(store.slot_count(), store.len() + store.free_slots());
-        for h in stale {
+        for id in removed.into_iter().filter(|id| !model.contains_key(id)) {
             prop_assert!(
-                store.resolve(h).is_none(),
-                "stale handle resolved after slot reuse"
+                store.get(id).is_none() && !store.contains(id),
+                "removed id {} answered after slot reuse",
+                id
             );
         }
     }

@@ -57,6 +57,9 @@ struct DomainSpace {
     programmed: BTreeMap<u64, Table>,
     /// Slot in the EPTP list (VMFUNC index).
     slot: usize,
+    /// MKTME key id that pages entering the domain are tagged with:
+    /// plaintext until [`X86Backend::enable_encryption`].
+    keyid: u64,
 }
 
 impl DomainSpace {
@@ -81,8 +84,6 @@ pub struct X86Backend {
     /// (without this, the 513th domain ever created would fail even if
     /// only a handful are alive).
     free_slots: Vec<usize>,
-    /// MKTME key ids of encryption-enabled domains.
-    enc_keys: HashMap<DomainId, u64>,
 }
 
 impl X86Backend {
@@ -97,7 +98,6 @@ impl X86Backend {
             eptp_list,
             next_slot: 0,
             free_slots: Vec::new(),
-            enc_keys: HashMap::new(),
         })
     }
 
@@ -233,6 +233,7 @@ impl X86Backend {
                 ept,
                 programmed: BTreeMap::new(),
                 slot,
+                keyid: tyche_hw::mktme::KEYID_PLAIN,
             },
         );
         Ok(())
@@ -257,7 +258,6 @@ impl X86Backend {
         machine.tlb.flush_domain(space.ept.root().as_u64());
         machine.cache.flush_domain(space.ept.root().as_u64());
         machine.irq.purge_key(space.ept.root().as_u64());
-        self.enc_keys.remove(&domain);
         self.free_slots.push(space.slot);
         // Return the translation-table frames.
         let frames = space
@@ -280,10 +280,10 @@ impl X86Backend {
     ) -> Result<(), BackendError> {
         let space = self
             .spaces
-            .get(&domain)
+            .get_mut(&domain)
             .ok_or_else(|| BackendError::Hardware(format!("no space for {domain}")))?;
         let key = machine.mktme.new_key();
-        self.enc_keys.insert(domain, key);
+        space.keyid = key;
         let mut pages = 0;
         for (page, _) in space.pages() {
             machine
@@ -323,11 +323,7 @@ impl X86Backend {
         // Pages entering an encryption-enabled domain are retagged to its
         // key (contents preserved, ciphertext rotated); pages entering a
         // plaintext domain are retagged to plaintext.
-        let keyid = self
-            .enc_keys
-            .get(&domain)
-            .copied()
-            .unwrap_or(tyche_hw::mktme::KEYID_PLAIN);
+        let keyid = space.keyid;
         let hw = |e: tyche_hw::x86::ept::EptError| BackendError::Hardware(e.to_string());
         let mut translation_changed = false;
         let mut visited = 0u64;

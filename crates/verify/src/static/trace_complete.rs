@@ -43,14 +43,6 @@ pub const EXEMPT: &[(&str, &str)] = &[
         "corrupt_generation",
         "adversarial tampering hook: invisible by design, RV must catch it",
     ),
-    (
-        "corrupt_created_at",
-        "adversarial tampering hook: invisible by design, RV must catch it",
-    ),
-    (
-        "corrupt_sealed_at",
-        "adversarial tampering hook: invisible by design, RV must catch it",
-    ),
 ];
 
 /// Lint output.

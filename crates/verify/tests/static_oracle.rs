@@ -814,8 +814,6 @@ const EXEMPT_STUBS: &str = r#"
     pub fn corrupt_cap(&mut self, id: CapId) { self.tamper(id); }
     pub fn corrupt_domain(&mut self, id: DomainId) { self.tamper_domain(id); }
     pub fn corrupt_generation(&mut self) { self.generation += 1; }
-    pub fn corrupt_created_at(&mut self, id: CapId) { self.tamper(id); }
-    pub fn corrupt_sealed_at(&mut self, id: DomainId) { self.tamper_domain(id); }
 "#;
 
 fn engine_source(ops: &str) -> String {
