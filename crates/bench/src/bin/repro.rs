@@ -33,6 +33,7 @@ use tyche_bench::{boot, fuzz, spawn_sealed, Table};
 use tyche_core::audit;
 use tyche_core::metrics::Counter;
 use tyche_core::prelude::*;
+use tyche_core::refcount::{mem_refcount, unit_refcount};
 use tyche_core::trace::EventKind;
 use tyche_fleet::{Fleet, FleetConfig};
 use tyche_hw::cycles::SmpClocks;
@@ -2016,8 +2017,8 @@ impl HotpathEntry {
 /// Runs `storms` before/after revocation-storm pairs at one fan-out.
 /// The row's before/after cycles come from the first pair and are
 /// asserted identical across all storms (the cycle model is
-/// deterministic); the histogram collects per-capability wall latency
-/// of every coalesced (after) storm.
+/// deterministic); the histogram records one sample per coalesced
+/// (after) storm: its wall time per revoked capability.
 fn measure_revocation(fanout: usize, storms: usize) -> (HotpathEntry, Histogram) {
     let mut hist = Histogram::new();
     let mut entry: Option<HotpathEntry> = None;
@@ -2026,7 +2027,7 @@ fn measure_revocation(fanout: usize, storms: usize) -> (HotpathEntry, Histogram)
         let (after_cycles, after_wall) = bench_revocation(fanout, true);
         let per_cap = timing::per_op_ns(after_wall, fanout)
             .unwrap_or_else(|e| panic!("revocation storm timing: {e}"));
-        hist.record_n(per_cap, fanout as u64);
+        hist.record(per_cap);
         match &entry {
             None => {
                 entry = Some(HotpathEntry {
@@ -2110,8 +2111,8 @@ fn bench_revocation(fanout: usize, coalesced: bool) -> (u64, std::time::Duration
 }
 
 /// Builds an engine with `fanout` domains (one shared window each) and
-/// times the indexed queries against their linear-scan twins on one
-/// small domain. Wall-time only: the queries charge no simulated
+/// times the indexed queries against linear scans over every capability
+/// on one small domain. Wall-time only: the queries charge no simulated
 /// cycles. The histogram samples the indexed `caps_of` query (the row's
 /// `after` op) in batches, so per-sample clock reads stay out of the
 /// distribution.
@@ -2156,11 +2157,30 @@ fn bench_capability_ops(fanout: usize, iters: usize) -> (HotpathEntry, Histogram
         timing::per_op_ns(t0.elapsed(), iters)
             .unwrap_or_else(|err| panic!("capability_ops timing: {err}"))
     };
-    let caps_scan = time(&mut || e.caps_of_scan(d0).len());
+    let coverage = || -> Vec<(DomainId, MemRegion)> {
+        e.caps()
+            .filter(|c| c.active)
+            .filter_map(|c| c.resource.as_mem().map(|r| (c.owner, r)))
+            .collect()
+    };
+    let caps_scan = time(&mut || e.caps().filter(|c| c.owner == d0).collect::<Vec<_>>().len());
     let caps_idx = time(&mut || e.caps_of(d0).len());
-    let rc_scan = time(&mut || e.refcount_mem_full_scan(window).max);
+    let rc_scan = time(&mut || mem_refcount(&coverage(), window).max);
     let rc_idx = time(&mut || e.refcount_mem_full(window).max);
-    let enum_scan = time(&mut || e.enumerate_scan(d0).expect("enumerate").len());
+    let enum_scan = time(&mut || {
+        let coverage = coverage();
+        let holders = |unit| e.caps().filter(move |k| k.active && k.resource == unit);
+        let refcounts: Vec<usize> = e
+            .caps()
+            .filter(|c| c.owner == d0 && c.active)
+            .map(|c| match c.resource {
+                Resource::Memory(r) => mem_refcount(&coverage, r).max,
+                Resource::Transition(_) => 1,
+                unit => unit_refcount(holders(unit).map(|k| k.owner).collect()),
+            })
+            .collect();
+        refcounts.len()
+    });
     let enum_idx = time(&mut || e.enumerate(d0).expect("enumerate").len());
     let mut hist = Histogram::new();
     let batch = iters.clamp(1, 64);

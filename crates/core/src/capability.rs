@@ -73,12 +73,6 @@ impl Capability {
     pub fn is_memory(&self) -> bool {
         matches!(self.resource, Resource::Memory(_))
     }
-
-    /// Number of outstanding `Granted` children (0 or 1 per region byte,
-    /// but a memory capability can have several disjoint grants).
-    pub fn granted_children(&self) -> usize {
-        self.children.len()
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +96,6 @@ mod tests {
             created_at: 0,
         };
         assert!(c.is_memory());
-        assert_eq!(c.granted_children(), 0);
         assert!(c.active);
     }
 }

@@ -210,22 +210,14 @@ impl CapEngine {
 
     /// All capabilities owned by `domain`.
     pub fn caps_of(&self, domain: DomainId) -> Vec<&Capability> {
-        let out: Vec<&Capability> = self.owned_caps(domain, true).collect();
+        let out: Vec<&Capability> = self.owned_caps(domain).collect();
         #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
-        {
-            let scan: Vec<CapId> = self.caps_of_scan(domain).iter().map(|c| c.id).collect();
-            let indexed: Vec<CapId> = out.iter().map(|c| c.id).collect();
-            assert_eq!(indexed, scan, "owner index diverged from scan for {domain}");
-        }
+        assert_eq!(
+            out,
+            self.caps_of_scan(domain),
+            "owner index diverged from scan for {domain}"
+        );
         out
-    }
-
-    /// Scan-based reference implementation of [`caps_of`](Self::caps_of):
-    /// walks every capability. Kept as the differential-check oracle and
-    /// the benchmark "before" path.
-    #[doc(hidden)]
-    pub fn caps_of_scan(&self, domain: DomainId) -> Vec<&Capability> {
-        self.caps.values().filter(|c| c.owner == domain).collect()
     }
 
     /// Engine generation: bumped on every mutation (any `tick()`ed
@@ -246,56 +238,6 @@ impl CapEngine {
     /// Seal stamp of a domain (for the auditor).
     pub fn domain_sealed_at(&self, domain: DomainId) -> Option<u64> {
         self.domains.get(domain.0)?.sealed_at
-    }
-
-    // ------------------------------------------------------------------
-    // Corruption hooks (mutation tests only)
-    //
-    // The engine's public operations refuse to create unsound states, so
-    // the auditor's negative tests need a way to corrupt internals
-    // directly. Hidden from docs; never call these outside tests.
-    // ------------------------------------------------------------------
-
-    /// Test-only rewrite of a capability record through `f` (which must
-    /// not change its `id`). The record leaves the secondary indexes
-    /// before `f` runs and re-enters them after, so every indexed query
-    /// stays exact whatever `f` rewrites: owner, resource, `active` or
-    /// lineage. False when `cap` does not exist.
-    #[doc(hidden)]
-    pub fn corrupt_cap(&mut self, cap: CapId, f: impl FnOnce(&mut Capability)) -> bool {
-        self.generation += 1;
-        self.trace.emit_engine(EventKind::GenBump {
-            gen: self.generation,
-        });
-        let Some(mut c) = self.caps.get(cap.0).cloned() else {
-            return false;
-        };
-        self.index_remove(&c);
-        f(&mut c);
-        self.index_insert(&c);
-        self.caps.insert(cap.0, c);
-        true
-    }
-
-    /// Test-only mutable access to a domain record. No index is keyed
-    /// on a domain's fields, so this only invalidates cached transition
-    /// validations.
-    #[doc(hidden)]
-    pub fn corrupt_domain(&mut self, domain: DomainId) -> Option<&mut Domain> {
-        self.generation += 1;
-        self.trace.emit_engine(EventKind::GenBump {
-            gen: self.generation,
-        });
-        self.domains.get_mut(domain.0)
-    }
-
-    /// Test-only override of the mutation generation (including the
-    /// matching [`EventKind::GenBump`] emission, so the runtime-verification
-    /// seqlock checker can observe the corruption in the trace).
-    #[doc(hidden)]
-    pub fn corrupt_generation(&mut self, gen: u64) {
-        self.generation = gen;
-        self.trace.emit_engine(EventKind::GenBump { gen });
     }
 
     /// Drains the pending backend effects in emission order.
@@ -953,22 +895,9 @@ impl CapEngine {
         self.owns_unit(domain, Resource::CpuCore(core))
     }
 
-    /// Scan-based reference implementation of [`owns_core`](Self::owns_core).
-    #[doc(hidden)]
-    pub fn owns_core_scan(&self, domain: DomainId, core: usize) -> bool {
-        self.owns_unit_scan(domain, Resource::CpuCore(core))
-    }
-
     /// True when `domain` holds an active capability for `device`.
     pub fn owns_device(&self, domain: DomainId, device: u16) -> bool {
         self.owns_unit(domain, Resource::Device(device))
-    }
-
-    /// Scan-based reference implementation of
-    /// [`owns_device`](Self::owns_device).
-    #[doc(hidden)]
-    pub fn owns_device_scan(&self, domain: DomainId, device: u16) -> bool {
-        self.owns_unit_scan(domain, Resource::Device(device))
     }
 
     /// True when one of `domain`'s active capabilities over `unit`
@@ -991,17 +920,12 @@ impl CapEngine {
         out
     }
 
-    fn owns_unit_scan(&self, domain: DomainId, unit: Resource) -> bool {
-        self.caps
-            .values()
-            .any(|c| c.owner == domain && c.active && c.rights.can_use() && c.resource == unit)
-    }
-
     // ------------------------------------------------------------------
     // Reference counts & enumeration
     // ------------------------------------------------------------------
 
-    /// All active `(domain, region)` memory coverage pairs.
+    /// All active `(domain, region)` memory coverage pairs, by region
+    /// start, then capability id.
     pub fn active_mem_coverage(&self) -> Vec<(DomainId, MemRegion)> {
         let out: Vec<(DomainId, MemRegion)> = self
             .mem_index
@@ -1010,29 +934,12 @@ impl CapEngine {
             .collect();
         #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
         {
-            let key = |e: &(DomainId, MemRegion)| (e.0, e.1.start, e.1.end);
-            let mut a = out.clone();
-            let mut b = self.active_mem_coverage_scan();
-            a.sort_by_key(key);
-            b.sort_by_key(key);
-            assert_eq!(a, b, "memory index diverged from scan");
+            // A stable sort by start puts the id-ordered scan in the
+            // index's `(start, cap)` order.
+            let mut scan = self.active_mem_coverage_scan();
+            scan.sort_by_key(|e| e.1.start);
+            assert_eq!(out, scan, "memory index diverged from scan");
         }
-        out
-    }
-
-    /// Scan-based reference implementation of
-    /// [`active_mem_coverage`](Self::active_mem_coverage).
-    #[doc(hidden)]
-    pub fn active_mem_coverage_scan(&self) -> Vec<(DomainId, MemRegion)> {
-        // One allocation sized for every capability, not a doubling
-        // cascade: the differential checks run this on every query.
-        let mut out = Vec::with_capacity(self.caps.len());
-        out.extend(
-            self.caps
-                .values()
-                .filter(|c| c.active)
-                .filter_map(|c| c.resource.as_mem().map(|r| (c.owner, r))),
-        );
         out
     }
 
@@ -1067,19 +974,13 @@ impl CapEngine {
     }
 
     /// `domain`'s capabilities (active and suspended) in ascending id
-    /// order — from the owner index with `use_index`, else by a full scan.
-    fn owned_caps(&self, domain: DomainId, use_index: bool) -> impl Iterator<Item = &Capability> {
-        let indexed = use_index
-            .then(|| self.by_owner.get(domain.0))
+    /// order, from the owner index.
+    fn owned_caps(&self, domain: DomainId) -> impl Iterator<Item = &Capability> {
+        self.by_owner
+            .get(domain.0)
+            .into_iter()
             .flatten()
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .filter_map(|id| self.caps.get(id.0));
-        let scanned = (!use_index)
-            .then(|| self.caps.values().filter(move |c| c.owner == domain))
-            .into_iter()
-            .flatten();
-        indexed.chain(scanned)
+            .filter_map(|id| self.caps.get(id.0))
     }
 
     /// Full reference-count query over a memory range (Figure 4). Visits
@@ -1100,74 +1001,31 @@ impl CapEngine {
         out
     }
 
-    /// Scan-based reference implementation of
-    /// [`refcount_mem_full`](Self::refcount_mem_full).
-    #[doc(hidden)]
-    pub fn refcount_mem_full_scan(&self, region: MemRegion) -> RefCount {
-        mem_refcount(&self.active_mem_coverage_scan(), region)
-    }
-
     /// Maximum per-byte reference count over a memory range.
     pub fn refcount_mem(&self, region: MemRegion) -> usize {
         self.refcount_mem_full(region).max
     }
 
     /// Enumerates `domain`'s active resources with rights and reference
-    /// counts — the attestation view (§3.4).
+    /// counts — the attestation view (§3.4), in ascending capability id
+    /// order. A memory refcount is a pruned overlap query and a unit
+    /// refcount the holder index's owner count, so one tenant costs its
+    /// own capabilities plus the memory actually shared with it, however
+    /// many domains are resident or share its units.
     pub fn enumerate(&self, domain: DomainId) -> Result<Vec<EnumeratedResource>, CapError> {
-        let out = self.enumerate_impl(domain, true)?;
-        #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
-        {
-            let scan = self.enumerate_impl(domain, false)?;
-            assert_eq!(out, scan, "enumeration index diverged from scan");
-        }
-        Ok(out)
-    }
-
-    /// Scan-based reference implementation of
-    /// [`enumerate`](Self::enumerate).
-    #[doc(hidden)]
-    pub fn enumerate_scan(&self, domain: DomainId) -> Result<Vec<EnumeratedResource>, CapError> {
-        self.enumerate_impl(domain, false)
-    }
-
-    fn enumerate_impl(
-        &self,
-        domain: DomainId,
-        use_index: bool,
-    ) -> Result<Vec<EnumeratedResource>, CapError> {
-        let dom = self
-            .domains
-            .get(domain.0)
-            .ok_or(CapError::NoSuchDomain(domain))?;
-        if !dom.is_alive() {
+        if !self.domains.get(domain.0).is_some_and(Domain::is_alive) {
             return Err(CapError::NoSuchDomain(domain));
         }
-        // The scan twin prices refcounts against the full coverage list
-        // and every capability. The indexed path answers a memory
-        // refcount from a pruned overlap query (`O(log n + k log k)` for
-        // the `k` intervals overlapping the region) and a unit refcount
-        // from the holder index's owner count (`O(log n)`), so
-        // enumerating one tenant costs its own capabilities plus the
-        // memory actually shared with it, however many domains are
-        // resident or share its cores, devices and interrupts.
-        let coverage = if use_index {
-            Vec::new()
-        } else {
-            self.active_mem_coverage_scan()
-        };
-        let mut out: Vec<EnumeratedResource> = self
-            .owned_caps(domain, use_index)
+        let out: Vec<EnumeratedResource> = self
+            .owned_caps(domain)
             .filter(|c| c.active)
             .map(|c| {
                 let refcount = match c.resource {
-                    Resource::Memory(r) if use_index => {
-                        mem_refcount(&self.overlapping_coverage(r), r)
-                    }
-                    Resource::Memory(r) => mem_refcount(&coverage, r),
+                    Resource::Memory(r) => mem_refcount(&self.overlapping_coverage(r), r),
                     Resource::Transition(_) => RefCount { max: 1, min: 1 },
-                    _ => {
-                        let n = self.unit_owner_count(c.resource, use_index);
+                    unit => {
+                        let n =
+                            Self::unit_key(&unit).map_or(0, |key| self.holders.owner_count(key));
                         RefCount { max: n, min: n }
                     }
                 };
@@ -1180,23 +1038,13 @@ impl CapEngine {
                 }
             })
             .collect();
-        out.sort_by_key(|e| e.cap);
+        #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
+        assert_eq!(
+            self.enumerate_scan(domain).as_ref(),
+            Ok(&out),
+            "enumeration index diverged from scan"
+        );
         Ok(out)
-    }
-
-    /// Reference count of a unit (core/device/interrupt) resource:
-    /// distinct owners holding an active capability over it.
-    fn unit_owner_count(&self, resource: Resource, use_index: bool) -> usize {
-        if use_index {
-            return Self::unit_key(&resource).map_or(0, |key| self.holders.owner_count(key));
-        }
-        crate::refcount::unit_refcount(
-            self.caps
-                .values()
-                .filter(|k| k.active && k.resource == resource)
-                .map(|k| k.owner)
-                .collect(),
-        )
     }
 
     // ------------------------------------------------------------------
@@ -1646,7 +1494,7 @@ impl CapEngine {
         let mut small = [(0u8, 0u64, 0u64, 0u8, 0u8); MEASURE_INLINE];
         let mut spill = Vec::new();
         let mut n = 0;
-        for c in self.owned_caps(domain, true).filter(|c| c.active) {
+        for c in self.owned_caps(domain).filter(|c| c.active) {
             let (a, b) = match c.resource {
                 Resource::Memory(r) => (r.start, r.end),
                 Resource::CpuCore(n) => (n as u64, 0),
@@ -1694,5 +1542,119 @@ impl CapEngine {
             h.update(d.as_bytes());
         }
         h.finalize()
+    }
+}
+
+/// The engine's test surface: scan-based reference implementations of
+/// the indexed queries and the corruption hooks. Compiled only where the
+/// differential asserts above run (debug builds and `paranoid-checks`),
+/// so the release monitor ships neither.
+#[cfg(any(debug_assertions, feature = "paranoid-checks"))]
+impl CapEngine {
+    /// Scan-based reference implementation of [`caps_of`](Self::caps_of).
+    pub fn caps_of_scan(&self, domain: DomainId) -> Vec<&Capability> {
+        self.caps.values().filter(|c| c.owner == domain).collect()
+    }
+
+    /// Scan-based reference implementation of [`owns_core`](Self::owns_core)
+    /// (`unit` a [`Resource::CpuCore`]) and [`owns_device`](Self::owns_device)
+    /// (a [`Resource::Device`]).
+    pub fn owns_unit_scan(&self, domain: DomainId, unit: Resource) -> bool {
+        self.caps
+            .values()
+            .any(|c| c.owner == domain && c.active && c.rights.can_use() && c.resource == unit)
+    }
+
+    /// Scan-based reference implementation of
+    /// [`active_mem_coverage`](Self::active_mem_coverage), in capability
+    /// id order.
+    pub fn active_mem_coverage_scan(&self) -> Vec<(DomainId, MemRegion)> {
+        // One allocation sized for every capability, not a doubling
+        // cascade: the differential checks run this on every query.
+        let mut out = Vec::with_capacity(self.caps.len());
+        out.extend(
+            self.caps
+                .values()
+                .filter(|c| c.active)
+                .filter_map(|c| c.resource.as_mem().map(|r| (c.owner, r))),
+        );
+        out
+    }
+
+    /// Scan-based reference implementation of
+    /// [`refcount_mem_full`](Self::refcount_mem_full).
+    pub fn refcount_mem_full_scan(&self, region: MemRegion) -> RefCount {
+        mem_refcount(&self.active_mem_coverage_scan(), region)
+    }
+
+    /// Scan-based reference implementation of
+    /// [`enumerate`](Self::enumerate): every refcount is priced against
+    /// every capability.
+    pub fn enumerate_scan(&self, domain: DomainId) -> Result<Vec<EnumeratedResource>, CapError> {
+        if !self.domains.get(domain.0).is_some_and(Domain::is_alive) {
+            return Err(CapError::NoSuchDomain(domain));
+        }
+        let coverage = self.active_mem_coverage_scan();
+        Ok(self
+            .caps
+            .values()
+            .filter(|c| c.owner == domain && c.active)
+            .map(|c| {
+                let refcount = match c.resource {
+                    Resource::Memory(r) => mem_refcount(&coverage, r),
+                    Resource::Transition(_) => RefCount { max: 1, min: 1 },
+                    unit => {
+                        let n = crate::refcount::unit_refcount(
+                            self.caps
+                                .values()
+                                .filter(|k| k.active && k.resource == unit)
+                                .map(|k| k.owner)
+                                .collect(),
+                        );
+                        RefCount { max: n, min: n }
+                    }
+                };
+                EnumeratedResource {
+                    cap: c.id,
+                    resource: c.resource,
+                    rights: c.rights,
+                    kind: c.kind,
+                    refcount,
+                }
+            })
+            .collect())
+    }
+
+    /// Test-only rewrite of a capability record through `f` (which must
+    /// not change its `id`). The record leaves the secondary indexes
+    /// before `f` runs and re-enters them after, so every indexed query
+    /// stays exact whatever `f` rewrites: owner, resource, `active` or
+    /// lineage. False when `cap` does not exist.
+    pub fn corrupt_cap(&mut self, cap: CapId, f: impl FnOnce(&mut Capability)) -> bool {
+        self.corrupt_generation(self.generation + 1);
+        let Some(mut c) = self.caps.get(cap.0).cloned() else {
+            return false;
+        };
+        self.index_remove(&c);
+        f(&mut c);
+        self.index_insert(&c);
+        self.caps.insert(cap.0, c);
+        true
+    }
+
+    /// Test-only mutable access to a domain record. No index is keyed
+    /// on a domain's fields, so this only invalidates cached transition
+    /// validations.
+    pub fn corrupt_domain(&mut self, domain: DomainId) -> Option<&mut Domain> {
+        self.corrupt_generation(self.generation + 1);
+        self.domains.get_mut(domain.0)
+    }
+
+    /// Test-only override of the mutation generation (including the
+    /// matching [`EventKind::GenBump`] emission, so the runtime-verification
+    /// seqlock checker can observe the corruption in the trace).
+    pub fn corrupt_generation(&mut self, gen: u64) {
+        self.generation = gen;
+        self.trace.emit_engine(EventKind::GenBump { gen });
     }
 }

@@ -110,11 +110,6 @@ impl Rights {
         self.0 & !other.0 == 0
     }
 
-    /// Set intersection of rights.
-    pub fn intersect(&self, other: &Rights) -> Rights {
-        Rights(self.0 & other.0)
-    }
-
     /// True when the read bit is set.
     pub fn can_read(&self) -> bool {
         self.0 & Self::R != 0
@@ -225,7 +220,6 @@ mod tests {
         assert!(!Rights::RW.subset_of(&Rights::RO));
         assert!(!Rights::RX.subset_of(&Rights::RW));
         assert!(Rights::NONE.subset_of(&Rights::NONE));
-        assert_eq!(Rights::RWX.intersect(&Rights::RW), Rights::RW);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Mutation tests for the runtime auditor: corrupt a sound engine one
-//! invariant at a time (via the `#[doc(hidden)]` corruption hooks) and
-//! assert `audit()` reports exactly the targeted `Violation` variant.
+//! invariant at a time (via the engine's corruption hooks, in debug and
+//! `paranoid-checks` builds) and assert `audit()` reports exactly the
+//! targeted `Violation` variant.
 //!
 //! The engine's public operations refuse to create any of these states,
 //! so each test is also evidence that the auditor is not vacuous: it
 //! detects corruption the operational layer can no longer introduce.
 //! Every variant in `audit.rs` has a test here.
+#![cfg(any(debug_assertions, feature = "paranoid-checks"))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use tyche_core::audit::{audit, Violation};

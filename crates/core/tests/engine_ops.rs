@@ -881,6 +881,7 @@ fn enumerate_reports_refcounts() {
 // Poisoned-domain quarantine
 // ---------------------------------------------------------------------
 
+#[cfg(any(debug_assertions, feature = "paranoid-checks"))] // forges through `corrupt_cap`
 #[test]
 fn quarantined_domain_is_killable_and_enumerable_but_not_enterable() {
     let (mut e, os, ram) = boot();

@@ -7,7 +7,8 @@
 //! panic the TCB instead of returning a typed refusal. These tests pin
 //! the new contract: corruption yields `CapError`, never a panic, and
 //! every indexed query still agrees with its linear-scan twin after a
-//! corruption hook has fired.
+//! corruption hook has fired (debug and `paranoid-checks` builds).
+#![cfg(any(debug_assertions, feature = "paranoid-checks"))]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use tyche_core::prelude::*;

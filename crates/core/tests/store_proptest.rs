@@ -3,16 +3,19 @@
 //! The slab [`Store`], the interval-tree `mem_index` and the unit
 //! [`HolderIndex`] each keep a naive differential twin in the engine
 //! (`caps_of_scan`, `active_mem_coverage_scan`,
-//! `refcount_mem_full_scan`, `enumerate_scan`, `owns_core_scan`,
-//! `owns_device_scan`): full scans over the same state that the indexed
-//! paths answer from their structures. These properties drive
-//! randomized create/share/grant/revoke/quarantine/kill interleavings
-//! to populations of ten thousand domains — enough churn that the slab
-//! freelists recycle thousands of slots and hundreds of domains share
-//! each core, device and interrupt — and require the indexed answers to
-//! match the scans exactly, plus a slot-reuse regression: a removed id
-//! never answers with the value of whoever recycled its slot (ABA).
+//! `refcount_mem_full_scan`, `enumerate_scan`, `owns_unit_scan`; debug
+//! and `paranoid-checks` builds only): full scans over the same state
+//! that the indexed paths answer from their structures. These
+//! properties drive randomized create/share/grant/revoke/quarantine/kill
+//! interleavings to populations of ten thousand domains — enough churn
+//! that the slab freelists recycle thousands of slots and hundreds of
+//! domains share each core, device and interrupt — and require the
+//! indexed answers to match the scans exactly, plus a slot-reuse
+//! regression: a removed id never answers with the value of whoever
+//! recycled its slot (ABA).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+// Without the twins, the churned-population helpers have no caller.
+#![cfg_attr(not(any(debug_assertions, feature = "paranoid-checks")), allow(unused))]
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -187,6 +190,7 @@ fn churned_population(seed: u64, population: usize) -> (CapEngine, DomainId, Vec
 /// and core/device ownership, and 64 random refcount windows across a
 /// `population`-lane endowment. True when some enumerated unit resource
 /// was shared (refcount above one).
+#[cfg(any(debug_assertions, feature = "paranoid-checks"))]
 fn twins_agree(
     e: &CapEngine,
     domains: &[DomainId],
@@ -218,14 +222,14 @@ fn twins_agree(
         for u in 0..UNITS {
             prop_assert_eq!(
                 e.owns_core(d, u as usize),
-                e.owns_core_scan(d, u as usize),
+                e.owns_unit_scan(d, Resource::CpuCore(u as usize)),
                 "owns_core diverged for {:?} on core {}",
                 d,
                 u
             );
             prop_assert_eq!(
                 e.owns_device(d, u as u16),
-                e.owns_device_scan(d, u as u16),
+                e.owns_unit_scan(d, Resource::Device(u as u16)),
                 "owns_device diverged for {:?} on device {}",
                 d,
                 u
@@ -252,6 +256,7 @@ proptest! {
 
     /// At 10k domains with heavy slot churn, every indexed query agrees
     /// with its naive scan twin, and the audit stays clean.
+    #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
     #[test]
     fn indexed_queries_match_scan_twins_at_scale(seed in any::<u64>()) {
         let (mut e, root, live) = churned_population(seed, POPULATION);
@@ -292,7 +297,7 @@ proptest! {
         prop_assert!(e.corrupt_cap(cap, |c| c.owner = new));
         prop_assert!(e.owns_core(new, core), "holder index missed the new owner");
         for d in [old, new, root] {
-            prop_assert_eq!(e.owns_core(d, core), e.owns_core_scan(d, core));
+            prop_assert_eq!(e.owns_core(d, core), e.owns_unit_scan(d, Resource::CpuCore(core)));
             prop_assert_eq!(e.enumerate(d).ok(), e.enumerate_scan(d).ok());
         }
     }
@@ -301,6 +306,7 @@ proptest! {
     /// owner, memory region or `active` flag rewritten through the
     /// closure hook, and after every rewrite each indexed query still
     /// equals its scan twin for the domains involved.
+    #[cfg(any(debug_assertions, feature = "paranoid-checks"))]
     #[test]
     fn corrupted_caps_keep_indexed_queries_exact(seed in any::<u64>()) {
         let (mut e, root, live) = churned_population(seed, CORRUPTED_POPULATION);

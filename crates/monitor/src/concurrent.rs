@@ -1246,6 +1246,7 @@ mod tests {
     }
 
     /// The involved and loser sets of `call` against `snap`.
+    #[cfg(debug_assertions)]
     fn involved_sets(
         snap: &CapEngine,
         actor: DomainId,
@@ -1264,6 +1265,7 @@ mod tests {
     /// function of one generation — interleaved mutations (modeled both
     /// with a real served call and with the corruption hooks) must not
     /// change it.
+    #[cfg(debug_assertions)] // tampers through `CapEngine::corrupt_cap`
     #[test]
     fn involved_set_computed_at_one_generation() {
         let (cm, doms) = smp_fixture();

@@ -694,25 +694,6 @@ impl Monitor {
         Ok(CallResult::Returned { to: frame.caller })
     }
 
-    /// Test-only corruption hook: forges the generation the fast cache
-    /// believes current *without* dropping its entries, modelling a
-    /// monitor bug that serves stale validations. Used by the
-    /// trace-oracle suite to prove the RV cache checker catches it.
-    #[doc(hidden)]
-    pub fn corrupt_fast_cache_gen(&mut self, gen: u64) {
-        self.fast_cache_gen = gen;
-    }
-
-    /// Test-only corruption hook: rewrites the caller recorded in
-    /// `core`'s top transition frame, modelling stack corruption. The
-    /// next return transfers to the forged caller.
-    #[doc(hidden)]
-    pub fn corrupt_frame(&mut self, core: usize, caller: DomainId) {
-        if let Some(frame) = self.stacks.get_mut(core).and_then(|s| s.last_mut()) {
-            frame.caller = caller;
-        }
-    }
-
     /// Fast return counterpart of [`Monitor::enter_fast`].
     pub fn ret_fast(&mut self, core: usize) -> Result<DomainId, Status> {
         match self.ret_inner(core, true) {
@@ -1220,11 +1201,32 @@ impl Monitor {
         }
         res
     }
+}
+
+/// The monitor's debug surface: the page-view oracle and the corruption
+/// hooks the trace-oracle suite tampers through. Not in release builds.
+#[cfg(debug_assertions)]
+impl Monitor {
+    /// Test-only corruption hook: forges the generation the fast cache
+    /// believes current *without* dropping its entries, modelling a
+    /// monitor bug that serves stale validations. Used by the
+    /// trace-oracle suite to prove the RV cache checker catches it.
+    pub fn corrupt_fast_cache_gen(&mut self, gen: u64) {
+        self.fast_cache_gen = gen;
+    }
+
+    /// Test-only corruption hook: rewrites the caller recorded in
+    /// `core`'s top transition frame, modelling stack corruption. The
+    /// next return transfers to the forged caller.
+    pub fn corrupt_frame(&mut self, core: usize, caller: DomainId) {
+        if let Some(frame) = self.stacks.get_mut(core).and_then(|s| s.last_mut()) {
+            frame.caller = caller;
+        }
+    }
 
     /// Debug oracle: after a successful apply, a live, unquarantined
     /// domain's hardware state must be exactly the engine's page view.
     /// Panics where it is not.
-    #[cfg(debug_assertions)]
     pub fn check_view(&self, domain: DomainId) {
         if !self
             .engine

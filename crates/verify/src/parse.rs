@@ -6,7 +6,8 @@
 //! extents, call tokens, the workspace's lock-helper calls, atomic
 //! operations carrying an explicit `Ordering`, and panic-capable
 //! constructs — on comment/literal-stripped text. Everything else is
-//! skipped.
+//! skipped. The model is of the release build: what [`loc`] excludes
+//! (test and debug-only code) makes no function, call, lock or atomic.
 //!
 //! The model over-approximates on purpose, and the call graph resolves
 //! by the call's syntax, not by types: a method call `x.name(..)`
@@ -607,7 +608,7 @@ fn parse_fn(
     let resume = body_close + 1;
 
     let line = lex::line_of(stripped, kw_pos);
-    if classes.get(line - 1) == Some(&LineClass::Test) {
+    if classes.get(line - 1) == Some(&LineClass::Excluded) {
         return FnOutcome::Skip(resume);
     }
 
@@ -637,6 +638,11 @@ fn parse_fn(
         body_start: body_open,
     };
     scan_body(stripped, body_open, body_close, &mut func, annotations);
+    // Debug-only statements inside a shipped function.
+    let shipped = |line: usize| classes.get(line - 1) != Some(&LineClass::Excluded);
+    func.calls.retain(|c| shipped(c.line));
+    func.locks.retain(|l| shipped(l.line));
+    func.atomics.retain(|a| shipped(a.line));
 
     let first = lex::line_of(stripped, body_open);
     let last = lex::line_of(stripped, body_close);

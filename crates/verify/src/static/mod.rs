@@ -22,8 +22,10 @@
 //!    budget.
 //! 4. [`trace_complete`] — every public mutating engine op emits a
 //!    trace event (the static dual of the RV checkers' assumption that
-//!    the trace is complete), and no hypercall leaf or serving tier
-//!    reaches a `corrupt_*` tampering hook.
+//!    the trace is complete).
+//!
+//! All four walk the release build's call graph: test and debug-only
+//! code (the scan twins, the `corrupt_*` tampering hooks) is not in it.
 
 pub mod atomics;
 pub mod lock_order;

@@ -4,20 +4,17 @@
 //! capability mutation left a footprint. This lint is the static dual:
 //! every public `&mut self` method on `CapEngine` must transitively
 //! reach a `TraceSink::emit`/`emit_engine` call, except for the
-//! explicitly exempted non-mutating plumbing and the adversarial
-//! corruption hooks (which are *defined* as invisible tampering — the
-//! RV suite exists to catch their effects, not their calls).
+//! explicitly exempted non-mutating plumbing.
 //!
-//! The hooks' exemption holds only while they stay off every hypercall
-//! path, so the lint also proves that no hypercall leaf or serving tier
-//! reaches a `corrupt_*` engine method.
+//! The model is of the release build, so the engine's corruption hooks
+//! (debug and `paranoid-checks` builds only, invisible tampering by
+//! design) are not in it: no hypercall can reach them, and they need no
+//! exemption.
 
-use super::panic_reach::{HYPERCALL_LEAVES, SERVING_TIERS};
 use super::{Lint, StaticFinding};
 use crate::parse::WorkspaceModel;
 
-/// Engine methods excused from emitting, with the reason. The
-/// `corrupt_*` entries are the tampering-hook list.
+/// Engine methods excused from emitting, with the reason.
 pub const EXEMPT: &[(&str, &str)] = &[
     (
         "set_trace",
@@ -30,18 +27,6 @@ pub const EXEMPT: &[(&str, &str)] = &[
     (
         "drain_effects_into",
         "hardware-effect queue handoff, not a capability mutation",
-    ),
-    (
-        "corrupt_cap",
-        "adversarial tampering hook: invisible by design, RV must catch it",
-    ),
-    (
-        "corrupt_domain",
-        "adversarial tampering hook: invisible by design, RV must catch it",
-    ),
-    (
-        "corrupt_generation",
-        "adversarial tampering hook: invisible by design, RV must catch it",
     ),
 ];
 
@@ -102,31 +87,6 @@ pub fn check(model: &WorkspaceModel) -> TraceResult {
                 ),
                 path: vec![func.qname.clone()],
             });
-        }
-    }
-    // Tampering hooks on a hypercall path would be invisible mutations
-    // the RV suite cannot see coming. Seeds the model lacks are skipped
-    // here; the panic-reachability lint reports them as table rot.
-    for (entry, seeds) in HYPERCALL_LEAVES.iter().chain(SERVING_TIERS) {
-        let seeds: Vec<usize> = seeds.iter().filter_map(|s| model.find_qname(s)).collect();
-        let parents = model.reachable(&seeds);
-        for &fi in parents.keys() {
-            let func = &model.functions[fi];
-            let hook = func.qname.starts_with("CapEngine::")
-                && func.name.starts_with("corrupt_")
-                && EXEMPT.iter().any(|(n, _)| *n == func.name);
-            if hook {
-                findings.push(StaticFinding {
-                    lint: Lint::TraceComplete,
-                    file: func.file.clone(),
-                    line: func.line,
-                    message: format!(
-                        "`{entry}` reaches tampering hook {}: an invisible mutation on a hypercall path",
-                        func.qname
-                    ),
-                    path: model.path_to(&parents, fi),
-                });
-            }
         }
     }
     TraceResult {

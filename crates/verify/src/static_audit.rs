@@ -135,11 +135,11 @@ impl Report {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("TCB static audit\n");
-        out.push_str("  crate            code     test  blank/comment\n");
+        out.push_str("  crate            code excluded  blank/comment\n");
         for (name, loc) in &self.crate_loc {
             out.push_str(&format!(
                 "  {name:<14} {:>6}   {:>6}         {:>6}\n",
-                loc.code, loc.test, loc.blank_or_comment
+                loc.code, loc.excluded, loc.blank_or_comment
             ));
         }
         out.push_str(&format!(
@@ -198,9 +198,7 @@ pub fn run(config: &AuditConfig) -> Result<Report, String> {
             let src = std::fs::read_to_string(&file)
                 .map_err(|e| format!("read {}: {e}", file.display()))?;
             let floc = loc::count_source(&src);
-            crate_loc.code += floc.code;
-            crate_loc.test += floc.test;
-            crate_loc.blank_or_comment += floc.blank_or_comment;
+            crate_loc.add(&floc);
 
             scan_file(&src, &rel, &mut report, &mut seen);
         }

@@ -4,8 +4,8 @@
 //! For each of the six temporal invariants in `tyche_verify::rv`, this
 //! suite runs (a) a *conforming* scenario on the real monitor whose
 //! drained trace must pass every checker, and (b) a *seeded violation*
-//! — a `#[doc(hidden)]` corruption hook mid-run, or a tampered event in
-//! the drained log — that the checker must catch **at the exact event
+//! — a corruption hook mid-run (debug builds only), or a tampered event
+//! in the drained log — that the checker must catch **at the exact event
 //! index** where the contradiction becomes observable. The index
 //! assertions are what make the checkers an oracle rather than a smoke
 //! test: a checker that fires late, early, or on the wrong event fails
@@ -41,6 +41,7 @@ fn only_finding(log: &TraceLog, checker: &str) -> rv::Finding {
 }
 
 /// Index of the last event in `log` matching `pred`.
+#[cfg(debug_assertions)]
 fn last_index(log: &TraceLog, pred: impl Fn(&EventKind) -> bool) -> usize {
     log.events()
         .iter()
@@ -74,6 +75,7 @@ fn conforming_transitions_pass_all_checkers() {
     assert!(findings.is_empty(), "conforming run flagged: {findings:?}");
 }
 
+#[cfg(debug_assertions)]
 #[test]
 fn forged_return_frame_is_caught_at_the_return() {
     let mut m = traced_boot();
@@ -155,6 +157,7 @@ fn conforming_cache_refill_after_mutation_passes() {
     );
 }
 
+#[cfg(debug_assertions)]
 #[test]
 fn stale_cache_service_is_caught_at_the_hit() {
     let mut m = traced_boot();
@@ -205,6 +208,7 @@ fn conforming_mutations_bump_generation_monotonically() {
     );
 }
 
+#[cfg(debug_assertions)]
 #[test]
 fn generation_replay_is_caught_at_the_repeated_bump() {
     let mut m = traced_boot();
@@ -243,6 +247,7 @@ fn conforming_quarantine_stays_sealed_off() {
     assert!(findings.is_empty(), "refused entries flagged: {findings:?}");
 }
 
+#[cfg(debug_assertions)]
 #[test]
 fn quarantine_bypass_is_caught_at_the_entry() {
     let mut m = traced_boot();
