@@ -40,6 +40,7 @@ use tyche_hw::cycles::SmpClocks;
 use tyche_hw::faults::{FaultPlan, FaultSite};
 use tyche_monitor::abi::MonitorCall;
 use tyche_monitor::attest::Verifier;
+use tyche_monitor::backend::x86::X86Backend;
 use tyche_monitor::boot::{expected_monitor_pcr, MONITOR_VERSION};
 use tyche_monitor::monitor::CallResult;
 use tyche_monitor::{
@@ -2065,26 +2066,67 @@ fn measure_revocation(fanout: usize, storms: usize) -> (HotpathEntry, Histogram)
 
 /// Shares `fanout` page windows from the root RAM cap to one child
 /// (zero-on-revoke policy, the clean-up contract every fixture uses),
-/// then revokes them all and syncs — uncoalesced (`before`) or coalesced
-/// (`after`). Each revocation emits an `UnmapMem` plus a policy
-/// `FlushTlb`; uncoalesced application resyncs and flushes per effect,
-/// coalesced application folds them into one terminal sync + flush.
-/// Returns (simulated cycles, wall duration) for the revoke+sync.
+/// then revokes them all and applies the effects. Each revocation emits
+/// an `UnmapMem` plus a policy `FlushTlb`. `after` syncs through the
+/// monitor, which folds a domain's unmaps into one apply ending in one
+/// flush. `before` is that coalescing ablated: a bare x86 backend
+/// applies every effect on its own, in emission order, so each one
+/// charges its own flush. Returns (simulated cycles, wall duration) for
+/// the revoke+apply.
 fn bench_revocation(fanout: usize, coalesced: bool) -> (u64, std::time::Duration) {
-    let mut m = boot();
-    let os = m.engine.root().expect("root");
-    let ram = m
-        .engine
+    if coalesced {
+        let mut m = boot();
+        let (os, shares) = share_windows(&mut m.engine, fanout);
+        m.sync_effects().expect("realize grants");
+        let (c0, t0) = (m.machine.cycles.now(), Instant::now());
+        for cap in shares {
+            m.engine.revoke(os, cap).expect("revoke");
+        }
+        m.sync_effects().expect("sync");
+        return (m.machine.cycles.now() - c0, t0.elapsed());
+    }
+    let mut machine = tyche_hw::Machine::new(BootConfig::default().machine);
+    let mut engine = CapEngine::new();
+    let root = engine.create_root_domain();
+    engine
+        .endow(
+            root,
+            Resource::mem(0, machine.domain_ram.end.as_u64()),
+            Rights::RWX,
+        )
+        .expect("endow RAM");
+    let mut x86 = X86Backend::new(&mut machine).expect("EPTP list");
+    let (os, shares) = share_windows(&mut engine, fanout);
+    for fx in engine.drain_effects() {
+        x86.apply(&mut machine, &engine, &fx)
+            .expect("realize grants");
+    }
+    let (c0, t0) = (machine.cycles.now(), Instant::now());
+    for cap in shares {
+        engine.revoke(os, cap).expect("revoke");
+    }
+    for fx in engine.drain_effects() {
+        x86.apply(&mut machine, &engine, &fx).expect("apply");
+    }
+    (machine.cycles.now() - c0, t0.elapsed())
+}
+
+/// Creates one child of the root domain and shares it `fanout`
+/// consecutive RW page windows of the root RAM cap. Returns (root,
+/// shares).
+fn share_windows(engine: &mut CapEngine, fanout: usize) -> (DomainId, Vec<CapId>) {
+    let os = engine.root().expect("root");
+    let ram = engine
         .caps_of(os)
         .iter()
         .find(|c| c.active && c.is_memory())
         .map(|c| c.id)
         .expect("root RAM cap");
-    let (child, _t) = m.engine.create_domain(os).expect("child");
-    let shares: Vec<CapId> = (0..fanout)
+    let (child, _t) = engine.create_domain(os).expect("child");
+    let shares = (0..fanout)
         .map(|i| {
             let base = 0x10_0000 + (i as u64) * 0x1000;
-            m.engine
+            engine
                 .share(
                     os,
                     ram,
@@ -2096,26 +2138,15 @@ fn bench_revocation(fanout: usize, coalesced: bool) -> (u64, std::time::Duration
                 .expect("share window")
         })
         .collect();
-    m.sync_effects().expect("realize grants");
-    let c0 = m.machine.cycles.now();
-    let t0 = Instant::now();
-    for cap in shares {
-        m.engine.revoke(os, cap).expect("revoke");
-    }
-    if coalesced {
-        m.sync_effects().expect("sync");
-    } else {
-        m.sync_effects_uncoalesced().expect("sync");
-    }
-    (m.machine.cycles.now() - c0, t0.elapsed())
+    (os, shares)
 }
 
 /// Builds an engine with `fanout` domains (one shared window each) and
 /// times the indexed queries against linear scans over every capability
 /// on one small domain. Wall-time only: the queries charge no simulated
 /// cycles. The histogram samples the indexed `caps_of` query (the row's
-/// `after` op) in batches, so per-sample clock reads stay out of the
-/// distribution.
+/// `after` op) in batches of up to 64, one sample per batch mean, so
+/// per-call clock reads stay out of the distribution.
 fn bench_capability_ops(fanout: usize, iters: usize) -> (HotpathEntry, Histogram) {
     use std::hint::black_box;
     let mut e = CapEngine::new();
@@ -2193,7 +2224,7 @@ fn bench_capability_ops(fanout: usize, iters: usize) -> (HotpathEntry, Histogram
         black_box(sink);
         let per = timing::per_op_ns(t0.elapsed(), batch)
             .unwrap_or_else(|err| panic!("capability_ops sampling: {err}"));
-        hist.record_n(per, batch as u64);
+        hist.record(per);
     }
     (
         HotpathEntry {
@@ -2219,7 +2250,7 @@ fn bench_capability_ops(fanout: usize, iters: usize) -> (HotpathEntry, Histogram
 /// With `traced` the sink records every event — the overhead gate runs
 /// this variant and holds the cycle metrics to the untraced baseline.
 /// The histogram samples cached fast roundtrips (the row's `after` op)
-/// in batches of up to 16.
+/// in batches of up to 16, one sample per batch mean.
 fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
     let mut m = boot();
     if traced {
@@ -2277,7 +2308,7 @@ fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
         }
         let per = timing::per_op_ns(t0.elapsed(), batch)
             .unwrap_or_else(|e| panic!("transition sampling: {e}"));
-        hist.record_n(per, batch as u64);
+        hist.record(per);
     }
     (
         HotpathEntry {
@@ -2302,7 +2333,7 @@ fn bench_transitions(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
 /// across machines. `traced` turns the sink on, as in
 /// [`bench_transitions`]. The histogram samples NONE-policy mediated
 /// roundtrip wall latency (the row's `after` op) in batches of up
-/// to 16; the cycle metrics are computed over the same loop and are
+/// to 16, one sample per batch mean; the cycle metrics are computed over the same loop and are
 /// untouched by the clock reads between batches.
 fn bench_flush_policy(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
     let per_policy = |policy: RevocationPolicy, mut hist: Option<&mut Histogram>| {
@@ -2327,7 +2358,7 @@ fn bench_flush_policy(iters: usize, traced: bool) -> (HotpathEntry, Histogram) {
             if let Some(h) = hist.as_deref_mut() {
                 let per = timing::per_op_ns(t0.elapsed(), batch)
                     .unwrap_or_else(|e| panic!("flush-policy sampling: {e}"));
-                h.record_n(per, batch as u64);
+                h.record(per);
             }
         }
         (m.machine.cycles.now() - c0) / (rounds * batch) as u64
@@ -2437,7 +2468,7 @@ fn bench_grant_revoke(riscv: bool, ram_mib: u64, iters: usize) -> (HotpathEntry,
         let (c2, w2, t2) = (m.machine.cycles.now(), work(&m), Instant::now());
         grant_ns += ns(t1 - t0);
         revoke_ns += ns(t2 - t1);
-        hist.record_n(ns(t2 - t0), 1);
+        hist.record(ns(t2 - t0));
         let this = [c1 - c0, c2 - c1, w1 - w0, w2 - w1];
         assert_eq!(
             *per_call.get_or_insert(this),
@@ -2526,13 +2557,13 @@ impl ScaleEntry {
     }
 }
 
-/// Records one batched sample (a timed pass of `ops` operations) into
-/// `hist` and returns the per-op figure. Zero-op windows are a hard
+/// Records one sample, the per-op mean of a timed pass of `ops`
+/// operations, into `hist` and returns it. Zero-op windows are a hard
 /// error — a storm that never ran must not report a latency.
 fn scale_sample(hist: &mut Histogram, elapsed: std::time::Duration, ops: usize) -> u64 {
     let per = timing::per_op_ns(elapsed, ops)
         .unwrap_or_else(|e| panic!("scale timing over {ops} ops: {e}"));
-    hist.record_n(per, ops as u64);
+    hist.record(per);
     per
 }
 
@@ -3368,7 +3399,7 @@ fn smp_run_mutations(
                 let pair_sample = |hist: &mut Histogram, d: std::time::Duration| {
                     let per = timing::per_op_ns(d, 2)
                         .unwrap_or_else(|err| panic!("smp pair timing: {err}"));
-                    hist.record_n(per, 2);
+                    hist.record(per);
                 };
                 match mode {
                     SmpMode::Distinct => {
@@ -3550,7 +3581,7 @@ fn smp_run_transitions(threads: usize, roundtrips: usize) -> (SmpEntry, Histogra
                     }
                     let per = timing::per_op_ns(s0.elapsed(), 2)
                         .unwrap_or_else(|err| panic!("smp roundtrip timing: {err}"));
-                    hist.record_n(per, 2);
+                    hist.record(per);
                 }
                 hist
             })

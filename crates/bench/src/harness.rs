@@ -1449,7 +1449,9 @@ mod tests {
     fn sample_line(seed: u64) -> ChildLine {
         let mut h = Histogram::new();
         for v in [40u64, 45, 52, 300, 8_000] {
-            h.record_n(v, seed + 1); // different weights per seed
+            for _ in 0..=seed {
+                h.record(v); // different counts per seed
+            }
         }
         ChildLine {
             id: "hotpath/transitions".into(),

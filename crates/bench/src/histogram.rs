@@ -59,20 +59,11 @@ impl Histogram {
         Self::default()
     }
 
-    /// Records one sample of `ns` nanoseconds.
+    /// Records one sample of `ns` nanoseconds. A batched timing (a
+    /// clock interval over many sub-100ns operations, where per-op
+    /// `Instant` reads would dominate) records its mean as one sample.
     pub fn record(&mut self, ns: u64) {
-        self.record_n(ns, 1);
-    }
-
-    /// Records `n` samples of `ns` nanoseconds each. Used for batched
-    /// timing of sub-100ns operations, where per-op `Instant` reads
-    /// would dominate the measurement: the batch mean is recorded with
-    /// the batch's op count as weight.
-    pub fn record_n(&mut self, ns: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.buckets.entry(bucket_index(ns)).or_insert(0) += n;
+        *self.buckets.entry(bucket_index(ns)).or_insert(0) += 1;
         if self.count == 0 {
             self.min = ns;
             self.max = ns;
@@ -80,8 +71,8 @@ impl Histogram {
             self.min = self.min.min(ns);
             self.max = self.max.max(ns);
         }
-        self.count += n;
-        self.sum += u128::from(ns) * u128::from(n);
+        self.count += 1;
+        self.sum += u128::from(ns);
     }
 
     /// Merges `other` into `self`. Merging is commutative and
@@ -315,7 +306,9 @@ mod tests {
             a.record(v);
         }
         for v in [1u64, 17, 950, 1 << 40] {
-            b.record_n(v, 3);
+            for _ in 0..3 {
+                b.record(v);
+            }
         }
         let mut ab = a.clone();
         ab.merge_from(&b);
@@ -330,21 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equals_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(1234, 7);
-        for _ in 0..7 {
-            b.record(1234);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn json_roundtrip_preserves_everything() {
         let mut h = Histogram::new();
         for v in [0u64, 31, 32, 33, 1_000, u64::MAX / 2] {
-            h.record_n(v, v % 5 + 1);
+            for _ in 0..v % 5 + 1 {
+                h.record(v);
+            }
         }
         let encoded = h.to_json().to_compact();
         let back = Histogram::from_json(&crate::json::parse(&encoded).unwrap()).unwrap();
@@ -370,8 +354,10 @@ mod tests {
     #[test]
     fn digest_detects_bucket_tampering() {
         let mut h = Histogram::new();
-        h.record_n(50, 10);
-        h.record_n(5_000, 10);
+        for _ in 0..10 {
+            h.record(50);
+            h.record(5_000);
+        }
         let honest = h.digest_hex();
         let mut tampered = h.clone();
         tampered.record(5_000); // shift one bucket by one count

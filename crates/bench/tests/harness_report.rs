@@ -82,7 +82,9 @@ fn sample_child_line() -> ChildLine {
         h.record(v);
     }
     let mut h2 = Histogram::new();
-    h2.record_n(42, 16);
+    for _ in 0..16 {
+        h2.record(42);
+    }
     ChildLine {
         id: "hotpath/revocation/fanout=16".into(),
         seed: 7,

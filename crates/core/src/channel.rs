@@ -1,4 +1,4 @@
-//! Cross-machine channel state — the TCB half of the fleet's MAC-keyed
+//! Cross-machine channel state — the TCB half of the fleet's keyed
 //! links.
 //!
 //! Composing monitors across machines (the paper's "millions of users,
@@ -12,20 +12,18 @@
 //! events (`ChanEstablish`/`ChanSend`/`ChanRecv`/`ChanViolation`/
 //! `ChanTeardown`) the offline `channel-seq` RV checker replays.
 //!
-//! Deliberately *not* here: cryptography. MAC computation and
-//! verification live in the fleet layer on top of `tyche-crypto`; the
+//! Deliberately *not* here: cryptography. Frame tags (ChaCha20-Poly1305,
+//! `tyche_crypto::aead`) are computed and checked in the fleet layer; the
 //! table is told the *outcome* (a parsed frame's sequence and epoch, or
 //! an externally detected [`ViolationReason`]) and provides the single
 //! authoritative accept/reject decision. Keeping key material out of the
 //! engine-adjacent TCB state keeps this module trivially auditable.
 //!
-//! Concurrency: one mutex guards the whole table (lock class
-//! `channel-table`, ranked between the engine-side classes and the
-//! trace-sink leaves — see `tyche-verify`'s lock-order hierarchy), so
-//! emitting trace events while holding the guard is legal.
+//! Concurrency: none. Each fleet machine owns its table, and every
+//! mutation takes `&mut self`, so the table holds no lock and ranks no
+//! lock class.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 
 use crate::trace::{EventKind, TraceSink};
 
@@ -36,7 +34,7 @@ pub const MAX_EPOCH: u64 = (1 << 63) - 1;
 /// Why an inbound frame (or an establishment attempt) was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViolationReason {
-    /// The frame's HMAC did not verify under the channel key.
+    /// The frame's AEAD tag did not verify under the channel key.
     BadMac,
     /// The frame's sequence number was already consumed (replay).
     Replay,
@@ -45,7 +43,7 @@ pub enum ViolationReason {
     Reorder,
     /// The frame was too short to carry the fixed header and tag.
     Truncated,
-    /// The frame was MACed under a retired key epoch.
+    /// The frame was tagged under a retired key epoch.
     StaleEpoch,
     /// No open channel exists for the peer (never established, or torn
     /// down by an earlier violation).
@@ -126,22 +124,15 @@ struct ChannelState {
 /// machine gets exactly one violation per channel before it is cut off.
 #[derive(Debug, Default)]
 pub struct ChannelTable {
-    channels: Mutex<BTreeMap<u64, ChannelState>>,
+    channels: BTreeMap<u64, ChannelState>,
     trace: TraceSink,
-}
-
-fn mutex_lock<T>(l: &Mutex<T>) -> MutexGuard<'_, T> {
-    match l.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
 }
 
 impl ChannelTable {
     /// Creates an empty table emitting into `trace`.
     pub fn new(trace: TraceSink) -> Self {
         ChannelTable {
-            channels: Mutex::new(BTreeMap::new()),
+            channels: BTreeMap::new(),
             trace,
         }
     }
@@ -154,9 +145,8 @@ impl ChannelTable {
     /// does not advance past the channel's current epoch (a stale
     /// re-attestation must not resurrect an old key) or exceeds
     /// [`MAX_EPOCH`].
-    pub fn establish(&self, peer: u64, epoch: u64) -> Result<(), ViolationReason> {
-        let mut channels = mutex_lock(&self.channels);
-        let state = channels.entry(peer).or_default();
+    pub fn establish(&mut self, peer: u64, epoch: u64) -> Result<(), ViolationReason> {
+        let state = self.channels.entry(peer).or_default();
         if state.quarantined {
             return Err(ViolationReason::NoChannel);
         }
@@ -173,17 +163,13 @@ impl ChannelTable {
     }
 
     /// Reserves the next outbound sequence number on the channel to
-    /// `peer`, returning `(seq, epoch)` for the fleet layer to MAC into
+    /// `peer`, returning `(seq, epoch)` for the fleet layer to tag into
     /// the frame. Fails with [`ViolationReason::NoChannel`] when no open
     /// channel exists.
-    pub fn note_send(&self, peer: u64) -> Result<(u64, u64), ViolationReason> {
-        let mut channels = mutex_lock(&self.channels);
-        let Some(state) = channels.get_mut(&peer) else {
+    pub fn note_send(&mut self, peer: u64) -> Result<(u64, u64), ViolationReason> {
+        let Some(state) = self.channels.get_mut(&peer).filter(|s| s.open) else {
             return Err(ViolationReason::NoChannel);
         };
-        if !state.open {
-            return Err(ViolationReason::NoChannel);
-        }
         let seq = state.send_seq;
         state.send_seq += 1;
         let epoch = state.epoch;
@@ -192,21 +178,15 @@ impl ChannelTable {
         Ok((seq, epoch))
     }
 
-    /// Judges one inbound frame from `peer` whose MAC already verified:
+    /// Judges one inbound frame from `peer` whose tag already verified:
     /// `seq` must be exactly the next expected sequence number and
     /// `epoch` the current key epoch. On acceptance the window advances
     /// and the accepted sequence number is returned; any mismatch is a
     /// violation that tears the channel down (see [`Self::reject`]).
-    pub fn accept_recv(&self, peer: u64, seq: u64, epoch: u64) -> Result<u64, Violation> {
-        let mut channels = mutex_lock(&self.channels);
-        let Some(state) = channels.get_mut(&peer) else {
-            drop(channels);
+    pub fn accept_recv(&mut self, peer: u64, seq: u64, epoch: u64) -> Result<u64, Violation> {
+        let Some(state) = self.channels.get_mut(&peer).filter(|s| s.open) else {
             return Err(self.reject(peer, ViolationReason::NoChannel));
         };
-        if !state.open {
-            drop(channels);
-            return Err(self.reject(peer, ViolationReason::NoChannel));
-        }
         state.delivered += 1;
         let reason = if epoch != state.epoch {
             Some(ViolationReason::StaleEpoch)
@@ -218,12 +198,7 @@ impl ChannelTable {
             None
         };
         if let Some(reason) = reason {
-            let violation = Violation {
-                reason,
-                frame_index: state.delivered - 1,
-            };
-            Self::teardown_locked(&self.trace, peer, state, violation);
-            return Err(violation);
+            return Err(teardown(&self.trace, peer, state, reason));
         }
         state.recv_seq += 1;
         self.trace
@@ -231,76 +206,74 @@ impl ChannelTable {
         Ok(seq)
     }
 
-    /// Reports a violation detected *outside* the table (failed MAC,
+    /// Reports a violation detected *outside* the table (failed tag,
     /// unparseable frame) on the channel to `peer`. Counts the frame,
     /// emits the violation, and tears the channel down. Returns the
     /// recorded violation with its exact frame index.
-    pub fn reject(&self, peer: u64, reason: ViolationReason) -> Violation {
-        let mut channels = mutex_lock(&self.channels);
-        let state = channels.entry(peer).or_default();
+    pub fn reject(&mut self, peer: u64, reason: ViolationReason) -> Violation {
+        let state = self.channels.entry(peer).or_default();
         state.delivered += 1;
-        let violation = Violation {
-            reason,
-            frame_index: state.delivered - 1,
-        };
-        Self::teardown_locked(&self.trace, peer, state, violation);
-        violation
-    }
-
-    /// Shared teardown path; the caller holds the table lock. Emitting
-    /// while holding is fine: trace-sink locks rank below `channel-table`
-    /// in the hierarchy.
-    fn teardown_locked(trace: &TraceSink, peer: u64, state: &mut ChannelState, v: Violation) {
-        trace.emit_engine(EventKind::ChanViolation {
-            peer,
-            reason: v.reason.code(),
-            seq: v.frame_index,
-        });
-        if state.open {
-            state.open = false;
-            trace.emit_engine(EventKind::ChanTeardown {
-                peer,
-                epoch: state.epoch,
-            });
-        }
-        state.quarantined = true;
+        teardown(&self.trace, peer, state, reason)
     }
 
     /// True when an open channel to `peer` exists.
     pub fn is_open(&self, peer: u64) -> bool {
-        mutex_lock(&self.channels)
-            .get(&peer)
-            .is_some_and(|s| s.open)
+        self.channels.get(&peer).is_some_and(|s| s.open)
     }
 
     /// True when `peer` has been quarantined by a violation.
     pub fn is_quarantined(&self, peer: u64) -> bool {
-        mutex_lock(&self.channels)
-            .get(&peer)
-            .is_some_and(|s| s.quarantined)
+        self.channels.get(&peer).is_some_and(|s| s.quarantined)
     }
 
     /// The current key epoch for `peer` (0 when never established).
     pub fn epoch(&self, peer: u64) -> u64 {
-        mutex_lock(&self.channels).get(&peer).map_or(0, |s| s.epoch)
+        self.channels.get(&peer).map_or(0, |s| s.epoch)
     }
 
     /// Inbound frames presented so far by `peer` (accepted + rejected):
     /// the next frame's 0-based index.
     pub fn frames_delivered(&self, peer: u64) -> u64 {
-        mutex_lock(&self.channels)
-            .get(&peer)
-            .map_or(0, |s| s.delivered)
+        self.channels.get(&peer).map_or(0, |s| s.delivered)
     }
 
     /// Peers currently quarantined, in ascending id order.
     pub fn quarantined_peers(&self) -> Vec<u64> {
-        mutex_lock(&self.channels)
+        self.channels
             .iter()
             .filter(|(_, s)| s.quarantined)
             .map(|(&peer, _)| peer)
             .collect()
     }
+}
+
+/// Shared teardown path for a frame counted into `state.delivered`:
+/// emits the violation at that frame's index, closes the channel, and
+/// quarantines the peer.
+fn teardown(
+    trace: &TraceSink,
+    peer: u64,
+    state: &mut ChannelState,
+    reason: ViolationReason,
+) -> Violation {
+    let violation = Violation {
+        reason,
+        frame_index: state.delivered - 1,
+    };
+    trace.emit_engine(EventKind::ChanViolation {
+        peer,
+        reason: reason.code(),
+        seq: violation.frame_index,
+    });
+    if state.open {
+        state.open = false;
+        trace.emit_engine(EventKind::ChanTeardown {
+            peer,
+            epoch: state.epoch,
+        });
+    }
+    state.quarantined = true;
+    violation
 }
 
 #[cfg(test)]
@@ -309,7 +282,7 @@ mod tests {
 
     #[test]
     fn establish_send_recv_round_trip() {
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         t.establish(2, 1).unwrap();
         assert!(t.is_open(2));
         assert_eq!(t.note_send(2).unwrap(), (0, 1));
@@ -322,7 +295,7 @@ mod tests {
 
     #[test]
     fn replay_is_rejected_at_exact_index_and_tears_down() {
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         t.establish(5, 1).unwrap();
         t.accept_recv(5, 0, 1).unwrap();
         t.accept_recv(5, 1, 1).unwrap();
@@ -337,12 +310,12 @@ mod tests {
 
     #[test]
     fn reorder_and_stale_epoch_are_distinct_reasons() {
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         t.establish(1, 1).unwrap();
         let v = t.accept_recv(1, 3, 1).unwrap_err();
         assert_eq!(v.reason, ViolationReason::Reorder);
 
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         t.establish(1, 1).unwrap();
         t.establish(1, 2).unwrap(); // legitimate re-key
         let v = t.accept_recv(1, 0, 1).unwrap_err();
@@ -352,7 +325,7 @@ mod tests {
 
     #[test]
     fn rekey_resets_sequences_but_not_the_frame_count() {
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         t.establish(9, 1).unwrap();
         t.note_send(9).unwrap();
         t.accept_recv(9, 0, 1).unwrap();
@@ -373,7 +346,7 @@ mod tests {
 
     #[test]
     fn external_reject_counts_the_frame() {
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         t.establish(4, 1).unwrap();
         t.accept_recv(4, 0, 1).unwrap();
         let v = t.reject(4, ViolationReason::BadMac);
@@ -386,7 +359,7 @@ mod tests {
 
     #[test]
     fn unknown_peer_frames_are_violations() {
-        let t = ChannelTable::new(TraceSink::new());
+        let mut t = ChannelTable::new(TraceSink::new());
         let v = t.accept_recv(7, 0, 1).unwrap_err();
         assert_eq!(v.reason, ViolationReason::NoChannel);
         assert!(t.is_quarantined(7));
@@ -396,7 +369,7 @@ mod tests {
     fn violations_emit_teardown_events() {
         let sink = TraceSink::new();
         sink.enable(1);
-        let t = ChannelTable::new(sink.clone());
+        let mut t = ChannelTable::new(sink.clone());
         t.establish(3, 1).unwrap();
         t.note_send(3).unwrap();
         t.accept_recv(3, 0, 1).unwrap();

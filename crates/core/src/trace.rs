@@ -14,20 +14,23 @@
 //!    simulated cycles, so a traced run and an untraced run produce
 //!    bit-identical engine state and fuzz digests. When the sink is
 //!    disabled (the default) an emission is a single atomic load.
-//! 2. **Zero allocation on the hot path.** Events buffer into fixed-capacity
-//!    per-core lanes (ring-buffer discipline: pre-reserved `Vec`s that are
-//!    drained, not reallocated) and spill to an append-only log only when a
-//!    lane fills.
+//! 2. **One lock.** An enabled emission stamps its sequence number and
+//!    appends the event under a single mutex (lock class `trace-log`, the
+//!    last rank of `tyche-verify`'s lock-order hierarchy, so any layer
+//!    may emit while holding its own guard). `enable` reserves room for
+//!    a short run and each drain leaves the log as much room as it
+//!    took, so emissions between drains rarely allocate.
 //! 3. **Attestable.** [`TraceLog::chain`] hash-chains the encoded events
 //!    with the same SHA-256 fold the fuzzer uses for its replay digest, so
 //!    a drained trace can be attested alongside a TPM quote.
 //!
-//! Event ordering comes from a global sequence counter stamped at emission
-//! time; [`TraceSink::drain`] merges the lanes and sorts by it, giving a
-//! total order consistent with each thread's program order.
+//! Event ordering comes from the sequence number stamped under the lock:
+//! the log is always in sequence order, consistent with each thread's
+//! program order, and each [`TraceSink::drain`] takes a gap-free prefix
+//! of it, so successive drains concatenate into one sequence.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tyche_crypto::{hash_parts, Digest};
 
 /// Sentinel `core` id for events emitted by the engine itself, which has
@@ -421,41 +424,29 @@ impl TraceLog {
     }
 }
 
-/// Fixed per-core lane capacity. A lane that fills spills to the
-/// append-only log in one batch; steady state allocates nothing.
-const LANE_CAPACITY: usize = 256;
+/// Events reserved per core (plus one engine share) when recording
+/// starts, so a short traced run allocates nothing after `enable`.
+const EVENTS_PER_CORE: usize = 256;
 
 #[derive(Debug, Default)]
 struct Shared {
-    /// Fast-path gate; emissions are one relaxed load when false.
+    /// Fast-path gate; emissions are one Acquire load when false.
     enabled: AtomicBool,
-    /// Global sequence counter (total event order).
-    seq: AtomicU64,
-    /// Per-core lanes plus one trailing lane for engine-internal
-    /// events. Sized by `enable`.
-    lanes: RwLock<Vec<Mutex<Vec<TraceEvent>>>>,
-    /// The append-only spill log.
-    log: Mutex<Vec<TraceEvent>>,
+    /// The one log, in sequence order.
+    log: Mutex<Log>,
+}
+
+#[derive(Debug, Default)]
+struct Log {
+    events: Vec<TraceEvent>,
+    /// The `seq` stamped on the next event (total event order).
+    next_seq: u64,
 }
 
 fn lock_mutex<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // Trace state is only touched by these non-panicking methods; a
     // poisoned lock (panicking test thread) must not wedge the sink.
     match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn read_lanes<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    match l.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn write_lanes<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    match l.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -488,19 +479,16 @@ impl TraceSink {
         Self::default()
     }
 
-    /// Starts recording, with one lane per core (plus the engine
-    /// lane). Clears anything previously recorded and restarts the
-    /// sequence counter.
+    /// Starts recording, with room reserved for `cores` cores' worth of
+    /// events (plus the engine's). Clears anything previously recorded
+    /// and restarts the sequence counter.
     pub fn enable(&self, cores: usize) {
-        let mut lanes = write_lanes(&self.shared.lanes);
-        lanes.clear();
-        for _ in 0..cores.saturating_add(1) {
-            lanes.push(Mutex::new(Vec::with_capacity(LANE_CAPACITY)));
-        }
-        drop(lanes);
-        lock_mutex(&self.shared.log).clear();
-        // verify: relaxed-ok reset is published by the Release store to enabled on the next line
-        self.shared.seq.store(0, Ordering::Relaxed);
+        let mut log = lock_mutex(&self.shared.log);
+        log.events.clear();
+        log.events
+            .reserve(cores.saturating_add(1).saturating_mul(EVENTS_PER_CORE));
+        log.next_seq = 0;
+        drop(log);
         self.shared.enabled.store(true, Ordering::Release);
     }
 
@@ -520,17 +508,10 @@ impl TraceSink {
         if !self.shared.enabled.load(Ordering::Acquire) {
             return;
         }
-        // verify: relaxed-ok ticket draw only needs atomicity; per-event ordering is the RV replayer's job
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let event = TraceEvent { seq, core, kind };
-        let lanes = read_lanes(&self.shared.lanes);
-        let idx = (core as usize).min(lanes.len().saturating_sub(1));
-        let Some(lane) = lanes.get(idx) else { return };
-        let mut buf = lock_mutex(lane);
-        buf.push(event);
-        if buf.len() >= LANE_CAPACITY {
-            lock_mutex(&self.shared.log).append(&mut buf);
-        }
+        let mut log = lock_mutex(&self.shared.log);
+        let seq = log.next_seq;
+        log.next_seq += 1;
+        log.events.push(TraceEvent { seq, core, kind });
     }
 
     /// Shorthand for engine-internal emission.
@@ -538,16 +519,13 @@ impl TraceSink {
         self.emit(CORE_NONE, kind);
     }
 
-    /// Takes everything recorded so far — spill log plus lane
-    /// residues — merged into global sequence order. Recording state
-    /// (enabled, lanes) is preserved; the buffers restart empty.
+    /// Takes everything recorded so far, in sequence order. Recording
+    /// state (enabled, the sequence counter) is preserved, so successive
+    /// drains concatenate into one gap-free sequence.
     pub fn drain(&self) -> TraceLog {
-        let mut events = std::mem::take(&mut *lock_mutex(&self.shared.log));
-        for lane in read_lanes(&self.shared.lanes).iter() {
-            events.append(&mut lock_mutex(lane));
-        }
-        events.sort_by_key(|e| e.seq);
-        TraceLog::from_events(events)
+        let mut log = lock_mutex(&self.shared.log);
+        let room = Vec::with_capacity(log.events.capacity());
+        TraceLog::from_events(std::mem::replace(&mut log.events, room))
     }
 }
 
@@ -580,20 +558,52 @@ mod tests {
     }
 
     #[test]
-    fn lanes_spill_without_losing_events() {
+    fn log_outgrows_its_reserve_without_losing_events() {
         let sink = TraceSink::new();
         sink.enable(1);
-        for gen in 0..1000 {
+        let n = 4 * 2 * EVENTS_PER_CORE as u64;
+        for gen in 0..n {
             sink.emit(0, EventKind::GenBump { gen });
         }
         let log = sink.drain();
-        assert_eq!(log.len(), 1000);
-        assert!(log.events().windows(2).all(|w| {
-            match w {
-                [a, b] => a.seq < b.seq,
-                _ => false,
-            }
-        }));
+        let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_drains_concatenate_into_one_sequence() {
+        const PER_EMITTER: u64 = 5_000;
+        let sink = TraceSink::new();
+        sink.enable(2);
+        let done = Arc::new(AtomicBool::new(false));
+        let drainer = {
+            let (sink, done) = (sink.clone(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut seqs = Vec::new();
+                while !done.load(Ordering::Acquire) {
+                    seqs.extend(sink.drain().events().iter().map(|e| e.seq));
+                    std::thread::yield_now();
+                }
+                seqs
+            })
+        };
+        let emitters: Vec<_> = (0..2u32)
+            .map(|core| {
+                let sink = sink.clone();
+                std::thread::spawn(move || {
+                    for gen in 0..PER_EMITTER {
+                        sink.emit(core, EventKind::GenBump { gen });
+                    }
+                })
+            })
+            .collect();
+        for e in emitters {
+            e.join().expect("emitter");
+        }
+        done.store(true, Ordering::Release);
+        let mut seqs = drainer.join().expect("drainer");
+        seqs.extend(sink.drain().events().iter().map(|e| e.seq));
+        assert_eq!(seqs, (0..2 * PER_EMITTER).collect::<Vec<_>>());
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl FleetMachine {
     /// of the other kind is a BadMac without a tag computed. Every
     /// rejection is counted by the table at the frame's index.
     fn authenticate<'a>(
-        &self,
+        &mut self,
         src: u64,
         bytes: &'a [u8],
         kind: u64,

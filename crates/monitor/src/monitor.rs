@@ -879,16 +879,6 @@ impl Monitor {
         self.apply_all().map_err(|_| Status::BackendFailure)
     }
 
-    /// Coalescing-ablated variant of [`sync_effects`](Self::sync_effects):
-    /// applies the drained effects one at a time, exactly as emitted.
-    /// Benchmark "before" path.
-    #[doc(hidden)]
-    pub fn sync_effects_uncoalesced(&mut self) -> Result<(), Status> {
-        let effects = self.engine.drain_effects();
-        self.apply_list(&effects, None)
-            .map_err(|_| Status::BackendFailure)
-    }
-
     /// Audits hardware state against the capability engine: for every
     /// live domain, the translation structures the backend programmed
     /// must grant exactly the access the engine's active capabilities
@@ -1057,7 +1047,7 @@ impl Monitor {
         let mut unions = std::mem::take(&mut self.mem_unions);
         self.engine.drain_effects_into(&mut effects);
         Self::coalesce_effects(&mut effects, &mut self.last_effect, &mut unions);
-        let res = self.apply_list(&effects, Some(&unions));
+        let res = self.apply_list(&effects, &unions);
         self.effect_buf = effects;
         self.mem_unions = unions;
         res
@@ -1120,23 +1110,19 @@ impl Monitor {
     /// applies can fail in one batch — e.g. a persistent DRAM fault
     /// breaks every table write). Application is best-effort: a fault on
     /// one domain's translation update must not strand the remaining
-    /// domains' hardware state, so later effects still run. With
-    /// `unions` (a coalesced batch), a mem effect applies its domain's
-    /// union of regions; without, its own region.
+    /// domains' hardware state, so later effects still run. On x86 a mem
+    /// effect applies its domain's union of regions from the coalesced
+    /// batch's `unions`.
     fn apply_list(
         &mut self,
         effects: &[Effect],
-        unions: Option<&[(DomainId, MemRegion)]>,
+        unions: &[(DomainId, MemRegion)],
     ) -> Result<(), (BackendError, BTreeSet<DomainId>)> {
         let mut first: Option<BackendError> = None;
         let mut implicated = BTreeSet::new();
         for fx in effects {
-            let res = match (self.arch, fx, unions) {
-                (
-                    Arch::X86,
-                    Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. },
-                    Some(unions),
-                ) => {
+            let res = match (self.arch, fx) {
+                (Arch::X86, Effect::MapMem { domain, .. } | Effect::UnmapMem { domain, .. }) => {
                     let from = unions.partition_point(|(d, _)| d < domain);
                     let regions = unions
                         .iter()

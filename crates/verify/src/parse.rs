@@ -22,8 +22,8 @@
 //! until its enclosing block closes or an explicit `drop(var)`, an
 //! unbound guard (a temporary inside a larger expression) is released
 //! at its own statement. Guards owned by `for` scrutinees are treated
-//! as temporaries, which under-approximates one hold in
-//! `TraceSink::drain` but cannot invent a violation.
+//! as temporaries, an under-approximation that cannot invent a
+//! violation.
 
 use crate::lex;
 use crate::loc::{self, LineClass};
@@ -34,14 +34,7 @@ use std::path::Path;
 /// The workspace's poison-recovering lock helpers. Every guard the TCB
 /// takes goes through one of these, so the parser keys on the helper
 /// name instead of chasing `Mutex`/`RwLock` types.
-pub const LOCK_HELPERS: &[&str] = &[
-    "mutex_lock",
-    "read_lock",
-    "write_lock",
-    "lock_mutex",
-    "read_lanes",
-    "write_lanes",
-];
+pub const LOCK_HELPERS: &[&str] = &["mutex_lock", "read_lock", "write_lock", "lock_mutex"];
 
 /// Atomic methods whose argument list names an `Ordering`.
 pub const ATOMIC_METHODS: &[&str] = &[
@@ -183,12 +176,6 @@ pub struct Function {
     pub atomics: Vec<AtomicSite>,
     /// Panic-capable constructs inside the body.
     pub panics: Vec<PanicSite>,
-    /// The stripped body text (used for in-body evidence searches such
-    /// as the shard sort/dedup requirement).
-    pub body_text: String,
-    /// File-absolute byte offset of the body's opening `{` — converts
-    /// site offsets to `body_text` positions.
-    pub body_start: usize,
 }
 
 /// A `// verify: relaxed-ok` marker found in a file.
@@ -634,8 +621,6 @@ fn parse_fn(
         releases: Vec::new(),
         atomics: Vec::new(),
         panics: Vec::new(),
-        body_text: stripped[body_open..=body_close].to_string(),
-        body_start: body_open,
     };
     scan_body(stripped, body_open, body_close, &mut func, annotations);
     // Debug-only statements inside a shipped function.

@@ -3,13 +3,12 @@
 //! DESIGN.md fixes one global acquisition order for every sleeping lock
 //! in the monitor:
 //!
-//! > per-core state → inner engine
+//! > per-core state → inner engine → trace log
 //!
-//! plus the cross-machine channel table, and the trace-sink locks that
-//! sit after everything (channel code emits trace events while holding
-//! its guard). This module is that sentence made machine-checked: every
-//! guard acquisition parsed out of the TCB is classified into one of the
-//! six ranked classes of [`HIERARCHY`]
+//! The trace log ranks last because every layer emits trace events while
+//! holding its own guard. This module is that sentence made
+//! machine-checked: every guard acquisition parsed out of the TCB is
+//! classified into one of the three ranked classes of [`HIERARCHY`]
 //! (`static_oracle` requires every real acquisition to classify), and
 //! an acquisition of a lower-ranked (or same-ranked) class while a
 //! guard is held is a finding — directly in a body, or transitively
@@ -19,9 +18,9 @@
 //! state, behind its one lock, so they are not classes of their own.
 //! Domain shards are not locks either: the mutating tier serializes on
 //! the inner engine's write lock alone, and the shard clocks that model
-//! contention belong to the simulator. The NIC inbox queue lives in the
-//! simulated hardware, outside the audited crates, so no TCB lock ranks
-//! it.
+//! contention belong to the simulator. The fleet's channel table is
+//! owned by its machine and mutated through `&mut`, and the NIC inbox
+//! queue lives in the simulated hardware, so neither ranks a class.
 
 use super::{Lint, StaticFinding};
 use crate::parse::{Function, LockSite, WorkspaceModel};
@@ -29,26 +28,16 @@ use std::collections::BTreeMap;
 
 /// The ranked lock classes, lowest-first. The rank order *is* the legal
 /// acquisition order.
-pub const HIERARCHY: &[(&str, u8)] = &[
-    ("core-state", 0),
-    ("engine-inner", 1),
-    ("channel-table", 2),
-    ("trace-lanes", 3),
-    ("trace-lane", 4),
-    ("trace-spill-log", 5),
-];
+pub const HIERARCHY: &[(&str, u8)] = &[("core-state", 0), ("engine-inner", 1), ("trace-log", 2)];
 
 /// Substring → class rules, checked in order against the argument text
 /// and then the statement context. First match wins.
 const PATTERNS: &[(&str, &str)] = &[
-    ("channel", "channel-table"),
     ("core", "core-state"),
     ("slot", "core-state"),
     ("engine", "engine-inner"),
     ("inner", "engine-inner"),
-    ("lanes", "trace-lanes"),
-    ("lane", "trace-lane"),
-    ("log", "trace-spill-log"),
+    ("log", "trace-log"),
 ];
 
 fn rank_of(class: &str) -> u8 {
@@ -62,9 +51,6 @@ fn rank_of(class: &str) -> u8 {
 /// Classifies one acquisition site. `None` for guards outside the
 /// hierarchy (e.g. the lock helpers' own internals).
 pub fn classify(site: &LockSite) -> Option<(&'static str, u8)> {
-    if site.helper == "read_lanes" || site.helper == "write_lanes" {
-        return Some(("trace-lanes", rank_of("trace-lanes")));
-    }
     for text in [site.arg.as_str(), site.context.as_str()] {
         for (pat, class) in PATTERNS {
             if text.contains(pat) {
