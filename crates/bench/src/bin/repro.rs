@@ -514,16 +514,100 @@ fn smp_det(e: &SmpEntry) -> Vec<(String, u64)> {
     det
 }
 
+/// A bench-row JSON object from `(key, value)` members, in order.
+fn obj(members: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn num(v: impl ToString) -> Json {
+    Json::Num(v.to_string())
+}
+
+/// A ratio rounded to two decimals, as the artifacts print them.
+fn num2(v: f64) -> Json {
+    Json::Num(format!("{v:.2}"))
+}
+
+fn detail_obj(detail: &[(&str, u64)]) -> Json {
+    obj(detail.iter().map(|&(k, v)| (k, num(v))).collect())
+}
+
 fn hotpath_row(e: &HotpathEntry) -> Json {
-    json::parse(e.to_json().trim()).expect("hotpath row is valid JSON")
+    let mut row = vec![
+        ("name", Json::Str(e.name.into())),
+        ("fanout", num(e.fanout)),
+    ];
+    if let Some((arch, ram_mib)) = e.machine {
+        row.push(("arch", Json::Str(arch.into())));
+        row.push(("ram_mib", num(ram_mib)));
+    }
+    row.push(("metric", Json::Str(e.metric.into())));
+    if let Some(before) = e.before {
+        row.push(("before", num(before)));
+        row.push(("after", num(e.after)));
+        row.push(("improvement", num2(before as f64 / e.after.max(1) as f64)));
+    } else {
+        row.push(("after", num(e.after)));
+    }
+    row.push(("detail", detail_obj(&e.detail)));
+    obj(row)
 }
 
 fn smp_row(e: &SmpEntry) -> Json {
-    json::parse(e.to_json().trim()).expect("smp row is valid JSON")
+    obj(vec![
+        ("workload", Json::Str(e.workload.into())),
+        ("threads", num(e.threads)),
+        ("shards", num(e.shards)),
+        ("ring_depth", num(e.ring_depth)),
+        ("metric", Json::Str("ops_per_mcycle".into())),
+        ("ops", num(e.ops)),
+        ("baseline_cycles", num(e.baseline_cycles)),
+        ("smp_cycles", num(e.smp_cycles)),
+        ("baseline_tput", num2(e.baseline_tput())),
+        ("smp_tput", num2(e.smp_tput())),
+        ("speedup", num2(e.speedup())),
+        ("detail", detail_obj(&e.detail)),
+    ])
 }
 
 fn scale_row(e: &ScaleEntry) -> Json {
-    json::parse(e.to_json().trim()).expect("scale row is valid JSON")
+    obj(vec![
+        ("population", num(e.population)),
+        ("create_ns_per_op", num(e.create_ns)),
+        ("share_ns_per_op", num(e.share_ns)),
+        ("attest_ns_per_op", num(e.attest_ns)),
+        ("enter_ns_per_op", num(e.enter_ns)),
+        (
+            "neighbor",
+            obj(vec![
+                ("caps_of_ns", num(e.caps_of_ns)),
+                ("enumerate_ns", num(e.enumerate_ns)),
+                ("refcount_ns", num(e.refcount_ns)),
+            ]),
+        ),
+        (
+            "deep_chain",
+            obj(vec![
+                ("depth", num(e.chain_depth)),
+                ("build_ns_per_link", num(e.chain_build_ns)),
+                ("cascade_revoke_ns_per_link", num(e.chain_revoke_ns)),
+            ]),
+        ),
+        ("revoke_storm_ns_per_op", num(e.revoke_storm_ns)),
+        ("bytes_per_domain", num(e.bytes_per_domain)),
+        (
+            "revoked_log",
+            obj(vec![
+                ("recorded", num(e.revoked_recorded)),
+                ("dropped", num(e.revoked_dropped)),
+            ]),
+        ),
+    ])
 }
 
 /// `repro verify` — the judiciary toolchain: static TCB audit + bounded
@@ -1985,36 +2069,6 @@ struct HotpathEntry {
     detail: Vec<(&'static str, u64)>,
 }
 
-impl HotpathEntry {
-    fn to_json(&self) -> String {
-        let detail = self
-            .detail
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let machine = self
-            .machine
-            .map(|(arch, ram_mib)| format!("\"arch\": \"{arch}\", \"ram_mib\": {ram_mib}, "))
-            .unwrap_or_default();
-        let before = self
-            .before
-            .map(|b| {
-                let improvement = b as f64 / (self.after.max(1)) as f64;
-                format!(
-                    "\"before\": {b}, \"after\": {}, \"improvement\": {improvement:.2}",
-                    self.after
-                )
-            })
-            .unwrap_or_else(|| format!("\"after\": {}", self.after));
-        format!(
-            "    {{\"name\": \"{}\", \"fanout\": {}, {machine}\"metric\": \"{}\", \
-             {before}, \"detail\": {{{}}}}}",
-            self.name, self.fanout, self.metric, detail
-        )
-    }
-}
-
 /// Runs `storms` before/after revocation-storm pairs at one fan-out.
 /// The row's before/after cycles come from the first pair and are
 /// asserted identical across all storms (the cycle model is
@@ -2526,37 +2580,6 @@ struct ScaleEntry {
     revoked_dropped: u64,
 }
 
-impl ScaleEntry {
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\"population\": {}, \"create_ns_per_op\": {}, \
-             \"share_ns_per_op\": {}, \"attest_ns_per_op\": {}, \
-             \"enter_ns_per_op\": {}, \
-             \"neighbor\": {{\"caps_of_ns\": {}, \"enumerate_ns\": {}, \
-             \"refcount_ns\": {}}}, \
-             \"deep_chain\": {{\"depth\": {}, \"build_ns_per_link\": {}, \
-             \"cascade_revoke_ns_per_link\": {}}}, \
-             \"revoke_storm_ns_per_op\": {}, \"bytes_per_domain\": {}, \
-             \"revoked_log\": {{\"recorded\": {}, \"dropped\": {}}}}}",
-            self.population,
-            self.create_ns,
-            self.share_ns,
-            self.attest_ns,
-            self.enter_ns,
-            self.caps_of_ns,
-            self.enumerate_ns,
-            self.refcount_ns,
-            self.chain_depth,
-            self.chain_build_ns,
-            self.chain_revoke_ns,
-            self.revoke_storm_ns,
-            self.bytes_per_domain,
-            self.revoked_recorded,
-            self.revoked_dropped,
-        )
-    }
-}
-
 /// Records one sample, the per-op mean of a timed pass of `ops`
 /// operations, into `hist` and returns it. Zero-op windows are a hard
 /// error — a storm that never ran must not report a latency.
@@ -2954,14 +2977,17 @@ fn fleet_bench(
         sim_cycles = sim_cycles.max(machine.monitor.machine.core_clocks.max_now());
     }
 
-    let row = json::parse(&format!(
-        "{{\"machines\": {machines}, \"requests\": {requests}, \"byzantine\": {}, \"faulted\": {}, \
-         \"channels\": {channels}, \"accepted\": {accepted}, \"violations\": {violations}, \
-         \"quarantined\": {quarantined}, \"refused\": {refused}}}",
-        u64::from(byzantine),
-        u64::from(faulted),
-    ))
-    .expect("fleet row is valid JSON");
+    let row = obj(vec![
+        ("machines", num(machines)),
+        ("requests", num(requests)),
+        ("byzantine", num(u64::from(byzantine))),
+        ("faulted", num(u64::from(faulted))),
+        ("channels", num(channels)),
+        ("accepted", num(accepted)),
+        ("violations", num(violations)),
+        ("quarantined", num(quarantined)),
+        ("refused", num(refused)),
+    ]);
     let det = vec![
         ("machines".to_string(), machines as u64),
         ("requests".to_string(), requests as u64),
@@ -3010,34 +3036,6 @@ impl SmpEntry {
 
     fn speedup(&self) -> f64 {
         self.smp_tput() / self.baseline_tput().max(f64::MIN_POSITIVE)
-    }
-
-    fn to_json(&self) -> String {
-        let detail = self
-            .detail
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \
-             \"shards\": {}, \"ring_depth\": {}, \
-             \"metric\": \"ops_per_mcycle\", \"ops\": {}, \
-             \"baseline_cycles\": {}, \"smp_cycles\": {}, \
-             \"baseline_tput\": {:.2}, \"smp_tput\": {:.2}, \
-             \"speedup\": {:.2}, \"detail\": {{{}}}}}",
-            self.workload,
-            self.threads,
-            self.shards,
-            self.ring_depth,
-            self.ops,
-            self.baseline_cycles,
-            self.smp_cycles,
-            self.baseline_tput(),
-            self.smp_tput(),
-            self.speedup(),
-            detail
-        )
     }
 }
 

@@ -43,7 +43,7 @@ use tyche_monitor::monitor::CallResult;
 use tyche_monitor::{
     boot_riscv, boot_x86, BootConfig, ConcurrentMonitor, Monitor, MonitorCall, Status,
 };
-use tyche_verify::rv;
+use tyche_verify::{rv, trace};
 
 /// Every site the injector knows; the fuzzer arms them all.
 const SITES: [FaultSite; 8] = [
@@ -612,7 +612,7 @@ fn campaign(config: FuzzConfig, traced: bool) -> CampaignOutcome {
         .into_iter()
         .map(|(name, log)| {
             let findings = rv::check_all(&log);
-            let chain = log.chain();
+            let chain = trace::chain(&log);
             PhaseTrace {
                 name,
                 log,

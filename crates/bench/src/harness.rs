@@ -929,6 +929,11 @@ const SMP_METRICS: &[MetricSpec] = &[
     metric("call_latency.p99", Gate::LowerIsBetter, Clock::Host),
 ];
 const FLEET_METRICS: &[MetricSpec] = &[
+    metric("channels", Gate::Exact, Clock::Model),
+    metric("accepted", Gate::Exact, Clock::Model),
+    metric("violations", Gate::Exact, Clock::Model),
+    metric("quarantined", Gate::Exact, Clock::Model),
+    metric("refused", Gate::Exact, Clock::Model),
     metric("attested_rps", Gate::HigherIsBetter, Clock::Host),
     metric("latency.p50", Gate::LowerIsBetter, Clock::Host),
     metric("latency.p99", Gate::LowerIsBetter, Clock::Host),
@@ -940,10 +945,12 @@ const SCALE_METRICS: &[MetricSpec] = &[
     metric("neighbor.enumerate_ns", Gate::LowerIsBetter, Clock::Host),
     metric("neighbor.refcount_ns", Gate::LowerIsBetter, Clock::Host),
     metric("revoke_storm_ns_per_op", Gate::LowerIsBetter, Clock::Host),
+    metric("bytes_per_domain", Gate::Exact, Clock::Model),
 ];
 
 /// True for rows whose model output cannot depend on how the host
-/// interleaves threads: every single-threaded hot-path row, and SMP rows
+/// interleaves threads: every hot-path, scale and fleet row (each is
+/// driven by one thread from a fixed seed), and SMP rows
 /// with a single thread, fast transitions (no shard
 /// clock), distinct-domain calls with at most one thread per shard, and
 /// ring rows whose threads each drain exactly one batch (identical
@@ -952,7 +959,7 @@ const SCALE_METRICS: &[MetricSpec] = &[
 /// batches per thread race on a shard clock — two full runs of one
 /// build differ there — so those rows keep only the threshold gates.
 fn deterministic_row(family: Family, row: &Json) -> bool {
-    if family == Family::Hotpath {
+    if family != Family::Smp {
         return true;
     }
     let field = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
@@ -1542,6 +1549,39 @@ mod tests {
         let out = report_diff(&old, &hotpath_doc(30, 60), 10.0).unwrap();
         assert!(out.regressions.is_empty());
         assert!(out.improvements >= 1);
+    }
+
+    #[test]
+    fn report_gates_fleet_census_and_scale_footprint_exactly() {
+        let fleet = |accepted: u64| {
+            json::parse(&format!(
+                r#"{{"schema": "tyche-bench-fleet/v1", "mode": "full", "fleets": [
+                    {{"machines": 4, "byzantine": 0, "faulted": 1, "channels": 6,
+                      "accepted": {accepted}, "violations": 123, "quarantined": 3, "refused": 120}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let out = report_diff(&fleet(269), &fleet(269), 10.0).unwrap();
+        assert_eq!((out.compared, out.regressions.len()), (5, 0));
+        let out = report_diff(&fleet(269), &fleet(270), 1000.0).unwrap();
+        assert_eq!(
+            out.regressions,
+            vec!["machines=4/byzantine=0/faulted=1/accepted".to_string()]
+        );
+        let scale = |bytes: u64| {
+            json::parse(&format!(
+                r#"{{"schema": "tyche-bench-scale/v2", "mode": "full", "populations": [
+                    {{"population": 1000, "bytes_per_domain": {bytes}}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let out = report_diff(&scale(783), &scale(782), 1000.0).unwrap();
+        assert_eq!(
+            out.regressions,
+            vec!["population=1000/bytes_per_domain".to_string()]
+        );
     }
 
     #[test]

@@ -67,7 +67,6 @@
 pub mod attest;
 pub mod audit;
 pub mod capability;
-pub mod channel;
 pub mod domain;
 pub mod effect;
 pub mod engine;
@@ -95,7 +94,6 @@ pub mod prelude {
 }
 
 pub use capability::{CapKind, Capability};
-pub use channel::{ChannelTable, Violation, ViolationReason};
 pub use domain::{DomainState, SealPolicy};
 pub use effect::Effect;
 pub use engine::CapEngine;

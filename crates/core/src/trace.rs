@@ -20,9 +20,10 @@
 //!    may emit while holding its own guard). `enable` reserves room for
 //!    a short run and each drain leaves the log as much room as it
 //!    took, so emissions between drains rarely allocate.
-//! 3. **Attestable.** [`TraceLog::chain`] hash-chains the encoded events
-//!    with the same SHA-256 fold the fuzzer uses for its replay digest, so
-//!    a drained trace can be attested alongside a TPM quote.
+//! 3. **Record only.** The canonical wire encoding, the attestable hash
+//!    chain over it and the event names live with their readers in
+//!    `tyche-verify::trace`; the monitor emits events and never reads
+//!    them back, so none of that is in its TCB.
 //!
 //! Event ordering comes from the sequence number stamped under the lock:
 //! the log is always in sequence order, consistent with each thread's
@@ -31,14 +32,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tyche_crypto::{hash_parts, Digest};
 
 /// Sentinel `core` id for events emitted by the engine itself, which has
 /// no notion of which core is driving it.
 pub const CORE_NONE: u32 = u32::MAX;
-
-/// Domain separator folded into the head of every trace chain.
-const CHAIN_DOMAIN: &[u8] = b"tyche-trace/v1";
 
 /// Capability-table mutation kinds carried by [`EventKind::CapOp`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,25 +63,6 @@ pub enum CapOpKind {
     Revoke = 10,
     /// A transition capability was exercised.
     Transition = 11,
-}
-
-impl CapOpKind {
-    /// Stable lower-case name, used by the trace replay tooling.
-    pub fn name(self) -> &'static str {
-        match self {
-            CapOpKind::Endow => "endow",
-            CapOpKind::CreateDomain => "create-domain",
-            CapOpKind::SetEntry => "set-entry",
-            CapOpKind::RecordContent => "record-content",
-            CapOpKind::Seal => "seal",
-            CapOpKind::Kill => "kill",
-            CapOpKind::Share => "share",
-            CapOpKind::Grant => "grant",
-            CapOpKind::Split => "split",
-            CapOpKind::Revoke => "revoke",
-            CapOpKind::Transition => "transition",
-        }
-    }
 }
 
 /// One typed trace event. Ids are carried as raw `u64`s (the `.0` of
@@ -286,76 +264,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Stable lower-case name, used by `repro trace` and test diagnostics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::CapOp { .. } => "cap-op",
-            EventKind::GenBump { .. } => "gen-bump",
-            EventKind::Quarantine { .. } => "quarantine",
-            EventKind::HyperEnter { .. } => "hyper-enter",
-            EventKind::HyperExit { .. } => "hyper-exit",
-            EventKind::Enter { .. } => "enter",
-            EventKind::Return { .. } => "return",
-            EventKind::CacheFill { .. } => "cache-fill",
-            EventKind::CacheHit { .. } => "cache-hit",
-            EventKind::Flush { .. } => "flush",
-            EventKind::Ipi { .. } => "ipi",
-            EventKind::FaultFired { .. } => "fault-fired",
-            EventKind::ShardWait { .. } => "shard-wait",
-            EventKind::ShootQueue { .. } => "shoot-queue",
-            EventKind::ShootBatch { .. } => "shoot-batch",
-            EventKind::SnapRead { .. } => "snap-read",
-            EventKind::PhaseEnd { .. } => "phase-end",
-            EventKind::ChanEstablish { .. } => "chan-establish",
-            EventKind::ChanSend { .. } => "chan-send",
-            EventKind::ChanRecv { .. } => "chan-recv",
-            EventKind::ChanViolation { .. } => "chan-violation",
-            EventKind::ChanTeardown { .. } => "chan-teardown",
-            EventKind::NicSend { .. } => "nic-send",
-            EventKind::NicRecv { .. } => "nic-recv",
-        }
-    }
-
-    /// (discriminant, flag byte, payload a, payload b, payload c) — the
-    /// canonical wire decomposition used by [`TraceEvent::encode`].
-    fn parts(&self) -> (u8, u8, u64, u64, u64) {
-        match *self {
-            EventKind::CapOp {
-                op,
-                actor,
-                subject,
-                aux,
-            } => (1, op as u8, actor, subject, aux),
-            EventKind::GenBump { gen } => (2, 0, gen, 0, 0),
-            EventKind::Quarantine { domain } => (3, 0, domain, 0, 0),
-            EventKind::HyperEnter { leaf, actor } => (4, 0, leaf, actor, 0),
-            EventKind::HyperExit { leaf, code, cycles } => (5, 0, leaf, code, cycles),
-            EventKind::Enter { from, to, fast } => (6, u8::from(fast), from, to, 0),
-            EventKind::Return { from, to, fast } => (7, u8::from(fast), from, to, 0),
-            EventKind::CacheFill { actor, cap, gen } => (8, 0, actor, cap, gen),
-            EventKind::CacheHit { actor, cap, gen } => (9, 0, actor, cap, gen),
-            EventKind::Flush { domain, tlb, cache } => {
-                (10, u8::from(tlb) | (u8::from(cache) << 1), domain, 0, 0)
-            }
-            EventKind::Ipi { to } => (11, 0, to, 0, 0),
-            EventKind::FaultFired { site } => (12, site, 0, 0, 0),
-            EventKind::ShardWait { shard } => (13, 0, shard, 0, 0),
-            EventKind::ShootQueue { domain } => (14, 0, domain, 0, 0),
-            EventKind::ShootBatch { drained, ipis } => (15, 0, drained, ipis, 0),
-            EventKind::SnapRead { gen } => (16, 0, gen, 0, 0),
-            EventKind::PhaseEnd { phase } => (17, 0, phase, 0, 0),
-            EventKind::ChanEstablish { peer, epoch } => (18, 0, peer, epoch, 0),
-            EventKind::ChanSend { peer, seq, epoch } => (19, 0, peer, seq, epoch),
-            EventKind::ChanRecv { peer, seq, epoch } => (20, 0, peer, seq, epoch),
-            EventKind::ChanViolation { peer, reason, seq } => (21, reason, peer, seq, 0),
-            EventKind::ChanTeardown { peer, epoch } => (22, 0, peer, epoch, 0),
-            EventKind::NicSend { to, bytes } => (23, 0, to, bytes, 0),
-            EventKind::NicRecv { from, bytes } => (24, 0, from, bytes, 0),
-        }
-    }
-}
-
 /// One recorded event: a global sequence number, the emitting core (or
 /// [`CORE_NONE`]), and the typed payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -368,23 +276,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-impl TraceEvent {
-    /// Canonical 48-byte wire encoding: six little-endian `u64` words
-    /// `[seq, meta, a, b, c, 0]` where `meta = core << 32 | disc << 8 |
-    /// flag`. This is what the trace chain hashes, so it must stay stable.
-    pub fn encode(&self) -> [u8; 48] {
-        let (disc, flag, a, b, c) = self.kind.parts();
-        let meta = (u64::from(self.core) << 32) | (u64::from(disc) << 8) | u64::from(flag);
-        let words = [self.seq, meta, a, b, c, 0u64];
-        let mut out = [0u8; 48];
-        for (chunk, word) in out.chunks_mut(8).zip(words.iter()) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        out
-    }
-}
-
-/// A drained, seq-ordered trace with its attestable chain digest.
+/// A drained, seq-ordered trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
@@ -409,18 +301,6 @@ impl TraceLog {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The hash chain over the encoded events: the same
-    /// `digest = H(prev || event)` fold the fuzzer uses for its replay
-    /// digest, seeded with a domain separator. Two logs chain equal iff
-    /// they recorded the same events in the same order.
-    pub fn chain(&self) -> Digest {
-        let mut digest = hash_parts(&[CHAIN_DOMAIN]);
-        for event in &self.events {
-            digest = hash_parts(&[digest.as_bytes(), &event.encode()]);
-        }
-        digest
     }
 }
 
@@ -617,24 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_is_order_sensitive() {
-        let a = TraceEvent {
-            seq: 0,
-            core: 0,
-            kind: EventKind::GenBump { gen: 1 },
-        };
-        let b = TraceEvent {
-            seq: 1,
-            core: 0,
-            kind: EventKind::GenBump { gen: 2 },
-        };
-        let ab = TraceLog::from_events(vec![a, b]).chain();
-        let ba = TraceLog::from_events(vec![b, a]).chain();
-        assert_ne!(ab, ba);
-        assert_ne!(TraceLog::default().chain(), ab);
-    }
-
-    #[test]
     fn clones_share_buffers_and_compare_equal() {
         let sink = TraceSink::new();
         let other = sink.clone();
@@ -642,76 +504,5 @@ mod tests {
         other.emit(0, EventKind::SnapRead { gen: 3 });
         assert_eq!(sink.drain().len(), 1, "emitted via the other handle");
         assert_eq!(sink, TraceSink::new(), "equality is vacuous by design");
-    }
-
-    #[test]
-    fn encoding_is_stable() {
-        let e = TraceEvent {
-            seq: 7,
-            core: 2,
-            kind: EventKind::Enter {
-                from: 1,
-                to: 4,
-                fast: true,
-            },
-        };
-        let bytes = e.encode();
-        let words: Vec<u64> = bytes
-            .chunks(8)
-            .map(|c| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                u64::from_le_bytes(w)
-            })
-            .collect();
-        // meta = core 2 << 32 | disc 6 << 8 | flag 1 (fast).
-        assert_eq!(words, vec![7, (2u64 << 32) | (6 << 8) | 1, 1, 4, 0, 0]);
-    }
-
-    #[test]
-    fn channel_encoding_is_stable() {
-        // The channel events ride the same 48-byte layout; pin one with a
-        // flag byte (the violation reason) and one payload-heavy variant.
-        let v = TraceEvent {
-            seq: 9,
-            core: 1,
-            kind: EventKind::ChanViolation {
-                peer: 3,
-                reason: 2,
-                seq: 11,
-            },
-        };
-        let words: Vec<u64> = v
-            .encode()
-            .chunks(8)
-            .map(|c| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                u64::from_le_bytes(w)
-            })
-            .collect();
-        // meta = core 1 << 32 | disc 21 << 8 | flag 2 (reason).
-        assert_eq!(words, vec![9, (1u64 << 32) | (21 << 8) | 2, 3, 11, 0, 0]);
-        let s = TraceEvent {
-            seq: 0,
-            core: 0,
-            kind: EventKind::ChanSend {
-                peer: 5,
-                seq: 42,
-                epoch: 2,
-            },
-        };
-        let words: Vec<u64> = s
-            .encode()
-            .chunks(8)
-            .map(|c| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(c);
-                u64::from_le_bytes(w)
-            })
-            .collect();
-        assert_eq!(words, vec![0, 19 << 8, 5, 42, 2, 0]);
-        assert_eq!(v.kind.name(), "chan-violation");
-        assert_eq!(s.kind.name(), "chan-send");
     }
 }

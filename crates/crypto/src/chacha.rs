@@ -3,7 +3,7 @@
 //! Only the block function is exposed. It backs the deterministic random bit
 //! generator in [`crate::drbg`], the per-location keystream of the simulated
 //! memory-encryption controller (`tyche-hw::mktme`), and the
-//! ChaCha20-Poly1305 AEAD in [`crate::aead`], where block 0 of a (key,
+//! ChaCha20-Poly1305 AEAD in `libtyche::aead`, where block 0 of a (key,
 //! nonce) pair is the one-time Poly1305 key and blocks 1, 2, … are the
 //! keystream. The AEAD authenticates every fleet channel frame and seals
 //! every attested RDMA frame.

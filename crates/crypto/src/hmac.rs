@@ -4,7 +4,7 @@
 //! quotes in this reproduction (see `DESIGN.md`: MACs substitute for the
 //! asymmetric signatures a production TPM would produce), and the PRF of
 //! HKDF. Fleet channel and RDMA frames are authenticated with
-//! ChaCha20-Poly1305 ([`crate::aead`]) instead.
+//! ChaCha20-Poly1305 (`libtyche::aead`) instead.
 //!
 //! A keyed [`HmacSha256`] holds the hash states with the inner and outer
 //! key pads already absorbed. Long-lived key holders (signing and

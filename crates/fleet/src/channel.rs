@@ -1,5 +1,5 @@
-//! Cross-machine channel state — the TCB half of the fleet's keyed
-//! links.
+//! Cross-machine channel state — the receiver side of the fleet's
+//! keyed links.
 //!
 //! Composing monitors across machines (the paper's "millions of users,
 //! one monitor per machine" story) needs more than attestation: every
@@ -12,20 +12,23 @@
 //! events (`ChanEstablish`/`ChanSend`/`ChanRecv`/`ChanViolation`/
 //! `ChanTeardown`) the offline `channel-seq` RV checker replays.
 //!
+//! The table belongs to the transport, not to the monitor: no hypercall
+//! reads or writes it, so it sits outside the monitor's TCB, beside the
+//! channel keys in [`crate::FleetMachine`].
+//!
 //! Deliberately *not* here: cryptography. Frame tags (ChaCha20-Poly1305,
-//! `tyche_crypto::aead`) are computed and checked in the fleet layer; the
-//! table is told the *outcome* (a parsed frame's sequence and epoch, or
-//! an externally detected [`ViolationReason`]) and provides the single
-//! authoritative accept/reject decision. Keeping key material out of the
-//! engine-adjacent TCB state keeps this module trivially auditable.
+//! [`libtyche::aead`]) are computed and checked by the fleet transport;
+//! the table is told the *outcome* (a parsed frame's sequence and epoch,
+//! or an externally detected [`ViolationReason`]) and provides the
+//! single authoritative accept/reject decision. Keeping key material out
+//! of the table keeps this module trivially auditable.
 //!
 //! Concurrency: none. Each fleet machine owns its table, and every
-//! mutation takes `&mut self`, so the table holds no lock and ranks no
-//! lock class.
+//! mutation takes `&mut self`, so the table holds no lock.
 
 use std::collections::BTreeMap;
 
-use crate::trace::{EventKind, TraceSink};
+use tyche_core::trace::{EventKind, TraceSink};
 
 /// The largest key epoch a channel can reach: the fleet wire spends the
 /// top bit of its 64-bit epoch word on the frame kind.
@@ -378,7 +381,7 @@ mod tests {
             .drain()
             .events()
             .iter()
-            .map(|e| e.kind.name())
+            .map(|e| tyche_verify::trace::name(&e.kind))
             .collect();
         assert_eq!(
             names,

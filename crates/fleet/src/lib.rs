@@ -21,17 +21,18 @@
 //! nonces, and the key epoch. Every subsequent frame is
 //! `word ‖ seq ‖ payload ‖ tag`, where `word` is the key epoch with the
 //! frame kind in its top bit and `tag` is the 16-byte ChaCha20-Poly1305
-//! tag (`tyche_crypto::aead`) of an empty plaintext under the channel
+//! tag ([`libtyche::aead`]) of an empty plaintext under the channel
 //! key, with nonce `(src as u32)_le ‖ seq_le` and additional data the
 //! fixed-width little-endian `src ‖ word ‖ seq ‖ len` followed by the
 //! bytes the channel binds. Both directions of a pair share the key
 //! and count sequence numbers from 0, so the sender's id in the nonce
-//! is what keeps every (key, nonce) pair unique; the receiving TCB's
-//! `ChannelTable`
-//! (`tyche-core::channel`) is the single accept/reject authority, and
-//! any violation — bad MAC, replay, reorder, truncation, stale epoch —
-//! tears the channel down at an exact frame index and quarantines the
-//! peer for good.
+//! is what keeps every (key, nonce) pair unique; the receiving
+//! machine's [`ChannelTable`] ([`channel`]) is the single accept/reject
+//! authority, and any violation — bad MAC, replay, reorder, truncation,
+//! stale epoch — tears the channel down at an exact frame index and
+//! quarantines the peer for good. Channel keys and sequence state live
+//! here, with the transport, never in the monitor: no hypercall reads
+//! them, so they add nothing to the monitor's TCB.
 //!
 //! The `libtyche` RDMA scenario composes on top: [`Fleet::rdma_connect`]
 //! runs the RDMA attestation handshake over an already-attested channel,
@@ -51,14 +52,16 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod channel;
+
 use std::collections::{BTreeMap, VecDeque};
 
+use channel::{ChannelTable, Violation, ViolationReason};
+use libtyche::aead::{self, Tag, TAG_LEN};
 use libtyche::rdma::{RKey, RdmaError, RdmaNic};
 use libtyche::{RdmaConnection, TycheClient};
-use tyche_core::channel::{ChannelTable, Violation, ViolationReason};
 use tyche_core::prelude::*;
 use tyche_core::SealPolicy;
-use tyche_crypto::aead::{self, Tag, TAG_LEN};
 use tyche_crypto::hkdf;
 use tyche_hw::machine::MachineConfig;
 use tyche_hw::nic::Frame;
@@ -80,7 +83,7 @@ pub const FRAME_OVERHEAD: usize = 16 + TAG_LEN;
 
 /// The top bit of a frame's wire epoch word: set on an RDMA-kind frame,
 /// clear on an ordinary one. Epochs stay below it
-/// ([`tyche_core::channel::MAX_EPOCH`]), so the kind costs no wire byte,
+/// ([`channel::MAX_EPOCH`]), so the kind costs no wire byte,
 /// and the channel tag covers the whole word, so a relabelled frame dies
 /// as [`ViolationReason::BadMac`].
 const RDMA_KIND: u64 = 1 << 63;
@@ -188,7 +191,7 @@ pub struct MachineStats {
 pub struct FleetMachine {
     /// The machine's monitor (owns the `tyche_hw::Machine`).
     pub monitor: Monitor,
-    /// The TCB channel state for this machine.
+    /// This machine's channel sequence and epoch state.
     pub channels: ChannelTable,
     /// The sealed TEE domain backing this machine's attestations.
     pub tee: DomainId,
@@ -1102,7 +1105,7 @@ mod tests {
             mac_data.resize(transcript.len().div_ceil(16) * 16, 0);
             mac_data.extend_from_slice(&le(transcript.len() as u64));
             mac_data.extend_from_slice(&le(0));
-            tyche_crypto::poly1305::Poly1305::mac(&block0[..32].try_into().unwrap(), &mac_data)
+            libtyche::poly1305::Poly1305::mac(&block0[..32].try_into().unwrap(), &mac_data)
         };
 
         let payload = b"fleet frame payload";

@@ -15,8 +15,8 @@
 //! life. Additional data is passed in parts, so a caller can bind a
 //! fixed header and a payload without concatenating them.
 
-use crate::chacha;
 use crate::poly1305::Poly1305;
+use tyche_crypto::chacha;
 
 /// Bytes in a tag.
 pub const TAG_LEN: usize = 16;
@@ -58,7 +58,7 @@ pub fn check(
     ciphertext: &[u8],
     expected: &Tag,
 ) -> bool {
-    crate::ct::eq(&tag(key, nonce, aad, ciphertext), expected)
+    tyche_crypto::ct::eq(&tag(key, nonce, aad, ciphertext), expected)
 }
 
 /// XORs the keystream for (`key`, `nonce`) into `buf`: block `i + 1`
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn seal_open_round_trip_at_block_edges() {
-        let mut rng = crate::ChaChaRng::from_seed(0xae4d);
+        let mut rng = tyche_crypto::ChaChaRng::from_seed(0xae4d);
         let key = rng.next_bytes32();
         for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 128, 200] {
             let mut nonce = [0u8; 12];

@@ -15,7 +15,13 @@
 //!   over SGX — explicit sharing, address reuse, and nesting with
 //!   enclave-to-enclave channels;
 //! - [`cvm`]: confidential virtual machines (whole-OS domains on several
-//!   cores, invisible to the hypervisor-role domain).
+//!   cores, invisible to the hypervisor-role domain);
+//! - [`rdma`]: attested RDMA between TEEs on separate machines, with its
+//!   wire crypto: [`aead`] / [`poly1305`], ChaCha20-Poly1305 (RFC 8439)
+//!   with detached 16-byte tags, which seals every RDMA frame and
+//!   authenticates every `tyche-fleet` channel frame. Wire keys and the
+//!   cipher stay with the TEEs and the transport; the monitor never
+//!   holds or runs them.
 //!
 //! Every abstraction here uses *only* the public monitor call interface —
 //! nothing reaches into engine internals — demonstrating the paper's
@@ -24,10 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod aead;
 pub mod client;
 pub mod cvm;
 pub mod enclave;
 pub mod loader;
+pub mod poly1305;
 pub mod rdma;
 pub mod sandbox;
 

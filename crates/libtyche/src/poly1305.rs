@@ -29,7 +29,7 @@ const HIBIT: u64 = 1 << 40;
 /// # Examples
 ///
 /// ```
-/// use tyche_crypto::poly1305::Poly1305;
+/// use libtyche::poly1305::Poly1305;
 /// let mut mac = Poly1305::new(&[7u8; 32]);
 /// mac.update(b"split ");
 /// mac.update(b"anywhere");
@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn any_update_split_gives_the_same_tag() {
-        let mut rng = crate::ChaChaRng::from_seed(0x1305);
+        let mut rng = tyche_crypto::ChaChaRng::from_seed(0x1305);
         let key = rng.next_bytes32();
         let mut msg = vec![0u8; 100];
         rng.fill_bytes(&mut msg);

@@ -12,7 +12,7 @@
 //! both report digests and both nonces yields the connection's 32-byte
 //! key. Every frame on the (untrusted) wire is `seq_le ‖ ciphertext ‖
 //! tag`: the payload sealed with ChaCha20-Poly1305 (RFC 8439,
-//! `tyche_crypto::aead`) under the connection key, with nonce
+//! [`crate::aead`]) under the connection key, with nonce
 //! `0u32 ‖ seq_le` and `seq_le` as the additional data, and the 16-byte
 //! tag detached behind the ciphertext. The sequence number never
 //! repeats within a connection, so neither does a nonce. The test suite
@@ -25,9 +25,10 @@
 //! between them: [`RdmaConnection::check_frame`] authenticates a frame,
 //! and [`RdmaConnection::land_frame`] lands only what that check passed.
 
+use crate::aead;
 use crate::client::TycheClient;
 use tyche_core::prelude::*;
-use tyche_crypto::{aead, hkdf};
+use tyche_crypto::hkdf;
 use tyche_monitor::attest::{SignedReport, Verifier, VerifyError};
 use tyche_monitor::Monitor;
 
@@ -867,7 +868,7 @@ mod tests {
         let one_time: [u8; 32] = tyche_crypto::chacha::block(&key, 0, &nonce)[..32]
             .try_into()
             .unwrap();
-        let tag = tyche_crypto::poly1305::Poly1305::mac(&one_time, &mac_data);
+        let tag = crate::poly1305::Poly1305::mac(&one_time, &mac_data);
         expected.extend_from_slice(&tag);
         assert_eq!(frame, expected);
 

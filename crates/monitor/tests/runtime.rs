@@ -9,6 +9,7 @@ use tyche_monitor::backend::riscv::RiscvBackend;
 use tyche_monitor::backend::x86::X86Backend;
 use tyche_monitor::monitor::CallResult;
 use tyche_monitor::{boot_riscv, boot_x86, BootConfig, Monitor, Status};
+use tyche_verify::trace;
 
 fn x86() -> Monitor {
     boot_x86(BootConfig::default())
@@ -279,7 +280,7 @@ fn fast_path_with_flush_policy_falls_back_to_mediated() {
     let shape: Vec<&str> = log
         .events()
         .iter()
-        .map(|e| e.kind.name())
+        .map(|e| trace::name(&e.kind))
         .filter(|n| matches!(*n, "hyper-enter" | "hyper-exit" | "enter"))
         .collect();
     assert_eq!(shape, ["hyper-enter", "enter", "hyper-exit"]);
@@ -411,7 +412,7 @@ fn fast_path_hit_miss_and_mediated_agree() {
     );
     m.call(0, MonitorCall::Return).unwrap();
     let log = m.trace().drain();
-    let names: Vec<&str> = log.events().iter().map(|e| e.kind.name()).collect();
+    let names: Vec<&str> = log.events().iter().map(|e| trace::name(&e.kind)).collect();
     let fills = names.iter().filter(|n| **n == "cache-fill").count();
     let hits = names.iter().filter(|n| **n == "cache-hit").count();
     assert_eq!((fills, hits), (1, 1), "one miss, then one hit");

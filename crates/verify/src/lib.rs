@@ -15,7 +15,8 @@
 //!   ownership model in [`model`];
 //! - [`rv`] — offline runtime verification: temporal invariants
 //!   replayed over drained execution traces from the observability
-//!   layer (`tyche_core::trace`);
+//!   layer (`tyche_core::trace`), whose encoding, hash chain and event
+//!   names live in [`trace`];
 //! - [`static_lints`] — the deep static certifier: a whole-workspace
 //!   call-graph model ([`parse`]) feeding four cross-cutting lints —
 //!   lock-order/deadlock, panic-reachability from hypercall entry,
@@ -25,8 +26,9 @@
 //! single LOC counter every tool shares), [`allowlist`] (the panic
 //! budget file format), [`parse`] (the item-level workspace model).
 //!
-//! The crate depends on nothing outside the workspace and std — a
-//! verifier you cannot audit is not a verifier.
+//! The crate depends on nothing outside the workspace and std (the
+//! engine's trace types from `tyche-core`, SHA-256 from `tyche-crypto`)
+//! — a verifier you cannot audit is not a verifier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +41,7 @@ pub mod model;
 pub mod parse;
 pub mod rv;
 pub mod static_audit;
+pub mod trace;
 // `static` is a keyword, so the directory-named module gets an
 // explicit path and a usable identifier.
 #[path = "static/mod.rs"]

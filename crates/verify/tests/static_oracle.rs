@@ -961,3 +961,55 @@ fn real_workspace_reaches_no_tampering_hook() {
     let result = trace_complete::check(&model);
     assert!(result.findings.is_empty(), "{:#?}", result.findings);
 }
+
+/// The TCB only enforces. Channel state (`tyche-fleet`), the wire AEAD
+/// (`libtyche`) and the trace encoder, chain and event names
+/// (`tyche-verify::trace`) run on no hypercall path, so the release
+/// model of the real TCB holds none of them, and no hypercall path in
+/// the committed `STATIC.json` passes through a `chain` function (an
+/// iterator's `.chain(` once resolved to the trace chain's hash).
+#[test]
+fn real_workspace_tcb_holds_no_transport_or_trace_reader() {
+    let ws = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let tcb = AuditConfig::tyche_defaults(ws).tcb_crates;
+    let model = WorkspaceModel::build(ws, &tcb).expect("parse the TCB");
+    let outside: Vec<&str> = model
+        .functions
+        .iter()
+        .filter(|f| {
+            f.qname.starts_with("ChannelTable::")
+                || f.file.ends_with("/aead.rs")
+                || f.file.ends_with("/poly1305.rs")
+                || f.name == "chain"
+                || ["TraceEvent::encode", "EventKind::name", "EventKind::parts"]
+                    .contains(&f.qname.as_str())
+        })
+        .map(|f| f.qname.as_str())
+        .collect();
+    assert!(outside.is_empty(), "in the TCB: {outside:?}");
+    assert!(
+        model.find_qname("TraceSink::emit").is_some(),
+        "the recording half stays in the TCB, so the model is not vacuous"
+    );
+
+    let artifact = std::fs::read_to_string(ws.join("STATIC.json")).expect("read STATIC.json");
+    let paths: Vec<&str> = artifact
+        .split("\"path\": [")
+        .skip(1)
+        .filter_map(|rest| rest.split(']').next())
+        .collect();
+    assert!(!paths.is_empty(), "STATIC.json records no hypercall path");
+    let through_chain: Vec<&str> = paths
+        .into_iter()
+        .filter(|path| {
+            path.split(',').any(|step| {
+                let step = step.trim().trim_matches('"');
+                step == "chain" || step.ends_with("::chain")
+            })
+        })
+        .collect();
+    assert!(through_chain.is_empty(), "{through_chain:#?}");
+}

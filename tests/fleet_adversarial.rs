@@ -17,8 +17,8 @@
 //! the channel down.
 
 use libtyche::rdma;
-use tyche_core::channel::ViolationReason;
 use tyche_crypto::{hash, Digest};
+use tyche_fleet::channel::ViolationReason;
 use tyche_fleet::{Fleet, FleetConfig, FleetError, RdmaSession, FRAME_OVERHEAD, TEE_MEM};
 use tyche_hw::faults::{FaultPlan, FaultSite};
 use tyche_hw::nic::Frame;
@@ -242,7 +242,7 @@ fn seeded_run(seed: u64) -> (Vec<Digest>, Vec<tyche_core::engine::CapEngine>, u6
     let mut engines = Vec::new();
     for i in 0..fleet.len() {
         let m = fleet.machine(i).unwrap();
-        chains.push(m.monitor.trace().drain().chain());
+        chains.push(tyche_verify::trace::chain(&m.monitor.trace().drain()));
         engines.push(m.monitor.engine.clone());
     }
     (chains, engines, violations)

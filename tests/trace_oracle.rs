@@ -22,7 +22,7 @@ use tyche_core::prelude::*;
 use tyche_core::trace::{EventKind, TraceEvent, TraceLog};
 use tyche_monitor::abi::MonitorCall;
 use tyche_monitor::{boot_x86, BootConfig, ConcurrentMonitor, Monitor};
-use tyche_verify::rv;
+use tyche_verify::{rv, trace};
 
 /// Boots the default x86 machine with the trace sink recording.
 fn traced_boot() -> Monitor {
@@ -108,7 +108,7 @@ fn forged_hypercall_exit_is_caught_at_the_exit() {
     let mut m = traced_boot();
     m.call(0, MonitorCall::CreateDomain).unwrap();
     let log = m.trace().drain();
-    let untampered_chain = log.chain();
+    let untampered_chain = trace::chain(&log);
     let mut events = log.events().to_vec();
     let seq = events.last().map(|e| e.seq + 1).unwrap_or(0);
     events.push(TraceEvent {
@@ -123,7 +123,11 @@ fn forged_hypercall_exit_is_caught_at_the_exit() {
     let tampered = TraceLog::from_events(events);
     let f = only_finding(&tampered, "transition-stack");
     assert_eq!(f.index, tampered.len() - 1, "caught at the forged exit");
-    assert_ne!(tampered.chain(), untampered_chain, "attested chain broke");
+    assert_ne!(
+        trace::chain(&tampered),
+        untampered_chain,
+        "attested chain broke"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -354,7 +358,7 @@ fn smp_shootdown_cycle_passes_all_checkers() {
     let log = sink.drain();
     for kind in ["shoot-queue", "ipi", "shoot-batch"] {
         assert!(
-            log.events().iter().any(|e| e.kind.name() == kind),
+            log.events().iter().any(|e| trace::name(&e.kind) == kind),
             "{kind} recorded in {}-event trace",
             log.len()
         );
@@ -375,7 +379,7 @@ fn lost_shootdown_is_caught_at_end_of_trace() {
     cm.sync_shootdowns(0);
     cm.serve(1, MonitorCall::Return).unwrap();
     let log = sink.drain();
-    let untampered_chain = log.chain();
+    let untampered_chain = trace::chain(&log);
     // Tamper: a queued invalidation whose delivering batch was scrubbed
     // from the log — the signature of a revocation whose remote flush
     // never happened.
@@ -393,7 +397,11 @@ fn lost_shootdown_is_caught_at_end_of_trace() {
         tampered.len() - 1,
         "leak pinned to end of trace: {f}"
     );
-    assert_ne!(tampered.chain(), untampered_chain, "attested chain broke");
+    assert_ne!(
+        trace::chain(&tampered),
+        untampered_chain,
+        "attested chain broke"
+    );
 }
 
 #[test]
